@@ -24,9 +24,7 @@ from .scenarios import (GeneralSumSpec, PursuitEvasionSpec, build_general_sum,
                         build_pursuit_evasion, random_aq_game,
                         recommended_settings)
 from .sensitivity import (SensitivityBundle, directional_derivative,
-                          envelope_gradient, own_gradients,
-                          sensitivity_bundle, solve_P_sensitivity,
-                          solve_eta_sensitivity, solve_zeta_sensitivity,
+                          envelope_gradient, sensitivity_bundle,
                           value_gradient)
 from .solver import (BaselineResult, CertVerdict, IbrTrace, SolverSettings,
                      best_response, certify_first_order, ibr_solve,
@@ -46,11 +44,9 @@ __all__ = [
     "certify_first_order", "closed_loop_matrix", "compute_S",
     "compute_S_deriv", "default_grid", "directional_derivative",
     "envelope_gradient", "ibr_solve", "integrate_backward",
-    "integrate_forward", "naive_baseline", "own_gradients", "project",
-    "quadrature", "random_aq_game", "recommended_settings", "rollout",
-    "sensitivity_bundle", "simpson_nodes", "solve_P_sensitivity",
-    "solve_coupled_riccati", "solve_eta", "solve_eta_sensitivity",
-    "solve_stage_two", "solve_zerosum_riccati", "solve_zeta",
-    "solve_zeta_sensitivity", "stage_one_costs", "stage_two_value",
-    "value_gradient", "__version__",
+    "integrate_forward", "naive_baseline", "project", "quadrature",
+    "random_aq_game", "recommended_settings", "rollout",
+    "sensitivity_bundle", "simpson_nodes", "solve_coupled_riccati",
+    "solve_eta", "solve_stage_two", "solve_zerosum_riccati", "solve_zeta",
+    "stage_one_costs", "stage_two_value", "value_gradient", "__version__",
 ]

@@ -70,33 +70,24 @@ class StageTables:
         N, n = game.num_players, game.state_dim
         dS = np.empty((N, N, len(st), n, n))
         dQ = np.empty((N, N, len(st), n, n))
+        # a derivative outside a coefficient's support is identically zero,
+        # so it is sampled once and broadcast like a time-constant one
         for k in range(N):
             for i in range(N):
-                tv_s = (game.B[k].time_varying or game.R[i][k].time_varying
-                        or game.R[k][k].time_varying)
+                tv_s = k in game.B[k].depends_on and (
+                    game.B[k].time_varying or game.R[i][k].time_varying
+                    or game.R[k][k].time_varying)
                 dS[k, i] = _table(
                     lambda t, i=i, k=k: compute_S_deriv(game, i, k, t, self.theta, k),
                     st, tv_s)
                 dQ[k, i] = _table(
                     lambda t, i=i, k=k: game.eval_Q_deriv(i, t, self.theta, k),
-                    st, game.Q[i].time_varying)
+                    st, k in game.Q[i].depends_on and game.Q[i].time_varying)
         self.dS = dS
         self.dQ = dQ
 
     # -- node-resolution views (every second stage sample) -----------------
 
     @property
-    def A_nodes(self):
-        return self.A[0::2]
-
-    @property
-    def c_nodes(self):
-        return self.c[0::2]
-
-    @property
     def Q_nodes(self):
         return self.Q[:, 0::2]
-
-    @property
-    def S_diag_nodes(self):
-        return self.S_diag[:, 0::2]

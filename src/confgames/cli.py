@@ -32,7 +32,8 @@ from .scenarios import (GeneralSumSpec, PursuitEvasionSpec, build_general_sum,
                         build_pursuit_evasion, random_aq_game,
                         recommended_settings)
 from .sensitivity import value_gradient
-from .solver import SolverSettings, certify_first_order, ibr_solve, naive_baseline
+from .solver import (SolverSettings, _evaluate, certify_first_order, ibr_solve,
+                     naive_baseline)
 
 PER_SCENARIO = object()
 
@@ -317,11 +318,9 @@ def _sweep_point(idx):
     grid = _SWEEP_CTX["grid"]
     theta = _SWEEP_CTX["points"][idx]
     try:
-        stage2 = solve_stage_two(game, theta, grid)
-        costs = stage_one_costs(game, stage2)
-        G = value_gradient(game, theta, grid=grid, stage2=stage2)
-        return (theta[0], theta[1], costs[0], costs[1], G[0, 0], G[1, 1], 1)
-    except (InfeasibleTheta, ConfGamesError):
+        costs, own = _evaluate(game, theta, grid)
+        return (theta[0], theta[1], costs[0], costs[1], own[0], own[1], 1)
+    except ConfGamesError:
         nan = float("nan")
         return (theta[0], theta[1], nan, nan, nan, nan, 0)
 

@@ -182,6 +182,8 @@ class ConfigGame:
             raise ValueError("regularizers must have one (possibly None) entry per player")
 
         self._check_control_cost_definiteness()
+        if self.zero_sum:
+            self._check_zero_sum_negation()
         self._warn_if_state_cost_indefinite()
 
     # -- construction-time spot checks ------------------------------------
@@ -198,6 +200,26 @@ class ConfigGame:
                     raise PositiveDefinitenessViolation(
                         f"R[{i}][{i}] not positive definite at t={t:.6g}"
                     ) from exc
+
+    def _check_zero_sum_negation(self):
+        """Reject zero-sum games whose player-2 costs are not player 1's negated.
+
+        The single-matrix zero-sum solve reads player 1's costs only, so
+        any other player-2 cost would silently answer a different game.
+        """
+        def negated(m1, m2):
+            return np.abs(m1 + m2).max() <= SYMMETRY_TOL * (1.0 + np.abs(m1).max())
+
+        if not negated(self.Qf[0], self.Qf[1]):
+            raise ValueError("zero-sum game needs Qf[1] = -Qf[0]")
+        theta = self.theta_mid
+        for t in np.linspace(0.0, self.horizon, 33):
+            if not negated(self.Q[0](t, theta), self.Q[1](t, theta)):
+                raise ValueError(f"zero-sum game needs Q[1] = -Q[0] (fails at t={t:.6g})")
+            for j in range(2):
+                if not negated(self.R[0][j](t, theta), self.R[1][j](t, theta)):
+                    raise ValueError(
+                        f"zero-sum game needs R[1][{j}] = -R[0][{j}] (fails at t={t:.6g})")
 
     def _warn_if_state_cost_indefinite(self):
         ts = np.linspace(0.0, self.horizon, 5)

@@ -12,6 +12,7 @@ off the t=0 samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,35 +44,91 @@ def _attribute_blowup(exc: BlowUpDetected, num_players: int) -> BlowUpDetected:
     return BlowUpDetected(time=exc.time, norm=exc.norm, player=player)
 
 
+class PlayerStacks:
+    """Per-player path views over stacked node arrays.
+
+    ``P_nodes`` is (steps+1, N, n, n), ``zeta_nodes`` (steps+1, N, n) and
+    ``eta_nodes`` (steps+1, N).  Zero-sum games store no offset arrays
+    (None): their ``zeta`` and ``eta`` views read as exact zeros.  The
+    views are built on access.
+    """
+
+    @property
+    def num_players(self) -> int:
+        return self.P_nodes.shape[1]
+
+    def _views(self, nodes, shape):
+        if nodes is None:
+            nodes = np.zeros((self.grid.steps + 1, self.num_players) + shape)
+        return tuple(MatrixPath(self.grid, np.ascontiguousarray(nodes[:, i]))
+                     for i in range(self.num_players))
+
+    @property
+    def P(self) -> tuple:
+        return self._views(self.P_nodes, ())
+
+    @property
+    def zeta(self) -> tuple:
+        return self._views(self.zeta_nodes, self.P_nodes.shape[-1:])
+
+    @property
+    def eta(self) -> tuple:
+        return self._views(self.eta_nodes, ())
+
+
 @dataclass(frozen=True)
-class StageTwoSolution:
+class StageTwoSolution(PlayerStacks):
     """Equilibrium solution bundle at one parameter vector.
 
     ``values`` holds the pure stage-two equilibrium costs (no first-stage
     regularizer; see stage_two_value for the regularized total).  For
-    zero-sum games a single value matrix path is solved and exposed both
-    as ``P_zero_sum`` and through the per-player views P[0] = P,
-    P[1] = -P.
+    zero-sum games a single value matrix P is solved and stored as the
+    stack (P, -P), with no offset arrays.  The samples at the RK4 stage
+    times (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are derived from
+    the node arrays on first use.
     """
 
     theta: tuple
     grid: TimeGrid
     zero_sum: bool
-    P: tuple
-    zeta: tuple
-    eta: tuple
-    beta: MatrixPath
     values: np.ndarray
-    P_zero_sum: Optional[MatrixPath] = None
-    _tables: StageTables = field(default=None, repr=False, compare=False)
-    _P_stage: np.ndarray = field(default=None, repr=False, compare=False)
-    _F_stage: np.ndarray = field(default=None, repr=False, compare=False)
-    _zeta_stage: np.ndarray = field(default=None, repr=False, compare=False)
-    _beta_stage: np.ndarray = field(default=None, repr=False, compare=False)
+    tables: StageTables = field(repr=False, compare=False)
+    P_nodes: np.ndarray = field(repr=False)
+    zeta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
+    eta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
-    def num_players(self) -> int:
-        return len(self.P)
+    def beta(self) -> MatrixPath:
+        """Drive residual c - sum_i S^ii zeta^i at the nodes."""
+        return MatrixPath(self.grid, self.beta_st[0::2])
+
+    @cached_property
+    def P_st(self) -> np.ndarray:
+        return stage_samples(self.P_nodes)
+
+    @cached_property
+    def F_st(self) -> np.ndarray:
+        return _closed_loop(self.tables, self.P_st)
+
+    @cached_property
+    def zeta_st(self) -> np.ndarray:
+        if self.zeta_nodes is None:
+            return np.zeros(self.P_st.shape[:-1])
+        return stage_samples(self.zeta_nodes)
+
+    @cached_property
+    def beta_st(self) -> np.ndarray:
+        return _drive_residual(self.tables, self.zeta_st)
+
+
+def _closed_loop(tabs: StageTables, P_st):
+    """Closed-loop drift F = A - sum_i S^ii P^i at every stage time."""
+    return tabs.A - np.einsum("imab,mibc->mac", tabs.S_diag, P_st)
+
+
+def _drive_residual(tabs: StageTables, zeta_st):
+    """Drive residual beta = c - sum_i S^ii zeta^i at every stage time."""
+    return tabs.c - np.einsum("imab,mib->ma", tabs.S_diag, zeta_st)
 
 
 @dataclass(frozen=True)
@@ -88,14 +145,15 @@ class TrajectoryRollout:
 
 def solve_coupled_riccati(game: ConfigGame, theta, grid: TimeGrid,
                           blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                          _tables: StageTables = None):
+                          _tables: StageTables = None) -> MatrixPath:
     """Solve the N coupled quadratic matrix equations backward from Qf.
 
     All players advance as one stacked state so the closed-loop drift is
     re-evaluated from the full stack at every RK4 stage.  Each block is
     symmetrized after every step.  Blow-up is reported with the dominant
     player block and the divergence time; for the backward pass this means
-    no bounded equilibrium exists at (theta, horizon).
+    no bounded equilibrium exists at (theta, horizon).  Returns the stacked
+    path with samples (steps+1, N, n, n).
     """
     tabs = _tables if _tables is not None else StageTables(game, theta, grid)
     N = game.num_players
@@ -111,11 +169,10 @@ def solve_coupled_riccati(game: ConfigGame, theta, grid: TimeGrid,
 
     terminal = np.stack([game.Qf[i] for i in range(N)])
     try:
-        path = integrate_backward(rhs, terminal, grid, blowup_threshold,
+        return integrate_backward(rhs, terminal, grid, blowup_threshold,
                                   project_state=_sym_stack)
     except BlowUpDetected as exc:
         raise _attribute_blowup(exc, N) from None
-    return [MatrixPath(grid, np.ascontiguousarray(path.samples[:, i])) for i in range(N)]
 
 
 def solve_zerosum_riccati(game: ConfigGame, theta, grid: TimeGrid,
@@ -157,18 +214,19 @@ def solve_zerosum_riccati(game: ConfigGame, theta, grid: TimeGrid,
         raise BlowUpDetected(time=exc.time, norm=exc.norm) from None
 
 
-def solve_zeta(game: ConfigGame, theta, P, grid: TimeGrid,
-               _tables: StageTables = None):
+def solve_zeta(game: ConfigGame, theta, P: MatrixPath, grid: TimeGrid,
+               _tables: StageTables = None) -> MatrixPath:
     """Solve the stacked linear pass for the affine offsets.
 
     The N offset vectors are coupled through the drive residual
     beta = c - sum_i S^{ii} zeta^i, so they advance as one stacked state.
-    Returns (zeta paths, beta path sampled at the nodes).
+    ``P`` is the stacked value-matrix path; returns the stacked offset
+    path with samples (steps+1, N, n).
     """
     tabs = _tables if _tables is not None else StageTables(game, theta, grid)
     N, n = game.num_players, game.state_dim
-    P_st = stage_samples(np.stack([p.samples for p in P], axis=1))
-    F_st = tabs.A - np.einsum("imab,mibc->mac", tabs.S_diag, P_st)
+    P_st = stage_samples(P.samples)
+    F_st = _closed_loop(tabs, P_st)
     PS_st = np.einsum("mjab,ijmbc->ijmac", P_st, tabs.S, optimize=True)
     c, S_diag = tabs.c, tabs.S_diag
     half_inv = 2.0 / grid.dt
@@ -180,19 +238,19 @@ def solve_zeta(game: ConfigGame, theta, P, grid: TimeGrid,
         coupling = (PS_st[:, :, si] @ zc[None])[:, :, :, 0].sum(axis=1)
         return -(Z @ F_st[si] + coupling + P_st[si] @ beta)
 
-    path = integrate_backward(rhs, np.zeros((N, n)), grid)
-    zeta_nodes = path.samples
-    beta_nodes = tabs.c_nodes - np.einsum("imab,mib->ma", tabs.S_diag_nodes, zeta_nodes)
-    zetas = [MatrixPath(grid, np.ascontiguousarray(zeta_nodes[:, i])) for i in range(N)]
-    return zetas, MatrixPath(grid, beta_nodes)
+    return integrate_backward(rhs, np.zeros((N, n)), grid)
 
 
-def solve_eta(game: ConfigGame, theta, P, zeta, beta, grid: TimeGrid,
-              _tables: StageTables = None):
-    """Backward quadrature for the per-player scalar value constants."""
+def solve_eta(game: ConfigGame, theta, zeta: MatrixPath, grid: TimeGrid,
+              _tables: StageTables = None) -> MatrixPath:
+    """Backward quadrature for the per-player scalar value constants.
+
+    ``zeta`` is the stacked offset path; returns the stacked path of the
+    constants with samples (steps+1, N).
+    """
     tabs = _tables if _tables is not None else StageTables(game, theta, grid)
-    z_st = stage_samples(np.stack([z.samples for z in zeta], axis=1))
-    beta_st = tabs.c - np.einsum("imab,mib->ma", tabs.S_diag, z_st)
+    z_st = stage_samples(zeta.samples)
+    beta_st = _drive_residual(tabs, z_st)
     quad = np.einsum("mja,ijmab,mjb->mi", z_st, tabs.S, z_st, optimize=True)
     integrand = np.einsum("ma,mia->mi", beta_st, z_st) + 0.5 * quad
     half_inv = 2.0 / grid.dt
@@ -200,9 +258,7 @@ def solve_eta(game: ConfigGame, theta, P, zeta, beta, grid: TimeGrid,
     def rhs(t, E):
         return -integrand[int(round(t * half_inv))]
 
-    path = integrate_backward(rhs, np.zeros(game.num_players), grid)
-    return [MatrixPath(grid, np.ascontiguousarray(path.samples[:, i]))
-            for i in range(game.num_players)]
+    return integrate_backward(rhs, np.zeros(game.num_players), grid)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -222,44 +278,26 @@ def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None,
     if grid is None:
         grid = default_grid(game)
     tabs = StageTables(game, theta, grid)
-    N, n = game.num_players, game.state_dim
     x0 = game.x0
 
     if game.zero_sum:
-        P_zs = solve_zerosum_riccati(game, theta, grid, blowup_threshold, _tables=tabs)
-        P = (P_zs, MatrixPath(grid, -P_zs.samples))
-        zeros_vec = np.zeros((grid.steps + 1, n))
-        zeta = tuple(MatrixPath(grid, zeros_vec.copy()) for _ in range(N))
-        eta = tuple(MatrixPath(grid, np.zeros(grid.steps + 1)) for _ in range(N))
-        beta = MatrixPath(grid, zeros_vec.copy())
-        J = 0.5 * float(x0 @ P_zs.initial @ x0)
-        values = np.array([J, -J])
-        P_stage = stage_samples(np.stack([p.samples for p in P], axis=1))
-        F_stage = tabs.A - np.einsum("imab,mibc->mac", tabs.S_diag, P_stage)
+        P = solve_zerosum_riccati(game, theta, grid, blowup_threshold, _tables=tabs)
+        J = 0.5 * float(x0 @ P.initial @ x0)
         return StageTwoSolution(
-            theta=tuple(theta), grid=grid, zero_sum=True, P=P, zeta=zeta, eta=eta,
-            beta=beta, values=values, P_zero_sum=P_zs, _tables=tabs,
-            _P_stage=P_stage, _F_stage=F_stage,
-            _zeta_stage=np.zeros((2 * grid.steps + 1, N, n)),
-            _beta_stage=np.zeros((2 * grid.steps + 1, n)))
+            theta=tuple(theta), grid=grid, zero_sum=True, values=np.array([J, -J]),
+            tables=tabs, P_nodes=np.stack([P.samples, -P.samples], axis=1))
 
     P = solve_coupled_riccati(game, theta, grid, blowup_threshold, _tables=tabs)
-    zeta, beta = solve_zeta(game, theta, P, grid, _tables=tabs)
-    eta = solve_eta(game, theta, P, zeta, beta, grid, _tables=tabs)
+    zeta = solve_zeta(game, theta, P, grid, _tables=tabs)
+    eta = solve_eta(game, theta, zeta, grid, _tables=tabs)
+    P0, z0, e0 = P.initial, zeta.initial, eta.initial
     values = np.array([
-        0.5 * float(x0 @ P[i].initial @ x0) + float(zeta[i].initial @ x0)
-        + float(eta[i].initial)
-        for i in range(N)
+        0.5 * float(x0 @ P0[i] @ x0) + float(z0[i] @ x0) + float(e0[i])
+        for i in range(game.num_players)
     ])
-    P_stage = stage_samples(np.stack([p.samples for p in P], axis=1))
-    F_stage = tabs.A - np.einsum("imab,mibc->mac", tabs.S_diag, P_stage)
-    zeta_stage = stage_samples(np.stack([z.samples for z in zeta], axis=1))
-    beta_stage = tabs.c - np.einsum("imab,mib->ma", tabs.S_diag, zeta_stage)
     return StageTwoSolution(
-        theta=tuple(theta), grid=grid, zero_sum=False, P=tuple(P), zeta=tuple(zeta),
-        eta=tuple(eta), beta=beta, values=values, _tables=tabs,
-        _P_stage=P_stage, _F_stage=F_stage, _zeta_stage=zeta_stage,
-        _beta_stage=beta_stage)
+        theta=tuple(theta), grid=grid, zero_sum=False, values=values, tables=tabs,
+        P_nodes=P.samples, zeta_nodes=zeta.samples, eta_nodes=eta.samples)
 
 
 def stage_two_value(game: ConfigGame, solution: StageTwoSolution, x0, i: int) -> float:
@@ -295,8 +333,7 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution,
         grid = solution.grid
     if grid != solution.grid:
         raise ValueError("rollout grid must match the solution grid")
-    tabs = solution._tables if solution._tables is not None else StageTables(game, theta, grid)
-    F_st, beta_st = solution._F_stage, solution._beta_stage
+    F_st, beta_st = solution.F_st, solution.beta_st
     half_inv = 2.0 / grid.dt
 
     def rhs(t, x):
@@ -309,11 +346,12 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution,
     nodes = grid.nodes
 
     us = []
+    P, zeta = solution.P, solution.zeta
     for i in range(N):
         Bi = game.B[i]
         Rii = game.R[i][i]
-        Pi = solution.P[i].samples
-        zi = solution.zeta[i].samples
+        Pi = P[i].samples
+        zi = zeta[i].samples
         if Bi.time_varying or Rii.time_varying:
             ui = np.empty((grid.steps + 1, game.control_dims[i]))
             for j, t in enumerate(nodes):
@@ -326,7 +364,7 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution,
             ui = -cho_solve(chol, pre.T).T
         us.append(MatrixPath(grid, ui))
 
-    Q_nodes = tabs.Q_nodes
+    Q_nodes = solution.tables.Q_nodes
     running = np.einsum("ta,itab,tb->ti", xs, Q_nodes, xs)
     for i in range(N):
         for j in range(N):

@@ -14,34 +14,37 @@ integrator) keep every intermediate object checkable stage by stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ._stage import StageTables
 from .errors import BlowUpDetected, InfeasibleTheta, PreconditionViolation
 from .model import ConfigGame
-from .odekit import (MatrixPath, TimeGrid, integrate_backward,
-                     integrate_forward, simpson_nodes, stage_samples)
-from .riccati import StageTwoSolution, default_grid, solve_stage_two
+from .odekit import (TimeGrid, integrate_backward, integrate_forward,
+                     simpson_nodes, stage_samples)
+from .riccati import PlayerStacks, StageTwoSolution, default_grid, solve_stage_two
 
 
 @dataclass(frozen=True)
-class SensitivityBundle:
+class SensitivityBundle(PlayerStacks):
     """Path derivatives with respect to one parameter component.
 
-    All three path stacks vanish identically when no coefficient depends
-    on the chosen component; terminal samples are exactly zero by
+    The node arrays are stacked like StageTwoSolution's, with per-player
+    views ``P``, ``zeta`` and ``eta``; zero-sum bundles store no offset
+    arrays.  All three path stacks vanish identically when no coefficient
+    depends on the chosen component; terminal samples are exactly zero by
     construction.
     """
 
     theta: tuple
     k: int
-    P: tuple
-    zeta: tuple
-    eta: tuple
     dJ: np.ndarray
+    grid: TimeGrid = field(repr=False)
+    P_nodes: np.ndarray = field(repr=False)
+    zeta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
+    eta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def _as_theta(game, theta):
@@ -58,14 +61,6 @@ def _stage_two(game, theta, grid, stage2):
         return solve_stage_two(game, theta, grid)
     except BlowUpDetected as exc:
         raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
-
-
-def _tables_for(game, theta, grid, stage2):
-    tabs = stage2._tables
-    if tabs is None:
-        tabs = StageTables(game, theta, grid)
-    tabs.ensure_derivs()
-    return tabs
 
 
 def _coupling_tables(tabs, P_st):
@@ -112,7 +107,7 @@ def _solve_p_pass(grid, F_st, H_st, forcing):
 
 def _zeta_forcing(tabs, stage2, P_st, Pk_st, ks):
     """Per-stage vector forcing for the zeta-path derivatives."""
-    z_st, beta_st = stage2._zeta_stage, stage2._beta_stage
+    z_st, beta_st = stage2.zeta_st, stage2.beta_st
     M, N, n = z_st.shape
     out = np.empty((len(ks), N, M, n))
     for a, k in enumerate(ks):
@@ -144,7 +139,7 @@ def _solve_zeta_pass(grid, F_st, H_st, forcing):
 
 def _eta_integrand(tabs, stage2, zk_st, ks):
     """Scalar integrand stack for the eta-path derivatives."""
-    z_st, beta_st = stage2._zeta_stage, stage2._beta_stage
+    z_st, beta_st = stage2.zeta_st, stage2.beta_st
     M, N, _ = z_st.shape
     out = np.empty((len(ks), N, M))
     for a, k in enumerate(ks):
@@ -170,14 +165,15 @@ def _solve_eta_pass(grid, integrand):
     return integrate_backward(rhs, np.zeros((K, N)), grid)
 
 
-def _general_sensitivity(game, theta, stage2, ks, grid):
+def _general_sensitivity(game, stage2, ks, grid):
     """Batched sensitivity passes over the requested parameter components.
 
     Returns node-sampled stacks (steps+1, K, ...) for the P, zeta, and eta
     path derivatives, with the second axis indexing ks.
     """
-    tabs = _tables_for(game, theta, grid, stage2)
-    P_st, F_st = stage2._P_stage, stage2._F_stage
+    tabs = stage2.tables
+    tabs.ensure_derivs()
+    P_st, F_st = stage2.P_st, stage2.F_st
     H_st = _coupling_tables(tabs, P_st)
     forcing = _p_forcing(tabs, P_st, ks)
     Pk_nodes = _solve_p_pass(grid, F_st, H_st, forcing).samples
@@ -197,15 +193,16 @@ def _general_sensitivity(game, theta, stage2, ks, grid):
     return Pk_nodes, zk_nodes, ek_nodes
 
 
-def _zerosum_sensitivity(game, theta, stage2, ks, grid):
+def _zerosum_sensitivity(game, stage2, ks, grid):
     """Node samples of the derivative of the single zero-sum value matrix.
 
     Differentiates the single-matrix equation directly: the linear system
     shares the closed-loop drift A + S_tilde P across components and is
     forced by Q_k + P dS_tilde_k P.
     """
-    tabs = _tables_for(game, theta, grid, stage2)
-    P_st = stage2._P_stage[:, 0]
+    tabs = stage2.tables
+    tabs.ensure_derivs()
+    P_st = stage2.P_st[:, 0]
     Stilde = tabs.S_diag[1] - tabs.S_diag[0]
     Fcl = tabs.A + Stilde @ P_st
     n = game.state_dim
@@ -233,58 +230,6 @@ def _zerosum_sensitivity(game, theta, stage2, ks, grid):
 # -- public operations -------------------------------------------------------
 
 
-def solve_P_sensitivity(game: ConfigGame, theta, k: int, stage2: StageTwoSolution,
-                        grid: TimeGrid = None):
-    """Path derivative of every player's value matrix w.r.t. component k.
-
-    Identically zero whenever no coefficient depends on that component.
-    """
-    theta = _as_theta(game, theta)
-    grid = grid if grid is not None else stage2.grid
-    Pk_nodes, _, _ = _general_sensitivity(game, theta, stage2, [k], grid)
-    return [MatrixPath(grid, np.ascontiguousarray(Pk_nodes[:, 0, i]))
-            for i in range(game.num_players)]
-
-
-def solve_zeta_sensitivity(game: ConfigGame, theta, k: int, stage2: StageTwoSolution,
-                           P_thetak, grid: TimeGrid = None):
-    """Path derivative of the affine offsets w.r.t. component k.
-
-    Requires the already-solved P-path derivative.  Returns the offset
-    derivatives together with the drive-residual derivative path.
-    """
-    theta = _as_theta(game, theta)
-    grid = grid if grid is not None else stage2.grid
-    tabs = _tables_for(game, theta, grid, stage2)
-    P_st = stage2._P_stage
-    Pk_st = stage_samples(np.stack([p.samples for p in P_thetak], axis=1))[:, None]
-    N, n = game.num_players, game.state_dim
-    if tabs.c_is_zero:
-        zk = np.zeros((grid.steps + 1, N, n))
-    else:
-        H_st = _coupling_tables(tabs, P_st)
-        zf = _zeta_forcing(tabs, stage2, P_st, Pk_st, [k])
-        zk = _solve_zeta_pass(grid, stage2._F_stage, H_st, zf).samples[:, 0]
-    z_nodes = stage2._zeta_stage[0::2]
-    beta_k = -(np.einsum("mab,mb->ma", tabs.dS[k, k][0::2], z_nodes[:, k])
-               + np.einsum("jmab,mjb->ma", tabs.S_diag[:, 0::2], zk, optimize=True))
-    zetas = [MatrixPath(grid, np.ascontiguousarray(zk[:, i])) for i in range(N)]
-    return zetas, MatrixPath(grid, beta_k)
-
-
-def solve_eta_sensitivity(game: ConfigGame, theta, k: int, stage2: StageTwoSolution,
-                          zeta_thetak, beta_thetak, grid: TimeGrid = None):
-    """Backward quadrature for the value-constant derivatives."""
-    theta = _as_theta(game, theta)
-    grid = grid if grid is not None else stage2.grid
-    tabs = _tables_for(game, theta, grid, stage2)
-    zk_st = stage_samples(np.stack([z.samples for z in zeta_thetak], axis=1))[:, None]
-    integrand = _eta_integrand(tabs, stage2, zk_st, [k])
-    ek = _solve_eta_pass(grid, integrand).samples
-    return [MatrixPath(grid, np.ascontiguousarray(ek[:, 0, i]))
-            for i in range(game.num_players)]
-
-
 def sensitivity_bundle(game: ConfigGame, theta, k: int,
                        stage2: StageTwoSolution = None,
                        grid: TimeGrid = None) -> SensitivityBundle:
@@ -294,31 +239,21 @@ def sensitivity_bundle(game: ConfigGame, theta, k: int,
         grid = stage2.grid if stage2 is not None else default_grid(game)
     stage2 = _stage_two(game, theta, grid, stage2)
     x0 = game.x0
-    N = game.num_players
     if game.zero_sum:
-        Pk = _zerosum_sensitivity(game, theta, stage2, [k], grid)[:, 0]
-        P_paths = (MatrixPath(grid, Pk), MatrixPath(grid, -Pk))
-        zero_vec = np.zeros((grid.steps + 1, game.state_dim))
-        zetas = tuple(MatrixPath(grid, zero_vec.copy()) for _ in range(N))
-        etas = tuple(MatrixPath(grid, np.zeros(grid.steps + 1)) for _ in range(N))
+        Pk = _zerosum_sensitivity(game, stage2, [k], grid)[:, 0]
         g = 0.5 * float(x0 @ Pk[0] @ x0)
         dJ = np.array([g, -g])
+        stacks = {"P_nodes": np.stack([Pk, -Pk], axis=1)}
     else:
-        Pk_nodes, zk_nodes, ek_nodes = _general_sensitivity(game, theta, stage2, [k], grid)
-        P_paths = tuple(MatrixPath(grid, np.ascontiguousarray(Pk_nodes[:, 0, i]))
-                        for i in range(N))
-        zetas = tuple(MatrixPath(grid, np.ascontiguousarray(zk_nodes[:, 0, i]))
-                      for i in range(N))
-        etas = tuple(MatrixPath(grid, np.ascontiguousarray(ek_nodes[:, 0, i]))
-                     for i in range(N))
+        Pk_nodes, zk_nodes, ek_nodes = _general_sensitivity(game, stage2, [k], grid)
+        Pk, zk, ek = Pk_nodes[:, 0], zk_nodes[:, 0], ek_nodes[:, 0]
         dJ = np.array([
-            0.5 * float(x0 @ Pk_nodes[0, 0, i] @ x0) + float(zk_nodes[0, 0, i] @ x0)
-            + float(ek_nodes[0, 0, i])
-            for i in range(N)
+            0.5 * float(x0 @ Pk[0, i] @ x0) + float(zk[0, i] @ x0) + float(ek[0, i])
+            for i in range(game.num_players)
         ])
+        stacks = {"P_nodes": Pk, "zeta_nodes": zk, "eta_nodes": ek}
     dJ = dJ + game.regularizer_gradients(theta)[:, k]
-    return SensitivityBundle(theta=tuple(theta), k=k, P=P_paths, zeta=zetas,
-                             eta=etas, dJ=dJ)
+    return SensitivityBundle(theta=tuple(theta), k=k, dJ=dJ, grid=grid, **stacks)
 
 
 def value_gradient(game: ConfigGame, theta, x0=None, grid: TimeGrid = None,
@@ -341,20 +276,14 @@ def value_gradient(game: ConfigGame, theta, x0=None, grid: TimeGrid = None,
     N = game.num_players
     ks = list(range(N))
     if game.zero_sum:
-        Pk0 = _zerosum_sensitivity(game, theta, stage2, ks, grid)[0]
+        Pk0 = _zerosum_sensitivity(game, stage2, ks, grid)[0]
         g = 0.5 * np.einsum("a,kab,b->k", x0, Pk0, x0)
         G = np.vstack([g, -g])
     else:
-        Pk_nodes, zk_nodes, ek_nodes = _general_sensitivity(game, theta, stage2, ks, grid)
+        Pk_nodes, zk_nodes, ek_nodes = _general_sensitivity(game, stage2, ks, grid)
         G = (0.5 * np.einsum("a,kiab,b->ik", x0, Pk_nodes[0], x0)
              + np.einsum("kia,a->ik", zk_nodes[0], x0) + ek_nodes[0].T)
     return G + game.regularizer_gradients(theta)
-
-
-def own_gradients(game: ConfigGame, theta, grid: TimeGrid = None,
-                  stage2: StageTwoSolution = None) -> np.ndarray:
-    """Diagonal entries d J^i / d theta_i for all players."""
-    return np.diag(value_gradient(game, theta, grid=grid, stage2=stage2)).copy()
 
 
 def directional_derivative(game: ConfigGame, theta, h, x0=None,
@@ -386,12 +315,12 @@ def envelope_gradient(game: ConfigGame, theta, i: int, grid: TimeGrid = None) ->
     if grid is None:
         grid = default_grid(game)
     stage2 = _stage_two(game, theta, grid, None)
-    tabs = _tables_for(game, theta, grid, stage2)
+    tabs = stage2.tables
     if not tabs.c_is_zero:
         raise PreconditionViolation("envelope form requires a vanishing drive term")
 
-    Pk_nodes, _, _ = _general_sensitivity(game, theta, stage2, [i], grid)
-    F_st = stage2._F_stage
+    Pk_nodes, _, _ = _general_sensitivity(game, stage2, [i], grid)
+    F_st = stage2.F_st
     half_inv = 2.0 / grid.dt
 
     def rhs(t, x):
@@ -401,7 +330,7 @@ def envelope_gradient(game: ConfigGame, theta, i: int, grid: TimeGrid = None) ->
     nodes = grid.nodes
     N = game.num_players
     steps = grid.steps
-    P_nodes = stage2._P_stage[0::2]
+    P_nodes = stage2.P_nodes
 
     def node_eval(fn, m, t):
         return fn(0.0, theta) if not fn.time_varying else fn(t, theta)

@@ -211,11 +211,7 @@ def certify_first_order(game: ConfigGame, theta, settings: SolverSettings = None
     theta = np.asarray(theta, dtype=float)
     if grid is None:
         grid = TimeGrid(game.horizon, settings.grid_steps)
-    try:
-        stage2 = solve_stage_two(game, theta, grid)
-    except BlowUpDetected as exc:
-        raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
-    own = np.diag(value_gradient(game, theta, grid=grid, stage2=stage2))
+    _, own = _evaluate(game, theta, grid)
     tol = settings.stationarity_tol
     verdicts = []
     for i in range(game.num_players):

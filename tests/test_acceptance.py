@@ -160,10 +160,10 @@ def test_criterion_05_zero_sum_consistency(pe_game):
         single = solve_zerosum_riccati(pe_game, theta, grid)
         worst_path = max(
             worst_path,
-            float(np.abs(coupled[0].samples - single.samples).max()),
-            float(np.abs(coupled[1].samples + single.samples).max()))
+            float(np.abs(coupled.samples[:, 0] - single.samples).max()),
+            float(np.abs(coupled.samples[:, 1] + single.samples).max()))
         x0 = pe_game.x0
-        v_coupled = 0.5 * x0 @ coupled[0].initial @ x0
+        v_coupled = 0.5 * x0 @ coupled.initial[0] @ x0
         v_single = 0.5 * x0 @ single.initial @ x0
         worst_val = max(worst_val, abs(v_coupled - v_single))
     _report(5, "coupled encoding agrees with the single-matrix form",

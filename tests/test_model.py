@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,13 +146,13 @@ class TestClosedLoopMatrix:
 
     def test_matches_independent_recomputation(self, gs_game, gs_grid):
         theta = np.array([0.6, 1.1])
-        P = solve_coupled_riccati(gs_game, theta, gs_grid)
-        F = closed_loop_matrix(gs_game, theta, [p.initial for p in P], 0.0)
+        P = solve_coupled_riccati(gs_game, theta, gs_grid).initial
+        F = closed_loop_matrix(gs_game, theta, P, 0.0)
         expected = gs_game.A(0.0, theta).copy()
         for i in range(2):
             Bi = gs_game.B[i](0.0, theta)
             Rii = gs_game.R[i][i](0.0, theta)
-            expected -= Bi @ np.linalg.solve(Rii, Bi.T) @ P[i].initial
+            expected -= Bi @ np.linalg.solve(Rii, Bi.T) @ P[i]
         assert np.allclose(F, expected, atol=1e-12)
 
 
@@ -178,6 +180,21 @@ class TestConfigGameValidation:
                 num_players=1, state_dim=1, control_dims=(1,), horizon=1.0,
                 A=game.A, B=game.B, Q=game.Q, R=game.R, c=game.c, Qf=game.Qf,
                 theta_box=game.theta_box, x0=game.x0, zero_sum=True)
+
+    @pytest.mark.parametrize("cost", ["Qf", "Q", "R"])
+    def test_zero_sum_requires_negated_costs(self, pe_game, cost):
+        # with Qf = (Qf1, Qf1) the zero-sum solve used to report +-0.00805 at
+        # theta = (0.4, 1.1), where the general-sum solve of the same costs
+        # gives 0.00319 and 0.00252
+        Q, R = pe_game.Q, pe_game.R
+        change = {
+            "Qf": {"Qf": (pe_game.Qf[0], pe_game.Qf[0])},
+            "Q": {"Q": (Q[0], MatrixFn.of_time((8, 8), lambda t: t * np.eye(8)))},
+            "R": {"R": (R[0], (R[0][0], R[1][1]))},
+        }[cost]
+        with pytest.raises(ValueError, match="zero-sum"):
+            dataclasses.replace(pe_game, **change)
+        dataclasses.replace(pe_game, zero_sum=False, **change)
 
     def test_indefinite_state_cost_warns_once(self):
         with pytest.warns(IndefiniteStateCostWarning) as rec:

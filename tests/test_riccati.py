@@ -20,7 +20,7 @@ class TestCoupledRiccati:
     def test_zero_cost_gives_zero_solution(self, pe_game):
         game = make_scalar_lqr(q=0.0, qf=0.0)
         P = solve_coupled_riccati(game, np.array([1.0]), TimeGrid(1.0, 100))
-        assert not P[0].samples.any()
+        assert not P.samples.any()
 
     def test_terminal_conditions_bit_exact(self, gs_game, gs_grid):
         theta = np.array([0.7, 1.0])
@@ -68,11 +68,11 @@ class TestAffinePasses:
         grid = TimeGrid(1.0, 100)
         theta = np.array([0.5])
         P = solve_coupled_riccati(game, theta, grid)
-        assert not P[0].samples.any()
-        zeta, beta = solve_zeta(game, theta, P, grid)
-        assert not zeta[0].samples.any()
-        eta = solve_eta(game, theta, P, zeta, beta, grid)
-        assert not eta[0].samples.any()
+        assert not P.samples.any()
+        zeta = solve_zeta(game, theta, P, grid)
+        assert not zeta.samples.any()
+        eta = solve_eta(game, theta, zeta, grid)
+        assert not eta.samples.any()
 
     def test_drive_residual_recomputation(self, gs_game, gs_grid):
         theta = np.array([0.8, 0.9])
@@ -116,6 +116,17 @@ class TestZeroSum:
         x0 = pe_game.x0
         assert sol.values[0] == pytest.approx(0.5 * x0 @ expected @ x0, abs=1e-12)
 
+    def test_solution_stores_no_offsets(self, pe_game, pe_grid):
+        sol = solve_stage_two(pe_game, np.array([0.4, 0.9]), pe_grid)
+        assert sol.zeta_nodes is None and sol.eta_nodes is None
+        assert np.array_equal(sol.P[1].samples, -sol.P[0].samples)
+        for i in range(2):
+            assert sol.zeta[i].samples.shape == (pe_grid.steps + 1, 8)
+            assert sol.eta[i].samples.shape == (pe_grid.steps + 1,)
+            assert not sol.zeta[i].samples.any()
+            assert not sol.eta[i].samples.any()
+        assert not sol.beta.samples.any()
+
     def test_zero_sum_values_sum_to_zero(self, pe_game, pe_grid):
         sol = solve_stage_two(pe_game, np.array([0.3, 1.4]), pe_grid)
         assert sol.values[0] + sol.values[1] == 0.0
@@ -124,8 +135,8 @@ class TestZeroSum:
         for theta in (np.array([0.4, 1.1]), np.array([1.3, 0.2])):
             Pc = solve_coupled_riccati(pe_game, theta, pe_grid)
             Pz = solve_zerosum_riccati(pe_game, theta, pe_grid)
-            assert np.abs(Pc[0].samples - Pz.samples).max() <= 1e-6
-            assert np.abs(Pc[1].samples + Pz.samples).max() <= 1e-6
+            assert np.abs(Pc.samples[:, 0] - Pz.samples).max() <= 1e-6
+            assert np.abs(Pc.samples[:, 1] + Pz.samples).max() <= 1e-6
 
     def test_relabeling_players_negates_value(self, pe_game, pe_grid):
         # the evader-first relabeling (blocks, angles, and objective sign

@@ -3,9 +3,8 @@ import pytest
 
 from confgames import (GeneralSumSpec, InfeasibleTheta, PreconditionViolation,
                        TimeGrid, directional_derivative, envelope_gradient,
-                       random_aq_game, sensitivity_bundle, solve_P_sensitivity,
-                       solve_eta_sensitivity, solve_stage_two,
-                       solve_zeta_sensitivity, stage_one_costs, value_gradient)
+                       random_aq_game, sensitivity_bundle, solve_stage_two,
+                       stage_one_costs, value_gradient)
 from conftest import build_gs_quiet, make_scalar_lqr, make_theta_independent_game
 
 
@@ -44,9 +43,9 @@ class TestPathDerivatives:
         grid = TimeGrid(1.0, 1000)
         theta = np.array([1.0])
         stage2 = solve_stage_two(game, theta, grid)
-        Pk = solve_P_sensitivity(game, theta, 0, stage2, grid)
+        bundle = sensitivity_bundle(game, theta, 0, stage2, grid)
         expected = 1.0 / np.cosh(1.0) ** 2 - np.tanh(1.0)
-        assert Pk[0].initial[0, 0] == pytest.approx(expected, rel=1e-6)
+        assert bundle.P[0].initial[0, 0] == pytest.approx(expected, rel=1e-6)
 
     def test_terminal_samples_exactly_zero(self, gs_game, gs_grid):
         theta = np.array([0.7, 1.0])
@@ -60,8 +59,8 @@ class TestPathDerivatives:
     def test_path_derivative_symmetric(self, gs_game, gs_grid):
         theta = np.array([0.4, 1.1])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
-        Pk = solve_P_sensitivity(gs_game, theta, 1, stage2, gs_grid)
-        for p in Pk:
+        bundle = sensitivity_bundle(gs_game, theta, 1, stage2, gs_grid)
+        for p in bundle.P:
             asym = np.abs(p.samples - p.samples.transpose(0, 2, 1)).max()
             assert asym <= 1e-9
 
@@ -89,22 +88,25 @@ class TestPathDerivatives:
             assert lhs == pytest.approx(fd, rel=1e-4)
 
     def test_staged_public_operations_compose(self, gs_game, gs_grid):
-        # running the three passes by hand reproduces the bundled gradient
-        theta = np.array([0.8, 0.6])
-        stage2 = solve_stage_two(gs_game, theta, gs_grid)
-        k = 1
-        Pk = solve_P_sensitivity(gs_game, theta, k, stage2, gs_grid)
-        zk, bk = solve_zeta_sensitivity(gs_game, theta, k, stage2, Pk, gs_grid)
-        ek = solve_eta_sensitivity(gs_game, theta, k, stage2, zk, bk, gs_grid)
-        x0 = gs_game.x0
-        manual = np.array([
-            0.5 * x0 @ Pk[i].initial @ x0 + zk[i].initial @ x0 + ek[i].initial
-            for i in range(2)
-        ]) + gs_game.regularizer_gradients(theta)[:, k]
-        bundle = sensitivity_bundle(gs_game, theta, k, stage2, gs_grid)
-        assert np.allclose(manual, bundle.dJ, atol=1e-12)
-        G = value_gradient(gs_game, theta, grid=gs_grid, stage2=stage2)
-        assert np.allclose(G[:, k], bundle.dJ, atol=1e-12)
+        # the t=0 samples of each component's path derivatives reproduce
+        # that component's column of the batched value gradient
+        rand = random_aq_game(0, 3, 6, 2)
+        cases = ((gs_game, gs_grid, np.array([0.8, 0.6])),
+                 (rand, TimeGrid(rand.horizon, 1000), np.array([0.9, 1.1, 1.0])))
+        for game, grid, theta in cases:
+            stage2 = solve_stage_two(game, theta, grid)
+            G = value_gradient(game, theta, grid=grid, stage2=stage2)
+            x0 = game.x0
+            N = game.num_players
+            for k in range(N):
+                bundle = sensitivity_bundle(game, theta, k, stage2, grid)
+                manual = np.array([
+                    0.5 * x0 @ bundle.P[i].initial @ x0 + bundle.zeta[i].initial @ x0
+                    + bundle.eta[i].initial
+                    for i in range(N)
+                ]) + game.regularizer_gradients(theta)[:, k]
+                assert np.allclose(manual, bundle.dJ, atol=1e-12)
+                assert np.allclose(G[:, k], bundle.dJ, atol=1e-12)
 
 
 class TestValueGradient:
