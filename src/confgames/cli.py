@@ -320,7 +320,7 @@ def _sweep_point(idx):
     try:
         costs, own = _evaluate(game, theta, grid)
         return (theta[0], theta[1], costs[0], costs[1], own[0], own[1], 1)
-    except ConfGamesError:
+    except InfeasibleTheta:
         nan = float("nan")
         return (theta[0], theta[1], nan, nan, nan, nan, 0)
 
@@ -346,12 +346,14 @@ def cmd_sweep(cfg: RunConfig, outdir) -> int:
     workers = cfg["sweep.workers"]
     if workers == 0:
         workers = min(8, os.cpu_count() or 1)
-    if workers > 1 and hasattr(os, "fork"):
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, range(len(points)), chunksize=8))
-    else:
-        results = [_sweep_point(i) for i in range(len(points))]
-    _SWEEP_CTX.clear()
+    try:
+        if workers > 1 and hasattr(os, "fork"):
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_sweep_point, range(len(points)), chunksize=8))
+        else:
+            results = [_sweep_point(i) for i in range(len(points))]
+    finally:
+        _SWEEP_CTX.clear()
 
     header = ["theta1", "theta2", "J1", "J2", "dJ1_dtheta1", "dJ2_dtheta2", "feasible"]
     write_csv(os.path.join(outdir, "landscape.csv"), meta, header, results)

@@ -44,6 +44,10 @@ class BlowUpDetected(ConfGamesError):
             f"state norm {norm:.3e} exceeded blow-up threshold near t={time:.6g}{who}"
         )
 
+    def __reduce__(self):
+        # rebuilt from the fields, so the error survives a sweep worker's pickling
+        return (type(self), (self.time, self.norm, self.player, self.state))
+
 
 class InfeasibleTheta(ConfGamesError):
     """No bounded stage-two solution exists at the queried parameter vector."""

@@ -202,10 +202,11 @@ class ConfigGame:
                     ) from exc
 
     def _check_zero_sum_negation(self):
-        """Reject zero-sum games whose player-2 costs are not player 1's negated.
+        """Reject zero-sum games the single-matrix solve would answer wrongly.
 
-        The single-matrix zero-sum solve reads player 1's costs only, so
-        any other player-2 cost would silently answer a different game.
+        That solve reads player 1's costs only and assumes identity
+        own-control costs, so player 2's costs must be player 1's negated
+        and R[0][0], R[1][1] must be the identity.
         """
         def negated(m1, m2):
             return np.abs(m1 + m2).max() <= SYMMETRY_TOL * (1.0 + np.abs(m1).max())
@@ -220,6 +221,10 @@ class ConfigGame:
                 if not negated(self.R[0][j](t, theta), self.R[1][j](t, theta)):
                     raise ValueError(
                         f"zero-sum game needs R[1][{j}] = -R[0][{j}] (fails at t={t:.6g})")
+                Rjj = self.R[j][j](t, theta)
+                if not np.allclose(Rjj, np.eye(Rjj.shape[0]), atol=1e-12):
+                    raise ValueError(
+                        f"zero-sum game needs R[{j}][{j}] = I (fails at t={t:.6g})")
 
     def _warn_if_state_cost_indefinite(self):
         ts = np.linspace(0.0, self.horizon, 5)

@@ -3,8 +3,12 @@
 Everything downstream (Riccati passes, sensitivity passes, trajectory
 rollouts, cost quadratures) lives on one shared uniform grid so that
 products of separately solved paths stay consistent.  The integrator is
-classical 4th-order Runge-Kutta with dense node storage; backward
-equations are integrated in the reversed time variable.
+classical 4th-order Runge-Kutta with dense node storage, one loop that
+steps forward or backward in time.  Right-hand sides are called as
+rhs(s, y) with the stage index s into ``TimeGrid.stage_times`` (nodes at
+even s, step midpoints at odd s), so tables sampled at the stage times
+are indexed directly.  A backward integral of a known integrand, where
+RK4 reduces to Simpson's rule per step, is a vectorised running sum.
 """
 
 from __future__ import annotations
@@ -55,11 +59,6 @@ class TimeGrid:
         st[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
         st.setflags(write=False)
         return st
-
-    def stage_index(self, t: float) -> int:
-        """Index of t in stage_times; t must be one of the stage abscissae."""
-        idx = int(round(2.0 * t / self.dt))
-        return min(max(idx, 0), 2 * self.steps)
 
 
 @dataclass(frozen=True)
@@ -144,67 +143,81 @@ def _check_state(y, t, blowup_threshold):
         raise BlowUpDetected(time=t, norm=norm, state=y)
 
 
+def _rk4(rhs, y, grid: TimeGrid, h: float, blowup_threshold, project_state) -> MatrixPath:
+    """Classical RK4 over every grid step with signed step h = +dt or -dt.
+
+    The step from node j to node j + d (d = sign of h) evaluates
+    rhs(s, y) at the stage indices s = 2j, 2j + d, 2j + d, 2j + 2d.
+    """
+    d = 1 if h > 0 else -1
+    j = 0 if d > 0 else grid.steps
+    out = np.empty((grid.steps + 1,) + y.shape)
+    out[j] = y
+    for _ in range(grid.steps):
+        s = 2 * j
+        k1 = rhs(s, y)
+        k2 = rhs(s + d, y + 0.5 * h * k1)
+        k3 = rhs(s + d, y + 0.5 * h * k2)
+        k4 = rhs(s + 2 * d, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if project_state is not None:
+            y = project_state(y)
+        j += d
+        _check_state(y, grid.nodes[j], blowup_threshold)
+        out[j] = y
+    return MatrixPath(grid, out)
+
+
 def integrate_backward(rhs, terminal_value, grid: TimeGrid,
                        blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
                        project_state=None) -> MatrixPath:
-    """Integrate d(state)/dt = rhs(t, state) from t=horizon down to t=0.
+    """Integrate d(state)/dt = rhs(s, state) from t=horizon down to t=0.
 
-    The state may be any fixed-shape ndarray stack; coupled systems are
-    advanced as one stacked state so every block shares the RK4 stages.
-    The terminal condition is stored bit-exactly at the last node.
+    ``s`` is the stage index: the right-hand side is evaluated at time
+    ``grid.stage_times[s]``.  The state may be any fixed-shape ndarray
+    stack; coupled systems are advanced as one stacked state so every
+    block shares the RK4 stages.  The terminal condition is stored
+    bit-exactly at the last node.
 
     Raises BlowUpDetected when an intermediate Frobenius norm exceeds the
     threshold (carrying the divergence time), and NumericalFailure on
     NaN/Inf.
     """
-    st = grid.stage_times
-    dt = grid.dt
     y = np.array(terminal_value, dtype=float)
     if not np.all(np.isfinite(y)):
         raise NumericalFailure("terminal value is not finite")
-    out = np.empty((grid.steps + 1,) + y.shape)
-    out[grid.steps] = y
-    for j in range(grid.steps, 0, -1):
-        t1 = st[2 * j]
-        tm = st[2 * j - 1]
-        t0 = st[2 * j - 2]
-        k1 = rhs(t1, y)
-        k2 = rhs(tm, y - 0.5 * dt * k1)
-        k3 = rhs(tm, y - 0.5 * dt * k2)
-        k4 = rhs(t0, y - dt * k3)
-        y = y - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project_state is not None:
-            y = project_state(y)
-        _check_state(y, t0, blowup_threshold)
-        out[j - 1] = y
-    return MatrixPath(grid, out)
+    return _rk4(rhs, y, grid, -grid.dt, blowup_threshold, project_state)
 
 
 def integrate_forward(rhs, initial_value, grid: TimeGrid,
                       blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
                       project_state=None) -> MatrixPath:
     """Mirror of integrate_backward with the initial condition at t=0."""
-    st = grid.stage_times
-    dt = grid.dt
     y = np.array(initial_value, dtype=float)
     if not np.all(np.isfinite(y)):
         raise NumericalFailure("initial value is not finite")
-    out = np.empty((grid.steps + 1,) + y.shape)
-    out[0] = y
-    for j in range(grid.steps):
-        t0 = st[2 * j]
-        tm = st[2 * j + 1]
-        t1 = st[2 * j + 2]
-        k1 = rhs(t0, y)
-        k2 = rhs(tm, y + 0.5 * dt * k1)
-        k3 = rhs(tm, y + 0.5 * dt * k2)
-        k4 = rhs(t1, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project_state is not None:
-            y = project_state(y)
-        _check_state(y, t1, blowup_threshold)
-        out[j + 1] = y
-    return MatrixPath(grid, out)
+    return _rk4(rhs, y, grid, grid.dt, blowup_threshold, project_state)
+
+
+def backward_running_sum(integrand: np.ndarray, grid: TimeGrid) -> MatrixPath:
+    """Node samples of E(t) = int_t^T f, i.e. dE/dt = -f(t) with E(T) = 0.
+
+    ``integrand`` holds f at every stage time, shape (2*steps+1, ...).  RK4
+    on a state-free right-hand side is Simpson's rule per step, so each
+    step's increment is formed exactly as integrate_backward forms it and
+    the increments are accumulated from the zero terminal value: the
+    result equals integrate_backward(lambda s, E: -f[s], 0, grid) bit for
+    bit, with the same non-finite and blow-up checks.
+    """
+    k = -np.asarray(integrand, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inc = (-grid.dt / 6.0) * (k[2::2] + 2.0 * k[1::2] + 2.0 * k[1::2] + k[:-1:2])
+        acc = np.cumsum(np.concatenate([np.zeros((1,) + k.shape[1:]), inc[::-1]]), axis=0)
+        out = acc[::-1]
+        norms = np.linalg.norm(out.reshape(out.shape[0], -1), axis=1)
+    for j in np.flatnonzero(~(norms <= DEFAULT_BLOWUP_THRESHOLD))[::-1]:
+        _check_state(out[j], grid.nodes[j], DEFAULT_BLOWUP_THRESHOLD)
+    return MatrixPath(grid, np.ascontiguousarray(out))
 
 
 def simpson_nodes(values: np.ndarray, grid: TimeGrid):

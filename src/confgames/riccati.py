@@ -22,8 +22,8 @@ from ._stage import StageTables
 from .errors import BlowUpDetected, PreconditionViolation
 from .model import ConfigGame
 from .odekit import (DEFAULT_BLOWUP_THRESHOLD, MatrixPath, TimeGrid,
-                     integrate_backward, integrate_forward, simpson_nodes,
-                     stage_samples)
+                     backward_running_sum, integrate_backward, integrate_forward,
+                     simpson_nodes, stage_samples)
 
 DEFAULT_STEPS = 1000
 
@@ -158,14 +158,12 @@ def solve_coupled_riccati(game: ConfigGame, theta, grid: TimeGrid,
     tabs = _tables if _tables is not None else StageTables(game, theta, grid)
     N = game.num_players
     A, S, S_diag, Q = tabs.A, tabs.S, tabs.S_diag, tabs.Q
-    half_inv = 2.0 / grid.dt
 
-    def rhs(t, Y):
-        si = int(round(t * half_inv))
-        F = A[si] - (S_diag[:, si] @ Y).sum(axis=0)
+    def rhs(s, Y):
+        F = A[s] - (S_diag[:, s] @ Y).sum(axis=0)
         YF = Y @ F
-        cross = (Y[None] @ S[:, :, si] @ Y[None]).sum(axis=1)
-        return -(YF + np.swapaxes(YF, -1, -2) + Q[:, si] + cross)
+        cross = (Y[None] @ S[:, :, s] @ Y[None]).sum(axis=1)
+        return -(YF + np.swapaxes(YF, -1, -2) + Q[:, s] + cross)
 
     terminal = np.stack([game.Qf[i] for i in range(N)])
     try:
@@ -182,34 +180,25 @@ def solve_zerosum_riccati(game: ConfigGame, theta, grid: TimeGrid,
 
     Uses the difference coupling S_tilde = B2 B2' - B1 B1' (minimizer gets
     the negative-feedback block, maximizer the positive one).  Requires the
-    zero-sum flag, a vanishing drive term, and identity own-control costs.
+    zero-sum flag and a vanishing drive term; ``ConfigGame`` has already
+    checked the negated costs and the identity own-control costs.
     """
     if not game.zero_sum:
         raise PreconditionViolation("game is not flagged zero-sum")
     tabs = _tables if _tables is not None else StageTables(game, theta, grid)
     if not tabs.c_is_zero:
         raise PreconditionViolation("zero-sum solve requires a vanishing drive term")
-    for i in range(2):
-        m = game.control_dims[i]
-        for t in np.linspace(0.0, game.horizon, 5):
-            if not np.allclose(game.R[i][i](t, theta), np.eye(m), atol=1e-12):
-                raise PreconditionViolation("zero-sum solve requires identity own-control costs")
 
     A, Q = tabs.A, tabs.Q[0]
     Stilde = tabs.S_diag[1] - tabs.S_diag[0]
-    half_inv = 2.0 / grid.dt
 
-    def rhs(t, P):
-        si = int(round(t * half_inv))
-        PA = P @ A[si]
-        return -(PA + PA.T + Q[si] + P @ Stilde[si] @ P)
-
-    def sym(P):
-        return 0.5 * (P + P.T)
+    def rhs(s, P):
+        PA = P @ A[s]
+        return -(PA + PA.T + Q[s] + P @ Stilde[s] @ P)
 
     try:
         return integrate_backward(rhs, game.Qf[0], grid, blowup_threshold,
-                                  project_state=sym)
+                                  project_state=_sym_stack)
     except BlowUpDetected as exc:
         raise BlowUpDetected(time=exc.time, norm=exc.norm) from None
 
@@ -229,21 +218,19 @@ def solve_zeta(game: ConfigGame, theta, P: MatrixPath, grid: TimeGrid,
     F_st = _closed_loop(tabs, P_st)
     PS_st = np.einsum("mjab,ijmbc->ijmac", P_st, tabs.S, optimize=True)
     c, S_diag = tabs.c, tabs.S_diag
-    half_inv = 2.0 / grid.dt
 
-    def rhs(t, Z):
-        si = int(round(t * half_inv))
+    def rhs(s, Z):
         zc = Z[:, :, None]
-        beta = c[si] - (S_diag[:, si] @ zc)[:, :, 0].sum(axis=0)
-        coupling = (PS_st[:, :, si] @ zc[None])[:, :, :, 0].sum(axis=1)
-        return -(Z @ F_st[si] + coupling + P_st[si] @ beta)
+        beta = c[s] - (S_diag[:, s] @ zc)[:, :, 0].sum(axis=0)
+        coupling = (PS_st[:, :, s] @ zc[None])[:, :, :, 0].sum(axis=1)
+        return -(Z @ F_st[s] + coupling + P_st[s] @ beta)
 
     return integrate_backward(rhs, np.zeros((N, n)), grid)
 
 
 def solve_eta(game: ConfigGame, theta, zeta: MatrixPath, grid: TimeGrid,
               _tables: StageTables = None) -> MatrixPath:
-    """Backward quadrature for the per-player scalar value constants.
+    """Backward running integral for the per-player scalar value constants.
 
     ``zeta`` is the stacked offset path; returns the stacked path of the
     constants with samples (steps+1, N).
@@ -253,12 +240,7 @@ def solve_eta(game: ConfigGame, theta, zeta: MatrixPath, grid: TimeGrid,
     beta_st = _drive_residual(tabs, z_st)
     quad = np.einsum("mja,ijmab,mjb->mi", z_st, tabs.S, z_st, optimize=True)
     integrand = np.einsum("ma,mia->mi", beta_st, z_st) + 0.5 * quad
-    half_inv = 2.0 / grid.dt
-
-    def rhs(t, E):
-        return -integrand[int(round(t * half_inv))]
-
-    return integrate_backward(rhs, np.zeros(game.num_players), grid)
+    return backward_running_sum(integrand, grid)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -334,11 +316,9 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution,
     if grid != solution.grid:
         raise ValueError("rollout grid must match the solution grid")
     F_st, beta_st = solution.F_st, solution.beta_st
-    half_inv = 2.0 / grid.dt
 
-    def rhs(t, x):
-        si = int(round(t * half_inv))
-        return F_st[si] @ x + beta_st[si]
+    def rhs(s, x):
+        return F_st[s] @ x + beta_st[s]
 
     x_path = integrate_forward(rhs, game.x0, grid)
     xs = x_path.samples

@@ -22,9 +22,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import BlowUpDetected, InfeasibleTheta, PreconditionViolation
 from .model import ConfigGame
-from .odekit import (TimeGrid, integrate_backward, integrate_forward,
-                     simpson_nodes, stage_samples)
-from .riccati import PlayerStacks, StageTwoSolution, default_grid, solve_stage_two
+from .odekit import (TimeGrid, backward_running_sum, integrate_backward, simpson_nodes,
+                     stage_samples)
+from .riccati import (PlayerStacks, StageTwoSolution, _sym_stack, default_grid, rollout,
+                      solve_stage_two)
 
 
 @dataclass(frozen=True)
@@ -90,19 +91,14 @@ def _p_forcing(tabs, P_st, ks):
 
 def _solve_p_pass(grid, F_st, H_st, forcing):
     K, N, _, n, _ = forcing.shape
-    half_inv = 2.0 / grid.dt
 
-    def rhs(t, Y):
-        si = int(round(t * half_inv))
-        YF = Y @ F_st[si]
-        coup = (Y[:, None] @ H_st[None, :, :, si]).sum(axis=2)
+    def rhs(s, Y):
+        YF = Y @ F_st[s]
+        coup = (Y[:, None] @ H_st[None, :, :, s]).sum(axis=2)
         part = YF + coup
-        return -(part + np.swapaxes(part, -1, -2) + forcing[:, :, si])
+        return -(part + np.swapaxes(part, -1, -2) + forcing[:, :, s])
 
-    def sym(Y):
-        return 0.5 * (Y + np.swapaxes(Y, -1, -2))
-
-    return integrate_backward(rhs, np.zeros((K, N, n, n)), grid, project_state=sym)
+    return integrate_backward(rhs, np.zeros((K, N, n, n)), grid, project_state=_sym_stack)
 
 
 def _zeta_forcing(tabs, stage2, P_st, Pk_st, ks):
@@ -127,21 +123,19 @@ def _zeta_forcing(tabs, stage2, P_st, Pk_st, ks):
 
 def _solve_zeta_pass(grid, F_st, H_st, forcing):
     K, N, _, n = forcing.shape
-    half_inv = 2.0 / grid.dt
 
-    def rhs(t, Z):
-        si = int(round(t * half_inv))
-        coup = np.matmul(Z[:, None, :, None, :], H_st[None, :, :, si])[..., 0, :].sum(axis=2)
-        return -(Z @ F_st[si] + coup + forcing[:, :, si])
+    def rhs(s, Z):
+        coup = np.matmul(Z[:, None, :, None, :], H_st[None, :, :, s])[..., 0, :].sum(axis=2)
+        return -(Z @ F_st[s] + coup + forcing[:, :, s])
 
     return integrate_backward(rhs, np.zeros((K, N, n)), grid)
 
 
 def _eta_integrand(tabs, stage2, zk_st, ks):
-    """Scalar integrand stack for the eta-path derivatives."""
+    """Scalar integrand stack (stage, K, N) for the eta-path derivatives."""
     z_st, beta_st = stage2.zeta_st, stage2.beta_st
     M, N, _ = z_st.shape
-    out = np.empty((len(ks), N, M))
+    out = np.empty((M, len(ks), N))
     for a, k in enumerate(ks):
         beta_k = -(np.einsum("mab,mb->ma", tabs.dS[k, k], z_st[:, k])
                    + np.einsum("jmab,mjb->ma", tabs.S_diag, zk_st[:, a], optimize=True))
@@ -151,18 +145,8 @@ def _eta_integrand(tabs, stage2, zk_st, ks):
             v += np.einsum("mja,jmab,mjb->m", z_st, tabs.S[i], zk_st[:, a],
                            optimize=True)
             v += 0.5 * np.einsum("ma,mab,mb->m", z_st[:, k], tabs.dS[k, i], z_st[:, k])
-            out[a, i] = v
+            out[:, a, i] = v
     return out
-
-
-def _solve_eta_pass(grid, integrand):
-    K, N, _ = integrand.shape
-    half_inv = 2.0 / grid.dt
-
-    def rhs(t, E):
-        return -integrand[:, :, int(round(t * half_inv))]
-
-    return integrate_backward(rhs, np.zeros((K, N)), grid)
 
 
 def _general_sensitivity(game, stage2, ks, grid):
@@ -188,7 +172,7 @@ def _general_sensitivity(game, stage2, ks, grid):
         zf = _zeta_forcing(tabs, stage2, P_st, Pk_st, ks)
         zk_nodes = _solve_zeta_pass(grid, F_st, H_st, zf).samples
         zk_st = stage_samples(zk_nodes)
-        ek_nodes = _solve_eta_pass(grid, _eta_integrand(tabs, stage2, zk_st, ks)).samples
+        ek_nodes = backward_running_sum(_eta_integrand(tabs, stage2, zk_st, ks), grid).samples
 
     return Pk_nodes, zk_nodes, ek_nodes
 
@@ -206,7 +190,6 @@ def _zerosum_sensitivity(game, stage2, ks, grid):
     Stilde = tabs.S_diag[1] - tabs.S_diag[0]
     Fcl = tabs.A + Stilde @ P_st
     n = game.state_dim
-    half_inv = 2.0 / grid.dt
 
     forcing = np.empty((len(ks), P_st.shape[0], n, n))
     for a, k in enumerate(ks):
@@ -215,16 +198,12 @@ def _zerosum_sensitivity(game, stage2, ks, grid):
         forcing[a] = tabs.dQ[k, 0] + np.einsum("mab,mbc,mcd->mad", P_st, dStilde, P_st,
                                                optimize=True)
 
-    def rhs(t, Y):
-        si = int(round(t * half_inv))
-        YF = Y @ Fcl[si]
-        return -(YF + np.swapaxes(YF, -1, -2) + forcing[:, si])
-
-    def sym(Y):
-        return 0.5 * (Y + np.swapaxes(Y, -1, -2))
+    def rhs(s, Y):
+        YF = Y @ Fcl[s]
+        return -(YF + np.swapaxes(YF, -1, -2) + forcing[:, s])
 
     return integrate_backward(rhs, np.zeros((len(ks), n, n)), grid,
-                              project_state=sym).samples
+                              project_state=_sym_stack).samples
 
 
 # -- public operations -------------------------------------------------------
@@ -320,43 +299,25 @@ def envelope_gradient(game: ConfigGame, theta, i: int, grid: TimeGrid = None) ->
         raise PreconditionViolation("envelope form requires a vanishing drive term")
 
     Pk_nodes, _, _ = _general_sensitivity(game, stage2, [i], grid)
-    F_st = stage2.F_st
-    half_inv = 2.0 / grid.dt
-
-    def rhs(t, x):
-        return F_st[int(round(t * half_inv))] @ x
-
-    xs = integrate_forward(rhs, game.x0, grid).samples
-    nodes = grid.nodes
-    N = game.num_players
-    steps = grid.steps
+    path = rollout(game, theta, stage2)
+    xs = path.x.samples
+    us = [u.samples for u in path.u]
     P_nodes = stage2.P_nodes
 
-    def node_eval(fn, m, t):
+    def node_eval(fn, t):
         return fn(0.0, theta) if not fn.time_varying else fn(t, theta)
 
     vals = np.einsum("ta,tab,tb->t", xs, tabs.dQ[i, i][0::2], xs)
-
-    Px = np.einsum("tiab,tb->tia", P_nodes, xs)
-    us = []
-    for j in range(N):
-        uj = np.empty((steps + 1, game.control_dims[j]))
-        for m, t in enumerate(nodes):
-            Bj = node_eval(game.B[j], m, t)
-            chol = cho_factor(node_eval(game.R[j][j], m, t), lower=True)
-            uj[m] = -cho_solve(chol, Bj.T @ Px[m, j])
-        us.append(uj)
-
-    for m, t in enumerate(nodes):
+    for m, t in enumerate(grid.nodes):
         dBi = (game.B[i].d_theta(0.0, theta, i) if not game.B[i].time_varying
                else game.B[i].d_theta(t, theta, i))
         vals[m] += 2.0 * float(xs[m] @ P_nodes[m, i] @ dBi @ us[i][m])
-        for j in range(N):
+        for j in range(game.num_players):
             if j == i:
                 continue
-            Bj = node_eval(game.B[j], m, t)
-            chol = cho_factor(node_eval(game.R[j][j], m, t), lower=True)
-            Rij = node_eval(game.R[i][j], m, t)
+            Bj = node_eval(game.B[j], t)
+            chol = cho_factor(node_eval(game.R[j][j], t), lower=True)
+            Rij = node_eval(game.R[i][j], t)
             du = -cho_solve(chol, Bj.T @ (Pk_nodes[m, 0, j] @ xs[m]))
             vals[m] += 2.0 * float(us[j][m] @ Rij @ du)
             vals[m] += 2.0 * float(xs[m] @ P_nodes[m, i] @ Bj @ du)

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from confgames import cli
 from confgames.cli import KNOWN_KEYS, load_config, main
-from confgames.errors import ConfigError
+from confgames.errors import (BlowUpDetected, ConfigError, InfeasibleTheta,
+                              NumericalFailure)
 
 
 def read_meta_and_rows(path):
@@ -23,6 +25,15 @@ def read_meta_and_rows(path):
 
 
 FAST = ["--set", "grid_steps=200"]
+
+
+def fault_at_corner(error):
+    """Stand-in for cli._evaluate that raises ``error`` at (theta1 lo, theta2 hi)."""
+    def evaluate(game, theta, grid):
+        if tuple(theta) == (game.theta_box[0][0], game.theta_box[1][1]):
+            raise error
+        return np.array([1.0, -1.0]), np.array([0.5, -0.5])
+    return evaluate
 
 
 class TestConfigParsing:
@@ -144,6 +155,34 @@ class TestSweepCommand:
         strip = lambda p: [ln for ln in p.read_text().splitlines()
                            if not ln.startswith("# sweep.workers")]
         assert strip(a / "landscape.csv") == strip(b / "landscape.csv")
+
+    def test_infeasible_point_is_reported_as_row(self, tmp_path, monkeypatch):
+        game = load_config(None, []).build_game()
+        monkeypatch.setattr(cli, "_evaluate", fault_at_corner(InfeasibleTheta((0.0, 0.0))))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--set", "sweep.grid=2", "--set", "sweep.workers=1",
+                     "--out", str(out)] + FAST) == 0
+        _, header, rows = read_meta_and_rows(out / "landscape.csv")
+        feasible = {(float(r[0]), float(r[1])): r[-1] for r in rows}
+        corner = (game.theta_box[0][0], game.theta_box[1][1])
+        assert feasible.pop(corner) == "0"
+        assert list(feasible.values()) == ["1", "1", "1"]
+
+    def test_numerical_failure_is_an_error_not_infeasible(self, tmp_path, monkeypatch,
+                                                         capsys):
+        monkeypatch.setattr(cli, "_evaluate", fault_at_corner(NumericalFailure("nan")))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--set", "sweep.grid=2", "--set", "sweep.workers=1",
+                     "--out", str(out)] + FAST) == 1
+        assert "error: nan" in capsys.readouterr().err
+        assert not (out / "landscape.csv").exists()
+
+    def test_blowup_in_a_worker_reaches_main(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_evaluate", fault_at_corner(BlowUpDetected(0.5, 1e9)))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--set", "sweep.grid=2", "--set", "sweep.workers=2",
+                     "--out", str(out)] + FAST) == 3
+        assert "blow-up threshold near t=0.5" in capsys.readouterr().err
 
     def test_requires_two_players(self, tmp_path):
         code = main(["sweep", "--set", "scenario=random",

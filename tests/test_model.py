@@ -196,6 +196,13 @@ class TestConfigGameValidation:
             dataclasses.replace(pe_game, **change)
         dataclasses.replace(pe_game, zero_sum=False, **change)
 
+    def test_zero_sum_requires_identity_own_control_costs(self, pe_game):
+        m0, m1 = pe_game.control_dims
+        R00 = MatrixFn.constant(2.0 * np.eye(m0))
+        R = ((R00, pe_game.R[0][1]), (MatrixFn.constant(-2.0 * np.eye(m0)), pe_game.R[1][1]))
+        with pytest.raises(ValueError, match=r"R\[0\]\[0\] = I"):
+            dataclasses.replace(pe_game, R=R)
+
     def test_indefinite_state_cost_warns_once(self):
         with pytest.warns(IndefiniteStateCostWarning) as rec:
             build_general_sum(check_feasible=False)

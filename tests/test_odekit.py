@@ -4,6 +4,7 @@ import pytest
 from confgames import (BlowUpDetected, MatrixPath, NumericalFailure, TimeGrid,
                        integrate_backward, integrate_forward, quadrature,
                        simpson_nodes)
+from confgames.odekit import backward_running_sum
 
 
 class TestTimeGrid:
@@ -17,7 +18,6 @@ class TestTimeGrid:
     def test_stage_times_interleave_nodes(self):
         g = TimeGrid(1.0, 4)
         assert np.array_equal(g.stage_times[0::2], g.nodes)
-        assert g.stage_index(g.stage_times[3]) == 3
 
     @pytest.mark.parametrize("horizon,steps", [(0.0, 10), (-1.0, 10), (1.0, 0),
                                                (1.0, 7), (1.0, -4)])
@@ -53,20 +53,20 @@ class TestBackwardIntegration:
     def test_zero_rhs_keeps_terminal_everywhere(self):
         g = TimeGrid(1.0, 100)
         MT = np.array([[1.0, 2.0], [2.0, 5.0]])
-        path = integrate_backward(lambda t, M: np.zeros_like(M), MT, g)
+        path = integrate_backward(lambda s, M: np.zeros_like(M), MT, g)
         assert np.array_equal(path.terminal, MT)
         assert np.all(path.samples == MT)
 
     def test_scalar_riccati_matches_hyperbolic_closed_form(self):
         # dP/dt = -(q - s P^2), P(T) = 0  ->  P(t) = sqrt(q/s) tanh(sqrt(qs)(T-t))
         g = TimeGrid(1.0, 1000)
-        path = integrate_backward(lambda t, P: -(1.0 - P * P), np.zeros(()), g)
+        path = integrate_backward(lambda s, P: -(1.0 - P * P), np.zeros(()), g)
         assert abs(float(path.initial) - np.tanh(1.0)) < 1e-8
 
     def test_fourth_order_convergence(self):
         errs = []
         for steps in (250, 500, 1000):
-            path = integrate_backward(lambda t, P: -(1.0 - P * P), np.zeros(()),
+            path = integrate_backward(lambda s, P: -(1.0 - P * P), np.zeros(()),
                                       TimeGrid(1.0, steps))
             errs.append(abs(float(path.initial) - np.tanh(1.0)))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -75,13 +75,13 @@ class TestBackwardIntegration:
     def test_terminal_condition_bit_exact(self, pe_game):
         g = TimeGrid(1.0, 50)
         QfT = pe_game.Qf[0]
-        path = integrate_backward(lambda t, M: np.zeros_like(M), QfT, g)
+        path = integrate_backward(lambda s, M: np.zeros_like(M), QfT, g)
         assert np.array_equal(path.initial, QfT)
 
     def test_blowup_reports_divergence_time(self):
         g = TimeGrid(1.0, 200)
         with pytest.raises(BlowUpDetected) as info:
-            integrate_backward(lambda t, y: -y * y, np.array(10.0), g,
+            integrate_backward(lambda s, y: -y * y, np.array(10.0), g,
                                blowup_threshold=1e6)
         assert 0.0 <= info.value.time < 1.0
         assert info.value.norm > 1e6
@@ -89,12 +89,12 @@ class TestBackwardIntegration:
     def test_nan_rhs_raises_numerical_failure(self):
         g = TimeGrid(1.0, 10)
         with pytest.raises(NumericalFailure):
-            integrate_backward(lambda t, y: np.full_like(y, np.nan),
+            integrate_backward(lambda s, y: np.full_like(y, np.nan),
                                np.zeros(2), g)
 
     def test_deterministic(self):
         g = TimeGrid(1.0, 100)
-        rhs = lambda t, P: -(1.0 - P * P)
+        rhs = lambda s, P: -(1.0 - P * P)
         a = integrate_backward(rhs, np.zeros(()), g)
         b = integrate_backward(rhs, np.zeros(()), g)
         assert np.array_equal(a.samples, b.samples)
@@ -104,13 +104,48 @@ class TestForwardIntegration:
     def test_zero_rhs_constant_path(self):
         g = TimeGrid(1.0, 10)
         x0 = np.array([1.0, -2.0])
-        path = integrate_forward(lambda t, x: np.zeros_like(x), x0, g)
+        path = integrate_forward(lambda s, x: np.zeros_like(x), x0, g)
         assert np.all(path.samples == x0)
 
     def test_exponential_growth(self):
         g = TimeGrid(1.0, 1000)
-        path = integrate_forward(lambda t, x: x, np.array(1.0), g)
+        path = integrate_forward(lambda s, x: x, np.array(1.0), g)
         assert abs(float(path.terminal) - np.e) < 1e-9
+
+    def test_rhs_indexes_stage_times(self):
+        # dx/dt = 4 t^3 with t = stage_times[s]: RK4 on it is Simpson's rule,
+        # exact for cubics, so any index offset would show
+        g = TimeGrid(1.5, 10)
+        path = integrate_forward(lambda s, x: 4.0 * g.stage_times[s] ** 3, np.array(0.0), g)
+        assert abs(float(path.terminal) - 1.5 ** 4) < 1e-12
+
+
+class TestBackwardRunningSum:
+    def test_bit_identical_to_backward_integration(self):
+        g = TimeGrid(1.0, 200)
+        f = np.random.default_rng(3).normal(size=(2 * g.steps + 1, 3, 2))
+        ref = integrate_backward(lambda s, E: -f[s], np.zeros((3, 2)), g).samples
+        got = backward_running_sum(f, g).samples
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_blowup_reports_the_integrators_time(self):
+        g = TimeGrid(1.0, 200)
+        f = np.zeros((2 * g.steps + 1, 2))
+        f[150:] = 1e11
+        with pytest.raises(BlowUpDetected) as ref:
+            integrate_backward(lambda s, E: -f[s], np.zeros(2), g)
+        with pytest.raises(BlowUpDetected) as got:
+            backward_running_sum(f, g)
+        assert got.value.time == ref.value.time
+        assert got.value.norm == ref.value.norm
+
+    def test_nan_raises_numerical_failure(self):
+        g = TimeGrid(1.0, 10)
+        f = np.zeros((2 * g.steps + 1, 2))
+        f[7, 1] = np.nan
+        with pytest.raises(NumericalFailure):
+            backward_running_sum(f, g)
 
 
 class TestQuadrature:
