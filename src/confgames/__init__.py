@@ -14,8 +14,8 @@ from .errors import (BestResponseStalled, BlowUpDetected, ConfGamesError,
                      PreconditionViolation)
 from .model import (ConfigGame, IndefiniteStateCostWarning, MatrixFn,
                     Regularizer, closed_loop_matrix, compute_S, compute_S_deriv)
-from .odekit import (MatrixPath, TimeGrid, integrate_backward,
-                     integrate_forward, quadrature, simpson_nodes)
+from .odekit import (TimeGrid, integrate_backward, integrate_forward,
+                     quadrature, simpson_nodes)
 from .riccati import (StageTwoSolution, TrajectoryRollout, default_grid,
                       rollout, solve_coupled_riccati, solve_eta,
                       solve_stage_two, solve_zerosum_riccati, solve_zeta,
@@ -36,7 +36,7 @@ __all__ = [
     "BaselineResult", "BestResponseStalled", "BlowUpDetected", "CertVerdict",
     "ConfGamesError", "ConfigError", "ConfigGame", "GeneralSumSpec",
     "GenerationFailed", "IbrTrace", "IndefiniteStateCostWarning",
-    "InfeasibleTheta", "MatrixFn", "MatrixPath", "NumericalFailure",
+    "InfeasibleTheta", "MatrixFn", "NumericalFailure",
     "PositiveDefinitenessViolation", "PreconditionViolation",
     "PursuitEvasionSpec", "Regularizer", "SensitivityBundle",
     "SolverSettings", "StageTwoSolution", "TimeGrid", "TrajectoryRollout",

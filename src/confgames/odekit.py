@@ -2,13 +2,15 @@
 
 Everything downstream (Riccati passes, sensitivity passes, trajectory
 rollouts, cost quadratures) lives on one shared uniform grid so that
-products of separately solved paths stay consistent.  The integrator is
-classical 4th-order Runge-Kutta with dense node storage, one loop that
-steps forward or backward in time.  Right-hand sides are called as
-rhs(s, y) with the stage index s into ``TimeGrid.stage_times`` (nodes at
-even s, step midpoints at odd s), so tables sampled at the stage times
-are indexed directly.  A backward integral of a known integrand, where
-RK4 reduces to Simpson's rule per step, is a vectorised running sum.
+products of separately solved paths stay consistent.  A path is a plain
+ndarray of node samples, shape (steps+1, *state.shape), whose row j is
+the value at ``TimeGrid.nodes[j]``.  The integrator is classical
+4th-order Runge-Kutta, one loop that steps forward or backward in time.
+Right-hand sides are called as rhs(s, y) with the stage index s into
+``TimeGrid.stage_times`` (nodes at even s, step midpoints at odd s), so
+tables sampled at the stage times are indexed directly.  A backward
+integral of a known integrand, where RK4 reduces to Simpson's rule per
+step, is a vectorised running sum.
 """
 
 from __future__ import annotations
@@ -61,56 +63,6 @@ class TimeGrid:
         return st
 
 
-@dataclass(frozen=True)
-class MatrixPath:
-    """A grid-sampled matrix/vector/scalar-valued trajectory.
-
-    Queries between nodes linearly interpolate; queries at a node return
-    the stored sample itself.
-    """
-
-    grid: TimeGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.samples.shape[0] != self.grid.steps + 1:
-            raise ValueError(
-                f"expected {self.grid.steps + 1} samples, got {self.samples.shape[0]}"
-            )
-
-    @property
-    def shape(self) -> tuple:
-        return self.samples.shape[1:]
-
-    def at(self, t: float) -> np.ndarray:
-        g = self.grid
-        if t < -1e-9 * g.horizon or t > g.horizon * (1 + 1e-9):
-            raise ValueError(f"query time {t} outside [0, {g.horizon}]")
-        nodes = g.nodes
-        pos = t / g.dt
-        r = int(round(pos))
-        if 0 <= r <= g.steps and t == nodes[r]:
-            return self.samples[r]
-        j = min(max(int(np.floor(pos)), 0), g.steps - 1)
-        w = (t - nodes[j]) / g.dt
-        if w <= 0.0:
-            return self.samples[j]
-        if w >= 1.0:
-            return self.samples[j + 1]
-        return (1.0 - w) * self.samples[j] + w * self.samples[j + 1]
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.at(t)
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.samples[0]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.samples[-1]
-
-
 def stage_samples(node_samples: np.ndarray) -> np.ndarray:
     """Interleave node samples with interpolated step-midpoint values.
 
@@ -143,11 +95,12 @@ def _check_state(y, t, blowup_threshold):
         raise BlowUpDetected(time=t, norm=norm, state=y)
 
 
-def _rk4(rhs, y, grid: TimeGrid, h: float, blowup_threshold, project_state) -> MatrixPath:
+def _rk4(rhs, y, grid: TimeGrid, h: float, blowup_threshold, project_state) -> np.ndarray:
     """Classical RK4 over every grid step with signed step h = +dt or -dt.
 
     The step from node j to node j + d (d = sign of h) evaluates
     rhs(s, y) at the stage indices s = 2j, 2j + d, 2j + d, 2j + 2d.
+    Returns the node samples, shape (steps+1, *y.shape).
     """
     d = 1 if h > 0 else -1
     j = 0 if d > 0 else grid.steps
@@ -165,18 +118,19 @@ def _rk4(rhs, y, grid: TimeGrid, h: float, blowup_threshold, project_state) -> M
         j += d
         _check_state(y, grid.nodes[j], blowup_threshold)
         out[j] = y
-    return MatrixPath(grid, out)
+    return out
 
 
 def integrate_backward(rhs, terminal_value, grid: TimeGrid,
                        blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                       project_state=None) -> MatrixPath:
+                       project_state=None) -> np.ndarray:
     """Integrate d(state)/dt = rhs(s, state) from t=horizon down to t=0.
 
     ``s`` is the stage index: the right-hand side is evaluated at time
     ``grid.stage_times[s]``.  The state may be any fixed-shape ndarray
     stack; coupled systems are advanced as one stacked state so every
-    block shares the RK4 stages.  The terminal condition is stored
+    block shares the RK4 stages.  Returns the node samples, shape
+    (steps+1, *state.shape), with the terminal condition stored
     bit-exactly at the last node.
 
     Raises BlowUpDetected when an intermediate Frobenius norm exceeds the
@@ -191,7 +145,7 @@ def integrate_backward(rhs, terminal_value, grid: TimeGrid,
 
 def integrate_forward(rhs, initial_value, grid: TimeGrid,
                       blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                      project_state=None) -> MatrixPath:
+                      project_state=None) -> np.ndarray:
     """Mirror of integrate_backward with the initial condition at t=0."""
     y = np.array(initial_value, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -199,7 +153,7 @@ def integrate_forward(rhs, initial_value, grid: TimeGrid,
     return _rk4(rhs, y, grid, grid.dt, blowup_threshold, project_state)
 
 
-def backward_running_sum(integrand: np.ndarray, grid: TimeGrid) -> MatrixPath:
+def backward_running_sum(integrand: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Node samples of E(t) = int_t^T f, i.e. dE/dt = -f(t) with E(T) = 0.
 
     ``integrand`` holds f at every stage time, shape (2*steps+1, ...).  RK4
@@ -217,7 +171,7 @@ def backward_running_sum(integrand: np.ndarray, grid: TimeGrid) -> MatrixPath:
         norms = np.linalg.norm(out.reshape(out.shape[0], -1), axis=1)
     for j in np.flatnonzero(~(norms <= DEFAULT_BLOWUP_THRESHOLD))[::-1]:
         _check_state(out[j], grid.nodes[j], DEFAULT_BLOWUP_THRESHOLD)
-    return MatrixPath(grid, np.ascontiguousarray(out))
+    return np.ascontiguousarray(out)
 
 
 def simpson_nodes(values: np.ndarray, grid: TimeGrid):

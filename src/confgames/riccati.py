@@ -16,13 +16,11 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from ._stage import StageTables
+from ._stage import StageTables, _table
 from .errors import BlowUpDetected, PreconditionViolation
-from .model import ConfigGame
-from .odekit import (DEFAULT_BLOWUP_THRESHOLD, MatrixPath, TimeGrid,
-                     backward_running_sum, integrate_backward, integrate_forward,
+from .model import ConfigGame, MatrixFn
+from .odekit import (TimeGrid, backward_running_sum, integrate_backward, integrate_forward,
                      simpson_nodes, stage_samples)
 
 DEFAULT_STEPS = 1000
@@ -44,48 +42,19 @@ def _attribute_blowup(exc: BlowUpDetected, num_players: int) -> BlowUpDetected:
     return BlowUpDetected(time=exc.time, norm=exc.norm, player=player)
 
 
-class PlayerStacks:
-    """Per-player path views over stacked node arrays.
-
-    ``P_nodes`` is (steps+1, N, n, n), ``zeta_nodes`` (steps+1, N, n) and
-    ``eta_nodes`` (steps+1, N).  Zero-sum games store no offset arrays
-    (None): their ``zeta`` and ``eta`` views read as exact zeros.  The
-    views are built on access.
-    """
-
-    @property
-    def num_players(self) -> int:
-        return self.P_nodes.shape[1]
-
-    def _views(self, nodes, shape):
-        if nodes is None:
-            nodes = np.zeros((self.grid.steps + 1, self.num_players) + shape)
-        return tuple(MatrixPath(self.grid, np.ascontiguousarray(nodes[:, i]))
-                     for i in range(self.num_players))
-
-    @property
-    def P(self) -> tuple:
-        return self._views(self.P_nodes, ())
-
-    @property
-    def zeta(self) -> tuple:
-        return self._views(self.zeta_nodes, self.P_nodes.shape[-1:])
-
-    @property
-    def eta(self) -> tuple:
-        return self._views(self.eta_nodes, ())
-
-
 @dataclass(frozen=True)
-class StageTwoSolution(PlayerStacks):
+class StageTwoSolution:
     """Equilibrium solution bundle at one parameter vector.
 
     ``values`` holds the pure stage-two equilibrium costs (no first-stage
-    regularizer; see stage_two_value for the regularized total).  For
-    zero-sum games a single value matrix P is solved and stored as the
-    stack (P, -P), with no offset arrays.  The samples at the RK4 stage
-    times (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are derived from
-    the node arrays on first use.
+    regularizer; see stage_two_value for the regularized total).  The
+    paths are node arrays: ``P_nodes`` (steps+1, N, n, n), ``zeta_nodes``
+    (steps+1, N, n) and ``eta_nodes`` (steps+1, N).  For zero-sum games a
+    single value matrix P is solved and stored as the stack (P, -P), with
+    no offset arrays (None).  The samples at the RK4 stage times
+    (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are derived from the
+    node arrays on first use; ``zeta_st`` and ``beta_st`` are exact zeros
+    for zero-sum solutions.
     """
 
     theta: tuple
@@ -96,11 +65,6 @@ class StageTwoSolution(PlayerStacks):
     P_nodes: np.ndarray = field(repr=False)
     zeta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
     eta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def beta(self) -> MatrixPath:
-        """Drive residual c - sum_i S^ii zeta^i at the nodes."""
-        return MatrixPath(self.grid, self.beta_st[0::2])
 
     @cached_property
     def P_st(self) -> np.ndarray:
@@ -133,27 +97,49 @@ def _drive_residual(tabs: StageTables, zeta_st):
 
 @dataclass(frozen=True)
 class TrajectoryRollout:
-    """Closed-loop state trajectory, controls, and quadrature costs."""
+    """Closed-loop state trajectory, controls, and quadrature costs.
 
-    x: MatrixPath
+    ``x`` holds the states at the nodes, (steps+1, n); ``u`` one control
+    array (steps+1, m_i) per player.
+    """
+
+    x: np.ndarray
     u: tuple
     rollout_costs: np.ndarray
+
+
+def _check_solution(solution: StageTwoSolution, theta, grid: TimeGrid):
+    """Reject a theta or grid other than the ones ``solution`` was solved at."""
+    if grid != solution.grid:
+        raise ValueError(f"grid {grid} does not match the solution grid {solution.grid}")
+    if not np.array_equal(theta, solution.theta):
+        raise ValueError(f"theta {np.asarray(theta).tolist()} does not match the "
+                         f"solution theta {np.asarray(solution.theta).tolist()}")
+
+
+def _at_nodes(coef: MatrixFn, theta, grid: TimeGrid, k: int = None) -> np.ndarray:
+    """``coef``, or its derivative in theta_k, at every grid node.
+
+    A time-constant coefficient is sampled once and broadcast.
+    """
+    if k is None:
+        return _table(lambda t: coef(t, theta), grid.nodes, coef.time_varying)
+    return _table(lambda t: coef.d_theta(t, theta, k), grid.nodes, coef.time_varying)
 
 
 # -- backward passes ---------------------------------------------------------
 
 
 def solve_coupled_riccati(game: ConfigGame, theta, grid: TimeGrid,
-                          blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                          _tables: StageTables = None) -> MatrixPath:
+                          _tables: StageTables = None) -> np.ndarray:
     """Solve the N coupled quadratic matrix equations backward from Qf.
 
     All players advance as one stacked state so the closed-loop drift is
     re-evaluated from the full stack at every RK4 stage.  Each block is
     symmetrized after every step.  Blow-up is reported with the dominant
     player block and the divergence time; for the backward pass this means
-    no bounded equilibrium exists at (theta, horizon).  Returns the stacked
-    path with samples (steps+1, N, n, n).
+    no bounded equilibrium exists at (theta, horizon).  Returns the node
+    samples of the stack, (steps+1, N, n, n).
     """
     tabs = _tables if _tables is not None else StageTables(game, theta, grid)
     N = game.num_players
@@ -167,21 +153,20 @@ def solve_coupled_riccati(game: ConfigGame, theta, grid: TimeGrid,
 
     terminal = np.stack([game.Qf[i] for i in range(N)])
     try:
-        return integrate_backward(rhs, terminal, grid, blowup_threshold,
-                                  project_state=_sym_stack)
+        return integrate_backward(rhs, terminal, grid, project_state=_sym_stack)
     except BlowUpDetected as exc:
         raise _attribute_blowup(exc, N) from None
 
 
 def solve_zerosum_riccati(game: ConfigGame, theta, grid: TimeGrid,
-                          blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                          _tables: StageTables = None) -> MatrixPath:
+                          _tables: StageTables = None) -> np.ndarray:
     """Solve the single value-matrix equation of the two-player zero-sum game.
 
     Uses the difference coupling S_tilde = B2 B2' - B1 B1' (minimizer gets
     the negative-feedback block, maximizer the positive one).  Requires the
     zero-sum flag and a vanishing drive term; ``ConfigGame`` has already
-    checked the negated costs and the identity own-control costs.
+    checked the negated costs and the identity own-control costs.  Returns
+    the node samples of P, (steps+1, n, n).
     """
     if not game.zero_sum:
         raise PreconditionViolation("game is not flagged zero-sum")
@@ -197,24 +182,23 @@ def solve_zerosum_riccati(game: ConfigGame, theta, grid: TimeGrid,
         return -(PA + PA.T + Q[s] + P @ Stilde[s] @ P)
 
     try:
-        return integrate_backward(rhs, game.Qf[0], grid, blowup_threshold,
-                                  project_state=_sym_stack)
+        return integrate_backward(rhs, game.Qf[0], grid, project_state=_sym_stack)
     except BlowUpDetected as exc:
         raise BlowUpDetected(time=exc.time, norm=exc.norm) from None
 
 
-def solve_zeta(game: ConfigGame, theta, P: MatrixPath, grid: TimeGrid,
-               _tables: StageTables = None) -> MatrixPath:
+def solve_zeta(game: ConfigGame, theta, P: np.ndarray, grid: TimeGrid,
+               _tables: StageTables = None) -> np.ndarray:
     """Solve the stacked linear pass for the affine offsets.
 
     The N offset vectors are coupled through the drive residual
     beta = c - sum_i S^{ii} zeta^i, so they advance as one stacked state.
-    ``P`` is the stacked value-matrix path; returns the stacked offset
-    path with samples (steps+1, N, n).
+    ``P`` holds the value matrices at the nodes, (steps+1, N, n, n);
+    returns the offsets at the nodes, (steps+1, N, n).
     """
     tabs = _tables if _tables is not None else StageTables(game, theta, grid)
     N, n = game.num_players, game.state_dim
-    P_st = stage_samples(P.samples)
+    P_st = stage_samples(P)
     F_st = _closed_loop(tabs, P_st)
     PS_st = np.einsum("mjab,ijmbc->ijmac", P_st, tabs.S, optimize=True)
     c, S_diag = tabs.c, tabs.S_diag
@@ -228,15 +212,15 @@ def solve_zeta(game: ConfigGame, theta, P: MatrixPath, grid: TimeGrid,
     return integrate_backward(rhs, np.zeros((N, n)), grid)
 
 
-def solve_eta(game: ConfigGame, theta, zeta: MatrixPath, grid: TimeGrid,
-              _tables: StageTables = None) -> MatrixPath:
+def solve_eta(game: ConfigGame, theta, zeta: np.ndarray, grid: TimeGrid,
+              _tables: StageTables = None) -> np.ndarray:
     """Backward running integral for the per-player scalar value constants.
 
-    ``zeta`` is the stacked offset path; returns the stacked path of the
-    constants with samples (steps+1, N).
+    ``zeta`` holds the offsets at the nodes, (steps+1, N, n); returns the
+    constants at the nodes, (steps+1, N).
     """
     tabs = _tables if _tables is not None else StageTables(game, theta, grid)
-    z_st = stage_samples(zeta.samples)
+    z_st = stage_samples(zeta)
     beta_st = _drive_residual(tabs, z_st)
     quad = np.einsum("mja,ijmab,mjb->mi", z_st, tabs.S, z_st, optimize=True)
     integrand = np.einsum("ma,mia->mi", beta_st, z_st) + 0.5 * quad
@@ -246,8 +230,7 @@ def solve_eta(game: ConfigGame, theta, zeta: MatrixPath, grid: TimeGrid,
 # -- assembly ----------------------------------------------------------------
 
 
-def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None,
-                    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> StageTwoSolution:
+def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoSolution:
     """Full stage-two pipeline at one parameter vector.
 
     Dispatches to the single-matrix zero-sum pass when the game is flagged
@@ -263,23 +246,22 @@ def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None,
     x0 = game.x0
 
     if game.zero_sum:
-        P = solve_zerosum_riccati(game, theta, grid, blowup_threshold, _tables=tabs)
-        J = 0.5 * float(x0 @ P.initial @ x0)
+        P = solve_zerosum_riccati(game, theta, grid, _tables=tabs)
+        J = 0.5 * float(x0 @ P[0] @ x0)
         return StageTwoSolution(
             theta=tuple(theta), grid=grid, zero_sum=True, values=np.array([J, -J]),
-            tables=tabs, P_nodes=np.stack([P.samples, -P.samples], axis=1))
+            tables=tabs, P_nodes=np.stack([P, -P], axis=1))
 
-    P = solve_coupled_riccati(game, theta, grid, blowup_threshold, _tables=tabs)
+    P = solve_coupled_riccati(game, theta, grid, _tables=tabs)
     zeta = solve_zeta(game, theta, P, grid, _tables=tabs)
     eta = solve_eta(game, theta, zeta, grid, _tables=tabs)
-    P0, z0, e0 = P.initial, zeta.initial, eta.initial
     values = np.array([
-        0.5 * float(x0 @ P0[i] @ x0) + float(z0[i] @ x0) + float(e0[i])
+        0.5 * float(x0 @ P[0, i] @ x0) + float(zeta[0, i] @ x0) + float(eta[0, i])
         for i in range(game.num_players)
     ])
     return StageTwoSolution(
         theta=tuple(theta), grid=grid, zero_sum=False, values=values, tables=tabs,
-        P_nodes=P.samples, zeta_nodes=zeta.samples, eta_nodes=eta.samples)
+        P_nodes=P, zeta_nodes=zeta, eta_nodes=eta)
 
 
 def stage_two_value(game: ConfigGame, solution: StageTwoSolution, x0, i: int) -> float:
@@ -289,9 +271,10 @@ def stage_two_value(game: ConfigGame, solution: StageTwoSolution, x0, i: int) ->
     term is added, giving that player's total first-stage cost.
     """
     x0 = np.asarray(x0, dtype=float)
-    val = (0.5 * float(x0 @ solution.P[i].initial @ x0)
-           + float(solution.zeta[i].initial @ x0)
-           + float(solution.eta[i].initial))
+    val = 0.5 * float(x0 @ solution.P_nodes[0, i] @ x0)
+    if solution.zeta_nodes is not None:
+        val += float(solution.zeta_nodes[0, i] @ x0)
+        val += float(solution.eta_nodes[0, i])
     if game.regularizers and game.regularizers[i] is not None:
         val += float(game.regularizers[i].value(np.asarray(solution.theta)))
     return val
@@ -309,57 +292,35 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution,
     The state follows dx/dt = F(t) x + beta(t); controls are reconstructed
     from the feedback law at every node; each player's cost is the Simpson
     quadrature of their running quadratic forms plus the terminal cost.
+    ``theta`` and ``grid`` must be the ones ``solution`` was solved at.
     """
     theta = np.asarray(theta, dtype=float)
     if grid is None:
         grid = solution.grid
-    if grid != solution.grid:
-        raise ValueError("rollout grid must match the solution grid")
+    _check_solution(solution, theta, grid)
     F_st, beta_st = solution.F_st, solution.beta_st
 
     def rhs(s, x):
         return F_st[s] @ x + beta_st[s]
 
-    x_path = integrate_forward(rhs, game.x0, grid)
-    xs = x_path.samples
+    xs = integrate_forward(rhs, game.x0, grid)
     N = game.num_players
-    nodes = grid.nodes
-
+    R = [[_at_nodes(game.R[i][j], theta, grid) for j in range(N)] for i in range(N)]
+    feedback = (np.einsum("tiab,tb->tia", solution.P_nodes, xs)
+                + solution.zeta_st[0::2])
     us = []
-    P, zeta = solution.P, solution.zeta
     for i in range(N):
-        Bi = game.B[i]
-        Rii = game.R[i][i]
-        Pi = P[i].samples
-        zi = zeta[i].samples
-        if Bi.time_varying or Rii.time_varying:
-            ui = np.empty((grid.steps + 1, game.control_dims[i]))
-            for j, t in enumerate(nodes):
-                chol = cho_factor(Rii(t, theta), lower=True)
-                ui[j] = -cho_solve(chol, Bi(t, theta).T @ (Pi[j] @ xs[j] + zi[j]))
-        else:
-            Bmat = Bi(0.0, theta)
-            chol = cho_factor(Rii(0.0, theta), lower=True)
-            pre = np.einsum("ab,tb->ta", Bmat.T, np.einsum("tab,tb->ta", Pi, xs) + zi)
-            ui = -cho_solve(chol, pre.T).T
-        us.append(MatrixPath(grid, ui))
+        Bi = _at_nodes(game.B[i], theta, grid)
+        pre = np.einsum("tba,tb->ta", Bi, feedback[:, i])
+        us.append(-np.linalg.solve(R[i][i], pre[..., None])[..., 0])
 
-    Q_nodes = solution.tables.Q_nodes
-    running = np.einsum("ta,itab,tb->ti", xs, Q_nodes, xs)
+    running = np.einsum("ta,itab,tb->ti", xs, solution.tables.Q_nodes, xs)
     for i in range(N):
         for j in range(N):
-            Rij = game.R[i][j]
-            uj = us[j].samples
-            if Rij.time_varying:
-                vals = np.array([uj[m] @ Rij(t, theta) @ uj[m]
-                                 for m, t in enumerate(nodes)])
-            else:
-                Rmat = Rij(0.0, theta)
-                vals = np.einsum("ta,ab,tb->t", uj, Rmat, uj)
-            running[:, i] += vals
+            running[:, i] += np.einsum("ta,tab,tb->t", us[j], R[i][j], us[j])
     integrals = simpson_nodes(running, grid)
     xT = xs[-1]
     costs = np.array([
         0.5 * (integrals[i] + float(xT @ game.Qf[i] @ xT)) for i in range(N)
     ])
-    return TrajectoryRollout(x=x_path, u=tuple(us), rollout_costs=costs)
+    return TrajectoryRollout(x=xs, u=tuple(us), rollout_costs=costs)

@@ -18,25 +18,24 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import BlowUpDetected, InfeasibleTheta, PreconditionViolation
 from .model import ConfigGame
 from .odekit import (TimeGrid, backward_running_sum, integrate_backward, simpson_nodes,
                      stage_samples)
-from .riccati import (PlayerStacks, StageTwoSolution, _sym_stack, default_grid, rollout,
-                      solve_stage_two)
+from .riccati import (StageTwoSolution, _at_nodes, _check_solution, _sym_stack, default_grid,
+                      rollout, solve_stage_two)
 
 
 @dataclass(frozen=True)
-class SensitivityBundle(PlayerStacks):
+class SensitivityBundle:
     """Path derivatives with respect to one parameter component.
 
-    The node arrays are stacked like StageTwoSolution's, with per-player
-    views ``P``, ``zeta`` and ``eta``; zero-sum bundles store no offset
-    arrays.  All three path stacks vanish identically when no coefficient
-    depends on the chosen component; terminal samples are exactly zero by
-    construction.
+    The node arrays are stacked like StageTwoSolution's: ``P_nodes``
+    (steps+1, N, n, n), ``zeta_nodes`` (steps+1, N, n) and ``eta_nodes``
+    (steps+1, N); zero-sum bundles store no offset arrays (None).  All
+    three stacks vanish identically when no coefficient depends on the
+    chosen component; terminal samples are exactly zero by construction.
     """
 
     theta: tuple
@@ -57,6 +56,7 @@ def _as_theta(game, theta):
 
 def _stage_two(game, theta, grid, stage2):
     if stage2 is not None:
+        _check_solution(stage2, theta, grid)
         return stage2
     try:
         return solve_stage_two(game, theta, grid)
@@ -160,7 +160,7 @@ def _general_sensitivity(game, stage2, ks, grid):
     P_st, F_st = stage2.P_st, stage2.F_st
     H_st = _coupling_tables(tabs, P_st)
     forcing = _p_forcing(tabs, P_st, ks)
-    Pk_nodes = _solve_p_pass(grid, F_st, H_st, forcing).samples
+    Pk_nodes = _solve_p_pass(grid, F_st, H_st, forcing)
 
     if tabs.c_is_zero:
         # drive-free: the offsets vanish identically and so do their derivatives
@@ -170,9 +170,9 @@ def _general_sensitivity(game, stage2, ks, grid):
     else:
         Pk_st = stage_samples(Pk_nodes)
         zf = _zeta_forcing(tabs, stage2, P_st, Pk_st, ks)
-        zk_nodes = _solve_zeta_pass(grid, F_st, H_st, zf).samples
+        zk_nodes = _solve_zeta_pass(grid, F_st, H_st, zf)
         zk_st = stage_samples(zk_nodes)
-        ek_nodes = backward_running_sum(_eta_integrand(tabs, stage2, zk_st, ks), grid).samples
+        ek_nodes = backward_running_sum(_eta_integrand(tabs, stage2, zk_st, ks), grid)
 
     return Pk_nodes, zk_nodes, ek_nodes
 
@@ -203,7 +203,7 @@ def _zerosum_sensitivity(game, stage2, ks, grid):
         return -(YF + np.swapaxes(YF, -1, -2) + forcing[:, s])
 
     return integrate_backward(rhs, np.zeros((len(ks), n, n)), grid,
-                              project_state=_sym_stack).samples
+                              project_state=_sym_stack)
 
 
 # -- public operations -------------------------------------------------------
@@ -300,26 +300,20 @@ def envelope_gradient(game: ConfigGame, theta, i: int, grid: TimeGrid = None) ->
 
     Pk_nodes, _, _ = _general_sensitivity(game, stage2, [i], grid)
     path = rollout(game, theta, stage2)
-    xs = path.x.samples
-    us = [u.samples for u in path.u]
-    P_nodes = stage2.P_nodes
-
-    def node_eval(fn, t):
-        return fn(0.0, theta) if not fn.time_varying else fn(t, theta)
+    xs, us = path.x, path.u
+    xP = np.einsum("ta,tab->tb", xs, stage2.P_nodes[:, i])
 
     vals = np.einsum("ta,tab,tb->t", xs, tabs.dQ[i, i][0::2], xs)
-    for m, t in enumerate(grid.nodes):
-        dBi = (game.B[i].d_theta(0.0, theta, i) if not game.B[i].time_varying
-               else game.B[i].d_theta(t, theta, i))
-        vals[m] += 2.0 * float(xs[m] @ P_nodes[m, i] @ dBi @ us[i][m])
-        for j in range(game.num_players):
-            if j == i:
-                continue
-            Bj = node_eval(game.B[j], t)
-            chol = cho_factor(node_eval(game.R[j][j], t), lower=True)
-            Rij = node_eval(game.R[i][j], t)
-            du = -cho_solve(chol, Bj.T @ (Pk_nodes[m, 0, j] @ xs[m]))
-            vals[m] += 2.0 * float(us[j][m] @ Rij @ du)
-            vals[m] += 2.0 * float(xs[m] @ P_nodes[m, i] @ Bj @ du)
+    dBi = _at_nodes(game.B[i], theta, grid, k=i)
+    vals += 2.0 * np.einsum("ta,tab,tb->t", xP, dBi, us[i])
+    for j in range(game.num_players):
+        if j == i:
+            continue
+        Bj = _at_nodes(game.B[j], theta, grid)
+        pre = np.einsum("tba,tbc,tc->ta", Bj, Pk_nodes[:, 0, j], xs)
+        du = -np.linalg.solve(_at_nodes(game.R[j][j], theta, grid), pre[..., None])[..., 0]
+        Rij = _at_nodes(game.R[i][j], theta, grid)
+        vals += 2.0 * np.einsum("ta,tab,tb->t", us[j], Rij, du)
+        vals += 2.0 * np.einsum("ta,tab,tb->t", xP, Bj, du)
 
     return 0.5 * float(simpson_nodes(vals, grid))

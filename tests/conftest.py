@@ -72,6 +72,33 @@ def make_theta_independent_game(n: int = 2, drive: bool = True) -> ConfigGame:
     )
 
 
+def make_time_varying_game() -> ConfigGame:
+    """Drive-free two-player game whose actuation and control costs vary in time.
+
+    Player i's actuation is theta_i * b_i * (1 + t/2); the control costs
+    grow linearly in t, so every node-sampled coefficient is time-varying.
+    """
+    rng = np.random.default_rng(7)
+    n = 2
+    b = [rng.normal(size=(n, 1)) for _ in range(2)]
+    L = [rng.normal(size=(n, n)) * 0.5 for _ in range(2)]
+
+    def actuation(i):
+        return MatrixFn((n, 1), lambda t, th, i=i: th[i] * (1.0 + 0.5 * t) * b[i],
+                        lambda t, th, k, i=i: (1.0 + 0.5 * t) * b[i], depends_on=(i,))
+
+    own = MatrixFn.of_time((1, 1), lambda t: (1.0 + 0.3 * t) * np.eye(1))
+    cross = MatrixFn.of_time((1, 1), lambda t: 0.2 * (1.0 + t) * np.eye(1))
+    return ConfigGame(
+        num_players=2, state_dim=n, control_dims=(1, 1), horizon=1.0,
+        A=MatrixFn.constant(rng.normal(size=(n, n)) * 0.3),
+        B=(actuation(0), actuation(1)),
+        Q=tuple(MatrixFn.constant(Li @ Li.T) for Li in L),
+        R=((own, cross), (cross, own)),
+        c=MatrixFn.constant(np.zeros(n)), Qf=(np.eye(n) * 0.2, np.eye(n) * 0.1),
+        theta_box=((0.5, 1.5), (0.5, 1.5)), x0=rng.normal(size=n))
+
+
 def build_gs_quiet(spec: GeneralSumSpec = None, **kwargs) -> ConfigGame:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IndefiniteStateCostWarning)

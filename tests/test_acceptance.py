@@ -52,7 +52,7 @@ def test_criterion_01_scalar_closed_form_and_convergence_order():
     errs = []
     for steps in (250, 500, 1000):
         sol = solve_stage_two(game, theta, TimeGrid(1.0, steps))
-        errs.append(abs(sol.P[0].initial[0, 0] - np.tanh(1.0)))
+        errs.append(abs(sol.P_nodes[0, 0, 0, 0] - np.tanh(1.0)))
     p_ok = errs[-1] <= 1e-6 * np.tanh(1.0)
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     order_ok = min(orders) >= 3.5
@@ -139,14 +139,13 @@ def test_criterion_04_offsets_vanish_without_drive(pe_game):
     worst = 0.0
     sol = solve_stage_two(pe_game, np.array([0.6, 1.0]),
                           TimeGrid(pe_game.horizon, 1000))
-    for i in range(2):
-        worst = max(worst, float(np.abs(sol.zeta[i].samples).max()),
-                    float(np.abs(sol.eta[i].samples).max()))
+    # a zero-sum solution stores no offsets; its stage samples read as zeros
+    assert sol.zeta_nodes is None and sol.eta_nodes is None
+    worst = max(worst, float(np.abs(sol.zeta_st).max()))
     game = random_aq_game(12, 2, 3, 1, affine=False)
     sol = solve_stage_two(game, np.array([1.0, 1.0]), TimeGrid(1.0, 1000))
-    for i in range(2):
-        worst = max(worst, float(np.abs(sol.zeta[i].samples).max()),
-                    float(np.abs(sol.eta[i].samples).max()))
+    worst = max(worst, float(np.abs(sol.zeta_nodes).max()),
+                float(np.abs(sol.eta_nodes).max()))
     _report(4, "affine offsets vanish identically in drive-free games",
             worst <= 1e-12, f"max |offset|={worst:.2e}")
 
@@ -160,11 +159,11 @@ def test_criterion_05_zero_sum_consistency(pe_game):
         single = solve_zerosum_riccati(pe_game, theta, grid)
         worst_path = max(
             worst_path,
-            float(np.abs(coupled.samples[:, 0] - single.samples).max()),
-            float(np.abs(coupled.samples[:, 1] + single.samples).max()))
+            float(np.abs(coupled[:, 0] - single).max()),
+            float(np.abs(coupled[:, 1] + single).max()))
         x0 = pe_game.x0
-        v_coupled = 0.5 * x0 @ coupled.initial[0] @ x0
-        v_single = 0.5 * x0 @ single.initial @ x0
+        v_coupled = 0.5 * x0 @ coupled[0, 0] @ x0
+        v_single = 0.5 * x0 @ single[0] @ x0
         worst_val = max(worst_val, abs(v_coupled - v_single))
     _report(5, "coupled encoding agrees with the single-matrix form",
             worst_path <= 1e-6 and worst_val <= 1e-8,

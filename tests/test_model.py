@@ -146,7 +146,7 @@ class TestClosedLoopMatrix:
 
     def test_matches_independent_recomputation(self, gs_game, gs_grid):
         theta = np.array([0.6, 1.1])
-        P = solve_coupled_riccati(gs_game, theta, gs_grid).initial
+        P = solve_coupled_riccati(gs_game, theta, gs_grid)[0]
         F = closed_loop_matrix(gs_game, theta, P, 0.0)
         expected = gs_game.A(0.0, theta).copy()
         for i in range(2):

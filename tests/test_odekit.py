@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confgames import (BlowUpDetected, MatrixPath, NumericalFailure, TimeGrid,
+from confgames import (BlowUpDetected, NumericalFailure, TimeGrid,
                        integrate_backward, integrate_forward, quadrature,
                        simpson_nodes)
 from confgames.odekit import backward_running_sum
@@ -26,49 +26,26 @@ class TestTimeGrid:
             TimeGrid(horizon, steps)
 
 
-class TestMatrixPath:
-    def test_node_query_returns_stored_sample_exactly(self):
-        g = TimeGrid(1.0, 10)
-        samples = np.random.default_rng(0).normal(size=(11, 2, 2))
-        path = MatrixPath(g, samples)
-        for j, t in enumerate(g.nodes):
-            got = path.at(t)
-            assert np.array_equal(got, samples[j])
-            assert np.shares_memory(got, samples)
-
-    def test_midpoint_query_interpolates(self):
-        g = TimeGrid(1.0, 10)
-        samples = np.arange(11.0)
-        path = MatrixPath(g, samples)
-        mid = 0.5 * (g.nodes[3] + g.nodes[4])
-        assert path.at(mid) == pytest.approx(3.5, abs=1e-14)
-
-    def test_out_of_range_raises(self):
-        path = MatrixPath(TimeGrid(1.0, 4), np.zeros(5))
-        with pytest.raises(ValueError):
-            path.at(1.5)
-
-
 class TestBackwardIntegration:
     def test_zero_rhs_keeps_terminal_everywhere(self):
         g = TimeGrid(1.0, 100)
         MT = np.array([[1.0, 2.0], [2.0, 5.0]])
         path = integrate_backward(lambda s, M: np.zeros_like(M), MT, g)
-        assert np.array_equal(path.terminal, MT)
-        assert np.all(path.samples == MT)
+        assert np.array_equal(path[-1], MT)
+        assert np.all(path == MT)
 
     def test_scalar_riccati_matches_hyperbolic_closed_form(self):
         # dP/dt = -(q - s P^2), P(T) = 0  ->  P(t) = sqrt(q/s) tanh(sqrt(qs)(T-t))
         g = TimeGrid(1.0, 1000)
         path = integrate_backward(lambda s, P: -(1.0 - P * P), np.zeros(()), g)
-        assert abs(float(path.initial) - np.tanh(1.0)) < 1e-8
+        assert abs(float(path[0]) - np.tanh(1.0)) < 1e-8
 
     def test_fourth_order_convergence(self):
         errs = []
         for steps in (250, 500, 1000):
             path = integrate_backward(lambda s, P: -(1.0 - P * P), np.zeros(()),
                                       TimeGrid(1.0, steps))
-            errs.append(abs(float(path.initial) - np.tanh(1.0)))
+            errs.append(abs(float(path[0]) - np.tanh(1.0)))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.5
 
@@ -76,7 +53,7 @@ class TestBackwardIntegration:
         g = TimeGrid(1.0, 50)
         QfT = pe_game.Qf[0]
         path = integrate_backward(lambda s, M: np.zeros_like(M), QfT, g)
-        assert np.array_equal(path.initial, QfT)
+        assert np.array_equal(path[0], QfT)
 
     def test_blowup_reports_divergence_time(self):
         g = TimeGrid(1.0, 200)
@@ -97,7 +74,7 @@ class TestBackwardIntegration:
         rhs = lambda s, P: -(1.0 - P * P)
         a = integrate_backward(rhs, np.zeros(()), g)
         b = integrate_backward(rhs, np.zeros(()), g)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
 
 class TestForwardIntegration:
@@ -105,27 +82,27 @@ class TestForwardIntegration:
         g = TimeGrid(1.0, 10)
         x0 = np.array([1.0, -2.0])
         path = integrate_forward(lambda s, x: np.zeros_like(x), x0, g)
-        assert np.all(path.samples == x0)
+        assert np.all(path == x0)
 
     def test_exponential_growth(self):
         g = TimeGrid(1.0, 1000)
         path = integrate_forward(lambda s, x: x, np.array(1.0), g)
-        assert abs(float(path.terminal) - np.e) < 1e-9
+        assert abs(float(path[-1]) - np.e) < 1e-9
 
     def test_rhs_indexes_stage_times(self):
         # dx/dt = 4 t^3 with t = stage_times[s]: RK4 on it is Simpson's rule,
         # exact for cubics, so any index offset would show
         g = TimeGrid(1.5, 10)
         path = integrate_forward(lambda s, x: 4.0 * g.stage_times[s] ** 3, np.array(0.0), g)
-        assert abs(float(path.terminal) - 1.5 ** 4) < 1e-12
+        assert abs(float(path[-1]) - 1.5 ** 4) < 1e-12
 
 
 class TestBackwardRunningSum:
     def test_bit_identical_to_backward_integration(self):
         g = TimeGrid(1.0, 200)
         f = np.random.default_rng(3).normal(size=(2 * g.steps + 1, 3, 2))
-        ref = integrate_backward(lambda s, E: -f[s], np.zeros((3, 2)), g).samples
-        got = backward_running_sum(f, g).samples
+        ref = integrate_backward(lambda s, E: -f[s], np.zeros((3, 2)), g)
+        got = backward_running_sum(f, g)
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 

@@ -6,34 +6,35 @@ from confgames import (BlowUpDetected, ConfigGame, GeneralSumSpec, MatrixFn,
                        TimeGrid, compute_S, rollout, solve_coupled_riccati,
                        solve_eta, solve_stage_two, solve_zerosum_riccati,
                        solve_zeta, stage_one_costs, stage_two_value)
-from conftest import build_gs_quiet, make_scalar_lqr
+from conftest import build_gs_quiet, make_scalar_lqr, make_time_varying_game
 
 
 class TestCoupledRiccati:
     def test_scalar_closed_form(self):
         game = make_scalar_lqr()
         sol = solve_stage_two(game, np.array([1.0]), TimeGrid(1.0, 1000))
-        P0 = sol.P[0].initial[0, 0]
+        P0 = sol.P_nodes[0, 0, 0, 0]
         assert abs(P0 - np.tanh(1.0)) < 1e-8
         assert sol.values[0] == pytest.approx(0.5 * np.tanh(1.0), rel=1e-8)
 
     def test_zero_cost_gives_zero_solution(self, pe_game):
         game = make_scalar_lqr(q=0.0, qf=0.0)
         P = solve_coupled_riccati(game, np.array([1.0]), TimeGrid(1.0, 100))
-        assert not P.samples.any()
+        assert not P.any()
 
     def test_terminal_conditions_bit_exact(self, gs_game, gs_grid):
         theta = np.array([0.7, 1.0])
         sol = solve_stage_two(gs_game, theta, gs_grid)
         for i in range(2):
-            assert np.array_equal(sol.P[i].terminal, gs_game.Qf[i])
-            assert not sol.zeta[i].terminal.any()
-            assert sol.eta[i].terminal == 0.0
+            assert np.array_equal(sol.P_nodes[-1, i], gs_game.Qf[i])
+            assert not sol.zeta_nodes[-1, i].any()
+            assert sol.eta_nodes[-1, i] == 0.0
 
     def test_value_matrix_paths_symmetric(self, gs_game, gs_grid):
         sol = solve_stage_two(gs_game, np.array([0.5, 1.1]), gs_grid)
-        for p in sol.P:
-            asym = np.abs(p.samples - p.samples.transpose(0, 2, 1)).max()
+        for i in range(2):
+            p = sol.P_nodes[:, i]
+            asym = np.abs(p - p.transpose(0, 2, 1)).max()
             assert asym <= 1e-9
 
     def test_blowup_propagates_player_and_time(self):
@@ -51,9 +52,7 @@ class TestCoupledRiccati:
 class TestAffinePasses:
     def test_offsets_vanish_without_drive(self, pe_game, pe_grid):
         sol = solve_stage_two(pe_game, np.array([0.4, 0.9]), pe_grid)
-        for i in range(2):
-            assert np.abs(sol.zeta[i].samples).max() <= 1e-12
-            assert np.abs(sol.eta[i].samples).max() <= 1e-12
+        assert np.abs(sol.zeta_st).max() <= 1e-12
 
     def test_offsets_vanish_when_value_matrix_zero(self):
         # no control authority, no state cost, but a unit drive
@@ -68,11 +67,11 @@ class TestAffinePasses:
         grid = TimeGrid(1.0, 100)
         theta = np.array([0.5])
         P = solve_coupled_riccati(game, theta, grid)
-        assert not P.samples.any()
+        assert not P.any()
         zeta = solve_zeta(game, theta, P, grid)
-        assert not zeta.samples.any()
+        assert not zeta.any()
         eta = solve_eta(game, theta, zeta, grid)
-        assert not eta.samples.any()
+        assert not eta.any()
 
     def test_drive_residual_recomputation(self, gs_game, gs_grid):
         theta = np.array([0.8, 0.9])
@@ -80,8 +79,8 @@ class TestAffinePasses:
         for j, t in enumerate(gs_grid.nodes):
             expected = gs_game.c(t, theta).copy()
             for i in range(2):
-                expected -= compute_S(gs_game, i, i, t, theta) @ sol.zeta[i].samples[j]
-            assert np.abs(sol.beta.samples[j] - expected).max() <= 1e-10
+                expected -= compute_S(gs_game, i, i, t, theta) @ sol.zeta_nodes[j, i]
+            assert np.abs(sol.beta_st[2 * j] - expected).max() <= 1e-10
 
 
 class TestZeroSum:
@@ -101,7 +100,7 @@ class TestZeroSum:
             c=MatrixFn.constant(np.zeros(n)), Qf=(Qf, -Qf),
             theta_box=((0.0, 1.0),) * 2, x0=np.ones(n), zero_sum=True)
         P = solve_zerosum_riccati(game, np.array([0.5, 0.5]), TimeGrid(1.0, 100))
-        assert np.allclose(P.initial, Qf, atol=1e-14)
+        assert np.allclose(P[0], Qf, atol=1e-14)
 
     def test_matched_angles_match_matrix_exponential_oracle(self, pe_game, pe_grid):
         # equal capabilities cancel the quadratic term, leaving a linear
@@ -112,20 +111,18 @@ class TestZeroSum:
         T = pe_game.horizon
         Phi = expm(A * T)
         expected = Phi.T @ pe_game.Qf[0] @ Phi
-        assert np.abs(sol.P[0].initial - expected).max() <= 1e-9
+        assert np.abs(sol.P_nodes[0, 0] - expected).max() <= 1e-9
         x0 = pe_game.x0
         assert sol.values[0] == pytest.approx(0.5 * x0 @ expected @ x0, abs=1e-12)
 
     def test_solution_stores_no_offsets(self, pe_game, pe_grid):
         sol = solve_stage_two(pe_game, np.array([0.4, 0.9]), pe_grid)
         assert sol.zeta_nodes is None and sol.eta_nodes is None
-        assert np.array_equal(sol.P[1].samples, -sol.P[0].samples)
-        for i in range(2):
-            assert sol.zeta[i].samples.shape == (pe_grid.steps + 1, 8)
-            assert sol.eta[i].samples.shape == (pe_grid.steps + 1,)
-            assert not sol.zeta[i].samples.any()
-            assert not sol.eta[i].samples.any()
-        assert not sol.beta.samples.any()
+        assert np.array_equal(sol.P_nodes[:, 1], -sol.P_nodes[:, 0])
+        assert sol.zeta_st.shape == (2 * pe_grid.steps + 1, 2, 8)
+        assert not sol.zeta_st.any()
+        assert not sol.beta_st.any()
+        assert stage_two_value(pe_game, sol, pe_game.x0, 0) == stage_one_costs(pe_game, sol)[0]
 
     def test_zero_sum_values_sum_to_zero(self, pe_game, pe_grid):
         sol = solve_stage_two(pe_game, np.array([0.3, 1.4]), pe_grid)
@@ -135,8 +132,8 @@ class TestZeroSum:
         for theta in (np.array([0.4, 1.1]), np.array([1.3, 0.2])):
             Pc = solve_coupled_riccati(pe_game, theta, pe_grid)
             Pz = solve_zerosum_riccati(pe_game, theta, pe_grid)
-            assert np.abs(Pc.samples[:, 0] - Pz.samples).max() <= 1e-6
-            assert np.abs(Pc.samples[:, 1] + Pz.samples).max() <= 1e-6
+            assert np.abs(Pc[:, 0] - Pz).max() <= 1e-6
+            assert np.abs(Pc[:, 1] + Pz).max() <= 1e-6
 
     def test_relabeling_players_negates_value(self, pe_game, pe_grid):
         # the evader-first relabeling (blocks, angles, and objective sign
@@ -208,14 +205,19 @@ class TestRollout:
         grid = TimeGrid(1.0, 200)
         sol = solve_stage_two(game, np.array([0.5]), grid)
         ro = rollout(game, np.array([0.5]), sol)
-        assert not ro.u[0].samples.any()
+        assert not ro.u[0].any()
         assert ro.rollout_costs[0] == 0.0
-        assert np.allclose(ro.x.terminal, expm(A) @ game.x0, atol=1e-10)
+        assert np.allclose(ro.x[-1], expm(A) @ game.x0, atol=1e-10)
 
     def test_initial_state_exact(self, gs_game, gs_grid):
         sol = solve_stage_two(gs_game, np.array([0.6, 0.8]), gs_grid)
         ro = rollout(gs_game, np.array([0.6, 0.8]), sol)
-        assert np.array_equal(ro.x.initial, gs_game.x0)
+        assert np.array_equal(ro.x[0], gs_game.x0)
+
+    def test_rejects_theta_other_than_the_solutions(self, gs_game, gs_grid):
+        sol = solve_stage_two(gs_game, np.array([0.6, 0.8]), gs_grid)
+        with pytest.raises(ValueError, match="theta"):
+            rollout(gs_game, np.array([0.7, 0.7]), sol)
 
     def test_scalar_lqr_rollout_matches_closed_form(self):
         game = make_scalar_lqr(x0=1.0)
@@ -232,10 +234,27 @@ class TestRollout:
             Bi = gs_game.B[i](0.0, theta)
             Rii = gs_game.R[i][i](0.0, theta)
             for j in (0, 250, 700, 1000):
-                x = ro.x.samples[j]
+                x = ro.x[j]
                 expected = -np.linalg.solve(
-                    Rii, Bi.T @ (sol.P[i].samples[j] @ x + sol.zeta[i].samples[j]))
-                assert np.abs(ro.u[i].samples[j] - expected).max() <= 1e-10
+                    Rii, Bi.T @ (sol.P_nodes[j, i] @ x + sol.zeta_nodes[j, i]))
+                assert np.abs(ro.u[i][j] - expected).max() <= 1e-10
+
+    def test_time_varying_coefficients_sampled_per_node(self):
+        game = make_time_varying_game()
+        theta = np.array([0.8, 1.2])
+        grid = TimeGrid(1.0, 400)
+        sol = solve_stage_two(game, theta, grid)
+        ro = rollout(game, theta, sol)
+        for i in range(2):
+            for j in (0, 130, 257, 400):
+                t = grid.nodes[j]
+                expected = -np.linalg.solve(
+                    game.R[i][i](t, theta),
+                    game.B[i](t, theta).T @ (sol.P_nodes[j, i] @ ro.x[j]
+                                             + sol.zeta_nodes[j, i]))
+                assert np.abs(ro.u[i][j] - expected).max() <= 1e-10
+        err = np.abs(sol.values - ro.rollout_costs)
+        assert np.all(err <= 1e-8 * (1.0 + np.abs(sol.values)))
 
     def test_value_rollout_consistency_on_scenarios(self, pe_game, gs_game):
         rng = np.random.default_rng(11)
@@ -263,8 +282,8 @@ class TestRollout:
         fine_grid = TimeGrid(pe_game.horizon, 16 * pe_grid.steps)
         fine = rollout(pe_game, theta, solve_stage_two(pe_game, theta, fine_grid),
                        fine_grid)
-        ref = fine.x.terminal
-        rel = np.abs(coarse.x.terminal - ref).max() / np.abs(ref).max()
+        ref = fine.x[-1]
+        rel = np.abs(coarse.x[-1] - ref).max() / np.abs(ref).max()
         assert rel <= 1e-6
 
 

@@ -5,7 +5,8 @@ from confgames import (GeneralSumSpec, InfeasibleTheta, PreconditionViolation,
                        TimeGrid, directional_derivative, envelope_gradient,
                        random_aq_game, sensitivity_bundle, solve_stage_two,
                        stage_one_costs, value_gradient)
-from conftest import build_gs_quiet, make_scalar_lqr, make_theta_independent_game
+from conftest import (build_gs_quiet, make_scalar_lqr, make_theta_independent_game,
+                      make_time_varying_game)
 
 
 def fd_gradient(game, theta, grid, h=1e-5):
@@ -29,10 +30,9 @@ class TestPathDerivatives:
         stage2 = solve_stage_two(game, theta, grid)
         for k in range(2):
             bundle = sensitivity_bundle(game, theta, k, stage2, grid)
-            for i in range(2):
-                assert not bundle.P[i].samples.any()
-                assert not bundle.zeta[i].samples.any()
-                assert not bundle.eta[i].samples.any()
+            assert not bundle.P_nodes.any()
+            assert not bundle.zeta_nodes.any()
+            assert not bundle.eta_nodes.any()
             assert not bundle.dJ.any()
         assert not value_gradient(game, theta, grid=grid).any()
 
@@ -45,32 +45,31 @@ class TestPathDerivatives:
         stage2 = solve_stage_two(game, theta, grid)
         bundle = sensitivity_bundle(game, theta, 0, stage2, grid)
         expected = 1.0 / np.cosh(1.0) ** 2 - np.tanh(1.0)
-        assert bundle.P[0].initial[0, 0] == pytest.approx(expected, rel=1e-6)
+        assert bundle.P_nodes[0, 0, 0, 0] == pytest.approx(expected, rel=1e-6)
 
     def test_terminal_samples_exactly_zero(self, gs_game, gs_grid):
         theta = np.array([0.7, 1.0])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
         bundle = sensitivity_bundle(gs_game, theta, 0, stage2, gs_grid)
         for i in range(2):
-            assert not bundle.P[i].terminal.any()
-            assert not bundle.zeta[i].terminal.any()
-            assert bundle.eta[i].terminal == 0.0
+            assert not bundle.P_nodes[-1, i].any()
+            assert not bundle.zeta_nodes[-1, i].any()
+            assert bundle.eta_nodes[-1, i] == 0.0
 
     def test_path_derivative_symmetric(self, gs_game, gs_grid):
         theta = np.array([0.4, 1.1])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
         bundle = sensitivity_bundle(gs_game, theta, 1, stage2, gs_grid)
-        for p in bundle.P:
-            asym = np.abs(p.samples - p.samples.transpose(0, 2, 1)).max()
+        for i in range(2):
+            p = bundle.P_nodes[:, i]
+            asym = np.abs(p - p.transpose(0, 2, 1)).max()
             assert asym <= 1e-9
 
     def test_offset_derivatives_vanish_for_drive_free_games(self, pe_game, pe_grid):
         theta = np.array([0.5, 0.9])
         stage2 = solve_stage_two(pe_game, theta, pe_grid)
         bundle = sensitivity_bundle(pe_game, theta, 0, stage2, pe_grid)
-        for i in range(2):
-            assert not bundle.zeta[i].samples.any()
-            assert not bundle.eta[i].samples.any()
+        assert bundle.zeta_nodes is None and bundle.eta_nodes is None
 
     def test_pursuit_value_matrix_derivative_against_differences(self, pe_game, pe_grid):
         theta = np.array([0.6, 1.0])
@@ -79,7 +78,7 @@ class TestPathDerivatives:
         h = 1e-5
         for k in range(2):
             bundle = sensitivity_bundle(pe_game, theta, k, stage2, pe_grid)
-            lhs = 0.5 * x0 @ bundle.P[0].initial @ x0
+            lhs = 0.5 * x0 @ bundle.P_nodes[0, 0] @ x0
             step = np.zeros(2)
             step[k] = h
             up = solve_stage_two(pe_game, theta + step, pe_grid).values[0]
@@ -101,12 +100,37 @@ class TestPathDerivatives:
             for k in range(N):
                 bundle = sensitivity_bundle(game, theta, k, stage2, grid)
                 manual = np.array([
-                    0.5 * x0 @ bundle.P[i].initial @ x0 + bundle.zeta[i].initial @ x0
-                    + bundle.eta[i].initial
+                    0.5 * x0 @ bundle.P_nodes[0, i] @ x0 + bundle.zeta_nodes[0, i] @ x0
+                    + bundle.eta_nodes[0, i]
                     for i in range(N)
                 ]) + game.regularizer_gradients(theta)[:, k]
                 assert np.allclose(manual, bundle.dJ, atol=1e-12)
                 assert np.allclose(G[:, k], bundle.dJ, atol=1e-12)
+
+
+class TestSolutionMismatch:
+    """A given stage-two solution is only used at its own theta and grid."""
+
+    @pytest.mark.parametrize("op", ["value_gradient", "sensitivity_bundle",
+                                    "directional_derivative"])
+    @pytest.mark.parametrize("mismatch", ["grid", "theta"])
+    def test_other_theta_or_grid_rejected(self, op, mismatch, gs_game, gs_grid):
+        theta = np.array([0.7, 0.9])
+        stage2 = solve_stage_two(gs_game, theta, gs_grid)
+        grid = gs_grid
+        if mismatch == "grid":
+            grid = TimeGrid(2 * gs_game.horizon, gs_grid.steps)
+        else:
+            theta = theta + np.array([0.1, -0.1])
+        calls = {
+            "value_gradient": lambda: value_gradient(gs_game, theta, grid=grid,
+                                                     stage2=stage2),
+            "sensitivity_bundle": lambda: sensitivity_bundle(gs_game, theta, 0, stage2, grid),
+            "directional_derivative": lambda: directional_derivative(
+                gs_game, theta, np.ones(2), grid=grid, stage2=stage2),
+        }
+        with pytest.raises(ValueError, match=mismatch):
+            calls[op]()
 
 
 class TestValueGradient:
@@ -204,6 +228,15 @@ class TestEnvelopeGradient:
         for i in range(2):
             env = envelope_gradient(game, theta, i, grid)
             assert env == pytest.approx(G[i, i], rel=1e-3)
+
+    def test_matches_own_gradient_with_time_varying_coefficients(self):
+        game = make_time_varying_game()
+        grid = TimeGrid(1.0, 1000)
+        theta = np.array([0.8, 1.2])
+        G = value_gradient(game, theta, grid=grid)
+        for i in range(2):
+            env = envelope_gradient(game, theta, i, grid)
+            assert env == pytest.approx(G[i, i], rel=1e-6)
 
     def test_requires_drive_free_game(self, gs_game, gs_grid):
         with pytest.raises(PreconditionViolation):
