@@ -2,7 +2,8 @@
 
 Building these once per (game, theta, grid) keeps coefficient evaluation
 out of the integration hot loop.  Time-constant coefficients are sampled
-once and tiled by broadcasting before densification.
+once and tiled by broadcasting; the coefficient tables are then densified,
+while the derivative tables stay broadcast.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ class StageTables:
       Q       (N, M, n, n)     symmetrized state costs
       S       (N, N, M, n, n)  S[i, j] holds the (i, j) coupling matrix
       S_diag  (N, M, n, n)     view-equivalent of S[i, i]
-    Derivative tables (built on demand by ensure_derivs):
-      dS      (N, N, M, n, n)  dS[k, i] = d S^{ik} / d theta_k
-      dQ      (N, N, M, n, n)  dQ[k, i] = d Q^i / d theta_k
+    Derivative tables (built on demand by ensure_derivs), nested lists
+    indexed [k][i] whose entries are (M, n, n) tables, broadcast from one
+    sample when time-constant or outside the coefficient's support:
+      dS[k][i]  d S^{ik} / d theta_k
+      dQ[k][i]  d Q^i / d theta_k
     """
 
     def __init__(self, game: ConfigGame, theta, grid: TimeGrid):
@@ -67,24 +70,17 @@ class StageTables:
         if self.dS is not None:
             return
         game, st = self.game, self.grid.stage_times
-        N, n = game.num_players, game.state_dim
-        dS = np.empty((N, N, len(st), n, n))
-        dQ = np.empty((N, N, len(st), n, n))
+        N = game.num_players
         # a derivative outside a coefficient's support is identically zero,
         # so it is sampled once and broadcast like a time-constant one
-        for k in range(N):
-            for i in range(N):
-                tv_s = k in game.B[k].depends_on and (
-                    game.B[k].time_varying or game.R[i][k].time_varying
-                    or game.R[k][k].time_varying)
-                dS[k, i] = _table(
-                    lambda t, i=i, k=k: compute_S_deriv(game, i, k, t, self.theta, k),
-                    st, tv_s)
-                dQ[k, i] = _table(
-                    lambda t, i=i, k=k: game.eval_Q_deriv(i, t, self.theta, k),
-                    st, k in game.Q[i].depends_on and game.Q[i].time_varying)
-        self.dS = dS
-        self.dQ = dQ
+        self.dS = [[_table(lambda t, i=i, k=k: compute_S_deriv(game, i, k, t, self.theta, k), st,
+                           k in game.B[k].depends_on
+                           and (game.B[k].time_varying or game.R[i][k].time_varying
+                                or game.R[k][k].time_varying))
+                    for i in range(N)] for k in range(N)]
+        self.dQ = [[_table(lambda t, i=i, k=k: game.eval_Q_deriv(i, t, self.theta, k),
+                           st, k in game.Q[i].depends_on and game.Q[i].time_varying)
+                    for i in range(N)] for k in range(N)]
 
     # -- node-resolution views (every second stage sample) -----------------
 

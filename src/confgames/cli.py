@@ -32,8 +32,7 @@ from .scenarios import (GeneralSumSpec, PursuitEvasionSpec, build_general_sum,
                         build_pursuit_evasion, random_aq_game,
                         recommended_settings)
 from .sensitivity import value_gradient
-from .solver import (SolverSettings, _evaluate, certify_first_order, ibr_solve,
-                     naive_baseline)
+from .solver import SolverSettings, _evaluate, ibr_solve, naive_baseline
 
 PER_SCENARIO = object()
 
@@ -269,34 +268,26 @@ def cmd_solve(cfg: RunConfig, outdir) -> int:
     header = (["sweep", "player", "inner_iter"]
               + [f"theta_{i+1}" for i in range(N)]
               + [f"J_{i+1}" for i in range(N)] + ["grad_own"])
-    grid = cfg.grid_for(game)
-    stage2 = solve_stage_two(game, theta0, grid)
-    costs0 = stage_one_costs(game, stage2)
-    rows = [(0, 0, 0, *theta0, *costs0, float("nan"))]
-
     exit_code = 0
-    trace = None
     try:
         trace = ibr_solve(game, theta0, settings)
     except BestResponseStalled as exc:
-        trace = getattr(exc, "trace", None)
+        trace = exc.trace
         exit_code = 3
-    if trace is not None:
-        rows.extend(
-            (r.sweep, r.player + 1, r.inner_iter, *r.theta, *r.values, r.grad_own)
-            for r in trace.records)
+    rows = [(0, 0, 0, *theta0, *trace.values0, float("nan"))]
+    rows.extend((r.sweep, r.player + 1, r.inner_iter, *r.theta, *r.values, r.grad_own)
+                for r in trace.records)
     write_csv(os.path.join(outdir, "trace.csv"), meta, header, rows)
 
     result = {"config": meta, "theta0": list(map(float, theta0))}
-    if trace is not None and exit_code == 0:
-        verdicts = certify_first_order(game, np.array(trace.theta), settings, grid)
+    if exit_code == 0:
         result.update({
             "converged": bool(trace.converged),
             "sweeps": trace.sweeps,
             "theta": list(map(float, trace.theta)),
             "values": [float(v) for v in trace.values],
             "own_gradients": [float(g) for g in trace.gradients],
-            "certification": [v.value for v in verdicts],
+            "certification": [v.value for v in trace.certification],
             "inner_iterations": len(trace.records),
             "ascent_warnings": len(trace.warnings),
         })

@@ -285,18 +285,17 @@ def stage_one_costs(game: ConfigGame, solution: StageTwoSolution) -> np.ndarray:
     return solution.values + game.regularizer_values(np.asarray(solution.theta))
 
 
-def rollout(game: ConfigGame, theta, solution: StageTwoSolution,
-            grid: TimeGrid = None) -> TrajectoryRollout:
+def rollout(game: ConfigGame, theta, solution: StageTwoSolution) -> TrajectoryRollout:
     """Forward-integrate the closed loop and integrate the realized costs.
 
-    The state follows dx/dt = F(t) x + beta(t); controls are reconstructed
-    from the feedback law at every node; each player's cost is the Simpson
-    quadrature of their running quadratic forms plus the terminal cost.
-    ``theta`` and ``grid`` must be the ones ``solution`` was solved at.
+    The state follows dx/dt = F(t) x + beta(t) on the solution's grid;
+    controls are reconstructed from the feedback law at every node; each
+    player's cost is the Simpson quadrature of their running quadratic
+    forms plus the terminal cost.  ``theta`` must be the one ``solution``
+    was solved at.
     """
     theta = np.asarray(theta, dtype=float)
-    if grid is None:
-        grid = solution.grid
+    grid = solution.grid
     _check_solution(solution, theta, grid)
     F_st, beta_st = solution.F_st, solution.beta_st
 

@@ -16,8 +16,30 @@ import numpy as np
 from .errors import BlowUpDetected, GenerationFailed
 from .model import ConfigGame, MatrixFn, Regularizer
 from .odekit import TimeGrid
-from .riccati import solve_stage_two, solve_zerosum_riccati
+from .riccati import solve_stage_two
 from .solver import SolverSettings
+
+
+def _first_blowup(game: ConfigGame, thetas, grid: TimeGrid):
+    """The first (theta, BlowUpDetected) among ``thetas`` whose stage-two
+    solve on ``grid`` blows up, or None when every one stays bounded."""
+    for theta in thetas:
+        try:
+            solve_stage_two(game, theta, grid)
+        except BlowUpDetected as exc:
+            return theta, exc
+    return None
+
+
+def _check_box_corners(game: ConfigGame, what: str):
+    """Raise ValueError naming the divergence time if the two-player game
+    blows up at a corner of its parameter box on a 500-step grid."""
+    corners = [(t1, t2) for t1 in game.theta_box[0] for t2 in game.theta_box[1]]
+    blowup = _first_blowup(game, corners, TimeGrid(game.horizon, 500))
+    if blowup is not None:
+        (t1, t2), exc = blowup
+        raise ValueError(f"{what} diverges near t={exc.time:.4g} at "
+                         f"theta=({t1:.4g}, {t2:.4g})")
 
 
 # -- pursuit-evasion ----------------------------------------------------------
@@ -64,15 +86,13 @@ def _pe_actuation_deriv(theta_i: float) -> np.ndarray:
     return np.diag([-np.sin(theta_i), np.cos(theta_i)])
 
 
-def build_pursuit_evasion(spec: PursuitEvasionSpec = None, *,
-                          check_corners: bool = True,
-                          corner_steps: int = 500) -> ConfigGame:
+def build_pursuit_evasion(spec: PursuitEvasionSpec = None) -> ConfigGame:
     """Zero-sum pursuit-evasion game on an 8-dimensional joint state.
 
     State blocks are (p1, v1, p2, v2); each player's actuation block sits
-    at its own velocity rows.  By default the builder solves the value
-    matrix at the four parameter-box corners and raises with the
-    divergence time if any is unbounded on the chosen horizon.
+    at its own velocity rows.  The builder solves the value matrix at the
+    four parameter-box corners (500 steps) and raises with the divergence
+    time if any is unbounded on the chosen horizon.
     """
     spec = spec if spec is not None else PursuitEvasionSpec()
     n = 8
@@ -124,18 +144,8 @@ def build_pursuit_evasion(spec: PursuitEvasionSpec = None, *,
         zero_sum=True,
     )
 
-    if check_corners:
-        grid = TimeGrid(spec.horizon, corner_steps)
-        for t1 in (spec.theta_min, spec.theta_max):
-            for t2 in (spec.theta_min, spec.theta_max):
-                try:
-                    solve_zerosum_riccati(game, np.array([t1, t2]), grid)
-                except BlowUpDetected as exc:
-                    raise ValueError(
-                        f"pursuit-evasion horizon {spec.horizon} is infeasible: "
-                        f"value matrix diverges near t={exc.time:.4g} at "
-                        f"theta=({t1:.4g}, {t2:.4g})"
-                    ) from None
+    _check_box_corners(game, f"pursuit-evasion horizon {spec.horizon} is infeasible: "
+                             "value matrix")
     return game
 
 
@@ -184,9 +194,7 @@ class GeneralSumSpec:
         return self.q_h_scale * (0.5 * _sign_nonneg(self.switch_time - t) + 0.5)
 
 
-def build_general_sum(spec: GeneralSumSpec = None, *,
-                      check_feasible: bool = True,
-                      check_steps: int = 500) -> ConfigGame:
+def build_general_sum(spec: GeneralSumSpec = None) -> ConfigGame:
     """General-sum two-player game in shifted coordinates.
 
     The velocity-tracking offsets are absorbed by the change of variables
@@ -194,7 +202,9 @@ def build_general_sum(spec: GeneralSumSpec = None, *,
     tracking cost into a pure quadratic and introduces the constant drive
     term c = A f.  Both players share the state cost; the game is
     general-sum because each pays only its own control effort and the
-    actuation authorities differ.
+    actuation authorities differ.  The builder solves the stage-two game
+    at the four parameter-box corners (500 steps) and raises with the
+    divergence time if any is unbounded on the chosen horizon.
     """
     spec = spec if spec is not None else GeneralSumSpec()
     n = 4
@@ -262,18 +272,8 @@ def build_general_sum(spec: GeneralSumSpec = None, *,
         zero_sum=False,
     )
 
-    if check_feasible:
-        grid = TimeGrid(spec.horizon, check_steps)
-        for t1 in (spec.theta_min, spec.theta_max):
-            for t2 in (spec.theta_min, spec.theta_max):
-                try:
-                    solve_stage_two(game, np.array([t1, t2]), grid)
-                except BlowUpDetected as exc:
-                    raise ValueError(
-                        f"general-sum horizon {spec.horizon} is infeasible: "
-                        f"coupled system diverges near t={exc.time:.4g} at "
-                        f"theta=({t1:.4g}, {t2:.4g})"
-                    ) from None
+    _check_box_corners(game, f"general-sum horizon {spec.horizon} is infeasible: "
+                             "coupled system")
     return game
 
 
@@ -357,14 +357,9 @@ def random_aq_game(seed: int, num_players: int = 2, state_dim: int = 3,
             zero_sum=False,
         )
 
-        grid = TimeGrid(horizon, 1000)
         probes = [np.full(N, 1.0), np.full(N, box[0]), np.full(N, box[1])]
-        try:
-            for theta in probes:
-                solve_stage_two(game, theta, grid)
-        except BlowUpDetected:
-            continue
-        return game
+        if _first_blowup(game, probes, TimeGrid(horizon, 1000)) is None:
+            return game
 
     raise GenerationFailed(f"no stable random game found for seed {seed} "
                            "after 100 attempts")

@@ -81,11 +81,11 @@ def _p_forcing(tabs, P_st, ks):
     out = np.empty((len(ks), N, M, n, n))
     for a, k in enumerate(ks):
         Pk = P_st[:, k]
-        dSkk = tabs.dS[k, k]
+        dSkk = tabs.dS[k][k]
         for i in range(N):
-            own = np.einsum("mab,mbc,mcd->mad", Pk, tabs.dS[k, i], Pk, optimize=True)
+            own = np.einsum("mab,mbc,mcd->mad", Pk, tabs.dS[k][i], Pk, optimize=True)
             mix = np.einsum("mab,mbc,mcd->mad", P_st[:, i], dSkk, Pk, optimize=True)
-            out[a, i] = tabs.dQ[k, i] + own - (mix + np.swapaxes(mix, -1, -2))
+            out[a, i] = tabs.dQ[k][i] + own - (mix + np.swapaxes(mix, -1, -2))
     return out
 
 
@@ -107,12 +107,12 @@ def _zeta_forcing(tabs, stage2, P_st, Pk_st, ks):
     M, N, n = z_st.shape
     out = np.empty((len(ks), N, M, n))
     for a, k in enumerate(ks):
-        dSkk = tabs.dS[k, k]
+        dSkk = tabs.dS[k][k]
         dF = -(dSkk @ P_st[:, k]
                + np.einsum("jmab,mjbc->mac", tabs.S_diag, Pk_st[:, a], optimize=True))
         dF_term = np.einsum("mba,mib->mia", dF, z_st)
         for i in range(N):
-            mix = P_st[:, k] @ tabs.dS[k, i] - P_st[:, i] @ dSkk
+            mix = P_st[:, k] @ tabs.dS[k][i] - P_st[:, i] @ dSkk
             w = np.einsum("mab,mb->ma", mix, z_st[:, k])
             w += np.einsum("mab,mb->ma", Pk_st[:, a, i], beta_st)
             w += np.einsum("mjab,jmbc,mjc->ma", Pk_st[:, a], tabs.S[i], z_st,
@@ -137,14 +137,14 @@ def _eta_integrand(tabs, stage2, zk_st, ks):
     M, N, _ = z_st.shape
     out = np.empty((M, len(ks), N))
     for a, k in enumerate(ks):
-        beta_k = -(np.einsum("mab,mb->ma", tabs.dS[k, k], z_st[:, k])
+        beta_k = -(np.einsum("mab,mb->ma", tabs.dS[k][k], z_st[:, k])
                    + np.einsum("jmab,mjb->ma", tabs.S_diag, zk_st[:, a], optimize=True))
         for i in range(N):
             v = np.einsum("ma,ma->m", beta_k, z_st[:, i])
             v += np.einsum("ma,ma->m", beta_st, zk_st[:, a, i])
             v += np.einsum("mja,jmab,mjb->m", z_st, tabs.S[i], zk_st[:, a],
                            optimize=True)
-            v += 0.5 * np.einsum("ma,mab,mb->m", z_st[:, k], tabs.dS[k, i], z_st[:, k])
+            v += 0.5 * np.einsum("ma,mab,mb->m", z_st[:, k], tabs.dS[k][i], z_st[:, k])
             out[:, a, i] = v
     return out
 
@@ -194,8 +194,8 @@ def _zerosum_sensitivity(game, stage2, ks, grid):
     forcing = np.empty((len(ks), P_st.shape[0], n, n))
     for a, k in enumerate(ks):
         sign = -1.0 if k == 0 else 1.0
-        dStilde = sign * tabs.dS[k, k]
-        forcing[a] = tabs.dQ[k, 0] + np.einsum("mab,mbc,mcd->mad", P_st, dStilde, P_st,
+        dStilde = sign * tabs.dS[k][k]
+        forcing[a] = tabs.dQ[k][0] + np.einsum("mab,mbc,mcd->mad", P_st, dStilde, P_st,
                                                optimize=True)
 
     def rhs(s, Y):
@@ -303,7 +303,7 @@ def envelope_gradient(game: ConfigGame, theta, i: int, grid: TimeGrid = None) ->
     xs, us = path.x, path.u
     xP = np.einsum("ta,tab->tb", xs, stage2.P_nodes[:, i])
 
-    vals = np.einsum("ta,tab,tb->t", xs, tabs.dQ[i, i][0::2], xs)
+    vals = np.einsum("ta,tab,tb->t", xs, tabs.dQ[i][i][0::2], xs)
     dBi = _at_nodes(game.B[i], theta, grid, k=i)
     vals += 2.0 * np.einsum("ta,tab,tb->t", xP, dBi, us[i])
     for j in range(game.num_players):

@@ -8,6 +8,9 @@ steps; every intervention is recorded in the trace.  First-order
 certification reports, per player, whether the converged point is an
 interior stationary point, a boundary point whose descent direction exits
 the box, or neither.
+
+Each parameter point is evaluated once: the descent step carries every
+point's evaluation (first-stage costs and own-gradients) forward.
 """
 
 from __future__ import annotations
@@ -71,7 +74,11 @@ class InnerRecord:
 
 @dataclass
 class IbrTrace:
-    """Iterate history of the first-stage search."""
+    """Iterate history of the first-stage search.
+
+    ``values0`` are the costs at theta0; ``values``, ``gradients`` (own)
+    and ``certification`` belong to the final theta.
+    """
 
     theta0: tuple
     sweep_thetas: list = field(default_factory=list)
@@ -80,8 +87,10 @@ class IbrTrace:
     converged: bool = False
     sweeps: int = 0
     theta: tuple = ()
+    values0: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
     gradients: Optional[np.ndarray] = None
+    certification: Optional[list] = None
 
 
 def project(theta_i: float, box) -> float:
@@ -101,27 +110,13 @@ def _evaluate(game, theta, grid):
     return costs, np.diag(G).copy()
 
 
-def best_response(game: ConfigGame, theta, i: int, settings: SolverSettings,
-                  grid: TimeGrid = None, sweep: int = 0, records: list = None):
-    """Projected gradient descent on player i's parameter, others fixed.
+def _descend(game, theta, i, settings, grid, costs, own, sweep, records):
+    """best_response from ``theta`` with its evaluation (costs, own) given.
 
-    Stops when the projected step moves less than epsilon or the inner
-    budget is exhausted.  If a step lands on an unbounded parameter the
-    step is rejected and the rate halved (ten rejections raise
-    BestResponseStalled); if a step increases the player's cost the rate
-    is halved once for that step, then the move is accepted with a
-    recorded warning.
-
-    Returns (theta_i, records) where records lists the accepted iterates.
+    Returns the point reached with its evaluation.  A candidate that the
+    box projection puts back onto the current point reuses its evaluation.
     """
-    theta = np.array(theta, dtype=float)
-    if grid is None:
-        grid = TimeGrid(game.horizon, settings.grid_steps)
-    if records is None:
-        records = []
     box = game.theta_box[i]
-
-    costs, own = _evaluate(game, theta, grid)
     for tau in range(1, settings.max_inner + 1):
         alpha = settings.alpha
         rejections = 0
@@ -130,6 +125,9 @@ def best_response(game: ConfigGame, theta, i: int, settings: SolverSettings,
         while True:
             candidate = theta.copy()
             candidate[i] = project(theta[i] - alpha * own[i], box)
+            if candidate[i] == theta[i]:
+                cand_costs, cand_own = costs, own
+                break
             try:
                 cand_costs, cand_own = _evaluate(game, candidate, grid)
             except InfeasibleTheta:
@@ -148,12 +146,33 @@ def best_response(game: ConfigGame, theta, i: int, settings: SolverSettings,
         moved = abs(candidate[i] - theta[i])
         theta = candidate
         costs, own = cand_costs, cand_own
-        rec = InnerRecord(sweep=sweep, player=i, inner_iter=tau,
-                          theta=tuple(theta), values=tuple(costs),
-                          grad_own=float(own[i]), warning=warning)
-        records.append(rec)
+        records.append(InnerRecord(sweep=sweep, player=i, inner_iter=tau,
+                                   theta=tuple(theta), values=tuple(costs),
+                                   grad_own=float(own[i]), warning=warning))
         if moved <= settings.epsilon:
             break
+    return theta, costs, own
+
+
+def best_response(game: ConfigGame, theta, i: int, settings: SolverSettings,
+                  sweep: int = 0, records: list = None):
+    """Projected gradient descent on player i's parameter, others fixed.
+
+    Stops when the projected step moves less than epsilon or the inner
+    budget is exhausted.  If a step lands on an unbounded parameter the
+    step is rejected and the rate halved (ten rejections raise
+    BestResponseStalled); if a step increases the player's cost the rate
+    is halved once for that step, then the move is accepted with a
+    recorded warning.
+
+    Returns (theta_i, records) where records lists the accepted iterates.
+    """
+    theta = np.array(theta, dtype=float)
+    grid = TimeGrid(game.horizon, settings.grid_steps)
+    if records is None:
+        records = []
+    costs, own = _evaluate(game, theta, grid)
+    theta, _, _ = _descend(game, theta, i, settings, grid, costs, own, sweep, records)
     return float(theta[i]), records
 
 
@@ -163,26 +182,27 @@ def ibr_solve(game: ConfigGame, theta0, settings: SolverSettings = None) -> IbrT
     Within a sweep each player reacts to the components already updated
     in that sweep.  The outer loop stops when a full sweep moves theta by
     at most epsilon in the max norm, or after max_outer sweeps; the
-    converged flag records which.  A stalled best response propagates
-    with the partial trace attached.
+    converged flag records which.  The final values, gradients and
+    certification are the evaluation the search holds, not a new solve.
+    A stalled best response propagates with the partial trace attached.
     """
     settings = settings if settings is not None else SolverSettings()
     theta = np.array(theta0, dtype=float)
     if not game.contains_theta(theta):
         raise ValueError(f"theta0 {tuple(theta)} outside the parameter box")
     grid = TimeGrid(game.horizon, settings.grid_steps)
-    trace = IbrTrace(theta0=tuple(theta))
+    costs, own = _evaluate(game, theta, grid)
+    trace = IbrTrace(theta0=tuple(theta), values0=costs)
 
     for sweep in range(1, settings.max_outer + 1):
         previous = theta.copy()
         for i in range(game.num_players):
             try:
-                theta[i], _ = best_response(game, theta, i, settings, grid,
-                                            sweep=sweep, records=trace.records)
+                theta, costs, own = _descend(game, theta, i, settings, grid, costs, own,
+                                             sweep, trace.records)
             except BestResponseStalled as exc:
                 trace.sweeps = sweep
                 trace.theta = tuple(theta)
-                exc.records = trace.records
                 exc.trace = trace
                 raise
         trace.sweeps = sweep
@@ -193,40 +213,37 @@ def ibr_solve(game: ConfigGame, theta0, settings: SolverSettings = None) -> IbrT
 
     trace.theta = tuple(theta)
     trace.warnings = [r for r in trace.records if r.warning]
-    costs, own = _evaluate(game, theta, grid)
     trace.values = costs
     trace.gradients = own
+    trace.certification = _verdicts(game, theta, own, settings.stationarity_tol)
     return trace
 
 
-def certify_first_order(game: ConfigGame, theta, settings: SolverSettings = None,
-                        grid: TimeGrid = None):
+def _verdicts(game, theta, own, tol):
+    verdicts = []
+    for (lo, hi), t, g in zip(game.theta_box, theta, own):
+        if lo < t < hi:
+            verdicts.append(CertVerdict.INTERIOR_STATIONARY if abs(g) <= tol
+                            else CertVerdict.NOT_STATIONARY)
+        elif (t <= lo and g >= -tol) or (t >= hi and g <= tol):
+            verdicts.append(CertVerdict.BOUNDARY_DESCENT_OUTWARD)
+        else:
+            verdicts.append(CertVerdict.NOT_STATIONARY)
+    return verdicts
+
+
+def certify_first_order(game: ConfigGame, theta, settings: SolverSettings = None):
     """Per-player first-order verdicts at theta.
 
     Necessary conditions only: an interior point must have a vanishing
     own-gradient, a boundary point must not admit an inward descent
     direction.  No claim of global (or even local) optimality is made.
+    ``IbrTrace.certification`` holds these verdicts at the search's end.
     """
     settings = settings if settings is not None else SolverSettings()
     theta = np.asarray(theta, dtype=float)
-    if grid is None:
-        grid = TimeGrid(game.horizon, settings.grid_steps)
-    _, own = _evaluate(game, theta, grid)
-    tol = settings.stationarity_tol
-    verdicts = []
-    for i in range(game.num_players):
-        lo, hi = game.theta_box[i]
-        g = own[i]
-        at_lo = theta[i] <= lo
-        at_hi = theta[i] >= hi
-        if not at_lo and not at_hi:
-            verdicts.append(CertVerdict.INTERIOR_STATIONARY if abs(g) <= tol
-                            else CertVerdict.NOT_STATIONARY)
-        elif (at_lo and g >= -tol) or (at_hi and g <= tol):
-            verdicts.append(CertVerdict.BOUNDARY_DESCENT_OUTWARD)
-        else:
-            verdicts.append(CertVerdict.NOT_STATIONARY)
-    return verdicts
+    _, own = _evaluate(game, theta, TimeGrid(game.horizon, settings.grid_steps))
+    return _verdicts(game, theta, own, settings.stationarity_tol)
 
 
 @dataclass(frozen=True)
@@ -261,14 +278,14 @@ def naive_baseline(game: ConfigGame, theta0, settings: SolverSettings = None) ->
     grid = TimeGrid(game.horizon, settings.grid_steps)
 
     records = []
-    work = theta.copy()
+    costs, own = _evaluate(game, theta, grid)
     for round_ in range(1, settings.max_outer + 1):
-        before = work[0]
-        work[0], _ = best_response(game, work, 0, settings, grid,
-                                   sweep=round_, records=records)
-        if abs(work[0] - before) <= settings.epsilon:
+        before = theta[0]
+        theta, costs, own = _descend(game, theta, 0, settings, grid, costs, own,
+                                     round_, records)
+        if abs(theta[0] - before) <= settings.epsilon:
             break
-    theta1_naive = float(work[0])
+    theta1_naive = float(theta[0])
 
     trace = ibr_solve(game, theta0, settings)
     theta_star = trace.theta

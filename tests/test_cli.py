@@ -115,6 +115,33 @@ class TestSolveCommand:
         assert result["certification"][1] == "BOUNDARY_DESCENT_OUTWARD"
 
 
+    def test_every_theta_solved_once_and_none_by_the_command(self, tmp_path,
+                                                              monkeypatch):
+        from confgames import solver
+        solver_thetas, cli_calls = [], []
+        real_solve = solver.solve_stage_two
+
+        def counted(game, theta, grid=None):
+            solver_thetas.append(tuple(np.asarray(theta, dtype=float)))
+            return real_solve(game, theta, grid)
+
+        def record(name, fn):
+            def wrapper(*args, **kwargs):
+                cli_calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solver, "solve_stage_two", counted)
+        for name in ("solve_stage_two", "_evaluate", "certify_first_order"):
+            if hasattr(cli, name):
+                monkeypatch.setattr(cli, name, record(name, getattr(cli, name)))
+        code = main(["solve", "--set", "solver.max_outer=1", "--out",
+                     str(tmp_path / "run")] + FAST)
+        assert code == 2
+        assert cli_calls == []
+        assert len(solver_thetas) == len(set(solver_thetas)) > 1
+
+
 class TestSweepCommand:
     def test_single_point_matches_solve_evaluation(self, tmp_path):
         sweep_out = tmp_path / "sweep"

@@ -205,7 +205,7 @@ class TestConfigGameValidation:
 
     def test_indefinite_state_cost_warns_once(self):
         with pytest.warns(IndefiniteStateCostWarning) as rec:
-            build_general_sum(check_feasible=False)
+            build_general_sum()
         assert len(rec) == 1
 
     def test_q_symmetrized_on_evaluation(self):

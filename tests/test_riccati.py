@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from confgames import (BlowUpDetected, ConfigGame, GeneralSumSpec, MatrixFn,
-                       TimeGrid, compute_S, rollout, solve_coupled_riccati,
-                       solve_eta, solve_stage_two, solve_zerosum_riccati,
-                       solve_zeta, stage_one_costs, stage_two_value)
-from conftest import build_gs_quiet, make_scalar_lqr, make_time_varying_game
+from confgames import (BlowUpDetected, ConfigGame, MatrixFn, TimeGrid,
+                       compute_S, rollout, solve_coupled_riccati, solve_eta,
+                       solve_stage_two, solve_zerosum_riccati, solve_zeta,
+                       stage_one_costs, stage_two_value)
+from conftest import make_scalar_lqr, make_time_varying_game
 
 
 class TestCoupledRiccati:
@@ -37,8 +39,9 @@ class TestCoupledRiccati:
             asym = np.abs(p - p.transpose(0, 2, 1)).max()
             assert asym <= 1e-9
 
-    def test_blowup_propagates_player_and_time(self):
-        game = build_gs_quiet(GeneralSumSpec(horizon=6.0), check_feasible=False)
+    def test_blowup_propagates_player_and_time(self, gs_game):
+        # the builder rejects this horizon, so lengthen the built game's instead
+        game = dataclasses.replace(gs_game, horizon=6.0)
         with pytest.raises(BlowUpDetected) as info:
             solve_coupled_riccati(game, np.array([0.6, 1.2]), TimeGrid(6.0, 1000))
         assert 0.0 < info.value.time < 6.0
@@ -161,8 +164,7 @@ class TestZeroSum:
         from confgames import PursuitEvasionSpec, build_pursuit_evasion
         x0 = pe_game.x0
         swapped = build_pursuit_evasion(
-            PursuitEvasionSpec(x0=tuple(np.concatenate([x0[4:], x0[:4]]))),
-            check_corners=False)
+            PursuitEvasionSpec(x0=tuple(np.concatenate([x0[4:], x0[:4]]))))
         grid = TimeGrid(pe_game.horizon, 400)
         theta = np.array([0.3, 1.0])
         a = solve_stage_two(pe_game, theta, grid).values[0]
@@ -280,8 +282,7 @@ class TestRollout:
         theta = np.array([0.5, 1.0])
         coarse = rollout(pe_game, theta, solve_stage_two(pe_game, theta, pe_grid))
         fine_grid = TimeGrid(pe_game.horizon, 16 * pe_grid.steps)
-        fine = rollout(pe_game, theta, solve_stage_two(pe_game, theta, fine_grid),
-                       fine_grid)
+        fine = rollout(pe_game, theta, solve_stage_two(pe_game, theta, fine_grid))
         ref = fine.x[-1]
         rel = np.abs(coarse.x[-1] - ref).max() / np.abs(ref).max()
         assert rel <= 1e-6

@@ -34,8 +34,7 @@ class TestPursuitEvasionBuilder:
 
     def test_infeasible_horizon_reports_divergence(self):
         with pytest.raises(ValueError, match="diverges near t="):
-            build_pursuit_evasion(PursuitEvasionSpec(horizon=60.0),
-                                  corner_steps=2000)
+            build_pursuit_evasion(PursuitEvasionSpec(horizon=60.0))
 
     def test_diagonal_values_constant(self, pe_game):
         # equal capabilities cancel the coupling, so the common angle is
@@ -111,7 +110,7 @@ class TestGeneralSumBuilder:
         # place the separation-weight switch on a grid node inside the
         # horizon and confirm refinement barely moves the values
         spec = GeneralSumSpec(switch_time=0.225)
-        game = build_gs_quiet(spec, check_feasible=False)
+        game = build_gs_quiet(spec)
         theta = np.array([0.6, 0.9])
         coarse = solve_stage_two(game, theta, TimeGrid(spec.horizon, 1000)).values
         fine = solve_stage_two(game, theta, TimeGrid(spec.horizon, 2000)).values

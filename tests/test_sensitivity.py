@@ -1,12 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from confgames import (GeneralSumSpec, InfeasibleTheta, PreconditionViolation,
-                       TimeGrid, directional_derivative, envelope_gradient,
+from confgames import (InfeasibleTheta, PreconditionViolation, TimeGrid,
+                       directional_derivative, envelope_gradient,
                        random_aq_game, sensitivity_bundle, solve_stage_two,
                        stage_one_costs, value_gradient)
-from conftest import (build_gs_quiet, make_scalar_lqr, make_theta_independent_game,
-                      make_time_varying_game)
+from conftest import make_scalar_lqr, make_theta_independent_game, make_time_varying_game
 
 
 def fd_gradient(game, theta, grid, h=1e-5):
@@ -152,8 +153,9 @@ class TestValueGradient:
         G = value_gradient(pe_game, np.array([0.4, 1.2]), grid=pe_grid)
         assert np.array_equal(G[1], -G[0])
 
-    def test_infeasible_theta_raises(self):
-        game = build_gs_quiet(GeneralSumSpec(horizon=6.0), check_feasible=False)
+    def test_infeasible_theta_raises(self, gs_game):
+        # the builder rejects this horizon, so lengthen the built game's instead
+        game = dataclasses.replace(gs_game, horizon=6.0)
         with pytest.raises(InfeasibleTheta) as info:
             value_gradient(game, np.array([0.6, 1.2]), grid=TimeGrid(6.0, 1000))
         assert info.value.time is not None

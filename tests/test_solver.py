@@ -132,6 +132,40 @@ class TestIbr:
         assert (red.theta[0] - red.theta[1]) * (blue.theta[0] - blue.theta[1]) < 0
 
 
+class TestEvaluateOnce:
+    def test_each_theta_is_solved_once(self, monkeypatch):
+        thetas = []
+        real_solve = solver_mod.solve_stage_two
+
+        def counted(game, theta, grid=None):
+            thetas.append(tuple(np.asarray(theta, dtype=float)))
+            return real_solve(game, theta, grid)
+
+        monkeypatch.setattr(solver_mod, "solve_stage_two", counted)
+        ibr_solve(make_scalar_lqr(), [0.6],
+                  SolverSettings(alpha=2.0, max_inner=200, grid_steps=200))
+        assert len(thetas) == 6
+        assert len(set(thetas)) == 6
+
+    @pytest.mark.parametrize("case", ["scalar", "pe"])
+    def test_trace_holds_the_evaluations_of_its_points(self, case, pe_game, pe_settings):
+        if case == "scalar":
+            game, theta0 = make_scalar_lqr(), np.array([0.6])
+            settings = SolverSettings(alpha=2.0, max_inner=200, grid_steps=200)
+        else:
+            game, theta0 = pe_game, np.array([0.2, 1.2])
+            settings = SolverSettings(alpha=pe_settings.alpha, max_outer=1,
+                                      grid_steps=200)
+        trace = ibr_solve(game, theta0, settings)
+        grid = TimeGrid(game.horizon, settings.grid_steps)
+        costs0, _ = solver_mod._evaluate(game, theta0, grid)
+        costs, own = solver_mod._evaluate(game, np.array(trace.theta), grid)
+        assert trace.values0.tobytes() == costs0.tobytes()
+        assert trace.values.tobytes() == costs.tobytes()
+        assert trace.gradients.tobytes() == own.tobytes()
+        assert trace.certification == certify_first_order(game, trace.theta, settings)
+
+
 class TestCertification:
     def test_interior_saddle_certifies(self, pe_game, pe_settings, pe_ibr_runs):
         verdicts = certify_first_order(pe_game, np.array(pe_ibr_runs.a.theta),
@@ -171,8 +205,7 @@ class TestBaseline:
         from confgames import PursuitEvasionSpec, build_pursuit_evasion
         x0 = pe_game.x0
         swapped = build_pursuit_evasion(
-            PursuitEvasionSpec(x0=tuple(np.concatenate([x0[4:], x0[:4]]))),
-            check_corners=False)
+            PursuitEvasionSpec(x0=tuple(np.concatenate([x0[4:], x0[:4]]))))
         result = naive_baseline(swapped, np.array([1.2, 0.2]), pe_settings)
         assert result.gap >= -1e-8
 
