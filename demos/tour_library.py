@@ -92,7 +92,7 @@ for i in range(2):
     print(f"trajectory-integral form, player {i}: {env:+.6e} "
           f"(path-derivative {G[i, i]:+.6e})")
 
-d = cg.directional_derivative(game, theta, np.array([1.0, -1.0]), stage2=sol)
+d = G @ np.array([1.0, -1.0])
 print(f"directional derivative along (1, -1): {d}")
 
 # ---------------------------------------------------------------------------

@@ -13,22 +13,19 @@ from .errors import (BestResponseStalled, BlowUpDetected, ConfGamesError,
                      NumericalFailure, PositiveDefinitenessViolation,
                      PreconditionViolation)
 from .model import (ConfigGame, IndefiniteStateCostWarning, MatrixFn,
-                    Regularizer, closed_loop_matrix, compute_S, compute_S_deriv)
-from .odekit import (TimeGrid, integrate_backward, integrate_forward,
-                     quadrature, simpson_nodes)
+                    Regularizer, compute_S, compute_S_deriv)
+from .odekit import TimeGrid, integrate_backward, integrate_forward, simpson_nodes
 from .riccati import (StageTwoSolution, TrajectoryRollout, default_grid,
                       rollout, solve_coupled_riccati, solve_eta,
                       solve_stage_two, solve_zerosum_riccati, solve_zeta,
-                      stage_one_costs, stage_two_value)
+                      stage_one_costs)
 from .scenarios import (GeneralSumSpec, PursuitEvasionSpec, build_general_sum,
                         build_pursuit_evasion, random_aq_game,
                         recommended_settings)
-from .sensitivity import (SensitivityBundle, directional_derivative,
-                          envelope_gradient, sensitivity_bundle,
-                          value_gradient)
+from .sensitivity import (SensitivityBundle, envelope_gradient,
+                          sensitivity_bundle, value_gradient)
 from .solver import (BaselineResult, CertVerdict, IbrTrace, SolverSettings,
-                     best_response, certify_first_order, ibr_solve,
-                     naive_baseline, project)
+                     certify_first_order, ibr_solve, naive_baseline, project)
 
 __version__ = "0.1.0"
 
@@ -40,13 +37,11 @@ __all__ = [
     "PositiveDefinitenessViolation", "PreconditionViolation",
     "PursuitEvasionSpec", "Regularizer", "SensitivityBundle",
     "SolverSettings", "StageTwoSolution", "TimeGrid", "TrajectoryRollout",
-    "best_response", "build_general_sum", "build_pursuit_evasion",
-    "certify_first_order", "closed_loop_matrix", "compute_S",
-    "compute_S_deriv", "default_grid", "directional_derivative",
-    "envelope_gradient", "ibr_solve", "integrate_backward",
-    "integrate_forward", "naive_baseline", "project", "quadrature",
-    "random_aq_game", "recommended_settings", "rollout",
+    "build_general_sum", "build_pursuit_evasion", "certify_first_order",
+    "compute_S", "compute_S_deriv", "default_grid", "envelope_gradient",
+    "ibr_solve", "integrate_backward", "integrate_forward", "naive_baseline",
+    "project", "random_aq_game", "recommended_settings", "rollout",
     "sensitivity_bundle", "simpson_nodes", "solve_coupled_riccati",
     "solve_eta", "solve_stage_two", "solve_zerosum_riccati", "solve_zeta",
-    "stage_one_costs", "stage_two_value", "value_gradient", "__version__",
+    "stage_one_costs", "value_gradient", "__version__",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -36,6 +37,14 @@ from .solver import SolverSettings, _evaluate, ibr_solve, naive_baseline
 
 PER_SCENARIO = object()
 
+
+def _spec_keys(prefix, spec):
+    """A key per scenario-spec field, tagged by its default (q_h has none)."""
+    return {f"{prefix}.{f.name}": ("floats" if isinstance(f.default, tuple) else "float",
+                                   f.default)
+            for f in dataclasses.fields(spec) if f.default is not None}
+
+
 # key -> (type tag, default); type tags: int, float, str, bool, floats
 KNOWN_KEYS = {
     "scenario": ("str", "pursuit_evasion"),
@@ -53,23 +62,8 @@ KNOWN_KEYS = {
     "gradcheck.step": ("float", 1e-5),
     "gradcheck.tolerance": ("float", 1e-4),
     "gradcheck.corrupt": ("float", 0.0),
-    "pe.kappa1": ("float", 1.0),
-    "pe.kappa2": ("float", 1.0),
-    "pe.kappa3": ("float", 5e-4),
-    "pe.horizon": ("float", 10.0),
-    "pe.x0": ("floats", (0.0, 0.0, 0.0, 0.0, 5.0, 3.0, 0.0, 0.0)),
-    "pe.theta_min": ("float", 0.0),
-    "pe.theta_max": ("float", float(np.pi / 2)),
-    "gs.q_v": ("float", 25.0),
-    "gs.w_r": ("float", 0.02),
-    "gs.q_h_scale": ("float", 100.0),
-    "gs.switch_time": ("float", 3.0),
-    "gs.v_o1": ("float", 0.15),
-    "gs.v_o2": ("float", 0.15),
-    "gs.horizon": ("float", 0.45),
-    "gs.x0": ("floats", (0.0, 0.0, 0.0, 0.0)),
-    "gs.theta_min": ("float", 0.2),
-    "gs.theta_max": ("float", 1.2),
+    **_spec_keys("pe", PursuitEvasionSpec),
+    **_spec_keys("gs", GeneralSumSpec),
     "random.seed": ("int", 0),
     "random.players": ("int", 2),
     "random.state_dim": ("int", 3),
@@ -129,23 +123,16 @@ class RunConfig:
     def build_game(self) -> ConfigGame:
         scenario = self["scenario"]
         if scenario == "pursuit_evasion":
-            spec = PursuitEvasionSpec(
-                kappa1=self["pe.kappa1"], kappa2=self["pe.kappa2"],
-                kappa3=self["pe.kappa3"], horizon=self["pe.horizon"],
-                x0=self["pe.x0"], theta_min=self["pe.theta_min"],
-                theta_max=self["pe.theta_max"])
-            return build_pursuit_evasion(spec)
+            return build_pursuit_evasion(self._spec("pe", PursuitEvasionSpec))
         if scenario == "general_sum":
-            spec = GeneralSumSpec(
-                q_v=self["gs.q_v"], w_r=self["gs.w_r"],
-                q_h_scale=self["gs.q_h_scale"], switch_time=self["gs.switch_time"],
-                v_o1=self["gs.v_o1"], v_o2=self["gs.v_o2"],
-                horizon=self["gs.horizon"], x0=self["gs.x0"],
-                theta_min=self["gs.theta_min"], theta_max=self["gs.theta_max"])
-            return build_general_sum(spec)
+            return build_general_sum(self._spec("gs", GeneralSumSpec))
         return random_aq_game(self["random.seed"], self["random.players"],
                               self["random.state_dim"], self["random.control_dim"],
                               affine=self["random.affine"])
+
+    def _spec(self, prefix, spec):
+        return spec(**{key[len(prefix) + 1:]: value for key, value in self.values.items()
+                       if key.startswith(prefix + ".")})
 
     def solver_settings(self) -> SolverSettings:
         return SolverSettings(
@@ -366,13 +353,17 @@ def gradcheck_rel_err(ode_value: float, fd_value: float,
 
 
 def cmd_grad_check(cfg: RunConfig, outdir) -> int:
+    h = cfg["gradcheck.step"]
+    if not h > 0:
+        raise ConfigError("gradcheck.step must be positive")
+    if cfg["gradcheck.samples"] < 1:
+        raise ConfigError("gradcheck.samples must be at least 1")
     game = cfg.build_game()
     N = game.num_players
     meta = cfg.metadata()
     meta["command"] = "grad-check"
     grid = cfg.grid_for(game)
     rng = np.random.default_rng(cfg["gradcheck.seed"])
-    h = cfg["gradcheck.step"]
     tol = cfg["gradcheck.tolerance"]
     corrupt = cfg["gradcheck.corrupt"]
 

@@ -9,9 +9,10 @@ the derived coefficient maps used by every solver pass.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -182,6 +183,7 @@ class ConfigGame:
             raise ValueError("regularizers must have one (possibly None) entry per player")
 
         self._check_control_cost_definiteness()
+        self._check_declarations()
         if self.zero_sum:
             self._check_zero_sum_negation()
         self._warn_if_state_cost_indefinite()
@@ -200,6 +202,27 @@ class ConfigGame:
                     raise PositiveDefinitenessViolation(
                         f"R[{i}][{i}] not positive definite at t={t:.6g}"
                     ) from exc
+
+    def _check_declarations(self):
+        """Reject a coefficient that reads a time or parameter its declaration
+        rules out: solvers sample a time-constant coefficient once and take
+        no derivative outside ``depends_on``, so the answer would be wrong."""
+        coefs = {"A": self.A, "c": self.c}
+        for i in range(self.num_players):
+            coefs.update({f"B[{i}]": self.B[i], f"Q[{i}]": self.Q[i]})
+            coefs.update({f"R[{i}][{j}]": r for j, r in enumerate(self.R[i])})
+        ts, mid = np.linspace(0.0, self.horizon, 33), self.theta_mid
+        for name, coef in coefs.items():
+            for t in ts[1:] if not coef.time_varying else ():
+                if not np.array_equal(coef(ts[0], mid), coef(t, mid)):
+                    raise ValueError(f"{name} is declared time-constant but changes at t={t:.6g}")
+            for k in set(range(self.num_players)) - coef.depends_on:
+                for t, end in itertools.product(ts[::8], self.theta_box[k]):
+                    moved = mid.copy()
+                    moved[k] = end
+                    if not np.array_equal(coef(t, mid), coef(t, moved)):
+                        raise ValueError(f"{name} changes with theta_{k}, which its "
+                                         f"depends_on leaves out (t={t:.6g})")
 
     def _check_zero_sum_negation(self):
         """Reject zero-sum games the single-matrix solve would answer wrongly.
@@ -328,10 +351,3 @@ def compute_S_deriv(game: ConfigGame, i: int, j: int, t, theta, k: int) -> np.nd
         M = cho_solve(chol, Z.T).T
     return dBj @ M @ Bj.T + Bj @ M @ dBj.T
 
-
-def closed_loop_matrix(game: ConfigGame, theta, P: Sequence[np.ndarray], t) -> np.ndarray:
-    """Drift of the equilibrium closed loop: A minus the own-feedback terms."""
-    F = game.A(t, theta).copy()
-    for i in range(game.num_players):
-        F -= compute_S(game, i, i, t, theta) @ np.asarray(P[i])
-    return F

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BlowUpDetected, NumericalFailure
 
-DEFAULT_BLOWUP_THRESHOLD = 1e8
+BLOWUP_THRESHOLD = 1e8
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class TimeGrid:
 def stage_samples(node_samples: np.ndarray) -> np.ndarray:
     """Interleave node samples with interpolated step-midpoint values.
 
-    Maps an array of shape (steps+1, ...) to (2*steps+1, ...).  Used to
-    feed stored paths back into RK4 right-hand sides as frozen
+    Maps an array of shape (steps+1, ...), steps even, to (2*steps+1, ...).
+    Used to feed stored paths back into RK4 right-hand sides as frozen
     coefficients; midpoints use 4-point interpolation (3-point at the two
     boundary steps) so the reconstruction error stays below the
     integrator's own order.
@@ -76,26 +76,22 @@ def stage_samples(node_samples: np.ndarray) -> np.ndarray:
     m = y.shape[0]
     out = np.empty((2 * m - 1,) + y.shape[1:])
     out[0::2] = y
-    if m == 2:
-        out[1] = 0.5 * (y[0] + y[1])
-        return out
     mids = out[1::2]
     mids[0] = (3.0 * y[0] + 6.0 * y[1] - y[2]) / 8.0
     mids[-1] = (-y[-3] + 6.0 * y[-2] + 3.0 * y[-1]) / 8.0
-    if m > 3:
-        mids[1:-1] = (-y[:-3] + 9.0 * y[1:-2] + 9.0 * y[2:-1] - y[3:]) / 16.0
+    mids[1:-1] = (-y[:-3] + 9.0 * y[1:-2] + 9.0 * y[2:-1] - y[3:]) / 16.0
     return out
 
 
-def _check_state(y, t, blowup_threshold):
+def _check_state(y, t):
     norm = float(np.linalg.norm(y.ravel()))
     if not np.isfinite(norm):
         raise NumericalFailure(f"non-finite state during integration near t={t:.6g}")
-    if norm > blowup_threshold:
+    if norm > BLOWUP_THRESHOLD:
         raise BlowUpDetected(time=t, norm=norm, state=y)
 
 
-def _rk4(rhs, y, grid: TimeGrid, h: float, blowup_threshold, project_state) -> np.ndarray:
+def _rk4(rhs, y, grid: TimeGrid, h: float, project_state) -> np.ndarray:
     """Classical RK4 over every grid step with signed step h = +dt or -dt.
 
     The step from node j to node j + d (d = sign of h) evaluates
@@ -116,14 +112,12 @@ def _rk4(rhs, y, grid: TimeGrid, h: float, blowup_threshold, project_state) -> n
         if project_state is not None:
             y = project_state(y)
         j += d
-        _check_state(y, grid.nodes[j], blowup_threshold)
+        _check_state(y, grid.nodes[j])
         out[j] = y
     return out
 
 
-def integrate_backward(rhs, terminal_value, grid: TimeGrid,
-                       blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                       project_state=None) -> np.ndarray:
+def integrate_backward(rhs, terminal_value, grid: TimeGrid, project_state=None) -> np.ndarray:
     """Integrate d(state)/dt = rhs(s, state) from t=horizon down to t=0.
 
     ``s`` is the stage index: the right-hand side is evaluated at time
@@ -133,24 +127,22 @@ def integrate_backward(rhs, terminal_value, grid: TimeGrid,
     (steps+1, *state.shape), with the terminal condition stored
     bit-exactly at the last node.
 
-    Raises BlowUpDetected when an intermediate Frobenius norm exceeds the
-    threshold (carrying the divergence time), and NumericalFailure on
-    NaN/Inf.
+    Raises BlowUpDetected when an intermediate Frobenius norm exceeds
+    BLOWUP_THRESHOLD (carrying the divergence time), and NumericalFailure
+    on NaN/Inf.
     """
     y = np.array(terminal_value, dtype=float)
     if not np.all(np.isfinite(y)):
         raise NumericalFailure("terminal value is not finite")
-    return _rk4(rhs, y, grid, -grid.dt, blowup_threshold, project_state)
+    return _rk4(rhs, y, grid, -grid.dt, project_state)
 
 
-def integrate_forward(rhs, initial_value, grid: TimeGrid,
-                      blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                      project_state=None) -> np.ndarray:
+def integrate_forward(rhs, initial_value, grid: TimeGrid) -> np.ndarray:
     """Mirror of integrate_backward with the initial condition at t=0."""
     y = np.array(initial_value, dtype=float)
     if not np.all(np.isfinite(y)):
         raise NumericalFailure("initial value is not finite")
-    return _rk4(rhs, y, grid, grid.dt, blowup_threshold, project_state)
+    return _rk4(rhs, y, grid, grid.dt, None)
 
 
 def backward_running_sum(integrand: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -169,8 +161,8 @@ def backward_running_sum(integrand: np.ndarray, grid: TimeGrid) -> np.ndarray:
         acc = np.cumsum(np.concatenate([np.zeros((1,) + k.shape[1:]), inc[::-1]]), axis=0)
         out = acc[::-1]
         norms = np.linalg.norm(out.reshape(out.shape[0], -1), axis=1)
-    for j in np.flatnonzero(~(norms <= DEFAULT_BLOWUP_THRESHOLD))[::-1]:
-        _check_state(out[j], grid.nodes[j], DEFAULT_BLOWUP_THRESHOLD)
+    for j in np.flatnonzero(~(norms <= BLOWUP_THRESHOLD))[::-1]:
+        _check_state(out[j], grid.nodes[j])
     return np.ascontiguousarray(out)
 
 
@@ -189,8 +181,3 @@ def simpson_nodes(values: np.ndarray, grid: TimeGrid):
     w[2:-1:2] = 2.0
     return np.tensordot(w, values, axes=(0, 0)) * (grid.dt / 3.0)
 
-
-def quadrature(integrand, grid: TimeGrid) -> float:
-    """Composite Simpson quadrature of a scalar integrand over [0, horizon]."""
-    values = np.array([float(integrand(t)) for t in grid.nodes])
-    return float(simpson_nodes(values, grid))

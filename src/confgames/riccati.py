@@ -47,14 +47,14 @@ class StageTwoSolution:
     """Equilibrium solution bundle at one parameter vector.
 
     ``values`` holds the pure stage-two equilibrium costs (no first-stage
-    regularizer; see stage_two_value for the regularized total).  The
-    paths are node arrays: ``P_nodes`` (steps+1, N, n, n), ``zeta_nodes``
-    (steps+1, N, n) and ``eta_nodes`` (steps+1, N).  For zero-sum games a
-    single value matrix P is solved and stored as the stack (P, -P), with
-    no offset arrays (None).  The samples at the RK4 stage times
-    (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are derived from the
-    node arrays on first use; ``zeta_st`` and ``beta_st`` are exact zeros
-    for zero-sum solutions.
+    regularizer; stage_one_costs adds it).  The paths are node arrays:
+    ``P_nodes`` (steps+1, N, n, n), ``zeta_nodes`` (steps+1, N, n) and
+    ``eta_nodes`` (steps+1, N).  For zero-sum games a single value matrix
+    P is solved and stored as the stack (P, -P), with no offset arrays
+    (None).  The samples at the RK4 stage times (``P_st``, ``F_st``,
+    ``zeta_st``, ``beta_st``) are the arrays the general-sum passes ran
+    on; a zero-sum solution derives them from the node arrays on first
+    use, and its ``zeta_st`` and ``beta_st`` are exact zeros.
     """
 
     theta: tuple
@@ -187,19 +187,18 @@ def solve_zerosum_riccati(game: ConfigGame, theta, grid: TimeGrid,
         raise BlowUpDetected(time=exc.time, norm=exc.norm) from None
 
 
-def solve_zeta(game: ConfigGame, theta, P: np.ndarray, grid: TimeGrid,
+def solve_zeta(game: ConfigGame, theta, P_st: np.ndarray, F_st: np.ndarray, grid: TimeGrid,
                _tables: StageTables = None) -> np.ndarray:
     """Solve the stacked linear pass for the affine offsets.
 
     The N offset vectors are coupled through the drive residual
     beta = c - sum_i S^{ii} zeta^i, so they advance as one stacked state.
-    ``P`` holds the value matrices at the nodes, (steps+1, N, n, n);
-    returns the offsets at the nodes, (steps+1, N, n).
+    ``P_st`` and ``F_st`` hold the value matrices and the closed-loop drift
+    at the stage times, as StageTwoSolution keeps them; returns the
+    offsets at the nodes, (steps+1, N, n).
     """
     tabs = _tables if _tables is not None else StageTables(game, theta, grid)
     N, n = game.num_players, game.state_dim
-    P_st = stage_samples(P)
-    F_st = _closed_loop(tabs, P_st)
     PS_st = np.einsum("mjab,ijmbc->ijmac", P_st, tabs.S, optimize=True)
     c, S_diag = tabs.c, tabs.S_diag
 
@@ -212,18 +211,16 @@ def solve_zeta(game: ConfigGame, theta, P: np.ndarray, grid: TimeGrid,
     return integrate_backward(rhs, np.zeros((N, n)), grid)
 
 
-def solve_eta(game: ConfigGame, theta, zeta: np.ndarray, grid: TimeGrid,
-              _tables: StageTables = None) -> np.ndarray:
+def solve_eta(game: ConfigGame, theta, zeta_st: np.ndarray, beta_st: np.ndarray,
+              grid: TimeGrid, _tables: StageTables = None) -> np.ndarray:
     """Backward running integral for the per-player scalar value constants.
 
-    ``zeta`` holds the offsets at the nodes, (steps+1, N, n); returns the
-    constants at the nodes, (steps+1, N).
+    ``zeta_st`` and ``beta_st`` hold the offsets and the drive residual at
+    the stage times; returns the constants at the nodes, (steps+1, N).
     """
     tabs = _tables if _tables is not None else StageTables(game, theta, grid)
-    z_st = stage_samples(zeta)
-    beta_st = _drive_residual(tabs, z_st)
-    quad = np.einsum("mja,ijmab,mjb->mi", z_st, tabs.S, z_st, optimize=True)
-    integrand = np.einsum("ma,mia->mi", beta_st, z_st) + 0.5 * quad
+    quad = np.einsum("mja,ijmab,mjb->mi", zeta_st, tabs.S, zeta_st, optimize=True)
+    integrand = np.einsum("ma,mia->mi", beta_st, zeta_st) + 0.5 * quad
     return backward_running_sum(integrand, grid)
 
 
@@ -253,31 +250,22 @@ def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoS
             tables=tabs, P_nodes=np.stack([P, -P], axis=1))
 
     P = solve_coupled_riccati(game, theta, grid, _tables=tabs)
-    zeta = solve_zeta(game, theta, P, grid, _tables=tabs)
-    eta = solve_eta(game, theta, zeta, grid, _tables=tabs)
+    P_st = stage_samples(P)
+    F_st = _closed_loop(tabs, P_st)
+    zeta = solve_zeta(game, theta, P_st, F_st, grid, _tables=tabs)
+    zeta_st = stage_samples(zeta)
+    beta_st = _drive_residual(tabs, zeta_st)
+    eta = solve_eta(game, theta, zeta_st, beta_st, grid, _tables=tabs)
     values = np.array([
         0.5 * float(x0 @ P[0, i] @ x0) + float(zeta[0, i] @ x0) + float(eta[0, i])
         for i in range(game.num_players)
     ])
-    return StageTwoSolution(
+    solution = StageTwoSolution(
         theta=tuple(theta), grid=grid, zero_sum=False, values=values, tables=tabs,
         P_nodes=P, zeta_nodes=zeta, eta_nodes=eta)
-
-
-def stage_two_value(game: ConfigGame, solution: StageTwoSolution, x0, i: int) -> float:
-    """Player i's equilibrium value from the t=0 solution samples.
-
-    When the game carries a regularizer for player i, its parameter-only
-    term is added, giving that player's total first-stage cost.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    val = 0.5 * float(x0 @ solution.P_nodes[0, i] @ x0)
-    if solution.zeta_nodes is not None:
-        val += float(solution.zeta_nodes[0, i] @ x0)
-        val += float(solution.eta_nodes[0, i])
-    if game.regularizers and game.regularizers[i] is not None:
-        val += float(game.regularizers[i].value(np.asarray(solution.theta)))
-    return val
+    # the gradient and rollout read the very samples the passes ran on
+    vars(solution).update(P_st=P_st, F_st=F_st, zeta_st=zeta_st, beta_st=beta_st)
+    return solution
 
 
 def stage_one_costs(game: ConfigGame, solution: StageTwoSolution) -> np.ndarray:

@@ -235,7 +235,7 @@ def sensitivity_bundle(game: ConfigGame, theta, k: int,
     return SensitivityBundle(theta=tuple(theta), k=k, dJ=dJ, grid=grid, **stacks)
 
 
-def value_gradient(game: ConfigGame, theta, x0=None, grid: TimeGrid = None,
+def value_gradient(game: ConfigGame, theta, grid: TimeGrid = None,
                    stage2: StageTwoSolution = None) -> np.ndarray:
     """Gradient matrix G[i, k] = d J^i / d theta_k of the first-stage costs.
 
@@ -251,7 +251,7 @@ def value_gradient(game: ConfigGame, theta, x0=None, grid: TimeGrid = None,
     if grid is None:
         grid = stage2.grid if stage2 is not None else default_grid(game)
     stage2 = _stage_two(game, theta, grid, stage2)
-    x0 = game.x0 if x0 is None else np.asarray(x0, dtype=float)
+    x0 = game.x0
     N = game.num_players
     ks = list(range(N))
     if game.zero_sum:
@@ -263,20 +263,6 @@ def value_gradient(game: ConfigGame, theta, x0=None, grid: TimeGrid = None,
         G = (0.5 * np.einsum("a,kiab,b->ik", x0, Pk_nodes[0], x0)
              + np.einsum("kia,a->ik", zk_nodes[0], x0) + ek_nodes[0].T)
     return G + game.regularizer_gradients(theta)
-
-
-def directional_derivative(game: ConfigGame, theta, h, x0=None,
-                           grid: TimeGrid = None,
-                           stage2: StageTwoSolution = None) -> np.ndarray:
-    """Per-player derivative of the first-stage costs along direction h.
-
-    Exactly linear in h by construction (assembled from the component
-    gradients), so basis directions reproduce single components and
-    negating h negates the result.
-    """
-    h = np.asarray(h, dtype=float).reshape(game.num_players)
-    G = value_gradient(game, theta, x0=x0, grid=grid, stage2=stage2)
-    return G @ h
 
 
 def envelope_gradient(game: ConfigGame, theta, i: int, grid: TimeGrid = None) -> float:

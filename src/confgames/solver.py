@@ -81,7 +81,6 @@ class IbrTrace:
     """
 
     theta0: tuple
-    sweep_thetas: list = field(default_factory=list)
     records: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     converged: bool = False
@@ -111,10 +110,11 @@ def _evaluate(game, theta, grid):
 
 
 def _descend(game, theta, i, settings, grid, costs, own, sweep, records):
-    """best_response from ``theta`` with its evaluation (costs, own) given.
+    """Player i's best response from ``theta``, whose evaluation (costs, own) is given.
 
-    Returns the point reached with its evaluation.  A candidate that the
-    box projection puts back onto the current point reuses its evaluation.
+    Appends each accepted iterate to ``records`` and returns the point
+    reached with its evaluation.  A candidate that the box projection puts
+    back onto the current point reuses its evaluation.
     """
     box = game.theta_box[i]
     for tau in range(1, settings.max_inner + 1):
@@ -154,28 +154,6 @@ def _descend(game, theta, i, settings, grid, costs, own, sweep, records):
     return theta, costs, own
 
 
-def best_response(game: ConfigGame, theta, i: int, settings: SolverSettings,
-                  sweep: int = 0, records: list = None):
-    """Projected gradient descent on player i's parameter, others fixed.
-
-    Stops when the projected step moves less than epsilon or the inner
-    budget is exhausted.  If a step lands on an unbounded parameter the
-    step is rejected and the rate halved (ten rejections raise
-    BestResponseStalled); if a step increases the player's cost the rate
-    is halved once for that step, then the move is accepted with a
-    recorded warning.
-
-    Returns (theta_i, records) where records lists the accepted iterates.
-    """
-    theta = np.array(theta, dtype=float)
-    grid = TimeGrid(game.horizon, settings.grid_steps)
-    if records is None:
-        records = []
-    costs, own = _evaluate(game, theta, grid)
-    theta, _, _ = _descend(game, theta, i, settings, grid, costs, own, sweep, records)
-    return float(theta[i]), records
-
-
 def ibr_solve(game: ConfigGame, theta0, settings: SolverSettings = None) -> IbrTrace:
     """Alternating best response over players in index order.
 
@@ -206,7 +184,6 @@ def ibr_solve(game: ConfigGame, theta0, settings: SolverSettings = None) -> IbrT
                 exc.trace = trace
                 raise
         trace.sweeps = sweep
-        trace.sweep_thetas.append(tuple(theta))
         if np.max(np.abs(theta - previous)) <= settings.epsilon:
             trace.converged = True
             break
@@ -267,29 +244,28 @@ def naive_baseline(game: ConfigGame, theta0, settings: SolverSettings = None) ->
     alternating-search equilibrium component.  The realized value is the
     stage-two value at (naive theta1, equilibrium theta2); its gap above
     the equilibrium value measures the cost of ignoring the opponent's
-    configuration response.
+    configuration response.  The naive first round is the search's first
+    best response (same start, same frozen opponent), read from its trace.
     """
     if not (game.zero_sum and game.num_players == 2):
         raise ValueError("baseline is defined for two-player zero-sum games")
     settings = settings if settings is not None else SolverSettings()
-    theta = np.array(theta0, dtype=float)
-    if not game.contains_theta(theta):
-        raise ValueError(f"theta0 {tuple(theta)} outside the parameter box")
+    trace = ibr_solve(game, theta0, settings)
     grid = TimeGrid(game.horizon, settings.grid_steps)
 
-    records = []
-    costs, own = _evaluate(game, theta, grid)
-    for round_ in range(1, settings.max_outer + 1):
-        before = theta[0]
-        theta, costs, own = _descend(game, theta, 0, settings, grid, costs, own,
-                                     round_, records)
-        if abs(theta[0] - before) <= settings.epsilon:
+    records = [r for r in trace.records if r.sweep == 1 and r.player == 0]
+    start = trace.theta0[0]
+    for round_ in range(2, settings.max_outer + 1):
+        # a round resumes from the last record: it holds all _descend reads
+        last = records[-1]
+        if abs(last.theta[0] - start) <= settings.epsilon:
             break
-    theta1_naive = float(theta[0])
+        start = last.theta[0]
+        _descend(game, np.array(last.theta), 0, settings, grid, np.array(last.values),
+                 np.array([last.grad_own, np.nan]), round_, records)
+    theta1_naive = float(records[-1].theta[0] if records else start)
 
-    trace = ibr_solve(game, theta0, settings)
     theta_star = trace.theta
-
     realized_profile = np.array([theta1_naive, theta_star[1]])
     stage2 = solve_stage_two(game, realized_profile, grid)
     realized = float(stage_one_costs(game, stage2)[0])

@@ -157,6 +157,25 @@ def gs_ibr_runs(gs_game, gs_settings):
 
 
 @pytest.fixture(scope="session")
+def pe_baseline_200(pe_game, pe_settings):
+    """Baseline from (0.2, 1.2) on a 200-step grid, with the theta of every
+    stage-two solve the solver module made."""
+    import confgames.solver as solver_mod
+    thetas = []
+    real_solve = solver_mod.solve_stage_two
+
+    def counted(game, theta, grid=None):
+        thetas.append(tuple(np.asarray(theta, dtype=float)))
+        return real_solve(game, theta, grid)
+
+    settings = SolverSettings(alpha=pe_settings.alpha, grid_steps=200)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "solve_stage_two", counted)
+        result = naive_baseline(pe_game, np.array([0.2, 1.2]), settings)
+    return SimpleNamespace(result=result, thetas=thetas)
+
+
+@pytest.fixture(scope="session")
 def pe_baseline_result(pe_game, pe_settings):
     result, secs = _timed(naive_baseline, pe_game, np.array([0.2, 1.2]),
                           pe_settings)

@@ -6,6 +6,7 @@ stated tolerances, the two built-in experiment reproductions, and output
 determinism.  Run everything with:  pytest tests/test_acceptance.py -v -s
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -85,18 +86,9 @@ def test_criterion_02_gradient_correctness(pe_game, gs_game):
         # the same check at a start state other than the built-in one
         x0 = rng.normal(size=game.state_dim)
         theta = lo + (0.2 + 0.6 * rng.random(2)) * (hi - lo)
-        G = value_gradient(game, theta, x0=x0, grid=grid)
-        FD = np.zeros_like(G)
-        h = 1e-5
-        from confgames import stage_two_value
-        for k in range(2):
-            step = np.zeros(2)
-            step[k] = h
-            up = solve_stage_two(game, theta + step, grid)
-            dn = solve_stage_two(game, theta - step, grid)
-            for i in range(2):
-                FD[i, k] = (stage_two_value(game, up, x0, i)
-                            - stage_two_value(game, dn, x0, i)) / (2 * h)
+        moved = dataclasses.replace(game, x0=x0)
+        G = value_gradient(moved, theta, grid=grid)
+        FD = _fd_cost_gradient(moved, theta, grid)
         worst = max(worst, _max_rel(G, FD))
 
     shapes = [(1, 2, 1), (2, 3, 1), (3, 3, 1), (2, 4, 2), (1, 3, 2)]

@@ -240,6 +240,16 @@ class TestGradCheckCommand:
                      "--out", str(out)] + FAST)
         assert code == 0
 
+    @pytest.mark.parametrize("setting", ["gradcheck.samples=0", "gradcheck.step=0"])
+    def test_meaningless_check_is_a_config_error(self, tmp_path, capsys, setting):
+        # samples=0 used to pass with no rows, step=0 to fail on 0/0
+        out = tmp_path / "gc"
+        code = main(["grad-check", "--set", "scenario=general_sum", "--set", setting,
+                     "--out", str(out)] + FAST)
+        assert code == 1
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (out / "gradcheck.csv").exists()
+
     def test_vanishing_gradient_components_compared_absolutely(self):
         from confgames.cli import gradcheck_rel_err
         # both sides numerically zero counts as exact agreement

@@ -3,7 +3,9 @@ sensitivity results moved to stacked node arrays.
 
 One parameter point per solve route: pursuit-evasion (zero-sum
 single-matrix pass), the general-sum lane game (coupled pass with drive
-term) and a three-player random game.
+term) and a three-player random game.  The naive-pursuer baseline's
+numbers were recorded before its first round was read from the search's
+trace.
 """
 
 import numpy as np
@@ -39,3 +41,12 @@ def test_values_and_gradient_match_golden(scenario, pe_game, gs_game):
     G = value_gradient(game, theta, grid=grid, stage2=sol)
     assert sol.values == pytest.approx(np.array(values), rel=1e-12, abs=0.0)
     assert G == pytest.approx(np.array(gradient), rel=1e-12, abs=0.0)
+
+
+def test_naive_baseline_matches_golden(pe_baseline_200):
+    # pursuit-evasion from (0.2, 1.2), alpha 150, 200 steps
+    res = pe_baseline_200.result
+    assert res.theta1_naive == pytest.approx(0.6429244524064126, rel=1e-12, abs=0.0)
+    assert res.realized_value == pytest.approx(0.008935562032786616, rel=1e-12, abs=0.0)
+    assert res.equilibrium_value == pytest.approx(0.00849999999999983, rel=1e-12, abs=0.0)
+    assert len(res.naive_records) == 15

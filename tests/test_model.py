@@ -5,8 +5,10 @@ import pytest
 
 from confgames import (ConfigGame, IndefiniteStateCostWarning, MatrixFn,
                        PositiveDefinitenessViolation, TimeGrid,
-                       build_general_sum, closed_loop_matrix, compute_S,
-                       compute_S_deriv, solve_coupled_riccati)
+                       build_general_sum, compute_S, compute_S_deriv,
+                       solve_stage_two)
+from confgames._stage import StageTables
+from confgames.riccati import _closed_loop
 from conftest import make_scalar_lqr
 
 
@@ -135,19 +137,24 @@ class TestComputeSDeriv:
 class TestClosedLoopMatrix:
     def test_zero_feedback_returns_drift(self, pe_game):
         theta = np.array([0.2, 0.4])
-        P = [np.zeros((8, 8)), np.zeros((8, 8))]
-        F = closed_loop_matrix(pe_game, theta, P, 0.0)
-        assert np.array_equal(F, pe_game.A(0.0, theta))
+        grid = TimeGrid(pe_game.horizon, 2)
+        P_st = np.zeros((len(grid.stage_times), 2, 8, 8))
+        F = _closed_loop(StageTables(pe_game, theta, grid), P_st)
+        for F_m in F:
+            assert np.array_equal(F_m, pe_game.A(0.0, theta))
 
     def test_scalar_direct_substitution(self):
         game = make_scalar_lqr()
-        F = closed_loop_matrix(game, np.array([1.0]), [np.array([[2.0]])], 0.0)
-        assert F[0, 0] == pytest.approx(-2.0, abs=1e-14)
+        grid = TimeGrid(game.horizon, 2)
+        P_st = np.full((len(grid.stage_times), 1, 1, 1), 2.0)
+        F = _closed_loop(StageTables(game, np.array([1.0]), grid), P_st)
+        assert F[0, 0, 0] == pytest.approx(-2.0, abs=1e-14)
 
     def test_matches_independent_recomputation(self, gs_game, gs_grid):
         theta = np.array([0.6, 1.1])
-        P = solve_coupled_riccati(gs_game, theta, gs_grid)[0]
-        F = closed_loop_matrix(gs_game, theta, P, 0.0)
+        sol = solve_stage_two(gs_game, theta, gs_grid)
+        P = sol.P_nodes[0]
+        F = sol.F_st[0]
         expected = gs_game.A(0.0, theta).copy()
         for i in range(2):
             Bi = gs_game.B[i](0.0, theta)
@@ -202,6 +209,28 @@ class TestConfigGameValidation:
         R = ((R00, pe_game.R[0][1]), (MatrixFn.constant(-2.0 * np.eye(m0)), pe_game.R[1][1]))
         with pytest.raises(ValueError, match=r"R\[0\]\[0\] = I"):
             dataclasses.replace(pe_game, R=R)
+
+    @pytest.mark.parametrize("wrong,match", [
+        ("time_constant", r"B\[0\] is declared time-constant"),
+        ("depends_on", r"Q\[0\] changes with theta_0"),
+    ])
+    def test_misdeclared_coefficient_rejected(self, wrong, match):
+        # scalar game with B = theta (1 + t); solved as declared below, the
+        # time-constant B gives the value 0.381 instead of 0.342 at theta = 1,
+        # and the Q that hides its theta_0 gives dJ/dtheta -0.190 where
+        # finite differences give 0.057
+        B = MatrixFn((1, 1), lambda t, th: np.array([[th[0] * (1.0 + t)]]),
+                     lambda t, th, k: np.array([[1.0 + t]]), depends_on=(0,),
+                     time_varying=(wrong != "time_constant"))
+        Q = MatrixFn.constant(np.eye(1))
+        if wrong == "depends_on":
+            Q = MatrixFn((1, 1), lambda t, th: np.array([[th[0]]]), time_varying=False)
+        with pytest.raises(ValueError, match=match):
+            ConfigGame(
+                num_players=1, state_dim=1, control_dims=(1,), horizon=1.0,
+                A=MatrixFn.constant(np.zeros((1, 1))), B=(B,), Q=(Q,),
+                R=((MatrixFn.constant(np.eye(1)),),), c=MatrixFn.constant(np.zeros(1)),
+                Qf=(np.zeros((1, 1)),), theta_box=((0.5, 2.0),), x0=np.ones(1))
 
     def test_indefinite_state_cost_warns_once(self):
         with pytest.warns(IndefiniteStateCostWarning) as rec:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -7,7 +8,8 @@ from scipy.linalg import expm
 from confgames import (BlowUpDetected, ConfigGame, MatrixFn, TimeGrid,
                        compute_S, rollout, solve_coupled_riccati, solve_eta,
                        solve_stage_two, solve_zerosum_riccati, solve_zeta,
-                       stage_one_costs, stage_two_value)
+                       stage_one_costs, value_gradient)
+from confgames import riccati
 from conftest import make_scalar_lqr, make_time_varying_game
 
 
@@ -71,9 +73,10 @@ class TestAffinePasses:
         theta = np.array([0.5])
         P = solve_coupled_riccati(game, theta, grid)
         assert not P.any()
-        zeta = solve_zeta(game, theta, P, grid)
+        sol = solve_stage_two(game, theta, grid)
+        zeta = solve_zeta(game, theta, sol.P_st, sol.F_st, grid)
         assert not zeta.any()
-        eta = solve_eta(game, theta, zeta, grid)
+        eta = solve_eta(game, theta, sol.zeta_st, sol.beta_st, grid)
         assert not eta.any()
 
     def test_drive_residual_recomputation(self, gs_game, gs_grid):
@@ -84,6 +87,29 @@ class TestAffinePasses:
             for i in range(2):
                 expected -= compute_S(gs_game, i, i, t, theta) @ sol.zeta_nodes[j, i]
             assert np.abs(sol.beta_st[2 * j] - expected).max() <= 1e-10
+
+
+class TestStageSamples:
+    @pytest.mark.parametrize("scenario,expected", [
+        ("gs", {"_closed_loop": 1, "_drive_residual": 1, "stage_samples": 2}),
+        ("pe", {"_closed_loop": 1, "_drive_residual": 1, "stage_samples": 1}),
+    ])
+    def test_derived_once_per_solve(self, scenario, expected, pe_game, gs_game, monkeypatch):
+        # a solve, its gradient and its rollout share one derivation of each
+        # stage-time array; the zero-sum solve derives them only on demand
+        calls = collections.Counter()
+        for name in expected:
+            def counted(*args, name=name, real=getattr(riccati, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(riccati, name, counted)
+        game = gs_game if scenario == "gs" else pe_game
+        theta = np.array([0.7, 0.9])
+        grid = TimeGrid(game.horizon, 200)
+        sol = solve_stage_two(game, theta, grid)
+        value_gradient(game, theta, grid=grid, stage2=sol)
+        rollout(game, theta, sol)
+        assert calls == expected
 
 
 class TestZeroSum:
@@ -125,7 +151,8 @@ class TestZeroSum:
         assert sol.zeta_st.shape == (2 * pe_grid.steps + 1, 2, 8)
         assert not sol.zeta_st.any()
         assert not sol.beta_st.any()
-        assert stage_two_value(pe_game, sol, pe_game.x0, 0) == stage_one_costs(pe_game, sol)[0]
+        x0 = pe_game.x0
+        assert 0.5 * float(x0 @ sol.P_nodes[0, 0] @ x0) == stage_one_costs(pe_game, sol)[0]
 
     def test_zero_sum_values_sum_to_zero(self, pe_game, pe_grid):
         sol = solve_stage_two(pe_game, np.array([0.3, 1.4]), pe_grid)
@@ -183,7 +210,7 @@ class TestValues:
             c=MatrixFn.constant(np.zeros(2)), Qf=(np.eye(2),),
             theta_box=((0.0, 1.0),), x0=np.array([1.0, 1.0]))
         sol = solve_stage_two(game, np.array([0.5]), TimeGrid(1.0, 100))
-        assert stage_two_value(game, sol, np.array([1.0, 1.0]), 0) == pytest.approx(1.0)
+        assert stage_one_costs(game, sol)[0] == pytest.approx(1.0)
 
     def test_regularizer_added_to_stage_one_cost(self, gs_game, gs_grid):
         theta = np.array([0.5, 0.5])
@@ -191,7 +218,10 @@ class TestValues:
         costs = stage_one_costs(gs_game, sol)
         # at equal parameters the proximity bump is exactly w_r
         assert costs[0] == pytest.approx(sol.values[0] + 0.02, abs=1e-15)
-        assert stage_two_value(gs_game, sol, gs_game.x0, 0) == pytest.approx(costs[0])
+        x0 = gs_game.x0
+        value = (0.5 * x0 @ sol.P_nodes[0, 0] @ x0 + sol.zeta_nodes[0, 0] @ x0
+                 + sol.eta_nodes[0, 0] + gs_game.regularizer_values(theta)[0])
+        assert value == pytest.approx(costs[0])
 
 
 class TestRollout:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from confgames import (InfeasibleTheta, PreconditionViolation, TimeGrid,
-                       directional_derivative, envelope_gradient,
-                       random_aq_game, sensitivity_bundle, solve_stage_two,
-                       stage_one_costs, value_gradient)
+                       envelope_gradient, random_aq_game, sensitivity_bundle,
+                       solve_stage_two, stage_one_costs, value_gradient)
 from conftest import make_scalar_lqr, make_theta_independent_game, make_time_varying_game
 
 
@@ -127,8 +126,8 @@ class TestSolutionMismatch:
             "value_gradient": lambda: value_gradient(gs_game, theta, grid=grid,
                                                      stage2=stage2),
             "sensitivity_bundle": lambda: sensitivity_bundle(gs_game, theta, 0, stage2, grid),
-            "directional_derivative": lambda: directional_derivative(
-                gs_game, theta, np.ones(2), grid=grid, stage2=stage2),
+            "directional_derivative": lambda: value_gradient(
+                gs_game, theta, grid=grid, stage2=stage2) @ np.ones(2),
         }
         with pytest.raises(ValueError, match=mismatch):
             calls[op]()
@@ -162,6 +161,8 @@ class TestValueGradient:
 
 
 class TestDirectionalDerivative:
+    """The derivative along h is the gradient matrix applied to h."""
+
     def test_basis_direction_reproduces_component(self, gs_game, gs_grid):
         theta = np.array([0.7, 0.9])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
@@ -169,33 +170,33 @@ class TestDirectionalDerivative:
         for k in range(2):
             e = np.zeros(2)
             e[k] = 1.0
-            d = directional_derivative(gs_game, theta, e, grid=gs_grid, stage2=stage2)
+            d = value_gradient(gs_game, theta, grid=gs_grid, stage2=stage2) @ e
             assert np.array_equal(d, G[:, k])
 
     def test_negating_direction_negates_result(self, gs_game, gs_grid):
         theta = np.array([0.7, 0.9])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
+        G = value_gradient(gs_game, theta, grid=gs_grid, stage2=stage2)
         h = np.array([0.3, -0.8])
-        d1 = directional_derivative(gs_game, theta, h, grid=gs_grid, stage2=stage2)
-        d2 = directional_derivative(gs_game, theta, -h, grid=gs_grid, stage2=stage2)
+        d1 = G @ h
+        d2 = G @ -h
         assert np.array_equal(d1, -d2)
 
     def test_linearity(self, gs_game, gs_grid):
         theta = np.array([0.7, 0.9])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
+        G = value_gradient(gs_game, theta, grid=gs_grid, stage2=stage2)
         h1 = np.array([1.0, 0.2])
         h2 = np.array([-0.4, 0.9])
         a, b = 0.7, -1.3
-        lhs = directional_derivative(gs_game, theta, a * h1 + b * h2,
-                                     grid=gs_grid, stage2=stage2)
-        rhs = (a * directional_derivative(gs_game, theta, h1, grid=gs_grid, stage2=stage2)
-               + b * directional_derivative(gs_game, theta, h2, grid=gs_grid, stage2=stage2))
+        lhs = G @ (a * h1 + b * h2)
+        rhs = a * (G @ h1) + b * (G @ h2)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_matches_difference_quotient(self, gs_game, gs_grid):
         theta = np.array([0.7, 0.9])
         h = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        d = directional_derivative(gs_game, theta, h, grid=gs_grid)
+        d = value_gradient(gs_game, theta, grid=gs_grid) @ h
         eps = 1e-5
         J1 = stage_one_costs(gs_game, solve_stage_two(gs_game, theta + eps * h, gs_grid))
         J0 = stage_one_costs(gs_game, solve_stage_two(gs_game, theta, gs_grid))

@@ -3,9 +3,22 @@ import pytest
 
 import confgames.solver as solver_mod
 from confgames import (BestResponseStalled, CertVerdict, InfeasibleTheta,
-                       Regularizer, SolverSettings, TimeGrid, best_response,
-                       certify_first_order, ibr_solve, naive_baseline, project)
+                       Regularizer, SolverSettings, TimeGrid, certify_first_order,
+                       ibr_solve, naive_baseline, project)
 from conftest import make_scalar_lqr
+
+
+def best_response(game, theta, i, settings, records=None):
+    """Player i's best response from theta, as ibr_solve runs it.
+
+    Returns (theta_i reached, records of the accepted iterates).
+    """
+    theta = np.array(theta, dtype=float)
+    grid = TimeGrid(game.horizon, settings.grid_steps)
+    records = [] if records is None else records
+    costs, own = solver_mod._evaluate(game, theta, grid)
+    theta, _, _ = solver_mod._descend(game, theta, i, settings, grid, costs, own, 0, records)
+    return float(theta[i]), records
 
 
 class TestProject:
@@ -208,6 +221,12 @@ class TestBaseline:
             PursuitEvasionSpec(x0=tuple(np.concatenate([x0[4:], x0[:4]]))))
         result = naive_baseline(swapped, np.array([1.2, 0.2]), pe_settings)
         assert result.gap >= -1e-8
+
+    def test_each_theta_is_solved_once(self, pe_baseline_200):
+        # the naive first round used to repeat the search's first best
+        # response: 165 solves for 150 distinct theta
+        thetas = pe_baseline_200.thetas
+        assert len(thetas) == len(set(thetas))
 
     def test_requires_zero_sum(self, gs_game, gs_settings):
         with pytest.raises(ValueError):
