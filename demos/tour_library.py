@@ -88,7 +88,7 @@ print(f"against central differences: max rel err "
       f"{np.abs(G - FD).max() / np.abs(FD).max():.2e}")
 
 for i in range(2):
-    env = cg.envelope_gradient(game, theta, i, grid)
+    env = cg.envelope_gradient(sol, i)
     print(f"trajectory-integral form, player {i}: {env:+.6e} "
           f"(path-derivative {G[i, i]:+.6e})")
 

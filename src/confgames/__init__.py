@@ -12,8 +12,8 @@ from .errors import (BestResponseStalled, BlowUpDetected, ConfGamesError,
                      ConfigError, GenerationFailed, InfeasibleTheta,
                      NumericalFailure, PositiveDefinitenessViolation,
                      PreconditionViolation)
-from .model import (ConfigGame, IndefiniteStateCostWarning, MatrixFn,
-                    Regularizer, compute_S, compute_S_deriv)
+from ._stage import StageTables
+from .model import ConfigGame, IndefiniteStateCostWarning, MatrixFn, Regularizer
 from .odekit import TimeGrid, integrate_backward, integrate_forward, simpson_nodes
 from .riccati import (StageTwoSolution, TrajectoryRollout, default_grid,
                       rollout, solve_coupled_riccati, solve_eta,
@@ -22,8 +22,7 @@ from .riccati import (StageTwoSolution, TrajectoryRollout, default_grid,
 from .scenarios import (GeneralSumSpec, PursuitEvasionSpec, build_general_sum,
                         build_pursuit_evasion, random_aq_game,
                         recommended_settings)
-from .sensitivity import (SensitivityBundle, envelope_gradient,
-                          sensitivity_bundle, value_gradient)
+from .sensitivity import envelope_gradient, value_gradient
 from .solver import (BaselineResult, CertVerdict, IbrTrace, SolverSettings,
                      certify_first_order, ibr_solve, naive_baseline, project)
 
@@ -35,13 +34,12 @@ __all__ = [
     "GenerationFailed", "IbrTrace", "IndefiniteStateCostWarning",
     "InfeasibleTheta", "MatrixFn", "NumericalFailure",
     "PositiveDefinitenessViolation", "PreconditionViolation",
-    "PursuitEvasionSpec", "Regularizer", "SensitivityBundle",
-    "SolverSettings", "StageTwoSolution", "TimeGrid", "TrajectoryRollout",
+    "PursuitEvasionSpec", "Regularizer", "SolverSettings", "StageTables",
+    "StageTwoSolution", "TimeGrid", "TrajectoryRollout",
     "build_general_sum", "build_pursuit_evasion", "certify_first_order",
-    "compute_S", "compute_S_deriv", "default_grid", "envelope_gradient",
-    "ibr_solve", "integrate_backward", "integrate_forward", "naive_baseline",
-    "project", "random_aq_game", "recommended_settings", "rollout",
-    "sensitivity_bundle", "simpson_nodes", "solve_coupled_riccati",
+    "default_grid", "envelope_gradient", "ibr_solve", "integrate_backward",
+    "integrate_forward", "naive_baseline", "project", "random_aq_game",
+    "recommended_settings", "rollout", "simpson_nodes", "solve_coupled_riccati",
     "solve_eta", "solve_stage_two", "solve_zerosum_riccati", "solve_zeta",
     "stage_one_costs", "value_gradient", "__version__",
 ]

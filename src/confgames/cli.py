@@ -28,7 +28,7 @@ from .errors import (BestResponseStalled, BlowUpDetected, ConfGamesError,
                      ConfigError, InfeasibleTheta)
 from .model import ConfigGame
 from .odekit import TimeGrid
-from .riccati import solve_stage_two, stage_one_costs
+from .riccati import DEFAULT_STEPS, solve_stage_two, stage_one_costs
 from .scenarios import (GeneralSumSpec, PursuitEvasionSpec, build_general_sum,
                         build_pursuit_evasion, random_aq_game,
                         recommended_settings)
@@ -48,7 +48,7 @@ def _spec_keys(prefix, spec):
 # key -> (type tag, default); type tags: int, float, str, bool, floats
 KNOWN_KEYS = {
     "scenario": ("str", "pursuit_evasion"),
-    "grid_steps": ("int", 1000),
+    "grid_steps": ("int", DEFAULT_STEPS),
     "theta0": ("floats", PER_SCENARIO),
     "solver.alpha": ("float", PER_SCENARIO),
     "solver.epsilon": ("float", 1e-6),
@@ -358,6 +358,8 @@ def cmd_grad_check(cfg: RunConfig, outdir) -> int:
         raise ConfigError("gradcheck.step must be positive")
     if cfg["gradcheck.samples"] < 1:
         raise ConfigError("gradcheck.samples must be at least 1")
+    if not cfg["gradcheck.tolerance"] >= 0:
+        raise ConfigError("gradcheck.tolerance must be nonnegative")
     game = cfg.build_game()
     N = game.num_players
     meta = cfg.metadata()

@@ -3,8 +3,8 @@
 A game couples linear dynamics with a drive term to per-player quadratic
 costs, all of whose matrix coefficients may vary with time and with each
 player's scalar configuration parameter.  This module holds the coefficient
-abstraction, the game container with its construction-time validation, and
-the derived coefficient maps used by every solver pass.
+abstraction and the game container with its construction-time validation;
+the solvers sample the coefficients in ``_stage.StageTables``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
 
 from .errors import PositiveDefinitenessViolation
 
@@ -283,10 +283,6 @@ class ConfigGame:
             raise ValueError(f"Q[{i}](t={t}) asymmetric by {asym:.3e}")
         return 0.5 * (M + M.T)
 
-    def eval_Q_deriv(self, i: int, t, theta, k: int) -> np.ndarray:
-        D = self.Q[i].d_theta(t, theta, k)
-        return 0.5 * (D + D.T)
-
     def regularizer_values(self, theta) -> np.ndarray:
         out = np.zeros(self.num_players)
         if self.regularizers:
@@ -306,48 +302,3 @@ class ConfigGame:
                 if reg is not None:
                     out[i] = np.asarray(reg.grad(theta), dtype=float).reshape(N)
         return out
-
-
-# -- derived coefficient maps ---------------------------------------------
-
-
-def _rjj_cholesky(game: ConfigGame, j: int, t, theta):
-    Rjj = game.R[j][j](t, theta)
-    try:
-        return cho_factor(Rjj, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise PositiveDefinitenessViolation(
-            f"R[{j}][{j}](t={t}) is not positive definite"
-        ) from exc
-
-
-def compute_S(game: ConfigGame, i: int, j: int, t, theta) -> np.ndarray:
-    """Control-weighted coupling matrix B^j R^jj^-1 R^ij R^jj^-1 B^j^T."""
-    Bj = game.B[j](t, theta)
-    chol = _rjj_cholesky(game, j, t, theta)
-    Y = cho_solve(chol, Bj.T)
-    if i == j:
-        return Bj @ Y
-    Rij = game.R[i][j](t, theta)
-    return Y.T @ Rij @ Y
-
-
-def compute_S_deriv(game: ConfigGame, i: int, j: int, t, theta, k: int) -> np.ndarray:
-    """Derivative of compute_S with respect to player k's parameter.
-
-    Only B^j carries parameter dependence (and only on player j), so the
-    result is exactly zero unless k == j.
-    """
-    n = game.state_dim
-    if k != j or k not in game.B[j].depends_on:
-        return np.zeros((n, n))
-    Bj = game.B[j](t, theta)
-    dBj = game.B[j].d_theta(t, theta, j)
-    chol = _rjj_cholesky(game, j, t, theta)
-    if i == j:
-        M = cho_solve(chol, np.eye(Bj.shape[1]))
-    else:
-        Z = cho_solve(chol, game.R[i][j](t, theta))
-        M = cho_solve(chol, Z.T).T
-    return dBj @ M @ Bj.T + Bj @ M @ dBj.T
-

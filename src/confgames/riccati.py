@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._stage import StageTables, _table
+from ._stage import StageTables
 from .errors import BlowUpDetected, PreconditionViolation
-from .model import ConfigGame, MatrixFn
+from .model import ConfigGame
 from .odekit import (TimeGrid, backward_running_sum, integrate_backward, integrate_forward,
                      simpson_nodes, stage_samples)
 
@@ -117,31 +117,21 @@ def _check_solution(solution: StageTwoSolution, theta, grid: TimeGrid):
                          f"solution theta {np.asarray(solution.theta).tolist()}")
 
 
-def _at_nodes(coef: MatrixFn, theta, grid: TimeGrid, k: int = None) -> np.ndarray:
-    """``coef``, or its derivative in theta_k, at every grid node.
-
-    A time-constant coefficient is sampled once and broadcast.
-    """
-    if k is None:
-        return _table(lambda t: coef(t, theta), grid.nodes, coef.time_varying)
-    return _table(lambda t: coef.d_theta(t, theta, k), grid.nodes, coef.time_varying)
-
-
 # -- backward passes ---------------------------------------------------------
 
 
-def solve_coupled_riccati(game: ConfigGame, theta, grid: TimeGrid,
-                          _tables: StageTables = None) -> np.ndarray:
+def solve_coupled_riccati(tabs: StageTables) -> np.ndarray:
     """Solve the N coupled quadratic matrix equations backward from Qf.
 
-    All players advance as one stacked state so the closed-loop drift is
+    Runs on the game, theta and grid ``tabs`` was sampled for.  All
+    players advance as one stacked state so the closed-loop drift is
     re-evaluated from the full stack at every RK4 stage.  Each block is
     symmetrized after every step.  Blow-up is reported with the dominant
     player block and the divergence time; for the backward pass this means
     no bounded equilibrium exists at (theta, horizon).  Returns the node
     samples of the stack, (steps+1, N, n, n).
     """
-    tabs = _tables if _tables is not None else StageTables(game, theta, grid)
+    game = tabs.game
     N = game.num_players
     A, S, S_diag, Q = tabs.A, tabs.S, tabs.S_diag, tabs.Q
 
@@ -153,13 +143,12 @@ def solve_coupled_riccati(game: ConfigGame, theta, grid: TimeGrid,
 
     terminal = np.stack([game.Qf[i] for i in range(N)])
     try:
-        return integrate_backward(rhs, terminal, grid, project_state=_sym_stack)
+        return integrate_backward(rhs, terminal, tabs.grid, project_state=_sym_stack)
     except BlowUpDetected as exc:
         raise _attribute_blowup(exc, N) from None
 
 
-def solve_zerosum_riccati(game: ConfigGame, theta, grid: TimeGrid,
-                          _tables: StageTables = None) -> np.ndarray:
+def solve_zerosum_riccati(tabs: StageTables) -> np.ndarray:
     """Solve the single value-matrix equation of the two-player zero-sum game.
 
     Uses the difference coupling S_tilde = B2 B2' - B1 B1' (minimizer gets
@@ -168,9 +157,9 @@ def solve_zerosum_riccati(game: ConfigGame, theta, grid: TimeGrid,
     checked the negated costs and the identity own-control costs.  Returns
     the node samples of P, (steps+1, n, n).
     """
+    game = tabs.game
     if not game.zero_sum:
         raise PreconditionViolation("game is not flagged zero-sum")
-    tabs = _tables if _tables is not None else StageTables(game, theta, grid)
     if not tabs.c_is_zero:
         raise PreconditionViolation("zero-sum solve requires a vanishing drive term")
 
@@ -182,13 +171,12 @@ def solve_zerosum_riccati(game: ConfigGame, theta, grid: TimeGrid,
         return -(PA + PA.T + Q[s] + P @ Stilde[s] @ P)
 
     try:
-        return integrate_backward(rhs, game.Qf[0], grid, project_state=_sym_stack)
+        return integrate_backward(rhs, game.Qf[0], tabs.grid, project_state=_sym_stack)
     except BlowUpDetected as exc:
         raise BlowUpDetected(time=exc.time, norm=exc.norm) from None
 
 
-def solve_zeta(game: ConfigGame, theta, P_st: np.ndarray, F_st: np.ndarray, grid: TimeGrid,
-               _tables: StageTables = None) -> np.ndarray:
+def solve_zeta(tabs: StageTables, P_st: np.ndarray, F_st: np.ndarray) -> np.ndarray:
     """Solve the stacked linear pass for the affine offsets.
 
     The N offset vectors are coupled through the drive residual
@@ -197,8 +185,7 @@ def solve_zeta(game: ConfigGame, theta, P_st: np.ndarray, F_st: np.ndarray, grid
     at the stage times, as StageTwoSolution keeps them; returns the
     offsets at the nodes, (steps+1, N, n).
     """
-    tabs = _tables if _tables is not None else StageTables(game, theta, grid)
-    N, n = game.num_players, game.state_dim
+    N, n = tabs.game.num_players, tabs.game.state_dim
     PS_st = np.einsum("mjab,ijmbc->ijmac", P_st, tabs.S, optimize=True)
     c, S_diag = tabs.c, tabs.S_diag
 
@@ -208,20 +195,18 @@ def solve_zeta(game: ConfigGame, theta, P_st: np.ndarray, F_st: np.ndarray, grid
         coupling = (PS_st[:, :, s] @ zc[None])[:, :, :, 0].sum(axis=1)
         return -(Z @ F_st[s] + coupling + P_st[s] @ beta)
 
-    return integrate_backward(rhs, np.zeros((N, n)), grid)
+    return integrate_backward(rhs, np.zeros((N, n)), tabs.grid)
 
 
-def solve_eta(game: ConfigGame, theta, zeta_st: np.ndarray, beta_st: np.ndarray,
-              grid: TimeGrid, _tables: StageTables = None) -> np.ndarray:
+def solve_eta(tabs: StageTables, zeta_st: np.ndarray, beta_st: np.ndarray) -> np.ndarray:
     """Backward running integral for the per-player scalar value constants.
 
     ``zeta_st`` and ``beta_st`` hold the offsets and the drive residual at
     the stage times; returns the constants at the nodes, (steps+1, N).
     """
-    tabs = _tables if _tables is not None else StageTables(game, theta, grid)
     quad = np.einsum("mja,ijmab,mjb->mi", zeta_st, tabs.S, zeta_st, optimize=True)
     integrand = np.einsum("ma,mia->mi", beta_st, zeta_st) + 0.5 * quad
-    return backward_running_sum(integrand, grid)
+    return backward_running_sum(integrand, tabs.grid)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -243,19 +228,19 @@ def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoS
     x0 = game.x0
 
     if game.zero_sum:
-        P = solve_zerosum_riccati(game, theta, grid, _tables=tabs)
+        P = solve_zerosum_riccati(tabs)
         J = 0.5 * float(x0 @ P[0] @ x0)
         return StageTwoSolution(
             theta=tuple(theta), grid=grid, zero_sum=True, values=np.array([J, -J]),
             tables=tabs, P_nodes=np.stack([P, -P], axis=1))
 
-    P = solve_coupled_riccati(game, theta, grid, _tables=tabs)
+    P = solve_coupled_riccati(tabs)
     P_st = stage_samples(P)
     F_st = _closed_loop(tabs, P_st)
-    zeta = solve_zeta(game, theta, P_st, F_st, grid, _tables=tabs)
+    zeta = solve_zeta(tabs, P_st, F_st)
     zeta_st = stage_samples(zeta)
     beta_st = _drive_residual(tabs, zeta_st)
-    eta = solve_eta(game, theta, zeta_st, beta_st, grid, _tables=tabs)
+    eta = solve_eta(tabs, zeta_st, beta_st)
     values = np.array([
         0.5 * float(x0 @ P[0, i] @ x0) + float(zeta[0, i] @ x0) + float(eta[0, i])
         for i in range(game.num_players)
@@ -277,7 +262,8 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution) -> TrajectoryRo
     """Forward-integrate the closed loop and integrate the realized costs.
 
     The state follows dx/dt = F(t) x + beta(t) on the solution's grid;
-    controls are reconstructed from the feedback law at every node; each
+    controls are reconstructed from the feedback law at every node, with
+    B and R read from the node rows of the solution's tables; each
     player's cost is the Simpson quadrature of their running quadratic
     forms plus the terminal cost.  ``theta`` must be the one ``solution``
     was solved at.
@@ -292,16 +278,16 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution) -> TrajectoryRo
 
     xs = integrate_forward(rhs, game.x0, grid)
     N = game.num_players
-    R = [[_at_nodes(game.R[i][j], theta, grid) for j in range(N)] for i in range(N)]
+    tabs = solution.tables
+    R = [[Rij[0::2] for Rij in row] for row in tabs.R]
     feedback = (np.einsum("tiab,tb->tia", solution.P_nodes, xs)
                 + solution.zeta_st[0::2])
     us = []
     for i in range(N):
-        Bi = _at_nodes(game.B[i], theta, grid)
-        pre = np.einsum("tba,tb->ta", Bi, feedback[:, i])
+        pre = np.einsum("tba,tb->ta", tabs.B[i][0::2], feedback[:, i])
         us.append(-np.linalg.solve(R[i][i], pre[..., None])[..., 0])
 
-    running = np.einsum("ta,itab,tb->ti", xs, solution.tables.Q_nodes, xs)
+    running = np.einsum("ta,itab,tb->ti", xs, tabs.Q[:, 0::2], xs)
     for i in range(N):
         for j in range(N):
             running[:, i] += np.einsum("ta,tab,tb->t", us[j], R[i][j], us[j])

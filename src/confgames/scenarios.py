@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BlowUpDetected, GenerationFailed
 from .model import ConfigGame, MatrixFn, Regularizer
 from .odekit import TimeGrid
-from .riccati import solve_stage_two
+from .riccati import default_grid, solve_stage_two
 from .solver import SolverSettings
 
 
@@ -358,7 +358,7 @@ def random_aq_game(seed: int, num_players: int = 2, state_dim: int = 3,
         )
 
         probes = [np.full(N, 1.0), np.full(N, box[0]), np.full(N, box[1])]
-        if _first_blowup(game, probes, TimeGrid(horizon, 1000)) is None:
+        if _first_blowup(game, probes, default_grid(game)) is None:
             return game
 
     raise GenerationFailed(f"no stable random game found for seed {seed} "

@@ -14,54 +14,14 @@ integrator) keep every intermediate object checkable stage by stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .errors import BlowUpDetected, InfeasibleTheta, PreconditionViolation
 from .model import ConfigGame
 from .odekit import (TimeGrid, backward_running_sum, integrate_backward, simpson_nodes,
                      stage_samples)
-from .riccati import (StageTwoSolution, _at_nodes, _check_solution, _sym_stack, default_grid,
-                      rollout, solve_stage_two)
-
-
-@dataclass(frozen=True)
-class SensitivityBundle:
-    """Path derivatives with respect to one parameter component.
-
-    The node arrays are stacked like StageTwoSolution's: ``P_nodes``
-    (steps+1, N, n, n), ``zeta_nodes`` (steps+1, N, n) and ``eta_nodes``
-    (steps+1, N); zero-sum bundles store no offset arrays (None).  All
-    three stacks vanish identically when no coefficient depends on the
-    chosen component; terminal samples are exactly zero by construction.
-    """
-
-    theta: tuple
-    k: int
-    dJ: np.ndarray
-    grid: TimeGrid = field(repr=False)
-    P_nodes: np.ndarray = field(repr=False)
-    zeta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
-    eta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
-
-
-def _as_theta(game, theta):
-    theta = np.asarray(theta, dtype=float)
-    if len(theta) != game.num_players:
-        raise ValueError("theta has wrong length")
-    return theta
-
-
-def _stage_two(game, theta, grid, stage2):
-    if stage2 is not None:
-        _check_solution(stage2, theta, grid)
-        return stage2
-    try:
-        return solve_stage_two(game, theta, grid)
-    except BlowUpDetected as exc:
-        raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
+from .riccati import (StageTwoSolution, _check_solution, _sym_stack, default_grid, rollout,
+                      solve_stage_two)
 
 
 def _coupling_tables(tabs, P_st):
@@ -149,13 +109,13 @@ def _eta_integrand(tabs, stage2, zk_st, ks):
     return out
 
 
-def _general_sensitivity(game, stage2, ks, grid):
+def _general_sensitivity(stage2, ks):
     """Batched sensitivity passes over the requested parameter components.
 
     Returns node-sampled stacks (steps+1, K, ...) for the P, zeta, and eta
     path derivatives, with the second axis indexing ks.
     """
-    tabs = stage2.tables
+    tabs, grid = stage2.tables, stage2.grid
     tabs.ensure_derivs()
     P_st, F_st = stage2.P_st, stage2.F_st
     H_st = _coupling_tables(tabs, P_st)
@@ -164,7 +124,7 @@ def _general_sensitivity(game, stage2, ks, grid):
 
     if tabs.c_is_zero:
         # drive-free: the offsets vanish identically and so do their derivatives
-        K, N, n = len(ks), game.num_players, game.state_dim
+        K, N, n = len(ks), tabs.game.num_players, tabs.game.state_dim
         zk_nodes = np.zeros((grid.steps + 1, K, N, n))
         ek_nodes = np.zeros((grid.steps + 1, K, N))
     else:
@@ -177,7 +137,7 @@ def _general_sensitivity(game, stage2, ks, grid):
     return Pk_nodes, zk_nodes, ek_nodes
 
 
-def _zerosum_sensitivity(game, stage2, ks, grid):
+def _zerosum_sensitivity(stage2, ks):
     """Node samples of the derivative of the single zero-sum value matrix.
 
     Differentiates the single-matrix equation directly: the linear system
@@ -189,7 +149,7 @@ def _zerosum_sensitivity(game, stage2, ks, grid):
     P_st = stage2.P_st[:, 0]
     Stilde = tabs.S_diag[1] - tabs.S_diag[0]
     Fcl = tabs.A + Stilde @ P_st
-    n = game.state_dim
+    n = tabs.game.state_dim
 
     forcing = np.empty((len(ks), P_st.shape[0], n, n))
     for a, k in enumerate(ks):
@@ -202,37 +162,11 @@ def _zerosum_sensitivity(game, stage2, ks, grid):
         YF = Y @ Fcl[s]
         return -(YF + np.swapaxes(YF, -1, -2) + forcing[:, s])
 
-    return integrate_backward(rhs, np.zeros((len(ks), n, n)), grid,
+    return integrate_backward(rhs, np.zeros((len(ks), n, n)), stage2.grid,
                               project_state=_sym_stack)
 
 
 # -- public operations -------------------------------------------------------
-
-
-def sensitivity_bundle(game: ConfigGame, theta, k: int,
-                       stage2: StageTwoSolution = None,
-                       grid: TimeGrid = None) -> SensitivityBundle:
-    """All path derivatives and value-gradient entries for one component."""
-    theta = _as_theta(game, theta)
-    if grid is None:
-        grid = stage2.grid if stage2 is not None else default_grid(game)
-    stage2 = _stage_two(game, theta, grid, stage2)
-    x0 = game.x0
-    if game.zero_sum:
-        Pk = _zerosum_sensitivity(game, stage2, [k], grid)[:, 0]
-        g = 0.5 * float(x0 @ Pk[0] @ x0)
-        dJ = np.array([g, -g])
-        stacks = {"P_nodes": np.stack([Pk, -Pk], axis=1)}
-    else:
-        Pk_nodes, zk_nodes, ek_nodes = _general_sensitivity(game, stage2, [k], grid)
-        Pk, zk, ek = Pk_nodes[:, 0], zk_nodes[:, 0], ek_nodes[:, 0]
-        dJ = np.array([
-            0.5 * float(x0 @ Pk[0, i] @ x0) + float(zk[0, i] @ x0) + float(ek[0, i])
-            for i in range(game.num_players)
-        ])
-        stacks = {"P_nodes": Pk, "zeta_nodes": zk, "eta_nodes": ek}
-    dJ = dJ + game.regularizer_gradients(theta)[:, k]
-    return SensitivityBundle(theta=tuple(theta), k=k, dJ=dJ, grid=grid, **stacks)
 
 
 def value_gradient(game: ConfigGame, theta, grid: TimeGrid = None,
@@ -247,59 +181,62 @@ def value_gradient(game: ConfigGame, theta, grid: TimeGrid = None,
     added row-wise.  Raises InfeasibleTheta when the stage-two solve
     blows up.
     """
-    theta = _as_theta(game, theta)
+    theta = np.asarray(theta, dtype=float)
+    if len(theta) != game.num_players:
+        raise ValueError("theta has wrong length")
     if grid is None:
         grid = stage2.grid if stage2 is not None else default_grid(game)
-    stage2 = _stage_two(game, theta, grid, stage2)
+    if stage2 is not None:
+        _check_solution(stage2, theta, grid)
+    else:
+        try:
+            stage2 = solve_stage_two(game, theta, grid)
+        except BlowUpDetected as exc:
+            raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
     x0 = game.x0
     N = game.num_players
     ks = list(range(N))
     if game.zero_sum:
-        Pk0 = _zerosum_sensitivity(game, stage2, ks, grid)[0]
+        Pk0 = _zerosum_sensitivity(stage2, ks)[0]
         g = 0.5 * np.einsum("a,kab,b->k", x0, Pk0, x0)
         G = np.vstack([g, -g])
     else:
-        Pk_nodes, zk_nodes, ek_nodes = _general_sensitivity(game, stage2, ks, grid)
+        Pk_nodes, zk_nodes, ek_nodes = _general_sensitivity(stage2, ks)
         G = (0.5 * np.einsum("a,kiab,b->ik", x0, Pk_nodes[0], x0)
              + np.einsum("kia,a->ik", zk_nodes[0], x0) + ek_nodes[0].T)
     return G + game.regularizer_gradients(theta)
 
 
-def envelope_gradient(game: ConfigGame, theta, i: int, grid: TimeGrid = None) -> float:
+def envelope_gradient(stage2: StageTwoSolution, i: int) -> float:
     """Own-parameter derivative of player i's value as a trajectory integral.
 
-    Valid for drive-free games only: rolls out the equilibrium trajectory,
-    reconstructs every player's feedback control, and integrates the
-    instantaneous effects of the parameter on the state cost, on the ego
-    player's control effectiveness, and on the other players' strategy
-    shifts.  The ego player's own strategy shift contributes nothing,
-    which is what makes this an independent check of the path-derivative
-    gradient.  The regularizer, being control-independent, is excluded.
+    Valid for drive-free games only: rolls out the equilibrium trajectory
+    of ``stage2``, reconstructs every player's feedback control, and
+    integrates the instantaneous effects of the parameter on the state
+    cost, on the ego player's control effectiveness, and on the other
+    players' strategy shifts.  The ego player's own strategy shift
+    contributes nothing, which is what makes this an independent check of
+    the path-derivative gradient.  The regularizer, being
+    control-independent, is excluded.
     """
-    theta = _as_theta(game, theta)
-    if grid is None:
-        grid = default_grid(game)
-    stage2 = _stage_two(game, theta, grid, None)
     tabs = stage2.tables
     if not tabs.c_is_zero:
         raise PreconditionViolation("envelope form requires a vanishing drive term")
 
-    Pk_nodes, _, _ = _general_sensitivity(game, stage2, [i], grid)
-    path = rollout(game, theta, stage2)
+    Pk_nodes, _, _ = _general_sensitivity(stage2, [i])
+    path = rollout(tabs.game, tabs.theta, stage2)
     xs, us = path.x, path.u
     xP = np.einsum("ta,tab->tb", xs, stage2.P_nodes[:, i])
 
     vals = np.einsum("ta,tab,tb->t", xs, tabs.dQ[i][i][0::2], xs)
-    dBi = _at_nodes(game.B[i], theta, grid, k=i)
-    vals += 2.0 * np.einsum("ta,tab,tb->t", xP, dBi, us[i])
-    for j in range(game.num_players):
+    vals += 2.0 * np.einsum("ta,tab,tb->t", xP, tabs.dB[i][0::2], us[i])
+    for j in range(tabs.game.num_players):
         if j == i:
             continue
-        Bj = _at_nodes(game.B[j], theta, grid)
+        Bj = tabs.B[j][0::2]
         pre = np.einsum("tba,tbc,tc->ta", Bj, Pk_nodes[:, 0, j], xs)
-        du = -np.linalg.solve(_at_nodes(game.R[j][j], theta, grid), pre[..., None])[..., 0]
-        Rij = _at_nodes(game.R[i][j], theta, grid)
-        vals += 2.0 * np.einsum("ta,tab,tb->t", us[j], Rij, du)
+        du = -np.linalg.solve(tabs.R[j][j][0::2], pre[..., None])[..., 0]
+        vals += 2.0 * np.einsum("ta,tab,tb->t", us[j], tabs.R[i][j][0::2], du)
         vals += 2.0 * np.einsum("ta,tab,tb->t", xP, Bj, du)
 
-    return 0.5 * float(simpson_nodes(vals, grid))
+    return 0.5 * float(simpson_nodes(vals, stage2.grid))

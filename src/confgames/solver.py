@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BestResponseStalled, BlowUpDetected, InfeasibleTheta
 from .model import ConfigGame
 from .odekit import TimeGrid
-from .riccati import solve_stage_two, stage_one_costs
+from .riccati import DEFAULT_STEPS, solve_stage_two, stage_one_costs
 from .sensitivity import value_gradient
 
 
@@ -42,7 +42,7 @@ class SolverSettings:
     max_outer: int = 100
     max_inner: int = 500
     stationarity_tol: float = 1e-4
-    grid_steps: int = 1000
+    grid_steps: int = DEFAULT_STEPS
 
     def __post_init__(self):
         for name in ("alpha", "epsilon", "max_inner", "stationarity_tol",
@@ -245,7 +245,8 @@ def naive_baseline(game: ConfigGame, theta0, settings: SolverSettings = None) ->
     stage-two value at (naive theta1, equilibrium theta2); its gap above
     the equilibrium value measures the cost of ignoring the opponent's
     configuration response.  The naive first round is the search's first
-    best response (same start, same frozen opponent), read from its trace.
+    best response (same start, same frozen opponent), read from its trace;
+    a realized profile that is the search's end point is not solved again.
     """
     if not (game.zero_sum and game.num_players == 2):
         raise ValueError("baseline is defined for two-player zero-sum games")
@@ -267,9 +268,12 @@ def naive_baseline(game: ConfigGame, theta0, settings: SolverSettings = None) ->
 
     theta_star = trace.theta
     realized_profile = np.array([theta1_naive, theta_star[1]])
-    stage2 = solve_stage_two(game, realized_profile, grid)
-    realized = float(stage_one_costs(game, stage2)[0])
     equilibrium = float(trace.values[0])
+    if np.array_equal(realized_profile, theta_star):
+        realized = equilibrium
+    else:
+        stage2 = solve_stage_two(game, realized_profile, grid)
+        realized = float(stage_one_costs(game, stage2)[0])
     return BaselineResult(theta1_naive=theta1_naive, theta_star=theta_star,
                           realized_value=realized, equilibrium_value=equilibrium,
                           gap=realized - equilibrium,

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from confgames import (CertVerdict, SolverSettings, TimeGrid,
+from confgames import (CertVerdict, SolverSettings, StageTables, TimeGrid,
                        certify_first_order, envelope_gradient, random_aq_game,
                        rollout, solve_coupled_riccati, solve_stage_two,
                        solve_zerosum_riccati, stage_one_costs, value_gradient)
@@ -147,8 +147,9 @@ def test_criterion_05_zero_sum_consistency(pe_game):
     worst_path, worst_val = 0.0, 0.0
     for theta in (np.array([0.3, 1.2]), np.array([0.9, 0.5]),
                   np.array([1.4, 1.4])):
-        coupled = solve_coupled_riccati(pe_game, theta, grid)
-        single = solve_zerosum_riccati(pe_game, theta, grid)
+        tabs = StageTables(pe_game, theta, grid)
+        coupled = solve_coupled_riccati(tabs)
+        single = solve_zerosum_riccati(tabs)
         worst_path = max(
             worst_path,
             float(np.abs(coupled[:, 0] - single).max()),
@@ -169,9 +170,10 @@ def test_criterion_06_envelope_identity():
         game = random_aq_game(seed + 40, 2, 2 + seed % 3, 1, affine=False)
         grid = TimeGrid(game.horizon, 1000)
         theta = 0.7 + 0.6 * rng.random(2)
-        G = value_gradient(game, theta, grid=grid)
+        stage2 = solve_stage_two(game, theta, grid)
+        G = value_gradient(game, theta, grid=grid, stage2=stage2)
         for i in range(2):
-            env = envelope_gradient(game, theta, i, grid)
+            env = envelope_gradient(stage2, i)
             worst = max(worst, abs(env - G[i, i]) / max(abs(G[i, i]), 1e-10))
     _report(6, "trajectory-integral form of the own gradient",
             worst <= 1e-3, f"max rel err={worst:.2e}")

@@ -240,9 +240,11 @@ class TestGradCheckCommand:
                      "--out", str(out)] + FAST)
         assert code == 0
 
-    @pytest.mark.parametrize("setting", ["gradcheck.samples=0", "gradcheck.step=0"])
+    @pytest.mark.parametrize("setting", ["gradcheck.samples=0", "gradcheck.step=0",
+                                         "gradcheck.tolerance=-1", "gradcheck.tolerance=nan"])
     def test_meaningless_check_is_a_config_error(self, tmp_path, capsys, setting):
-        # samples=0 used to pass with no rows, step=0 to fail on 0/0
+        # samples=0 used to pass with no rows, step=0 to fail on 0/0, and a
+        # negative or NaN tolerance to report a failure it did not find
         out = tmp_path / "gc"
         code = main(["grad-check", "--set", "scenario=general_sum", "--set", setting,
                      "--out", str(out)] + FAST)

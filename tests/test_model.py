@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from confgames import (ConfigGame, IndefiniteStateCostWarning, MatrixFn,
-                       PositiveDefinitenessViolation, TimeGrid,
-                       build_general_sum, compute_S, compute_S_deriv,
-                       solve_stage_two)
-from confgames._stage import StageTables
+                       PositiveDefinitenessViolation, StageTables, TimeGrid,
+                       build_general_sum, envelope_gradient, rollout, solve_stage_two,
+                       value_gradient)
+from confgames import model as model_mod
 from confgames.riccati import _closed_loop
-from conftest import make_scalar_lqr
+from conftest import make_scalar_lqr, make_time_varying_game
 
 
 def _fd_matrixfn(fn, t, theta, k, h=1e-5):
@@ -66,7 +66,14 @@ class TestMatrixFn:
             fn(0.0, np.zeros(1))
 
 
+def _tables_at_t0(game, theta):
+    """Stage tables on a 2-step grid: stage index 0 is t = 0."""
+    return StageTables(game, np.asarray(theta, dtype=float), TimeGrid(game.horizon, 2))
+
+
 class TestComputeS:
+    """The coupling matrices S^ij = B^j R^jj^-1 R^ij R^jj^-1 B^j' of StageTables."""
+
     def test_identity_case(self):
         n = 2
         eye = MatrixFn.constant(np.eye(n))
@@ -75,28 +82,28 @@ class TestComputeS:
             A=MatrixFn.constant(np.zeros((n, n))), B=(eye,), Q=(eye,),
             R=((eye,),), c=MatrixFn.constant(np.zeros(n)), Qf=(np.zeros((n, n)),),
             theta_box=((0.0, 1.0),), x0=np.zeros(n))
-        S = compute_S(game, 0, 0, 0.0, np.array([0.5]))
+        S = _tables_at_t0(game, [0.5]).S[0, 0, 0]
         assert np.allclose(S, np.eye(n), atol=1e-14)
 
     def test_pursuit_actuation_block_at_zero_angle(self, pe_game):
         # at theta1 = 0 the own coupling has diag(4, 1) at the velocity rows
-        S = compute_S(pe_game, 0, 0, 0.0, np.array([0.0, 1.0]))
+        S = _tables_at_t0(pe_game, [0.0, 1.0]).S[0, 0, 0]
         expected = np.zeros((8, 8))
         expected[2, 2] = 4.0
         expected[3, 3] = 1.0
         assert np.allclose(S, expected, atol=1e-14)
 
     def test_cross_coupling_zero_when_cross_cost_zero(self, gs_game):
-        S = compute_S(gs_game, 0, 1, 0.1, np.array([0.7, 0.9]))
-        assert not S.any()
+        # at every stage time of the grid, t = 0.1 among them
+        tabs = StageTables(gs_game, np.array([0.7, 0.9]), TimeGrid(gs_game.horizon, 18))
+        assert not tabs.S[0, 1].any()
 
     def test_own_coupling_psd_on_grid(self, pe_game, gs_game):
         for game in (pe_game, gs_game):
-            theta = game.theta_mid
-            for t in np.linspace(0.0, game.horizon, 7):
-                for j in range(game.num_players):
-                    S = compute_S(game, j, j, t, theta)
-                    assert np.linalg.eigvalsh(0.5 * (S + S.T)).min() >= -1e-10
+            # the nodes of a 6-step grid are linspace(0, horizon, 7)
+            tabs = StageTables(game, game.theta_mid, TimeGrid(game.horizon, 6))
+            for S_t in tabs.S_diag[:, 0::2].reshape(-1, game.state_dim, game.state_dim):
+                assert np.linalg.eigvalsh(0.5 * (S_t + S_t.T)).min() >= -1e-10
 
     def test_singular_control_cost_raises(self):
         bad_r = MatrixFn.constant(np.zeros((1, 1)))
@@ -111,27 +118,98 @@ class TestComputeS:
 
 
 class TestComputeSDeriv:
+    """The derivative tables dS[k][i] = d S^ik / d theta_k of StageTables."""
+
     def test_zero_for_foreign_component(self, pe_game):
-        d = compute_S_deriv(pe_game, 0, 0, 0.0, np.array([0.3, 0.8]), 1)
+        # S^00 does not move with theta_1: its derivative there is zero,
+        # which is why the tables hold no such entry
+        theta = np.array([0.3, 0.8])
+        moved = np.array([0.3, 1.3])
+        d = _tables_at_t0(pe_game, moved).S[0, 0] - _tables_at_t0(pe_game, theta).S[0, 0]
         assert not d.any()
 
     def test_scalar_game_gives_two_theta(self):
         game = make_scalar_lqr()
-        theta = np.array([0.7])
-        d = compute_S_deriv(game, 0, 0, 0.0, theta, 0)
+        tabs = _tables_at_t0(game, [0.7])
+        tabs.ensure_derivs()
+        d = tabs.dS[0][0][0]
         assert d[0, 0] == pytest.approx(2 * 0.7, abs=1e-14)
 
     def test_matches_central_difference_on_pursuit_game(self, pe_game):
         theta = np.array([np.pi / 4, np.pi / 4])
         h = 1e-6
+        tabs = _tables_at_t0(pe_game, theta)
+        tabs.ensure_derivs()
         for (i, j, k) in [(0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 0)]:
             up, dn = theta.copy(), theta.copy()
             up[k] += h
             dn[k] -= h
-            fd = (compute_S(pe_game, i, j, 0.0, up)
-                  - compute_S(pe_game, i, j, 0.0, dn)) / (2 * h)
-            d = compute_S_deriv(pe_game, i, j, 0.0, theta, k)
+            fd = (_tables_at_t0(pe_game, up).S[i, j, 0]
+                  - _tables_at_t0(pe_game, dn).S[i, j, 0]) / (2 * h)
+            d = tabs.dS[k][i][0]
             assert np.abs(d - fd).max() <= 1e-8
+
+
+class TestSampler:
+    """StageTables samples every coefficient once per solve; later passes
+    read the tables."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = [0]
+        real = model_mod.MatrixFn.__call__
+
+        def counted(self, t, theta):
+            calls[0] += 1
+            return real(self, t, theta)
+
+        monkeypatch.setattr(model_mod.MatrixFn, "__call__", counted)
+        return calls
+
+    def test_one_call_per_stage_time_or_per_constant(self, monkeypatch):
+        # six time-varying coefficients (B^0, B^1 and the four R^ij) at
+        # 2001 stage times, four constant ones (A, c, Q^0, Q^1) once each;
+        # sampling S per (i, j) pair and again at the nodes made 46,030
+        game = make_time_varying_game()
+        theta = np.array([0.7, 1.3])
+        grid = TimeGrid(game.horizon, 1000)
+        calls = self._count_calls(monkeypatch)
+        sol = solve_stage_two(game, theta, grid)
+        value_gradient(game, theta, grid=grid, stage2=sol)
+        rollout(game, theta, sol)
+        assert calls[0] == 6 * len(grid.stage_times) + 4 == 12010
+
+    def test_rollout_and_envelope_read_the_tables(self, monkeypatch):
+        game = make_time_varying_game()
+        theta = np.array([0.7, 1.3])
+        sol = solve_stage_two(game, theta, TimeGrid(game.horizon, 200))
+        calls = self._count_calls(monkeypatch)
+        rollout(game, theta, sol)
+        for i in range(2):
+            envelope_gradient(sol, i)
+        assert calls[0] == 0
+
+    def test_coupling_tables_match_closed_form(self):
+        game = make_time_varying_game()
+        theta = np.array([0.7, 1.3])
+        grid = TimeGrid(game.horizon, 1000)
+        tabs = StageTables(game, theta, grid)
+        tabs.ensure_derivs()
+        for m, t in enumerate(grid.stage_times):
+            B = [game.B[j](t, theta) for j in range(2)]
+            dB = [game.B[j].d_theta(t, theta, j) for j in range(2)]
+            for j in range(2):
+                assert np.array_equal(tabs.B[j][m], B[j])
+                assert np.array_equal(tabs.dB[j][m], dB[j])
+            for i in range(2):
+                for j in range(2):
+                    assert np.array_equal(tabs.R[i][j][m], game.R[i][j](t, theta))
+                    Rjj_inv = np.linalg.inv(game.R[j][j](t, theta))
+                    M = Rjj_inv @ game.R[i][j](t, theta) @ Rjj_inv
+                    S = B[j] @ M @ B[j].T
+                    dS = dB[j] @ M @ B[j].T + B[j] @ M @ dB[j].T
+                    assert np.allclose(tabs.S[i, j, m], S, rtol=1e-12, atol=1e-14)
+                    assert np.allclose(tabs.dS[j][i][m], dS, rtol=1e-12, atol=1e-14)
 
 
 class TestClosedLoopMatrix:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from confgames import (BlowUpDetected, ConfigGame, MatrixFn, TimeGrid,
-                       compute_S, rollout, solve_coupled_riccati, solve_eta,
+from confgames import (BlowUpDetected, ConfigGame, MatrixFn, StageTables, TimeGrid,
+                       rollout, solve_coupled_riccati, solve_eta,
                        solve_stage_two, solve_zerosum_riccati, solve_zeta,
                        stage_one_costs, value_gradient)
 from confgames import riccati
@@ -23,7 +23,7 @@ class TestCoupledRiccati:
 
     def test_zero_cost_gives_zero_solution(self, pe_game):
         game = make_scalar_lqr(q=0.0, qf=0.0)
-        P = solve_coupled_riccati(game, np.array([1.0]), TimeGrid(1.0, 100))
+        P = solve_coupled_riccati(StageTables(game, np.array([1.0]), TimeGrid(1.0, 100)))
         assert not P.any()
 
     def test_terminal_conditions_bit_exact(self, gs_game, gs_grid):
@@ -45,7 +45,7 @@ class TestCoupledRiccati:
         # the builder rejects this horizon, so lengthen the built game's instead
         game = dataclasses.replace(gs_game, horizon=6.0)
         with pytest.raises(BlowUpDetected) as info:
-            solve_coupled_riccati(game, np.array([0.6, 1.2]), TimeGrid(6.0, 1000))
+            solve_coupled_riccati(StageTables(game, np.array([0.6, 1.2]), TimeGrid(6.0, 1000)))
         assert 0.0 < info.value.time < 6.0
         assert info.value.player in (0, 1)
 
@@ -71,12 +71,13 @@ class TestAffinePasses:
             theta_box=((0.0, 1.0),), x0=np.ones(1))
         grid = TimeGrid(1.0, 100)
         theta = np.array([0.5])
-        P = solve_coupled_riccati(game, theta, grid)
+        tabs = StageTables(game, theta, grid)
+        P = solve_coupled_riccati(tabs)
         assert not P.any()
         sol = solve_stage_two(game, theta, grid)
-        zeta = solve_zeta(game, theta, sol.P_st, sol.F_st, grid)
+        zeta = solve_zeta(tabs, sol.P_st, sol.F_st)
         assert not zeta.any()
-        eta = solve_eta(game, theta, sol.zeta_st, sol.beta_st, grid)
+        eta = solve_eta(tabs, sol.zeta_st, sol.beta_st)
         assert not eta.any()
 
     def test_drive_residual_recomputation(self, gs_game, gs_grid):
@@ -85,7 +86,9 @@ class TestAffinePasses:
         for j, t in enumerate(gs_grid.nodes):
             expected = gs_game.c(t, theta).copy()
             for i in range(2):
-                expected -= compute_S(gs_game, i, i, t, theta) @ sol.zeta_nodes[j, i]
+                Bi = gs_game.B[i](t, theta)
+                S_ii = Bi @ np.linalg.solve(gs_game.R[i][i](t, theta), Bi.T)
+                expected -= S_ii @ sol.zeta_nodes[j, i]
             assert np.abs(sol.beta_st[2 * j] - expected).max() <= 1e-10
 
 
@@ -128,7 +131,7 @@ class TestZeroSum:
                (MatrixFn.constant(-np.eye(1)), eye1)),
             c=MatrixFn.constant(np.zeros(n)), Qf=(Qf, -Qf),
             theta_box=((0.0, 1.0),) * 2, x0=np.ones(n), zero_sum=True)
-        P = solve_zerosum_riccati(game, np.array([0.5, 0.5]), TimeGrid(1.0, 100))
+        P = solve_zerosum_riccati(StageTables(game, np.array([0.5, 0.5]), TimeGrid(1.0, 100)))
         assert np.allclose(P[0], Qf, atol=1e-14)
 
     def test_matched_angles_match_matrix_exponential_oracle(self, pe_game, pe_grid):
@@ -160,8 +163,9 @@ class TestZeroSum:
 
     def test_coupled_encoding_agrees_with_single_matrix(self, pe_game, pe_grid):
         for theta in (np.array([0.4, 1.1]), np.array([1.3, 0.2])):
-            Pc = solve_coupled_riccati(pe_game, theta, pe_grid)
-            Pz = solve_zerosum_riccati(pe_game, theta, pe_grid)
+            tabs = StageTables(pe_game, theta, pe_grid)
+            Pc = solve_coupled_riccati(tabs)
+            Pz = solve_zerosum_riccati(tabs)
             assert np.abs(Pc[:, 0] - Pz).max() <= 1e-6
             assert np.abs(Pc[:, 1] + Pz).max() <= 1e-6
 

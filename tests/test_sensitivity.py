@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from confgames import (InfeasibleTheta, PreconditionViolation, TimeGrid,
-                       envelope_gradient, random_aq_game, sensitivity_bundle,
-                       solve_stage_two, stage_one_costs, value_gradient)
+                       envelope_gradient, random_aq_game, solve_stage_two,
+                       stage_one_costs, value_gradient)
+from confgames.sensitivity import _general_sensitivity, _zerosum_sensitivity
 from conftest import make_scalar_lqr, make_theta_independent_game, make_time_varying_game
 
 
@@ -22,18 +23,29 @@ def fd_gradient(game, theta, grid, h=1e-5):
     return out
 
 
+def column_from_paths(game, theta, k, Pk, zk, ek):
+    """Column k of the value gradient from one component's path derivatives."""
+    x0 = game.x0
+    return np.array([
+        0.5 * x0 @ Pk[0, i] @ x0 + zk[0, i] @ x0 + ek[0, i]
+        for i in range(game.num_players)
+    ]) + game.regularizer_gradients(theta)[:, k]
+
+
 class TestPathDerivatives:
+    """The batched sensitivity cores, run on one component (ks = [k])."""
+
     def test_everything_vanishes_without_parameter_dependence(self):
         game = make_theta_independent_game()
         grid = TimeGrid(1.0, 400)
         theta = np.array([1.0, 1.0])
         stage2 = solve_stage_two(game, theta, grid)
         for k in range(2):
-            bundle = sensitivity_bundle(game, theta, k, stage2, grid)
-            assert not bundle.P_nodes.any()
-            assert not bundle.zeta_nodes.any()
-            assert not bundle.eta_nodes.any()
-            assert not bundle.dJ.any()
+            Pk, zk, ek = (a[:, 0] for a in _general_sensitivity(stage2, [k]))
+            assert not Pk.any()
+            assert not zk.any()
+            assert not ek.any()
+            assert not column_from_paths(game, theta, k, Pk, zk, ek).any()
         assert not value_gradient(game, theta, grid=grid).any()
 
     def test_scalar_lqr_matches_analytic_derivative(self):
@@ -43,33 +55,36 @@ class TestPathDerivatives:
         grid = TimeGrid(1.0, 1000)
         theta = np.array([1.0])
         stage2 = solve_stage_two(game, theta, grid)
-        bundle = sensitivity_bundle(game, theta, 0, stage2, grid)
+        Pk = _general_sensitivity(stage2, [0])[0][:, 0]
         expected = 1.0 / np.cosh(1.0) ** 2 - np.tanh(1.0)
-        assert bundle.P_nodes[0, 0, 0, 0] == pytest.approx(expected, rel=1e-6)
+        assert Pk[0, 0, 0, 0] == pytest.approx(expected, rel=1e-6)
 
     def test_terminal_samples_exactly_zero(self, gs_game, gs_grid):
         theta = np.array([0.7, 1.0])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
-        bundle = sensitivity_bundle(gs_game, theta, 0, stage2, gs_grid)
+        Pk, zk, ek = (a[:, 0] for a in _general_sensitivity(stage2, [0]))
         for i in range(2):
-            assert not bundle.P_nodes[-1, i].any()
-            assert not bundle.zeta_nodes[-1, i].any()
-            assert bundle.eta_nodes[-1, i] == 0.0
+            assert not Pk[-1, i].any()
+            assert not zk[-1, i].any()
+            assert ek[-1, i] == 0.0
 
     def test_path_derivative_symmetric(self, gs_game, gs_grid):
         theta = np.array([0.4, 1.1])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
-        bundle = sensitivity_bundle(gs_game, theta, 1, stage2, gs_grid)
+        Pk = _general_sensitivity(stage2, [1])[0][:, 0]
         for i in range(2):
-            p = bundle.P_nodes[:, i]
+            p = Pk[:, i]
             asym = np.abs(p - p.transpose(0, 2, 1)).max()
             assert asym <= 1e-9
 
     def test_offset_derivatives_vanish_for_drive_free_games(self, pe_game, pe_grid):
         theta = np.array([0.5, 0.9])
         stage2 = solve_stage_two(pe_game, theta, pe_grid)
-        bundle = sensitivity_bundle(pe_game, theta, 0, stage2, pe_grid)
-        assert bundle.zeta_nodes is None and bundle.eta_nodes is None
+        # the zero-sum core returns the value-matrix derivative alone
+        Pk = _zerosum_sensitivity(stage2, [0])
+        assert isinstance(Pk, np.ndarray) and Pk.shape == (pe_grid.steps + 1, 1, 8, 8)
+        _, zk, ek = _general_sensitivity(stage2, [0])
+        assert not zk.any() and not ek.any()
 
     def test_pursuit_value_matrix_derivative_against_differences(self, pe_game, pe_grid):
         theta = np.array([0.6, 1.0])
@@ -77,8 +92,8 @@ class TestPathDerivatives:
         stage2 = solve_stage_two(pe_game, theta, pe_grid)
         h = 1e-5
         for k in range(2):
-            bundle = sensitivity_bundle(pe_game, theta, k, stage2, pe_grid)
-            lhs = 0.5 * x0 @ bundle.P_nodes[0, 0] @ x0
+            Pk = _zerosum_sensitivity(stage2, [k])[:, 0]
+            lhs = 0.5 * x0 @ Pk[0] @ x0
             step = np.zeros(2)
             step[k] = h
             up = solve_stage_two(pe_game, theta + step, pe_grid).values[0]
@@ -87,32 +102,29 @@ class TestPathDerivatives:
             assert lhs == pytest.approx(fd, rel=1e-4)
 
     def test_staged_public_operations_compose(self, gs_game, gs_grid):
-        # the t=0 samples of each component's path derivatives reproduce
-        # that component's column of the batched value gradient
+        # the core run with ks = [k] equals column k of the core run with
+        # all ks, and the t=0 samples of that column reproduce column k of
+        # the value gradient
         rand = random_aq_game(0, 3, 6, 2)
         cases = ((gs_game, gs_grid, np.array([0.8, 0.6])),
                  (rand, TimeGrid(rand.horizon, 1000), np.array([0.9, 1.1, 1.0])))
         for game, grid, theta in cases:
             stage2 = solve_stage_two(game, theta, grid)
             G = value_gradient(game, theta, grid=grid, stage2=stage2)
-            x0 = game.x0
             N = game.num_players
+            batched = _general_sensitivity(stage2, list(range(N)))
             for k in range(N):
-                bundle = sensitivity_bundle(game, theta, k, stage2, grid)
-                manual = np.array([
-                    0.5 * x0 @ bundle.P_nodes[0, i] @ x0 + bundle.zeta_nodes[0, i] @ x0
-                    + bundle.eta_nodes[0, i]
-                    for i in range(N)
-                ]) + game.regularizer_gradients(theta)[:, k]
-                assert np.allclose(manual, bundle.dJ, atol=1e-12)
-                assert np.allclose(G[:, k], bundle.dJ, atol=1e-12)
+                single = [a[:, 0] for a in _general_sensitivity(stage2, [k])]
+                for one, every in zip(single, batched):
+                    assert np.allclose(one, every[:, k], atol=1e-12)
+                assert np.allclose(G[:, k], column_from_paths(game, theta, k, *single),
+                                   atol=1e-12)
 
 
 class TestSolutionMismatch:
     """A given stage-two solution is only used at its own theta and grid."""
 
-    @pytest.mark.parametrize("op", ["value_gradient", "sensitivity_bundle",
-                                    "directional_derivative"])
+    @pytest.mark.parametrize("op", ["value_gradient", "directional_derivative"])
     @pytest.mark.parametrize("mismatch", ["grid", "theta"])
     def test_other_theta_or_grid_rejected(self, op, mismatch, gs_game, gs_grid):
         theta = np.array([0.7, 0.9])
@@ -125,7 +137,6 @@ class TestSolutionMismatch:
         calls = {
             "value_gradient": lambda: value_gradient(gs_game, theta, grid=grid,
                                                      stage2=stage2),
-            "sensitivity_bundle": lambda: sensitivity_bundle(gs_game, theta, 0, stage2, grid),
             "directional_derivative": lambda: value_gradient(
                 gs_game, theta, grid=grid, stage2=stage2) @ np.ones(2),
         }
@@ -208,15 +219,16 @@ class TestEnvelopeGradient:
     def test_zero_for_parameter_independent_game(self):
         game = make_theta_independent_game(drive=False)
         grid = TimeGrid(1.0, 400)
-        val = envelope_gradient(game, np.array([1.0, 1.0]), 0, grid)
+        val = envelope_gradient(solve_stage_two(game, np.array([1.0, 1.0]), grid), 0)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_single_player_matches_value_gradient(self):
         game = make_scalar_lqr()
         grid = TimeGrid(1.0, 1000)
         theta = np.array([1.0])
-        env = envelope_gradient(game, theta, 0, grid)
-        G = value_gradient(game, theta, grid=grid)
+        stage2 = solve_stage_two(game, theta, grid)
+        env = envelope_gradient(stage2, 0)
+        G = value_gradient(game, theta, grid=grid, stage2=stage2)
         assert env == pytest.approx(G[0, 0], rel=1e-5)
         expected = 0.5 * (1.0 / np.cosh(1.0) ** 2 - np.tanh(1.0))
         assert env == pytest.approx(expected, rel=1e-5)
@@ -227,20 +239,22 @@ class TestEnvelopeGradient:
                               affine=False)
         grid = TimeGrid(game.horizon, 1000)
         theta = np.array([0.9, 1.15])
-        G = value_gradient(game, theta, grid=grid)
+        stage2 = solve_stage_two(game, theta, grid)
+        G = value_gradient(game, theta, grid=grid, stage2=stage2)
         for i in range(2):
-            env = envelope_gradient(game, theta, i, grid)
+            env = envelope_gradient(stage2, i)
             assert env == pytest.approx(G[i, i], rel=1e-3)
 
     def test_matches_own_gradient_with_time_varying_coefficients(self):
         game = make_time_varying_game()
         grid = TimeGrid(1.0, 1000)
         theta = np.array([0.8, 1.2])
-        G = value_gradient(game, theta, grid=grid)
+        stage2 = solve_stage_two(game, theta, grid)
+        G = value_gradient(game, theta, grid=grid, stage2=stage2)
         for i in range(2):
-            env = envelope_gradient(game, theta, i, grid)
+            env = envelope_gradient(stage2, i)
             assert env == pytest.approx(G[i, i], rel=1e-6)
 
     def test_requires_drive_free_game(self, gs_game, gs_grid):
         with pytest.raises(PreconditionViolation):
-            envelope_gradient(gs_game, np.array([0.7, 0.9]), 0, gs_grid)
+            envelope_gradient(solve_stage_two(gs_game, np.array([0.7, 0.9]), gs_grid), 0)

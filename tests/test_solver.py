@@ -228,6 +228,23 @@ class TestBaseline:
         thetas = pe_baseline_200.thetas
         assert len(thetas) == len(set(thetas))
 
+    def test_equilibrium_start_solves_each_theta_once(self, pe_game, pe_settings,
+                                                      pe_baseline_200, monkeypatch):
+        # from the search's end point the realized profile is that point,
+        # whose costs the search holds: it used to be solved a second time
+        thetas = []
+        real_solve = solver_mod.solve_stage_two
+
+        def counted(game, theta, grid=None):
+            thetas.append(tuple(np.asarray(theta, dtype=float)))
+            return real_solve(game, theta, grid)
+
+        monkeypatch.setattr(solver_mod, "solve_stage_two", counted)
+        settings = SolverSettings(alpha=pe_settings.alpha, grid_steps=200)
+        result = naive_baseline(pe_game, np.array(pe_baseline_200.result.theta_star), settings)
+        assert len(thetas) == len(set(thetas)) == 3
+        assert result.gap == 0.0
+
     def test_requires_zero_sum(self, gs_game, gs_settings):
         with pytest.raises(ValueError):
             naive_baseline(gs_game, np.array([0.6, 1.2]), gs_settings)
