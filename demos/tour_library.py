@@ -71,7 +71,7 @@ print(f"agreement           {np.abs(sol.values - traj.rollout_costs).max():.2e}"
 # 3. Differentiate the values three ways.
 # ---------------------------------------------------------------------------
 
-grid = sol.grid
+grid = sol.tables.grid
 G = cg.value_gradient(game, theta, stage2=sol)
 print("\n== value gradients dJ^i/dtheta_k ==")
 print(G)

@@ -77,6 +77,9 @@ def _coupling_deriv(j, t, Bj, dBj, Rjj, Rij=None):
 class StageTables:
     """Per-(game, theta, grid) coefficient samples at every stage time.
 
+    The one record of which game, theta and grid a solve ran on; the
+    grid must span the game's horizon.
+
     Attributes (M = 2*steps+1 stage times, N players, n state dim):
       A       (M, n, n)
       c       (M, n)
@@ -94,6 +97,9 @@ class StageTables:
     """
 
     def __init__(self, game: ConfigGame, theta, grid: TimeGrid):
+        if grid.horizon != game.horizon:
+            raise ValueError(f"grid horizon {grid.horizon} does not match the game "
+                             f"horizon {game.horizon}")
         self.game = game
         self.theta = np.array(theta, dtype=float)
         self.grid = grid

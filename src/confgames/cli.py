@@ -17,6 +17,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -27,8 +28,7 @@ from . import __version__
 from .errors import (BestResponseStalled, BlowUpDetected, ConfGamesError,
                      ConfigError, InfeasibleTheta)
 from .model import ConfigGame
-from .odekit import TimeGrid
-from .riccati import DEFAULT_STEPS, solve_stage_two, stage_one_costs
+from .riccati import DEFAULT_STEPS, default_grid, solve_stage_two, stage_one_costs
 from .scenarios import (GeneralSumSpec, PursuitEvasionSpec, build_general_sum,
                         build_pursuit_evasion, random_aq_game,
                         recommended_settings)
@@ -38,11 +38,11 @@ from .solver import SolverSettings, _evaluate, ibr_solve, naive_baseline
 PER_SCENARIO = object()
 
 
-def _spec_keys(prefix, spec):
-    """A key per scenario-spec field, tagged by its default (q_h has none)."""
-    return {f"{prefix}.{f.name}": ("floats" if isinstance(f.default, tuple) else "float",
-                                   f.default)
-            for f in dataclasses.fields(spec) if f.default is not None}
+def _spec_keys(prefix, spec, skip=()):
+    """A key per dataclass field, tagged by the type of its default."""
+    tags = {tuple: "floats", int: "int", float: "float"}
+    return {f"{prefix}.{f.name}": (tags[type(f.default)], f.default)
+            for f in dataclasses.fields(spec) if f.name not in skip}
 
 
 # key -> (type tag, default); type tags: int, float, str, bool, floats
@@ -50,11 +50,8 @@ KNOWN_KEYS = {
     "scenario": ("str", "pursuit_evasion"),
     "grid_steps": ("int", DEFAULT_STEPS),
     "theta0": ("floats", PER_SCENARIO),
+    **_spec_keys("solver", SolverSettings, skip=("grid_steps",)),
     "solver.alpha": ("float", PER_SCENARIO),
-    "solver.epsilon": ("float", 1e-6),
-    "solver.max_outer": ("int", 100),
-    "solver.max_inner": ("int", 500),
-    "solver.stationarity_tol": ("float", 1e-4),
     "sweep.grid": ("int", 21),
     "sweep.workers": ("int", 0),
     "gradcheck.samples": ("int", 10),
@@ -117,9 +114,6 @@ class RunConfig:
                 out[k] = _fmt(v)
         return out
 
-    def num_players(self) -> int:
-        return self["random.players"] if self["scenario"] == "random" else 2
-
     def build_game(self) -> ConfigGame:
         scenario = self["scenario"]
         if scenario == "pursuit_evasion":
@@ -130,22 +124,12 @@ class RunConfig:
                               self["random.state_dim"], self["random.control_dim"],
                               affine=self["random.affine"])
 
-    def _spec(self, prefix, spec):
+    def _spec(self, prefix, spec, **extra):
         return spec(**{key[len(prefix) + 1:]: value for key, value in self.values.items()
-                       if key.startswith(prefix + ".")})
+                       if key.startswith(prefix + ".")}, **extra)
 
     def solver_settings(self) -> SolverSettings:
-        return SolverSettings(
-            alpha=self["solver.alpha"], epsilon=self["solver.epsilon"],
-            max_outer=self["solver.max_outer"], max_inner=self["solver.max_inner"],
-            stationarity_tol=self["solver.stationarity_tol"],
-            grid_steps=self["grid_steps"])
-
-    def theta0(self) -> np.ndarray:
-        return np.array(self["theta0"], dtype=float)
-
-    def grid_for(self, game: ConfigGame) -> TimeGrid:
-        return TimeGrid(game.horizon, self["grid_steps"])
+        return self._spec("solver", SolverSettings, grid_steps=self["grid_steps"])
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
@@ -186,22 +170,18 @@ def load_config(path=None, overrides=()) -> RunConfig:
     scenario = values["scenario"]
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
+    players = values["random.players"] if scenario == "random" else 2
     if values["theta0"] is PER_SCENARIO:
-        if scenario == "random":
-            values["theta0"] = (1.0,) * values["random.players"]
-        else:
-            values["theta0"] = DEFAULT_THETA0[scenario]
+        values["theta0"] = DEFAULT_THETA0.get(scenario, (1.0,) * players)
     if values["solver.alpha"] is PER_SCENARIO:
         values["solver.alpha"] = recommended_settings(scenario).alpha
-
-    cfg = RunConfig(values)
-    if len(cfg.theta0()) != cfg.num_players():
+    if len(values["theta0"]) != players:
         raise ConfigError("theta0 length does not match the number of players")
-    return cfg
+    return RunConfig(values)
 
 
 def _validate_theta0(cfg: RunConfig, game: ConfigGame):
-    theta0 = cfg.theta0()
+    theta0 = np.array(cfg["theta0"], dtype=float)
     if not game.contains_theta(theta0):
         raise ConfigError(
             f"theta0 {tuple(theta0)} lies outside the parameter box {game.theta_box}")
@@ -236,9 +216,9 @@ def write_json(path, payload: dict):
         fh.write("\n")
 
 
-def _ensure_outdir(outdir):
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
+def _record_row(r, *prefix):
+    """A CSV row for one search iterate, players numbered from 1."""
+    return (*prefix, r.sweep, r.player + 1, r.inner_iter, *r.theta, *r.values, r.grad_own)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -262,8 +242,7 @@ def cmd_solve(cfg: RunConfig, outdir) -> int:
         trace = exc.trace
         exit_code = 3
     rows = [(0, 0, 0, *theta0, *trace.values0, float("nan"))]
-    rows.extend((r.sweep, r.player + 1, r.inner_iter, *r.theta, *r.values, r.grad_own)
-                for r in trace.records)
+    rows.extend(_record_row(r) for r in trace.records)
     write_csv(os.path.join(outdir, "trace.csv"), meta, header, rows)
 
     result = {"config": meta, "theta0": list(map(float, theta0))}
@@ -312,7 +291,7 @@ def cmd_sweep(cfg: RunConfig, outdir) -> int:
         raise ConfigError("sweep.grid must be at least 1")
     meta = cfg.metadata()
     meta["command"] = "sweep"
-    grid = cfg.grid_for(game)
+    grid = default_grid(game, cfg["grid_steps"])
 
     axes = []
     for lo, hi in game.theta_box:
@@ -325,8 +304,11 @@ def cmd_sweep(cfg: RunConfig, outdir) -> int:
     if workers == 0:
         workers = min(8, os.cpu_count() or 1)
     try:
-        if workers > 1 and hasattr(os, "fork"):
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # the game's closures do not pickle, so the workers read it from
+        # _SWEEP_CTX, which only a forked child inherits
+        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
                 results = list(pool.map(_sweep_point, range(len(points)), chunksize=8))
         else:
             results = [_sweep_point(i) for i in range(len(points))]
@@ -364,7 +346,7 @@ def cmd_grad_check(cfg: RunConfig, outdir) -> int:
     N = game.num_players
     meta = cfg.metadata()
     meta["command"] = "grad-check"
-    grid = cfg.grid_for(game)
+    grid = default_grid(game, cfg["grid_steps"])
     rng = np.random.default_rng(cfg["gradcheck.seed"])
     tol = cfg["gradcheck.tolerance"]
     corrupt = cfg["gradcheck.corrupt"]
@@ -383,8 +365,8 @@ def cmd_grad_check(cfg: RunConfig, outdir) -> int:
         for k in range(N):
             step = np.zeros(N)
             step[k] = h
-            Jp = stage_one_costs(game, solve_stage_two(game, theta + step, grid))
-            Jm = stage_one_costs(game, solve_stage_two(game, theta - step, grid))
+            Jp = stage_one_costs(solve_stage_two(game, theta + step, grid))
+            Jm = stage_one_costs(solve_stage_two(game, theta - step, grid))
             fd = (Jp - Jm) / (2 * h)
             for i in range(N):
                 rel = gradcheck_rel_err(G[i, k], fd[i])
@@ -416,10 +398,8 @@ def cmd_baseline(cfg: RunConfig, outdir) -> int:
 
     header = ["path", "sweep", "player", "inner_iter", "theta_1", "theta_2",
               "J_1", "J_2", "grad_own"]
-    rows = [("naive", r.sweep, r.player + 1, r.inner_iter, *r.theta, *r.values,
-             r.grad_own) for r in result.naive_records]
-    rows.extend(("ibr", r.sweep, r.player + 1, r.inner_iter, *r.theta, *r.values,
-                 r.grad_own) for r in result.ibr_trace.records)
+    rows = [_record_row(r, "naive") for r in result.naive_records]
+    rows.extend(_record_row(r, "ibr") for r in result.ibr_trace.records)
     write_csv(os.path.join(outdir, "baseline.csv"), meta, header, rows)
     return 0
 
@@ -458,8 +438,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
-        outdir = _ensure_outdir(args.out)
-        return COMMANDS[args.command](cfg, outdir)
+        os.makedirs(args.out, exist_ok=True)
+        return COMMANDS[args.command](cfg, args.out)
     except (InfeasibleTheta, BestResponseStalled, BlowUpDetected) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

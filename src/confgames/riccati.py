@@ -47,7 +47,8 @@ class StageTwoSolution:
     """Equilibrium solution bundle at one parameter vector.
 
     ``values`` holds the pure stage-two equilibrium costs (no first-stage
-    regularizer; stage_one_costs adds it).  The paths are node arrays:
+    regularizer; stage_one_costs adds it).  The game, theta and grid it
+    was solved at are those of ``tables``.  The paths are node arrays:
     ``P_nodes`` (steps+1, N, n, n), ``zeta_nodes`` (steps+1, N, n) and
     ``eta_nodes`` (steps+1, N).  For zero-sum games a single value matrix
     P is solved and stored as the stack (P, -P), with no offset arrays
@@ -57,9 +58,6 @@ class StageTwoSolution:
     use, and its ``zeta_st`` and ``beta_st`` are exact zeros.
     """
 
-    theta: tuple
-    grid: TimeGrid
-    zero_sum: bool
     values: np.ndarray
     tables: StageTables = field(repr=False, compare=False)
     P_nodes: np.ndarray = field(repr=False)
@@ -108,13 +106,18 @@ class TrajectoryRollout:
     rollout_costs: np.ndarray
 
 
-def _check_solution(solution: StageTwoSolution, theta, grid: TimeGrid):
-    """Reject a theta or grid other than the ones ``solution`` was solved at."""
-    if grid != solution.grid:
-        raise ValueError(f"grid {grid} does not match the solution grid {solution.grid}")
-    if not np.array_equal(theta, solution.theta):
+def _check_solution(solution: StageTwoSolution, game: ConfigGame, theta,
+                    grid: TimeGrid = None):
+    """Reject a game, theta or grid (when given) other than the ones
+    ``solution`` was solved at; the game is compared by identity."""
+    tabs = solution.tables
+    if game is not tabs.game:
+        raise ValueError("game is not the game the solution was solved for")
+    if grid is not None and grid != tabs.grid:
+        raise ValueError(f"grid {grid} does not match the solution grid {tabs.grid}")
+    if not np.array_equal(theta, tabs.theta):
         raise ValueError(f"theta {np.asarray(theta).tolist()} does not match the "
-                         f"solution theta {np.asarray(solution.theta).tolist()}")
+                         f"solution theta {tabs.theta.tolist()}")
 
 
 # -- backward passes ---------------------------------------------------------
@@ -230,9 +233,8 @@ def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoS
     if game.zero_sum:
         P = solve_zerosum_riccati(tabs)
         J = 0.5 * float(x0 @ P[0] @ x0)
-        return StageTwoSolution(
-            theta=tuple(theta), grid=grid, zero_sum=True, values=np.array([J, -J]),
-            tables=tabs, P_nodes=np.stack([P, -P], axis=1))
+        return StageTwoSolution(values=np.array([J, -J]), tables=tabs,
+                                P_nodes=np.stack([P, -P], axis=1))
 
     P = solve_coupled_riccati(tabs)
     P_st = stage_samples(P)
@@ -245,17 +247,17 @@ def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoS
         0.5 * float(x0 @ P[0, i] @ x0) + float(zeta[0, i] @ x0) + float(eta[0, i])
         for i in range(game.num_players)
     ])
-    solution = StageTwoSolution(
-        theta=tuple(theta), grid=grid, zero_sum=False, values=values, tables=tabs,
-        P_nodes=P, zeta_nodes=zeta, eta_nodes=eta)
+    solution = StageTwoSolution(values=values, tables=tabs, P_nodes=P, zeta_nodes=zeta,
+                                eta_nodes=eta)
     # the gradient and rollout read the very samples the passes ran on
     vars(solution).update(P_st=P_st, F_st=F_st, zeta_st=zeta_st, beta_st=beta_st)
     return solution
 
 
-def stage_one_costs(game: ConfigGame, solution: StageTwoSolution) -> np.ndarray:
+def stage_one_costs(solution: StageTwoSolution) -> np.ndarray:
     """All players' first-stage costs (stage-two values plus regularizers)."""
-    return solution.values + game.regularizer_values(np.asarray(solution.theta))
+    tabs = solution.tables
+    return solution.values + tabs.game.regularizer_values(tabs.theta)
 
 
 def rollout(game: ConfigGame, theta, solution: StageTwoSolution) -> TrajectoryRollout:
@@ -265,12 +267,12 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution) -> TrajectoryRo
     controls are reconstructed from the feedback law at every node, with
     B and R read from the node rows of the solution's tables; each
     player's cost is the Simpson quadrature of their running quadratic
-    forms plus the terminal cost.  ``theta`` must be the one ``solution``
-    was solved at.
+    forms plus the terminal cost.  ``game`` and ``theta`` must be the ones
+    ``solution`` was solved at.
     """
-    theta = np.asarray(theta, dtype=float)
-    grid = solution.grid
-    _check_solution(solution, theta, grid)
+    _check_solution(solution, game, np.asarray(theta, dtype=float))
+    tabs = solution.tables
+    grid = tabs.grid
     F_st, beta_st = solution.F_st, solution.beta_st
 
     def rhs(s, x):
@@ -278,7 +280,6 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution) -> TrajectoryRo
 
     xs = integrate_forward(rhs, game.x0, grid)
     N = game.num_players
-    tabs = solution.tables
     R = [[Rij[0::2] for Rij in row] for row in tabs.R]
     feedback = (np.einsum("tiab,tb->tia", solution.P_nodes, xs)
                 + solution.zeta_st[0::2])

@@ -9,7 +9,6 @@ surfacing later inside a solver loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,7 +34,7 @@ def _check_box_corners(game: ConfigGame, what: str):
     """Raise ValueError naming the divergence time if the two-player game
     blows up at a corner of its parameter box on a 500-step grid."""
     corners = [(t1, t2) for t1 in game.theta_box[0] for t2 in game.theta_box[1]]
-    blowup = _first_blowup(game, corners, TimeGrid(game.horizon, 500))
+    blowup = _first_blowup(game, corners, default_grid(game, 500))
     if blowup is not None:
         (t1, t2), exc = blowup
         raise ValueError(f"{what} diverges near t={exc.time:.4g} at "
@@ -161,9 +160,9 @@ class GeneralSumSpec:
     """Two agents on parallel lanes trading velocity tracking against
     separation, with a proximity penalty on the parameter choices.
 
-    Each agent tracks a preferred forward speed (weight q_v) while the
-    time-varying weight q_h rewards positional separation; the parameter
-    scales the agent's actuation authority.  A Gaussian-bump regularizer
+    Each agent tracks a preferred forward speed (weight q_v) while a
+    separation reward of weight q_h_scale holds until switch_time; the
+    parameter scales the agent's actuation authority.  A Gaussian-bump regularizer
     penalizes choosing the same aggression as the opponent, which is what
     splits the landscape into two basins.
     """
@@ -178,7 +177,6 @@ class GeneralSumSpec:
     x0: tuple = (0.0, 0.0, 0.0, 0.0)
     theta_min: float = 0.2
     theta_max: float = 1.2
-    q_h: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -189,8 +187,6 @@ class GeneralSumSpec:
             raise ValueError("x0 must have 4 components (p1, v1, p2, v2)")
 
     def q_h_at(self, t: float) -> float:
-        if self.q_h is not None:
-            return float(self.q_h(t))
         return self.q_h_scale * (0.5 * _sign_nonneg(self.switch_time - t) + 0.5)
 
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import BestResponseStalled, BlowUpDetected, InfeasibleTheta
 from .model import ConfigGame
-from .odekit import TimeGrid
-from .riccati import DEFAULT_STEPS, solve_stage_two, stage_one_costs
+from .riccati import DEFAULT_STEPS, default_grid, solve_stage_two, stage_one_costs
 from .sensitivity import value_gradient
 
 
@@ -47,8 +46,8 @@ class SolverSettings:
     def __post_init__(self):
         for name in ("alpha", "epsilon", "max_inner", "stationarity_tol",
                      "grid_steps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.max_outer < 0:
             raise ValueError("max_outer must be nonnegative")
 
@@ -104,7 +103,7 @@ def _evaluate(game, theta, grid):
         stage2 = solve_stage_two(game, theta, grid)
     except BlowUpDetected as exc:
         raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
-    costs = stage_one_costs(game, stage2)
+    costs = stage_one_costs(stage2)
     G = value_gradient(game, theta, grid=grid, stage2=stage2)
     return costs, np.diag(G).copy()
 
@@ -168,7 +167,7 @@ def ibr_solve(game: ConfigGame, theta0, settings: SolverSettings = None) -> IbrT
     theta = np.array(theta0, dtype=float)
     if not game.contains_theta(theta):
         raise ValueError(f"theta0 {tuple(theta)} outside the parameter box")
-    grid = TimeGrid(game.horizon, settings.grid_steps)
+    grid = default_grid(game, settings.grid_steps)
     costs, own = _evaluate(game, theta, grid)
     trace = IbrTrace(theta0=tuple(theta), values0=costs)
 
@@ -219,7 +218,7 @@ def certify_first_order(game: ConfigGame, theta, settings: SolverSettings = None
     """
     settings = settings if settings is not None else SolverSettings()
     theta = np.asarray(theta, dtype=float)
-    _, own = _evaluate(game, theta, TimeGrid(game.horizon, settings.grid_steps))
+    _, own = _evaluate(game, theta, default_grid(game, settings.grid_steps))
     return _verdicts(game, theta, own, settings.stationarity_tol)
 
 
@@ -252,7 +251,7 @@ def naive_baseline(game: ConfigGame, theta0, settings: SolverSettings = None) ->
         raise ValueError("baseline is defined for two-player zero-sum games")
     settings = settings if settings is not None else SolverSettings()
     trace = ibr_solve(game, theta0, settings)
-    grid = TimeGrid(game.horizon, settings.grid_steps)
+    grid = default_grid(game, settings.grid_steps)
 
     records = [r for r in trace.records if r.sweep == 1 and r.player == 0]
     start = trace.theta0[0]
@@ -273,7 +272,7 @@ def naive_baseline(game: ConfigGame, theta0, settings: SolverSettings = None) ->
         realized = equilibrium
     else:
         stage2 = solve_stage_two(game, realized_profile, grid)
-        realized = float(stage_one_costs(game, stage2)[0])
+        realized = float(stage_one_costs(stage2)[0])
     return BaselineResult(theta1_naive=theta1_naive, theta_star=theta_star,
                           realized_value=realized, equilibrium_value=equilibrium,
                           gap=realized - equilibrium,

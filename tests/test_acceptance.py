@@ -32,8 +32,8 @@ def _fd_cost_gradient(game, theta, grid, h=1e-5):
     for k in range(N):
         step = np.zeros(N)
         step[k] = h
-        Jp = stage_one_costs(game, solve_stage_two(game, theta + step, grid))
-        Jm = stage_one_costs(game, solve_stage_two(game, theta - step, grid))
+        Jp = stage_one_costs(solve_stage_two(game, theta + step, grid))
+        Jm = stage_one_costs(solve_stage_two(game, theta - step, grid))
         out[:, k] = (Jp - Jm) / (2 * h)
     return out
 

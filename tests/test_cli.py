@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from confgames import cli
+import confgames
+from confgames import cli, recommended_settings
 from confgames.cli import KNOWN_KEYS, load_config, main
 from confgames.errors import (BlowUpDetected, ConfigError, InfeasibleTheta,
                               NumericalFailure)
@@ -69,6 +74,11 @@ class TestConfigParsing:
         assert gs["theta0"] == (0.6, 1.2)
         assert gs["solver.alpha"] == 2.0
 
+    @pytest.mark.parametrize("scenario", ["pursuit_evasion", "general_sum"])
+    def test_search_settings_are_the_library_recommendation(self, scenario):
+        cfg = load_config(None, [f"scenario={scenario}"])
+        assert cfg.solver_settings() == recommended_settings(scenario)
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="grid_steps"):
             load_config(None, ["grid_steps=abc"])
@@ -104,6 +114,12 @@ class TestSolveCommand:
     def test_start_outside_box_is_usage_error(self, tmp_path):
         code = main(["solve", "--set", "theta0=-1.0,0.3",
                      "--out", str(tmp_path / "run")])
+        assert code == 1
+
+    def test_nan_search_setting_is_usage_error(self, tmp_path):
+        # a NaN tolerance would certify a stationary point NOT_STATIONARY, exit 0
+        code = main(["solve", "--set", "solver.stationarity_tol=nan",
+                     "--out", str(tmp_path / "run")] + FAST)
         assert code == 1
 
     def test_general_sum_reaches_boundary_certificate(self, tmp_path):
@@ -182,6 +198,29 @@ class TestSweepCommand:
         strip = lambda p: [ln for ln in p.read_text().splitlines()
                            if not ln.startswith("# sweep.workers")]
         assert strip(a / "landscape.csv") == strip(b / "landscape.csv")
+
+    def test_parallel_sweep_under_spawn_start_method(self, tmp_path):
+        # the start method is global to a process, so the sweep runs in a child
+        script = tmp_path / "spawn_sweep.py"
+        script.write_text(textwrap.dedent("""
+            import multiprocessing
+            from confgames.cli import main
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn")
+                for workers in (1, 2):
+                    code = main(["sweep", "--set", "scenario=general_sum",
+                                 "--set", "sweep.grid=2", "--set", f"sweep.workers={workers}",
+                                 "--set", "grid_steps=200", "--out", f"w{workers}"])
+                    assert code == 0, code
+        """))
+        src = os.path.dirname(os.path.dirname(confgames.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env, check=True,
+                       timeout=300)
+        strip = lambda p: [ln for ln in p.read_text().splitlines()
+                           if not ln.startswith("# sweep.workers")]
+        assert strip(tmp_path / "w1" / "landscape.csv") == strip(tmp_path / "w2" / "landscape.csv")
 
     def test_infeasible_point_is_reported_as_row(self, tmp_path, monkeypatch):
         game = load_config(None, []).build_game()

@@ -53,6 +53,11 @@ class TestCoupledRiccati:
         with pytest.raises(ValueError):
             solve_stage_two(pe_game, np.array([-0.5, 0.3]))
 
+    def test_grid_with_another_horizon_rejected(self, pe_game):
+        # a half-horizon grid would silently give 0.00838 for a value of 0.00805
+        with pytest.raises(ValueError, match="horizon"):
+            solve_stage_two(pe_game, np.array([0.4, 1.1]), TimeGrid(pe_game.horizon / 2, 200))
+
 
 class TestAffinePasses:
     def test_offsets_vanish_without_drive(self, pe_game, pe_grid):
@@ -155,7 +160,7 @@ class TestZeroSum:
         assert not sol.zeta_st.any()
         assert not sol.beta_st.any()
         x0 = pe_game.x0
-        assert 0.5 * float(x0 @ sol.P_nodes[0, 0] @ x0) == stage_one_costs(pe_game, sol)[0]
+        assert 0.5 * float(x0 @ sol.P_nodes[0, 0] @ x0) == stage_one_costs(sol)[0]
 
     def test_zero_sum_values_sum_to_zero(self, pe_game, pe_grid):
         sol = solve_stage_two(pe_game, np.array([0.3, 1.4]), pe_grid)
@@ -214,12 +219,12 @@ class TestValues:
             c=MatrixFn.constant(np.zeros(2)), Qf=(np.eye(2),),
             theta_box=((0.0, 1.0),), x0=np.array([1.0, 1.0]))
         sol = solve_stage_two(game, np.array([0.5]), TimeGrid(1.0, 100))
-        assert stage_one_costs(game, sol)[0] == pytest.approx(1.0)
+        assert stage_one_costs(sol)[0] == pytest.approx(1.0)
 
     def test_regularizer_added_to_stage_one_cost(self, gs_game, gs_grid):
         theta = np.array([0.5, 0.5])
         sol = solve_stage_two(gs_game, theta, gs_grid)
-        costs = stage_one_costs(gs_game, sol)
+        costs = stage_one_costs(sol)
         # at equal parameters the proximity bump is exactly w_r
         assert costs[0] == pytest.approx(sol.values[0] + 0.02, abs=1e-15)
         x0 = gs_game.x0

@@ -95,10 +95,8 @@ class TestGeneralSumBuilder:
         grid = TimeGrid(gs_game.horizon, 400)
         for t1 in np.linspace(0.3, 1.1, 5):
             for t2 in np.linspace(0.3, 1.1, 5):
-                a = stage_one_costs(
-                    gs_game, solve_stage_two(gs_game, np.array([t1, t2]), grid))
-                b = stage_one_costs(
-                    gs_game, solve_stage_two(gs_game, np.array([t2, t1]), grid))
+                a = stage_one_costs(solve_stage_two(gs_game, np.array([t1, t2]), grid))
+                b = stage_one_costs(solve_stage_two(gs_game, np.array([t2, t1]), grid))
                 assert a[0] == pytest.approx(b[1], abs=1e-8)
                 assert a[1] == pytest.approx(b[0], abs=1e-8)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from confgames import (InfeasibleTheta, PreconditionViolation, TimeGrid,
-                       envelope_gradient, random_aq_game, solve_stage_two,
+                       envelope_gradient, random_aq_game, rollout, solve_stage_two,
                        stage_one_costs, value_gradient)
 from confgames.sensitivity import _general_sensitivity, _zerosum_sensitivity
 from conftest import make_scalar_lqr, make_theta_independent_game, make_time_varying_game
@@ -17,8 +17,8 @@ def fd_gradient(game, theta, grid, h=1e-5):
     for k in range(N):
         step = np.zeros(N)
         step[k] = h
-        Jp = stage_one_costs(game, solve_stage_two(game, theta + step, grid))
-        Jm = stage_one_costs(game, solve_stage_two(game, theta - step, grid))
+        Jp = stage_one_costs(solve_stage_two(game, theta + step, grid))
+        Jm = stage_one_costs(solve_stage_two(game, theta - step, grid))
         out[:, k] = (Jp - Jm) / (2 * h)
     return out
 
@@ -33,7 +33,7 @@ def column_from_paths(game, theta, k, Pk, zk, ek):
 
 
 class TestPathDerivatives:
-    """The batched sensitivity cores, run on one component (ks = [k])."""
+    """The batched sensitivity cores; column k of each stack is component k."""
 
     def test_everything_vanishes_without_parameter_dependence(self):
         game = make_theta_independent_game()
@@ -41,7 +41,7 @@ class TestPathDerivatives:
         theta = np.array([1.0, 1.0])
         stage2 = solve_stage_two(game, theta, grid)
         for k in range(2):
-            Pk, zk, ek = (a[:, 0] for a in _general_sensitivity(stage2, [k]))
+            Pk, zk, ek = (a[:, k] for a in _general_sensitivity(stage2))
             assert not Pk.any()
             assert not zk.any()
             assert not ek.any()
@@ -55,14 +55,14 @@ class TestPathDerivatives:
         grid = TimeGrid(1.0, 1000)
         theta = np.array([1.0])
         stage2 = solve_stage_two(game, theta, grid)
-        Pk = _general_sensitivity(stage2, [0])[0][:, 0]
+        Pk = _general_sensitivity(stage2)[0][:, 0]
         expected = 1.0 / np.cosh(1.0) ** 2 - np.tanh(1.0)
         assert Pk[0, 0, 0, 0] == pytest.approx(expected, rel=1e-6)
 
     def test_terminal_samples_exactly_zero(self, gs_game, gs_grid):
         theta = np.array([0.7, 1.0])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
-        Pk, zk, ek = (a[:, 0] for a in _general_sensitivity(stage2, [0]))
+        Pk, zk, ek = (a[:, 0] for a in _general_sensitivity(stage2))
         for i in range(2):
             assert not Pk[-1, i].any()
             assert not zk[-1, i].any()
@@ -71,7 +71,7 @@ class TestPathDerivatives:
     def test_path_derivative_symmetric(self, gs_game, gs_grid):
         theta = np.array([0.4, 1.1])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
-        Pk = _general_sensitivity(stage2, [1])[0][:, 0]
+        Pk = _general_sensitivity(stage2)[0][:, 1]
         for i in range(2):
             p = Pk[:, i]
             asym = np.abs(p - p.transpose(0, 2, 1)).max()
@@ -81,9 +81,9 @@ class TestPathDerivatives:
         theta = np.array([0.5, 0.9])
         stage2 = solve_stage_two(pe_game, theta, pe_grid)
         # the zero-sum core returns the value-matrix derivative alone
-        Pk = _zerosum_sensitivity(stage2, [0])
-        assert isinstance(Pk, np.ndarray) and Pk.shape == (pe_grid.steps + 1, 1, 8, 8)
-        _, zk, ek = _general_sensitivity(stage2, [0])
+        Pk = _zerosum_sensitivity(stage2)
+        assert isinstance(Pk, np.ndarray) and Pk.shape == (pe_grid.steps + 1, 2, 8, 8)
+        _, zk, ek = _general_sensitivity(stage2)
         assert not zk.any() and not ek.any()
 
     def test_pursuit_value_matrix_derivative_against_differences(self, pe_game, pe_grid):
@@ -92,7 +92,7 @@ class TestPathDerivatives:
         stage2 = solve_stage_two(pe_game, theta, pe_grid)
         h = 1e-5
         for k in range(2):
-            Pk = _zerosum_sensitivity(stage2, [k])[:, 0]
+            Pk = _zerosum_sensitivity(stage2)[:, k]
             lhs = 0.5 * x0 @ Pk[0] @ x0
             step = np.zeros(2)
             step[k] = h
@@ -102,9 +102,8 @@ class TestPathDerivatives:
             assert lhs == pytest.approx(fd, rel=1e-4)
 
     def test_staged_public_operations_compose(self, gs_game, gs_grid):
-        # the core run with ks = [k] equals column k of the core run with
-        # all ks, and the t=0 samples of that column reproduce column k of
-        # the value gradient
+        # the t=0 samples of column k of the core stacks reproduce column k
+        # of the value gradient
         rand = random_aq_game(0, 3, 6, 2)
         cases = ((gs_game, gs_grid, np.array([0.8, 0.6])),
                  (rand, TimeGrid(rand.horizon, 1000), np.array([0.9, 1.1, 1.0])))
@@ -112,17 +111,29 @@ class TestPathDerivatives:
             stage2 = solve_stage_two(game, theta, grid)
             G = value_gradient(game, theta, grid=grid, stage2=stage2)
             N = game.num_players
-            batched = _general_sensitivity(stage2, list(range(N)))
+            batched = _general_sensitivity(stage2)
             for k in range(N):
-                single = [a[:, 0] for a in _general_sensitivity(stage2, [k])]
-                for one, every in zip(single, batched):
-                    assert np.allclose(one, every[:, k], atol=1e-12)
-                assert np.allclose(G[:, k], column_from_paths(game, theta, k, *single),
+                column = [every[:, k] for every in batched]
+                assert np.allclose(G[:, k], column_from_paths(game, theta, k, *column),
                                    atol=1e-12)
 
 
 class TestSolutionMismatch:
-    """A given stage-two solution is only used at its own theta and grid."""
+    """A given stage-two solution is only used with its own game, theta and grid."""
+
+    @pytest.mark.parametrize("op", ["value_gradient", "rollout"])
+    def test_other_game_rejected(self, op, gs_game):
+        # a copy with another terminal cost would get a gradient 6.6% off its own
+        theta = np.array([0.7, 0.9])
+        grid = TimeGrid(gs_game.horizon, 200)
+        stage2 = solve_stage_two(gs_game, theta, grid)
+        other = dataclasses.replace(gs_game, Qf=(np.eye(4), np.eye(4)))
+        calls = {
+            "value_gradient": lambda: value_gradient(other, theta, grid=grid, stage2=stage2),
+            "rollout": lambda: rollout(other, theta, stage2),
+        }
+        with pytest.raises(ValueError, match="game"):
+            calls[op]()
 
     @pytest.mark.parametrize("op", ["value_gradient", "directional_derivative"])
     @pytest.mark.parametrize("mismatch", ["grid", "theta"])
@@ -209,8 +220,8 @@ class TestDirectionalDerivative:
         h = np.array([1.0, 1.0]) / np.sqrt(2.0)
         d = value_gradient(gs_game, theta, grid=gs_grid) @ h
         eps = 1e-5
-        J1 = stage_one_costs(gs_game, solve_stage_two(gs_game, theta + eps * h, gs_grid))
-        J0 = stage_one_costs(gs_game, solve_stage_two(gs_game, theta, gs_grid))
+        J1 = stage_one_costs(solve_stage_two(gs_game, theta + eps * h, gs_grid))
+        J0 = stage_one_costs(solve_stage_two(gs_game, theta, gs_grid))
         quotient = (J1 - J0) / eps
         assert np.abs(d - quotient).max() / np.abs(quotient).max() <= 1e-3
 

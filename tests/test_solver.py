@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,12 @@ class TestProject:
         with pytest.raises(ValueError):
             SolverSettings(max_outer=-1)
         SolverSettings(max_outer=0)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverSettings)
+                                      if isinstance(f.default, float)])
+    def test_nan_setting_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            SolverSettings(**{name: float("nan")})
 
 
 class TestBestResponse:
