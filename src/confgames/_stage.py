@@ -2,147 +2,219 @@
 
 This is the only place a game's coefficients are sampled for a solve:
 every pass reads these tables, and node-resolution reads take their
-even rows.  Time-constant coefficients are sampled once and tiled by
-broadcasting, and a quantity formed only from broadcast samples is formed
-once and broadcast too; the coefficient tables are then densified, while
-the derivative tables stay broadcast.
+even rows.  One set of tables serves a batch of parameter points (the
+members): every table has the stage axis first and, when it can depend
+on theta, the member axis second.  A coefficient that reads no theta is
+sampled once for the whole batch and broadcast over the members (A, c and
+R have no member axis at all); a time-constant one is sampled once per
+member and broadcast along the stage axis; a quantity formed only from
+broadcast samples is formed once and broadcast too (stride 0).
 """
 
 from __future__ import annotations
 
-from functools import partial
+import copy
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import PositiveDefinitenessViolation
-from .model import ConfigGame, MatrixFn
+from .model import ConfigGame
 from .odekit import TimeGrid
 
 
-def _table(sample_one, stage_times, time_varying):
-    if time_varying:
-        return np.stack([sample_one(t) for t in stage_times])
-    v = sample_one(stage_times[0])
-    return np.broadcast_to(v, (len(stage_times),) + v.shape)
+def _compact(x, lead: int = 2):
+    """``x`` with its broadcast (stride-0) stage and member axes cut to length
+    one; ``lead`` = 1 for a table without a member axis."""
+    return x[tuple(slice(0, 1) if x.strides[d] == 0 else slice(None) for d in range(lead))]
 
 
-def _sample(coef: MatrixFn, theta, stage_times, k: int = None):
-    """``coef``, or its derivative in theta_k, at every stage time.
+def _sample(fn, thetas, stage_times, varying: bool, reads_theta: bool):
+    """``fn(t, theta)`` at every stage time and member, shape (M, B, ...).
 
-    A time-constant coefficient, and a derivative outside the
-    coefficient's support (identically zero), are sampled once and broadcast.
+    Sampled at the first stage time only when not ``varying`` and for the
+    first member only when not ``reads_theta``, and broadcast.
     """
-    if k is None:
-        return _table(lambda t: coef(t, theta), stage_times, coef.time_varying)
-    return _table(lambda t: coef.d_theta(t, theta, k), stage_times,
-                  coef.time_varying and k in coef.depends_on)
+    times = stage_times if varying else stage_times[:1]
+    members = thetas if reads_theta else thetas[:1]
+    v = np.array([[fn(t, theta) for theta in members] for t in times])
+    return np.broadcast_to(v, (len(stage_times), len(thetas)) + v.shape[2:])
 
 
-def _per_stage(fn, stage_times, *tables):
-    """``fn(t, *samples)`` at every stage time, formed once and broadcast
-    when every table is a broadcast one (stride 0 on the stage axis)."""
-    if all(tab.strides[0] == 0 for tab in tables):
-        v = fn(stage_times[0], *(tab[0] for tab in tables))
-        return np.broadcast_to(v, (len(stage_times),) + v.shape)
-    return np.stack([fn(t, *rows) for t, *rows in zip(stage_times, *tables)])
+def _stacked(blocks, axes, shape):
+    """The (M, B) = ``shape`` member table holding ``blocks[index]`` on new
+    axes of sizes ``axes`` after the member axis; a stage or member axis
+    stays broadcast when it is broadcast (or of length one) in every block."""
+    compact = {key: _compact(b) for key, b in blocks.items()}
+    lead = tuple(max(c.shape[d] for c in compact.values()) for d in (0, 1))
+    out = np.zeros(lead + tuple(axes) + next(iter(compact.values())).shape[2:])
+    for key, c in compact.items():
+        out[(slice(None), slice(None)) + key] = c
+    return np.broadcast_to(out, tuple(shape) + out.shape[2:])
 
 
-def _cholesky(Rjj, j, t):
+def _cholesky(R, j, stage_times):
+    """Lower Cholesky factors of the samples R (M', m, m) of R^jj."""
     try:
-        return cho_factor(Rjj, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise PositiveDefinitenessViolation(
-            f"R[{j}][{j}](t={t}) is not positive definite"
-        ) from exc
+        return np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
+        for m, Rm in enumerate(R):
+            try:
+                np.linalg.cholesky(Rm)
+            except np.linalg.LinAlgError as exc:
+                raise PositiveDefinitenessViolation(
+                    f"R[{j}][{j}](t={stage_times[m]}) is not positive definite") from exc
+        raise
 
 
-def _coupling(j, t, Bj, Rjj, Rij=None):
-    """S^ij = B^j R^jj^-1 R^ij R^jj^-1 B^j' from one stage's samples
-    (called without R^ij for S^jj = B^j R^jj^-1 B^j')."""
-    Y = cho_solve(_cholesky(Rjj, j, t), Bj.T)
-    return Bj @ Y if Rij is None else Y.T @ Rij @ Y
+def _cho_solve(L, X):
+    """Y with L L' Y = X, by forward and back substitution over the rows
+    (L lower triangular, (..., m, m); X (..., m, k))."""
+    Lt = np.swapaxes(L, -1, -2)
+    m = L.shape[-1]
+    Y = np.array(np.broadcast_to(X, np.broadcast_shapes(L.shape[:-2], X.shape[:-2])
+                                 + X.shape[-2:]))
+    for r in range(m):
+        Y[..., r, :] = (Y[..., r, :] - (L[..., r:r + 1, :r] @ Y[..., :r, :])[..., 0, :]) \
+            / L[..., r, r, None]
+    for r in reversed(range(m)):
+        Y[..., r, :] = (Y[..., r, :] - (Lt[..., r:r + 1, r + 1:] @ Y[..., r + 1:, :])[..., 0, :]) \
+            / L[..., r, r, None]
+    return Y
 
 
-def _coupling_deriv(j, t, Bj, dBj, Rjj, Rij=None):
-    """d S^ij / d theta_j from one stage's samples; only B^j carries theta_j."""
-    chol = _cholesky(Rjj, j, t)
-    if Rij is None:
-        M = cho_solve(chol, np.eye(Bj.shape[1]))
-    else:
-        M = cho_solve(chol, cho_solve(chol, Rij).T).T
-    return dBj @ M @ Bj.T + Bj @ M @ dBj.T
+def _select(x, keep):
+    """Member table ``x`` restricted to the members ``keep``."""
+    c = _compact(x)
+    if c.shape[1] > 1:
+        c = c[:, keep]
+    return np.broadcast_to(c, (x.shape[0], len(keep)) + x.shape[2:])
 
 
 class StageTables:
-    """Per-(game, theta, grid) coefficient samples at every stage time.
+    """Coefficient samples for one (game, grid) and a batch of parameter points.
 
-    The one record of which game, theta and grid a solve ran on; the
-    grid must span the game's horizon.
+    ``thetas`` (B, N) holds one parameter vector per member (a single
+    vector is a one-member batch).  The tables are the one record of which
+    game, thetas and grid a solve ran on, and the grid must span the
+    game's horizon.
 
-    Attributes (M = 2*steps+1 stage times, N players, n state dim):
-      A       (M, n, n)
+    Attributes (M = 2*steps+1 stage times, B members, N players, n state dim):
+      A       (M, n, n)            shared by every member
       c       (M, n)
-      Q       (N, M, n, n)     symmetrized state costs
-      B[j]    (M, n, m_j)      actuation, list over players
-      R[i][j] (M, m_j, m_j)    control costs, nested list
-      S       (N, N, M, n, n)  S[i, j] holds the (i, j) coupling matrix
-      S_diag  (N, M, n, n)     view-equivalent of S[i, i]
-    Derivative tables (built on demand by ensure_derivs), broadcast from
-    one sample when time-constant or outside the coefficient's support:
-      dB[j]     (M, n, m_j)  d B^j / d theta_j
-      dS[k][i]  (M, n, n)    d S^{ik} / d theta_k
-      dQ[k][i]  (M, n, n)    d Q^i / d theta_k
+      R[i][j] (M, m_j, m_j)        control costs, nested list
+      Q       (M, B, N, n, n)      symmetrized state costs
+      B[j]    (M, B, n, m_j)       actuation, list over players
+      S       (M, B, N, N, n, n)   S[:, :, i, j] holds the (i, j) coupling matrix
+      S_diag  (M, B, N, n, n)      S^ii
+    Derivative tables (built on demand by ensure_derivs):
+      dB[j]     (M, B, n, m_j)  d B^j / d theta_j
+      dS[k][i]  (M, B, n, n)    d S^{ik} / d theta_k
+      dQ[k][i]  (M, B, n, n)    d Q^i / d theta_k
     Rows [0::2] of every table are the samples at the grid nodes.
     """
 
-    def __init__(self, game: ConfigGame, theta, grid: TimeGrid):
+    def __init__(self, game: ConfigGame, thetas, grid: TimeGrid):
         if grid.horizon != game.horizon:
             raise ValueError(f"grid horizon {grid.horizon} does not match the game "
                              f"horizon {game.horizon}")
         self.game = game
-        self.theta = np.array(theta, dtype=float)
+        self.thetas = np.atleast_2d(np.array(thetas, dtype=float))
+        if self.thetas.ndim != 2 or self.thetas.shape[1] != game.num_players:
+            raise ValueError(f"thetas of shape {self.thetas.shape} do not hold "
+                             f"{game.num_players}-player parameter vectors")
         self.grid = grid
         st = grid.stage_times
-        N, n = game.num_players, game.state_dim
-        self.A = np.ascontiguousarray(_sample(game.A, self.theta, st))
-        self.c = np.ascontiguousarray(_sample(game.c, self.theta, st))
-        self.Q = np.empty((N, len(st), n, n))
-        for i in range(N):
-            tv = game.Q[i].time_varying
-            self.Q[i] = _table(lambda t, i=i: game.eval_Q(i, t, self.theta), st, tv)
-        self.B = [_sample(game.B[j], self.theta, st) for j in range(N)]
-        self.R = [[_sample(game.R[i][j], self.theta, st) for j in range(N)] for i in range(N)]
-        self.S = np.empty((N, N, len(st), n, n))
-        for i in range(N):
-            for j in range(N):
-                cross = () if i == j else (self.R[i][j],)
-                self.S[i, j] = _per_stage(partial(_coupling, j), st, self.B[j], self.R[j][j],
-                                          *cross)
-        self.S_diag = np.ascontiguousarray(self.S[np.arange(N), np.arange(N)])
+        N = game.num_players
+
+        def sample(coef, fn=None):
+            return _sample(fn or coef, self.thetas, st, coef.time_varying,
+                           bool(coef.depends_on))
+
+        self.A = sample(game.A)[:, 0]
+        self.c = sample(game.c)[:, 0]
+        self.R = [[sample(game.R[i][j])[:, 0] for j in range(N)] for i in range(N)]
+        shape = (len(st), len(self.thetas))
+        self.Q = _stacked({(i,): sample(game.Q[i], lambda t, th, i=i: game.eval_Q(i, t, th))
+                           for i in range(N)}, (N,), shape)
+        self.B = [sample(game.B[j]) for j in range(N)]
+        blocks = {}
+        for j in range(N):
+            Bj = _compact(self.B[j])
+            Rjj = _compact(self.R[j][j], 1)
+            Y = _cho_solve(_cholesky(Rjj, j, st)[:, None], np.swapaxes(Bj, -1, -2))
+            for i in range(N):
+                blocks[i, j] = (Bj @ Y if i == j else
+                                np.swapaxes(Y, -1, -2) @ _compact(self.R[i][j], 1)[:, None] @ Y)
+        self.S = _stacked(blocks, (N, N), shape)
+        self.S_diag = _stacked({(i,): self.S[:, :, i, i] for i in range(N)}, (N,), shape)
         self.dB = None
         self.dS = None
         self.dQ = None
 
     @property
+    def theta(self) -> np.ndarray:
+        """The parameter vector of a one-member table."""
+        if len(self.thetas) != 1:
+            raise ValueError(f"tables hold {len(self.thetas)} parameter points, not one")
+        return self.thetas[0]
+
+    def member_S(self, b) -> np.ndarray:
+        """Member b's couplings as one dense (N, N, M, n, n) array: the operand
+        layout in which the three-operand contractions over them take their
+        summation order, so that a member's sums do not depend on its batch."""
+        return np.ascontiguousarray(np.moveaxis(self.S[:, b], 0, 2))
+
+    @property
     def c_is_zero(self) -> bool:
         return not np.any(self.c)
+
+    def select(self, keep) -> "StageTables":
+        """The tables of the members ``keep`` (indices into ``thetas``)."""
+        keep = list(keep)
+        out = copy.copy(self)
+        out.thetas = self.thetas[keep]
+        out.Q = _select(self.Q, keep)
+        out.B = [_select(b, keep) for b in self.B]
+        out.S = _select(self.S, keep)
+        out.S_diag = _select(self.S_diag, keep)
+        if self.dS is not None:
+            out.dB = [_select(b, keep) for b in self.dB]
+            out.dS = [[_select(d, keep) for d in row] for row in self.dS]
+            out.dQ = [[_select(d, keep) for d in row] for row in self.dQ]
+        return out
 
     def ensure_derivs(self):
         if self.dS is not None:
             return
         game, st = self.game, self.grid.stage_times
         N, n = game.num_players, game.state_dim
-        self.dB = [_sample(game.B[j], self.theta, st, k=j) for j in range(N)]
-        zero = np.broadcast_to(np.zeros((n, n)), (len(st), n, n))
+        shape = self.S.shape[:2]
+
+        def deriv(coef, k):
+            return _sample(lambda t, th: coef.d_theta(t, th, k), self.thetas, st,
+                           coef.time_varying and k in coef.depends_on, k in coef.depends_on)
+
+        self.dB = [deriv(game.B[j], j) for j in range(N)]
+        zero = np.broadcast_to(np.zeros((n, n)), shape + (n, n))
         self.dS = [[zero] * N for _ in range(N)]
         for k in range(N):
             if k not in game.B[k].depends_on:
                 continue
+            Bk, dBk = _compact(self.B[k]), _compact(self.dB[k])
+            L = _cholesky(_compact(self.R[k][k], 1), k, st)
+            eye = np.eye(Bk.shape[-1])
             for i in range(N):
-                cross = () if i == k else (self.R[i][k],)
-                self.dS[k][i] = _per_stage(partial(_coupling_deriv, k), st, self.B[k],
-                                           self.dB[k], self.R[k][k], *cross)
-        self.dQ = [[_per_stage(lambda t, D: 0.5 * (D + D.T), st,
-                               _sample(game.Q[i], self.theta, st, k=k))
-                    for i in range(N)] for k in range(N)]
+                if i == k:
+                    M = _cho_solve(L, eye)
+                else:
+                    M = np.swapaxes(_cho_solve(L, np.swapaxes(
+                        _cho_solve(L, _compact(self.R[i][k], 1)), -1, -2)), -1, -2)
+                M = M[:, None]
+                d = dBk @ M @ np.swapaxes(Bk, -1, -2) + Bk @ M @ np.swapaxes(dBk, -1, -2)
+                self.dS[k][i] = np.broadcast_to(d, shape + d.shape[2:])
+
+        def symmetrized(D):
+            D = _compact(D)
+            return np.broadcast_to(0.5 * (D + np.swapaxes(D, -1, -2)), shape + D.shape[2:])
+
+        self.dQ = [[symmetrized(deriv(game.Q[i], k)) for i in range(N)] for k in range(N)]

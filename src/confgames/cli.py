@@ -14,10 +14,8 @@ parameters, 4 gradient-check failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -28,12 +26,12 @@ from . import __version__
 from .errors import (BestResponseStalled, BlowUpDetected, ConfGamesError,
                      ConfigError, InfeasibleTheta)
 from .model import ConfigGame
-from .riccati import DEFAULT_STEPS, default_grid, solve_stage_two, stage_one_costs
+from .riccati import DEFAULT_STEPS, _solve_batch, default_grid
 from .scenarios import (GeneralSumSpec, PursuitEvasionSpec, build_general_sum,
                         build_pursuit_evasion, random_aq_game,
                         recommended_settings)
 from .sensitivity import value_gradient
-from .solver import SolverSettings, _evaluate, ibr_solve, naive_baseline
+from .solver import SolverSettings, _evaluate_batch, ibr_solve, naive_baseline
 
 PER_SCENARIO = object()
 
@@ -267,19 +265,17 @@ def cmd_solve(cfg: RunConfig, outdir) -> int:
     return exit_code
 
 
-_SWEEP_CTX = {}
+# parameter points per batch (sweep lattice points, grad-check difference
+# points): the per-step interpreter cost of every pass is shared by a
+# batch's members, while its arrays grow with their count (at 1000 steps
+# about 5 MB per general-sum, 8 MB per pursuit-evasion and 10 MB per
+# three-player random-game member at the peak)
+MAX_BATCH = 5
 
 
-def _sweep_point(idx):
-    game = _SWEEP_CTX["game"]
-    grid = _SWEEP_CTX["grid"]
-    theta = _SWEEP_CTX["points"][idx]
-    try:
-        costs, own = _evaluate(game, theta, grid)
-        return (theta[0], theta[1], costs[0], costs[1], own[0], own[1], 1)
-    except InfeasibleTheta:
-        nan = float("nan")
-        return (theta[0], theta[1], nan, nan, nan, nan, 0)
+def _batches(points):
+    """Consecutive batches of near-equal size, at most MAX_BATCH points each."""
+    return np.array_split(np.asarray(points), -(-len(points) // MAX_BATCH))
 
 
 def cmd_sweep(cfg: RunConfig, outdir) -> int:
@@ -289,6 +285,8 @@ def cmd_sweep(cfg: RunConfig, outdir) -> int:
     per_axis = cfg["sweep.grid"]
     if per_axis < 1:
         raise ConfigError("sweep.grid must be at least 1")
+    if cfg["sweep.workers"] < 0:
+        raise ConfigError("sweep.workers must be nonnegative")
     meta = cfg.metadata()
     meta["command"] = "sweep"
     grid = default_grid(game, cfg["grid_steps"])
@@ -297,26 +295,20 @@ def cmd_sweep(cfg: RunConfig, outdir) -> int:
     for lo, hi in game.theta_box:
         axes.append(np.linspace(lo, hi, per_axis) if per_axis > 1
                     else np.array([0.5 * (lo + hi)]))
-    points = [np.array([t1, t2]) for t1 in axes[0] for t2 in axes[1]]
+    points = np.array([(t1, t2) for t1 in axes[0] for t2 in axes[1]])
 
-    _SWEEP_CTX.update(game=game, grid=grid, points=points)
-    workers = cfg["sweep.workers"]
-    if workers == 0:
-        workers = min(8, os.cpu_count() or 1)
-    try:
-        # the game's closures do not pickle, so the workers read it from
-        # _SWEEP_CTX, which only a forked child inherits
-        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                results = list(pool.map(_sweep_point, range(len(points)), chunksize=8))
-        else:
-            results = [_sweep_point(i) for i in range(len(points))]
-    finally:
-        _SWEEP_CTX.clear()
+    rows = []
+    for batch in _batches(points):
+        for theta, result in zip(batch, _evaluate_batch(game, batch, grid)):
+            if isinstance(result, InfeasibleTheta):
+                nan = float("nan")
+                rows.append((theta[0], theta[1], nan, nan, nan, nan, 0))
+            else:
+                costs, own = result
+                rows.append((theta[0], theta[1], costs[0], costs[1], own[0], own[1], 1))
 
     header = ["theta1", "theta2", "J1", "J2", "dJ1_dtheta1", "dJ2_dtheta2", "feasible"]
-    write_csv(os.path.join(outdir, "landscape.csv"), meta, header, results)
+    write_csv(os.path.join(outdir, "landscape.csv"), meta, header, rows)
     return 0
 
 
@@ -362,12 +354,19 @@ def cmd_grad_check(cfg: RunConfig, outdir) -> int:
     for _ in range(cfg["gradcheck.samples"]):
         theta = inner_lo + rng.random(N) * (inner_hi - inner_lo)
         G = value_gradient(game, theta, grid=grid) + corrupt
+        probes = []
         for k in range(N):
             step = np.zeros(N)
             step[k] = h
-            Jp = stage_one_costs(solve_stage_two(game, theta + step, grid))
-            Jm = stage_one_costs(solve_stage_two(game, theta - step, grid))
-            fd = (Jp - Jm) / (2 * h)
+            probes += [theta + step, theta - step]
+        J = []
+        for chunk in _batches(probes):
+            batch, failures = _solve_batch(game, chunk, grid)
+            if failures:
+                raise failures[min(failures)]
+            J.extend(batch.values + [game.regularizer_values(p) for p in chunk])
+        for k in range(N):
+            fd = (J[2 * k] - J[2 * k + 1]) / (2 * h)
             for i in range(N):
                 rel = gradcheck_rel_err(G[i, k], fd[i])
                 worst = max(worst, rel)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from .errors import PositiveDefinitenessViolation
 
@@ -197,7 +196,7 @@ class ConfigGame:
             for t in ts:
                 Rii = self.R[i][i](t, theta)
                 try:
-                    cho_factor(Rii, lower=True)
+                    np.linalg.cholesky(Rii)
                 except np.linalg.LinAlgError as exc:
                     raise PositiveDefinitenessViolation(
                         f"R[{i}][{i}] not positive definite at t={t:.6g}"

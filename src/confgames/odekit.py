@@ -15,6 +15,7 @@ step, is a vectorised running sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,19 +80,55 @@ def stage_samples(node_samples: np.ndarray) -> np.ndarray:
     mids = out[1::2]
     mids[0] = (3.0 * y[0] + 6.0 * y[1] - y[2]) / 8.0
     mids[-1] = (-y[-3] + 6.0 * y[-2] + 3.0 * y[-1]) / 8.0
-    mids[1:-1] = (-y[:-3] + 9.0 * y[1:-2] + 9.0 * y[2:-1] - y[3:]) / 16.0
+    # (-y[:-3] + 9 y[1:-2] + 9 y[2:-1] - y[3:]) / 16, formed in place
+    inner = np.negative(y[:-3], out=mids[1:-1])
+    nine = 9.0 * y[1:-2]
+    inner += nine
+    inner += np.multiply(y[2:-1], 9.0, out=nine)
+    inner -= y[3:]
+    inner /= 16.0
     return out
 
 
-def _check_state(y, t):
+def _blowup(y, t):
+    """The BlowUpDetected of state ``y`` at time t, or None when its Frobenius
+    norm is within BLOWUP_THRESHOLD; NumericalFailure on NaN/Inf."""
     norm = float(np.linalg.norm(y.ravel()))
     if not np.isfinite(norm):
         raise NumericalFailure(f"non-finite state during integration near t={t:.6g}")
     if norm > BLOWUP_THRESHOLD:
-        raise BlowUpDetected(time=t, norm=norm, state=y)
+        return BlowUpDetected(time=t, norm=norm, state=y)
+    return None
 
 
-def _rk4(rhs, y, grid: TimeGrid, h: float, project_state) -> np.ndarray:
+def _check_state(y, t, blowups):
+    """Blow-up check after a step (``y`` is a fresh array, reset in place).
+
+    Without ``blowups`` the whole state is one system and a blow-up raises.
+    With it, the leading axis indexes independent members: a member past
+    the threshold is recorded in ``blowups`` under its index and reset to
+    zero, and a recorded member is reset again whenever it trips the check.
+    The whole stack's norm bounds every member's, so the member norms are
+    formed only when it trips; the margin covers the rounding of the one
+    against the other.
+    """
+    if float(np.linalg.norm(y.ravel())) <= BLOWUP_THRESHOLD * (1.0 - 1e-9):
+        return
+    found = {} if blowups is None else blowups
+    members = y if blowups is not None else y[None]
+    for b in range(len(members)):
+        if b not in found:
+            exc = _blowup(members[b], t)
+            if exc is None:
+                continue
+            exc.state = members[b].copy()
+            found[b] = exc
+        members[b] = 0.0
+    if blowups is None and found:
+        raise found[0]
+
+
+def _rk4(rhs, y, grid: TimeGrid, h: float, project_state, blowups) -> np.ndarray:
     """Classical RK4 over every grid step with signed step h = +dt or -dt.
 
     The step from node j to node j + d (d = sign of h) evaluates
@@ -112,12 +149,13 @@ def _rk4(rhs, y, grid: TimeGrid, h: float, project_state) -> np.ndarray:
         if project_state is not None:
             y = project_state(y)
         j += d
-        _check_state(y, grid.nodes[j])
+        _check_state(y, grid.nodes[j], blowups)
         out[j] = y
     return out
 
 
-def integrate_backward(rhs, terminal_value, grid: TimeGrid, project_state=None) -> np.ndarray:
+def integrate_backward(rhs, terminal_value, grid: TimeGrid, project_state=None,
+                       blowups: dict = None) -> np.ndarray:
     """Integrate d(state)/dt = rhs(s, state) from t=horizon down to t=0.
 
     ``s`` is the stage index: the right-hand side is evaluated at time
@@ -129,12 +167,16 @@ def integrate_backward(rhs, terminal_value, grid: TimeGrid, project_state=None) 
 
     Raises BlowUpDetected when an intermediate Frobenius norm exceeds
     BLOWUP_THRESHOLD (carrying the divergence time), and NumericalFailure
-    on NaN/Inf.
+    on NaN/Inf.  Given a ``blowups`` dict, the leading axis of the state
+    indexes independent members (the parameter points of a batch): a
+    member that blows up is recorded there under its index instead, with
+    its divergence time, norm and last state, and goes on from zero so
+    that no overflow reaches the other members.
     """
     y = np.array(terminal_value, dtype=float)
     if not np.all(np.isfinite(y)):
         raise NumericalFailure("terminal value is not finite")
-    return _rk4(rhs, y, grid, -grid.dt, project_state)
+    return _rk4(rhs, y, grid, -grid.dt, project_state, blowups)
 
 
 def integrate_forward(rhs, initial_value, grid: TimeGrid) -> np.ndarray:
@@ -142,10 +184,11 @@ def integrate_forward(rhs, initial_value, grid: TimeGrid) -> np.ndarray:
     y = np.array(initial_value, dtype=float)
     if not np.all(np.isfinite(y)):
         raise NumericalFailure("initial value is not finite")
-    return _rk4(rhs, y, grid, grid.dt, None)
+    return _rk4(rhs, y, grid, grid.dt, None, None)
 
 
-def backward_running_sum(integrand: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def backward_running_sum(integrand: np.ndarray, grid: TimeGrid,
+                         blowups: dict = None) -> np.ndarray:
     """Node samples of E(t) = int_t^T f, i.e. dE/dt = -f(t) with E(T) = 0.
 
     ``integrand`` holds f at every stage time, shape (2*steps+1, ...).  RK4
@@ -153,16 +196,28 @@ def backward_running_sum(integrand: np.ndarray, grid: TimeGrid) -> np.ndarray:
     step's increment is formed exactly as integrate_backward forms it and
     the increments are accumulated from the zero terminal value: the
     result equals integrate_backward(lambda s, E: -f[s], 0, grid) bit for
-    bit, with the same non-finite and blow-up checks.
+    bit, with the same non-finite and blow-up checks.  With ``blowups``
+    the axis after the stage axis indexes members, and each member's
+    first blow-up in backward time is recorded there, as
+    integrate_backward records it.
     """
     k = -np.asarray(integrand, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         inc = (-grid.dt / 6.0) * (k[2::2] + 2.0 * k[1::2] + 2.0 * k[1::2] + k[:-1:2])
         acc = np.cumsum(np.concatenate([np.zeros((1,) + k.shape[1:]), inc[::-1]]), axis=0)
         out = acc[::-1]
-        norms = np.linalg.norm(out.reshape(out.shape[0], -1), axis=1)
-    for j in np.flatnonzero(~(norms <= BLOWUP_THRESHOLD))[::-1]:
-        _check_state(out[j], grid.nodes[j])
+        members = out if blowups is not None else out[:, None]
+        flat = members.reshape(members.shape[:2] + (math.prod(members.shape[2:]),))
+        norms = np.linalg.norm(flat, axis=-1)
+    found = {} if blowups is None else blowups
+    for b in range(members.shape[1]):
+        for j in np.flatnonzero(~(norms[:, b] <= BLOWUP_THRESHOLD))[::-1]:
+            exc = _blowup(members[j, b], grid.nodes[j])
+            if exc is not None:
+                found[b] = exc
+                break
+    if blowups is None and found:
+        raise found[0]
     return np.ascontiguousarray(out)
 
 

@@ -6,7 +6,9 @@ backward passes: the coupled quadratic matrix equations for the value
 matrices P, a stacked linear pass for the affine offsets zeta (coupled
 through the drive residual beta), and per-player scalar quadratures for
 the value constants eta.  Player values and feedback strategies are read
-off the t=0 samples.
+off the t=0 samples.  The pipeline runs on a batch of parameter vectors
+at once, every pass advancing all members as one stacked state; one
+parameter vector is the one-member batch.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._stage import StageTables
+from ._stage import StageTables, _compact
 from .errors import BlowUpDetected, PreconditionViolation
 from .model import ConfigGame
 from .odekit import (TimeGrid, backward_running_sum, integrate_backward, integrate_forward,
@@ -43,12 +45,39 @@ def _attribute_blowup(exc: BlowUpDetected, num_players: int) -> BlowUpDetected:
 
 
 @dataclass(frozen=True)
+class StageTwoBatch:
+    """Stage-two solutions of the bounded members of a batch, stacked on a
+    member axis (the second axis of every array).
+
+    ``members`` holds their rows in the requested batch and ``values``
+    (B, N) their pure stage-two costs; ``tables`` are theirs.  A general-sum
+    batch holds ``P_nodes`` (steps+1, B, N, n, n), ``zeta_nodes``
+    (steps+1, B, N, n), ``eta_nodes`` (steps+1, B, N) and the stage-time
+    samples its passes ran on (``P_st``, ``F_st``, ``zeta_st``,
+    ``beta_st``).  A zero-sum batch holds the single value matrix,
+    ``P_nodes`` (steps+1, B, n, n), and its ``P_st`` is derived on first use.
+    """
+
+    tables: StageTables = field(repr=False)
+    members: np.ndarray
+    values: np.ndarray
+    P_nodes: np.ndarray = field(repr=False)
+    zeta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
+    eta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @cached_property
+    def P_st(self) -> np.ndarray:
+        return stage_samples(self.P_nodes)
+
+
+@dataclass(frozen=True)
 class StageTwoSolution:
     """Equilibrium solution bundle at one parameter vector.
 
     ``values`` holds the pure stage-two equilibrium costs (no first-stage
     regularizer; stage_one_costs adds it).  The game, theta and grid it
-    was solved at are those of ``tables``.  The paths are node arrays:
+    was solved at are those of ``tables``, and ``batch`` is the one-member
+    StageTwoBatch it was read from.  The paths are node arrays:
     ``P_nodes`` (steps+1, N, n, n), ``zeta_nodes`` (steps+1, N, n) and
     ``eta_nodes`` (steps+1, N).  For zero-sum games a single value matrix
     P is solved and stored as the stack (P, -P), with no offset arrays
@@ -63,34 +92,49 @@ class StageTwoSolution:
     P_nodes: np.ndarray = field(repr=False)
     zeta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
     eta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
+    batch: StageTwoBatch = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, batch: StageTwoBatch) -> "StageTwoSolution":
+        """The solution of a one-member batch."""
+        if batch.zeta_nodes is None:
+            P = batch.P_nodes[:, 0]
+            return cls(values=batch.values[0], tables=batch.tables,
+                       P_nodes=np.stack([P, -P], axis=1), batch=batch)
+        solution = cls(values=batch.values[0], tables=batch.tables,
+                       P_nodes=batch.P_nodes[:, 0], zeta_nodes=batch.zeta_nodes[:, 0],
+                       eta_nodes=batch.eta_nodes[:, 0], batch=batch)
+        # the gradient and rollout read the very samples the passes ran on
+        vars(solution).update({name: getattr(batch, name)[:, 0]
+                               for name in ("P_st", "F_st", "zeta_st", "beta_st")})
+        return solution
 
     @cached_property
     def P_st(self) -> np.ndarray:
-        return stage_samples(self.P_nodes)
+        P = self.batch.P_st[:, 0]
+        return np.stack([P, -P], axis=1)
 
     @cached_property
     def F_st(self) -> np.ndarray:
-        return _closed_loop(self.tables, self.P_st)
+        return _closed_loop(self.tables, self.P_st[:, None])[:, 0]
 
     @cached_property
     def zeta_st(self) -> np.ndarray:
-        if self.zeta_nodes is None:
-            return np.zeros(self.P_st.shape[:-1])
-        return stage_samples(self.zeta_nodes)
+        return np.zeros(self.P_st.shape[:-1])
 
     @cached_property
     def beta_st(self) -> np.ndarray:
-        return _drive_residual(self.tables, self.zeta_st)
+        return _drive_residual(self.tables, self.zeta_st[:, None])[:, 0]
 
 
 def _closed_loop(tabs: StageTables, P_st):
-    """Closed-loop drift F = A - sum_i S^ii P^i at every stage time."""
-    return tabs.A - np.einsum("imab,mibc->mac", tabs.S_diag, P_st)
+    """Closed-loop drift F = A - sum_i S^ii P^i at every stage time and member."""
+    return tabs.A[:, None] - np.einsum("m...iab,m...ibc->m...ac", tabs.S_diag, P_st)
 
 
 def _drive_residual(tabs: StageTables, zeta_st):
-    """Drive residual beta = c - sum_i S^ii zeta^i at every stage time."""
-    return tabs.c - np.einsum("imab,mib->ma", tabs.S_diag, zeta_st)
+    """Drive residual beta = c - sum_i S^ii zeta^i at every stage time and member."""
+    return tabs.c[:, None] - np.einsum("m...iab,m...ib->m...a", tabs.S_diag, zeta_st)
 
 
 @dataclass(frozen=True)
@@ -121,44 +165,49 @@ def _check_solution(solution: StageTwoSolution, game: ConfigGame, theta,
 
 
 # -- backward passes ---------------------------------------------------------
+#
+# Each pass advances every member of the tables as one stacked state and
+# returns its node samples, member axis second, with the members that blew
+# up ({member: BlowUpDetected}); those go on from zero and are dropped by
+# the caller before the next pass.
 
 
-def solve_coupled_riccati(tabs: StageTables) -> np.ndarray:
+def solve_coupled_riccati(tabs: StageTables):
     """Solve the N coupled quadratic matrix equations backward from Qf.
 
-    Runs on the game, theta and grid ``tabs`` was sampled for.  All
+    Runs on the game, thetas and grid ``tabs`` was sampled for.  All
     players advance as one stacked state so the closed-loop drift is
     re-evaluated from the full stack at every RK4 stage.  Each block is
     symmetrized after every step.  Blow-up is reported with the dominant
     player block and the divergence time; for the backward pass this means
     no bounded equilibrium exists at (theta, horizon).  Returns the node
-    samples of the stack, (steps+1, N, n, n).
+    samples (steps+1, B, N, n, n) and the blow-ups.
     """
     game = tabs.game
     N = game.num_players
     A, S, S_diag, Q = tabs.A, tabs.S, tabs.S_diag, tabs.Q
 
     def rhs(s, Y):
-        F = A[s] - (S_diag[:, s] @ Y).sum(axis=0)
-        YF = Y @ F
-        cross = (Y[None] @ S[:, :, s] @ Y[None]).sum(axis=1)
-        return -(YF + np.swapaxes(YF, -1, -2) + Q[:, s] + cross)
+        F = A[s] - (S_diag[s] @ Y).sum(axis=1)
+        YF = Y @ F[:, None]
+        cross = (Y[:, None] @ S[s] @ Y[:, None]).sum(axis=2)
+        return -(YF + np.swapaxes(YF, -1, -2) + Q[s] + cross)
 
     terminal = np.stack([game.Qf[i] for i in range(N)])
-    try:
-        return integrate_backward(rhs, terminal, tabs.grid, project_state=_sym_stack)
-    except BlowUpDetected as exc:
-        raise _attribute_blowup(exc, N) from None
+    terminal = np.broadcast_to(terminal, (len(tabs.thetas),) + terminal.shape)
+    blowups = {}
+    P = integrate_backward(rhs, terminal, tabs.grid, project_state=_sym_stack, blowups=blowups)
+    return P, {b: _attribute_blowup(exc, N) for b, exc in blowups.items()}
 
 
-def solve_zerosum_riccati(tabs: StageTables) -> np.ndarray:
+def solve_zerosum_riccati(tabs: StageTables):
     """Solve the single value-matrix equation of the two-player zero-sum game.
 
     Uses the difference coupling S_tilde = B2 B2' - B1 B1' (minimizer gets
     the negative-feedback block, maximizer the positive one).  Requires the
     zero-sum flag and a vanishing drive term; ``ConfigGame`` has already
     checked the negated costs and the identity own-control costs.  Returns
-    the node samples of P, (steps+1, n, n).
+    the node samples of P (steps+1, B, n, n) and the blow-ups.
     """
     game = tabs.game
     if not game.zero_sum:
@@ -166,92 +215,141 @@ def solve_zerosum_riccati(tabs: StageTables) -> np.ndarray:
     if not tabs.c_is_zero:
         raise PreconditionViolation("zero-sum solve requires a vanishing drive term")
 
-    A, Q = tabs.A, tabs.Q[0]
-    Stilde = tabs.S_diag[1] - tabs.S_diag[0]
+    A, Q, Stilde = tabs.A, tabs.Q[:, :, 0], _zerosum_coupling(tabs)
 
     def rhs(s, P):
         PA = P @ A[s]
-        return -(PA + PA.T + Q[s] + P @ Stilde[s] @ P)
+        return -(PA + np.swapaxes(PA, -1, -2) + Q[s] + P @ Stilde[s] @ P)
 
-    try:
-        return integrate_backward(rhs, game.Qf[0], tabs.grid, project_state=_sym_stack)
-    except BlowUpDetected as exc:
-        raise BlowUpDetected(time=exc.time, norm=exc.norm) from None
+    terminal = np.broadcast_to(game.Qf[0], (len(tabs.thetas),) + game.Qf[0].shape)
+    blowups = {}
+    P = integrate_backward(rhs, terminal, tabs.grid, project_state=_sym_stack, blowups=blowups)
+    return P, {b: BlowUpDetected(time=exc.time, norm=exc.norm) for b, exc in blowups.items()}
 
 
-def solve_zeta(tabs: StageTables, P_st: np.ndarray, F_st: np.ndarray) -> np.ndarray:
+def _zerosum_coupling(tabs: StageTables):
+    """S_tilde = S^22 - S^11 at every stage time and member (broadcast when
+    both are)."""
+    M, B = tabs.S_diag.shape[:2]
+    Sd = _compact(tabs.S_diag)
+    Stilde = Sd[:, :, 1] - Sd[:, :, 0]
+    return np.broadcast_to(Stilde, (M, B) + Stilde.shape[2:])
+
+
+def solve_zeta(tabs: StageTables, P_st: np.ndarray, F_st: np.ndarray):
     """Solve the stacked linear pass for the affine offsets.
 
     The N offset vectors are coupled through the drive residual
     beta = c - sum_i S^{ii} zeta^i, so they advance as one stacked state.
-    ``P_st`` and ``F_st`` hold the value matrices and the closed-loop drift
-    at the stage times, as StageTwoSolution keeps them; returns the
-    offsets at the nodes, (steps+1, N, n).
+    ``P_st`` (M, B, N, n, n) and ``F_st`` (M, B, n, n) hold the value
+    matrices and the closed-loop drift at the stage times, as
+    StageTwoBatch keeps them; returns the offsets at the nodes,
+    (steps+1, B, N, n), and the blow-ups.
     """
     N, n = tabs.game.num_players, tabs.game.state_dim
-    PS_st = np.einsum("mjab,ijmbc->ijmac", P_st, tabs.S, optimize=True)
+    PS_st = np.einsum("m...jab,m...ijbc->m...ijac", P_st, _compact(tabs.S), optimize=True)
     c, S_diag = tabs.c, tabs.S_diag
 
     def rhs(s, Z):
-        zc = Z[:, :, None]
-        beta = c[s] - (S_diag[:, s] @ zc)[:, :, 0].sum(axis=0)
-        coupling = (PS_st[:, :, s] @ zc[None])[:, :, :, 0].sum(axis=1)
-        return -(Z @ F_st[s] + coupling + P_st[s] @ beta)
+        zc = Z[..., None]
+        beta = c[s] - (S_diag[s] @ zc)[..., 0].sum(axis=1)
+        coupling = (PS_st[s] @ zc[:, None])[..., 0].sum(axis=2)
+        return -(Z @ F_st[s] + coupling + (P_st[s] @ beta[:, None, :, None])[..., 0])
 
-    return integrate_backward(rhs, np.zeros((N, n)), tabs.grid)
+    blowups = {}
+    zeta = integrate_backward(rhs, np.zeros((len(tabs.thetas), N, n)), tabs.grid,
+                              blowups=blowups)
+    return zeta, blowups
 
 
-def solve_eta(tabs: StageTables, zeta_st: np.ndarray, beta_st: np.ndarray) -> np.ndarray:
+def solve_eta(tabs: StageTables, zeta_st: np.ndarray, beta_st: np.ndarray):
     """Backward running integral for the per-player scalar value constants.
 
-    ``zeta_st`` and ``beta_st`` hold the offsets and the drive residual at
-    the stage times; returns the constants at the nodes, (steps+1, N).
+    ``zeta_st`` (M, B, N, n) and ``beta_st`` (M, B, n) hold the offsets and
+    the drive residual at the stage times; returns the constants at the
+    nodes, (steps+1, B, N), and the blow-ups.
     """
-    quad = np.einsum("mja,ijmab,mjb->mi", zeta_st, tabs.S, zeta_st, optimize=True)
-    integrand = np.einsum("ma,mia->mi", beta_st, zeta_st) + 0.5 * quad
-    return backward_running_sum(integrand, tabs.grid)
+    quad = np.empty(zeta_st.shape[:3])
+    for b in range(quad.shape[1]):
+        quad[:, b] = np.einsum("mja,ijmab,mjb->mi", zeta_st[:, b], tabs.member_S(b),
+                               zeta_st[:, b], optimize=True)
+    integrand = np.einsum("m...a,m...ia->m...i", beta_st, zeta_st) + 0.5 * quad
+    blowups = {}
+    eta = backward_running_sum(integrand, tabs.grid, blowups=blowups)
+    return eta, blowups
 
 
 # -- assembly ----------------------------------------------------------------
 
 
-def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoSolution:
-    """Full stage-two pipeline at one parameter vector.
+def _drop(blown, failures, members, tabs, *arrays):
+    """Move the members ``blown`` (member -> BlowUpDetected) of a pass to
+    ``failures`` under their rows and drop them from ``members``, ``tabs``
+    and the member axis of ``arrays``."""
+    if not blown:
+        return (members, tabs, *arrays)
+    failures.update((int(members[b]), exc) for b, exc in blown.items())
+    keep = [b for b in range(len(members)) if b not in blown]
+    return (members[keep], tabs.select(keep), *(a[:, keep] for a in arrays))
+
+
+def _solve_batch(game: ConfigGame, thetas, grid: TimeGrid = None):
+    """The stage-two pipeline at every row of ``thetas``, advanced as one batch.
 
     Dispatches to the single-matrix zero-sum pass when the game is flagged
     zero-sum, otherwise runs the coupled system followed by the affine
-    passes.  ``theta`` must lie inside the parameter box.
+    passes.  Every theta must lie inside the parameter box.  Returns the
+    StageTwoBatch of the members that stayed bounded and the blow-ups of
+    the others, {row: BlowUpDetected}; a member that blows up in one pass
+    is left out of the later ones.
     """
-    theta = np.asarray(theta, dtype=float)
-    if not game.contains_theta(theta):
-        raise ValueError(f"theta {tuple(theta)} outside the parameter box {game.theta_box}")
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    for theta in thetas:
+        if not game.contains_theta(theta):
+            raise ValueError(f"theta {tuple(theta)} outside the parameter box {game.theta_box}")
     if grid is None:
         grid = default_grid(game)
-    tabs = StageTables(game, theta, grid)
+    tabs = StageTables(game, thetas, grid)
+    members, failures = np.arange(len(thetas)), {}
     x0 = game.x0
 
     if game.zero_sum:
-        P = solve_zerosum_riccati(tabs)
-        J = 0.5 * float(x0 @ P[0] @ x0)
-        return StageTwoSolution(values=np.array([J, -J]), tables=tabs,
-                                P_nodes=np.stack([P, -P], axis=1))
+        P, blown = solve_zerosum_riccati(tabs)
+        members, tabs, P = _drop(blown, failures, members, tabs, P)
+        J = [0.5 * float(x0 @ P[0, b] @ x0) for b in range(len(members))]
+        values = np.array([[j, -j] for j in J]).reshape(-1, 2)
+        return StageTwoBatch(tables=tabs, members=members, values=values, P_nodes=P), failures
 
-    P = solve_coupled_riccati(tabs)
+    P, blown = solve_coupled_riccati(tabs)
+    members, tabs, P = _drop(blown, failures, members, tabs, P)
     P_st = stage_samples(P)
     F_st = _closed_loop(tabs, P_st)
-    zeta = solve_zeta(tabs, P_st, F_st)
+    zeta, blown = solve_zeta(tabs, P_st, F_st)
     zeta_st = stage_samples(zeta)
     beta_st = _drive_residual(tabs, zeta_st)
-    eta = solve_eta(tabs, zeta_st, beta_st)
-    values = np.array([
-        0.5 * float(x0 @ P[0, i] @ x0) + float(zeta[0, i] @ x0) + float(eta[0, i])
-        for i in range(game.num_players)
-    ])
-    solution = StageTwoSolution(values=values, tables=tabs, P_nodes=P, zeta_nodes=zeta,
-                                eta_nodes=eta)
-    # the gradient and rollout read the very samples the passes ran on
-    vars(solution).update(P_st=P_st, F_st=F_st, zeta_st=zeta_st, beta_st=beta_st)
-    return solution
+    eta, late = solve_eta(tabs, zeta_st, beta_st)
+    late.update(blown)
+    members, tabs, P, zeta, eta, P_st, F_st, zeta_st, beta_st = _drop(
+        late, failures, members, tabs, P, zeta, eta, P_st, F_st, zeta_st, beta_st)
+    values = np.array([[0.5 * float(x0 @ P[0, b, i] @ x0) + float(zeta[0, b, i] @ x0)
+                        + float(eta[0, b, i]) for i in range(game.num_players)]
+                       for b in range(len(members))]).reshape(-1, game.num_players)
+    batch = StageTwoBatch(tables=tabs, members=members, values=values, P_nodes=P,
+                          zeta_nodes=zeta, eta_nodes=eta)
+    vars(batch).update(P_st=P_st, F_st=F_st, zeta_st=zeta_st, beta_st=beta_st)
+    return batch, failures
+
+
+def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoSolution:
+    """Full stage-two pipeline at one parameter vector (a one-member batch).
+
+    ``theta`` must lie inside the parameter box; raises BlowUpDetected when
+    no bounded solution exists there.
+    """
+    batch, failures = _solve_batch(game, np.asarray(theta, dtype=float)[None], grid)
+    if failures:
+        raise failures[0]
+    return StageTwoSolution.of(batch)
 
 
 def stage_one_costs(solution: StageTwoSolution) -> np.ndarray:
@@ -285,10 +383,11 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution) -> TrajectoryRo
                 + solution.zeta_st[0::2])
     us = []
     for i in range(N):
-        pre = np.einsum("tba,tb->ta", tabs.B[i][0::2], feedback[:, i])
+        pre = np.einsum("tba,tb->ta", tabs.B[i][0::2, 0], feedback[:, i])
         us.append(-np.linalg.solve(R[i][i], pre[..., None])[..., 0])
 
-    running = np.einsum("ta,itab,tb->ti", xs, tabs.Q[:, 0::2], xs)
+    Q = np.ascontiguousarray(np.moveaxis(tabs.Q[:, 0], 1, 0))  # (N, M, n, n)
+    running = np.einsum("ta,itab,tb->ti", xs, Q[:, 0::2], xs)
     for i in range(N):
         for j in range(N):
             running[:, i] += np.einsum("ta,tab,tb->t", us[j], R[i][j], us[j])

@@ -12,22 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpDetected, GenerationFailed
+from .errors import GenerationFailed
 from .model import ConfigGame, MatrixFn, Regularizer
 from .odekit import TimeGrid
-from .riccati import default_grid, solve_stage_two
+from .riccati import _solve_batch, default_grid
 from .solver import SolverSettings
 
 
 def _first_blowup(game: ConfigGame, thetas, grid: TimeGrid):
     """The first (theta, BlowUpDetected) among ``thetas`` whose stage-two
-    solve on ``grid`` blows up, or None when every one stays bounded."""
-    for theta in thetas:
-        try:
-            solve_stage_two(game, theta, grid)
-        except BlowUpDetected as exc:
-            return theta, exc
-    return None
+    solve on ``grid`` blows up, or None when every one stays bounded; the
+    probes are solved as one batch."""
+    failures = _solve_batch(game, np.array(thetas, dtype=float), grid)[1]
+    if not failures:
+        return None
+    first = min(failures)
+    return thetas[first], failures[first]
 
 
 def _check_box_corners(game: ConfigGame, what: str):

@@ -14,155 +14,220 @@ integrator) keep every intermediate object checkable stage by stage.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from ._stage import _compact
 from .errors import BlowUpDetected, InfeasibleTheta, PreconditionViolation
 from .model import ConfigGame
 from .odekit import (TimeGrid, backward_running_sum, integrate_backward, simpson_nodes,
                      stage_samples)
-from .riccati import StageTwoSolution, _check_solution, _sym_stack, rollout, solve_stage_two
+from .riccati import (StageTwoBatch, StageTwoSolution, _check_solution, _sym_stack,
+                      _zerosum_coupling, rollout, solve_stage_two)
+
+
+def _raise_first(blowups):
+    """Raise the blow-up of the lowest member, as that member's own solve
+    would raise it; a sensitivity pass has no feasible fallback."""
+    if blowups:
+        raise blowups[min(blowups)]
 
 
 def _coupling_tables(tabs, P_st):
-    """H[i, j, m] = S^{ij} P^j - S^{jj} P^i at every stage time (zero at j=i)."""
-    H = np.einsum("ijmab,mjbc->ijmac", tabs.S, P_st, optimize=True)
-    H -= np.einsum("jmab,mibc->ijmac", tabs.S_diag, P_st, optimize=True)
+    """H[.., i, j] = S^{ij} P^j - S^{jj} P^i at every stage time and member
+    (zero at j=i), (M, B, N, N, n, n)."""
+    H = np.einsum("m...ijab,m...jbc->m...ijac", _compact(tabs.S), P_st, optimize=True)
+    H -= np.einsum("m...jab,m...ibc->m...ijac", _compact(tabs.S_diag), P_st, optimize=True)
     return H
 
 
 def _p_forcing(tabs, P_st):
-    """Forcing Q^i_k + P^k S^{ik}_k P^k - (P^i S^{kk}_k P^k + transpose).
+    """Forcing Q^i_k + P^k S^{ik}_k P^k - (P^i S^{kk}_k P^k + transpose),
+    (M, B, K, N, n, n) with k on the third axis.
 
     The mixed block is applied in symmetrized form so the path derivative
     stays a symmetric matrix, which is also its exact analytic value.
     """
-    M, N, n = P_st.shape[0], P_st.shape[1], P_st.shape[2]
-    out = np.empty((N, N, M, n, n))
+    M, B, N, n = P_st.shape[:4]
+    out = np.empty((M, B, N, N, n, n))
     for k in range(N):
-        Pk = P_st[:, k]
+        Pk = P_st[:, :, k]
         dSkk = tabs.dS[k][k]
         for i in range(N):
-            own = np.einsum("mab,mbc,mcd->mad", Pk, tabs.dS[k][i], Pk, optimize=True)
-            mix = np.einsum("mab,mbc,mcd->mad", P_st[:, i], dSkk, Pk, optimize=True)
-            out[k, i] = tabs.dQ[k][i] + own - (mix + np.swapaxes(mix, -1, -2))
+            own = np.einsum("m...ab,m...bc,m...cd->m...ad", Pk, tabs.dS[k][i], Pk,
+                            optimize=True)
+            mix = np.einsum("m...ab,m...bc,m...cd->m...ad", P_st[:, :, i], dSkk, Pk,
+                            optimize=True)
+            mix += np.swapaxes(mix, -1, -2).copy()
+            np.subtract(np.add(tabs.dQ[k][i], own, out=own), mix, out=out[:, :, k, i])
     return out
 
 
 def _solve_p_pass(grid, F_st, H_st, forcing):
-    K, N, _, n, _ = forcing.shape
+    B, K, N, n = forcing.shape[1:5]
 
     def rhs(s, Y):
-        YF = Y @ F_st[s]
-        coup = (Y[:, None] @ H_st[None, :, :, s]).sum(axis=2)
+        YF = Y @ F_st[s][:, None, None]
+        coup = (Y[:, :, None] @ H_st[s][:, None]).sum(axis=3)
         part = YF + coup
-        return -(part + np.swapaxes(part, -1, -2) + forcing[:, :, s])
+        return -(part + np.swapaxes(part, -1, -2) + forcing[s])
 
-    return integrate_backward(rhs, np.zeros((K, N, n, n)), grid, project_state=_sym_stack)
+    blowups = {}
+    Pk = integrate_backward(rhs, np.zeros((B, K, N, n, n)), grid, project_state=_sym_stack,
+                            blowups=blowups)
+    _raise_first(blowups)
+    return Pk
 
 
-def _zeta_forcing(tabs, stage2, P_st, Pk_st):
-    """Per-stage vector forcing for the zeta-path derivatives."""
-    z_st, beta_st = stage2.zeta_st, stage2.beta_st
-    M, N, n = z_st.shape
-    out = np.empty((N, N, M, n))
+def _zeta_forcing(tabs, z_st, beta_st, P_st, Pk_st):
+    """Per-stage vector forcing for the zeta-path derivatives, (M, B, K, N, n)."""
+    M, B, N, n = z_st.shape
+    out = np.empty((M, B, N, N, n))
+    # Pk^j S^{ij} zeta^j per member, from its dense couplings (see member_S)
+    coupled = np.empty((M, B, N, N, n))
+    for b in range(B):
+        S_b = tabs.member_S(b)
+        for k, i in itertools.product(range(N), repeat=2):
+            coupled[:, b, k, i] = np.einsum("mjab,jmbc,mjc->ma", Pk_st[:, b, k], S_b[i],
+                                            z_st[:, b], optimize=True)
     for k in range(N):
         dSkk = tabs.dS[k][k]
-        dF = -(dSkk @ P_st[:, k]
-               + np.einsum("jmab,mjbc->mac", tabs.S_diag, Pk_st[:, k], optimize=True))
-        dF_term = np.einsum("mba,mib->mia", dF, z_st)
+        dF = -(dSkk @ P_st[:, :, k]
+               + np.einsum("m...jab,m...jbc->m...ac", _compact(tabs.S_diag), Pk_st[:, :, k],
+                           optimize=True))
+        dF_term = np.einsum("m...ba,m...ib->m...ia", dF, z_st)
         for i in range(N):
-            mix = P_st[:, k] @ tabs.dS[k][i] - P_st[:, i] @ dSkk
-            w = np.einsum("mab,mb->ma", mix, z_st[:, k])
-            w += np.einsum("mab,mb->ma", Pk_st[:, k, i], beta_st)
-            w += np.einsum("mjab,jmbc,mjc->ma", Pk_st[:, k], tabs.S[i], z_st,
-                           optimize=True)
-            out[k, i] = dF_term[:, i] + w
+            mix = P_st[:, :, k] @ tabs.dS[k][i] - P_st[:, :, i] @ dSkk
+            w = np.einsum("m...ab,m...b->m...a", mix, z_st[:, :, k])
+            w += np.einsum("m...ab,m...b->m...a", Pk_st[:, :, k, i], beta_st)
+            w += coupled[:, :, k, i]
+            out[:, :, k, i] = dF_term[:, :, i] + w
     return out
 
 
 def _solve_zeta_pass(grid, F_st, H_st, forcing):
-    K, N, _, n = forcing.shape
+    B, K, N, n = forcing.shape[1:]
 
     def rhs(s, Z):
-        coup = np.matmul(Z[:, None, :, None, :], H_st[None, :, :, s])[..., 0, :].sum(axis=2)
-        return -(Z @ F_st[s] + coup + forcing[:, :, s])
+        coup = np.matmul(Z[:, :, None, :, None, :], H_st[s][:, None])[..., 0, :].sum(axis=3)
+        return -(Z @ F_st[s][:, None] + coup + forcing[s])
 
-    return integrate_backward(rhs, np.zeros((K, N, n)), grid)
+    blowups = {}
+    zk = integrate_backward(rhs, np.zeros((B, K, N, n)), grid, blowups=blowups)
+    _raise_first(blowups)
+    return zk
 
 
-def _eta_integrand(tabs, stage2, zk_st):
-    """Scalar integrand stack (stage, k, i) for the eta-path derivatives."""
-    z_st, beta_st = stage2.zeta_st, stage2.beta_st
-    M, N, _ = z_st.shape
-    out = np.empty((M, N, N))
+def _eta_integrand(tabs, z_st, beta_st, zk_st):
+    """Scalar integrand stack (stage, member, k, i) for the eta-path derivatives."""
+    M, B, N, _ = z_st.shape
+    out = np.empty((M, B, N, N))
+    # zeta^j' S^{ij} zeta^j_k per member, from its dense couplings (see member_S)
+    coupled = np.empty((M, B, N, N))
+    for b in range(B):
+        S_b = tabs.member_S(b)
+        for k, i in itertools.product(range(N), repeat=2):
+            coupled[:, b, k, i] = np.einsum("mja,jmab,mjb->m", z_st[:, b], S_b[i],
+                                            zk_st[:, b, k], optimize=True)
     for k in range(N):
-        beta_k = -(np.einsum("mab,mb->ma", tabs.dS[k][k], z_st[:, k])
-                   + np.einsum("jmab,mjb->ma", tabs.S_diag, zk_st[:, k], optimize=True))
+        beta_k = -(np.einsum("m...ab,m...b->m...a", tabs.dS[k][k], z_st[:, :, k])
+                   + np.einsum("m...jab,m...jb->m...a", tabs.S_diag, zk_st[:, :, k],
+                               optimize=True))
         for i in range(N):
-            v = np.einsum("ma,ma->m", beta_k, z_st[:, i])
-            v += np.einsum("ma,ma->m", beta_st, zk_st[:, k, i])
-            v += np.einsum("mja,jmab,mjb->m", z_st, tabs.S[i], zk_st[:, k],
-                           optimize=True)
-            v += 0.5 * np.einsum("ma,mab,mb->m", z_st[:, k], tabs.dS[k][i], z_st[:, k])
-            out[:, k, i] = v
+            v = np.einsum("m...a,m...a->m...", beta_k, z_st[:, :, i])
+            v += np.einsum("m...a,m...a->m...", beta_st, zk_st[:, :, k, i])
+            v += coupled[:, :, k, i]
+            v += 0.5 * np.einsum("m...a,m...ab,m...b->m...", z_st[:, :, k], tabs.dS[k][i],
+                                 z_st[:, :, k])
+            out[:, :, k, i] = v
     return out
 
 
-def _general_sensitivity(stage2):
-    """Batched sensitivity passes over every parameter component.
+def _general_sensitivity(batch: StageTwoBatch):
+    """Batched sensitivity passes over every member and parameter component.
 
-    Returns node-sampled stacks (steps+1, N, ...) for the P, zeta, and eta
-    path derivatives, with the second axis indexing the component k.
+    Returns node-sampled stacks (steps+1, B, N, ...) for the P, zeta, and
+    eta path derivatives of a general-sum batch, with the third axis
+    indexing the component k.
     """
-    tabs = stage2.tables
+    tabs = batch.tables
     grid = tabs.grid
     tabs.ensure_derivs()
-    P_st, F_st = stage2.P_st, stage2.F_st
+    P_st, F_st = batch.P_st, batch.F_st
     H_st = _coupling_tables(tabs, P_st)
-    forcing = _p_forcing(tabs, P_st)
-    Pk_nodes = _solve_p_pass(grid, F_st, H_st, forcing)
+    Pk_nodes = _solve_p_pass(grid, F_st, H_st, _p_forcing(tabs, P_st))
 
     if tabs.c_is_zero:
         # drive-free: the offsets vanish identically and so do their derivatives
-        N, n = tabs.game.num_players, tabs.game.state_dim
-        zk_nodes = np.zeros((grid.steps + 1, N, N, n))
-        ek_nodes = np.zeros((grid.steps + 1, N, N))
+        B, N, n = len(tabs.thetas), tabs.game.num_players, tabs.game.state_dim
+        zk_nodes = np.zeros((grid.steps + 1, B, N, N, n))
+        ek_nodes = np.zeros((grid.steps + 1, B, N, N))
     else:
         Pk_st = stage_samples(Pk_nodes)
-        zf = _zeta_forcing(tabs, stage2, P_st, Pk_st)
+        zf = _zeta_forcing(tabs, batch.zeta_st, batch.beta_st, P_st, Pk_st)
+        del Pk_st
         zk_nodes = _solve_zeta_pass(grid, F_st, H_st, zf)
+        del H_st, zf
         zk_st = stage_samples(zk_nodes)
-        ek_nodes = backward_running_sum(_eta_integrand(tabs, stage2, zk_st), grid)
+        blowups = {}
+        ek_nodes = backward_running_sum(_eta_integrand(tabs, batch.zeta_st, batch.beta_st,
+                                                       zk_st), grid, blowups=blowups)
+        _raise_first(blowups)
 
     return Pk_nodes, zk_nodes, ek_nodes
 
 
-def _zerosum_sensitivity(stage2):
-    """Node samples of the derivative of the single zero-sum value matrix.
+def _zerosum_sensitivity(batch: StageTwoBatch):
+    """Node samples of the derivative of the single zero-sum value matrix,
+    (steps+1, B, 2, n, n) with the component k on the third axis.
 
     Differentiates the single-matrix equation directly: the linear system
     shares the closed-loop drift A + S_tilde P across components and is
     forced by Q_k + P dS_tilde_k P.
     """
-    tabs = stage2.tables
+    tabs = batch.tables
     tabs.ensure_derivs()
-    P_st = stage2.P_st[:, 0]
-    Stilde = tabs.S_diag[1] - tabs.S_diag[0]
-    Fcl = tabs.A + Stilde @ P_st
-    n = tabs.game.state_dim
+    P_st = batch.P_st
+    Fcl = tabs.A[:, None] + _zerosum_coupling(tabs) @ P_st
+    M, B, n = P_st.shape[:3]
 
-    forcing = np.empty((2, P_st.shape[0], n, n))
+    forcing = np.empty((M, B, 2, n, n))
     for k in range(2):
         sign = -1.0 if k == 0 else 1.0
-        dStilde = sign * tabs.dS[k][k]
-        forcing[k] = tabs.dQ[k][0] + np.einsum("mab,mbc,mcd->mad", P_st, dStilde, P_st,
-                                               optimize=True)
+        dStilde = np.broadcast_to(sign * _compact(tabs.dS[k][k]), P_st.shape)
+        np.add(tabs.dQ[k][0], np.einsum("m...ab,m...bc,m...cd->m...ad", P_st, dStilde, P_st,
+                                        optimize=True), out=forcing[:, :, k])
 
     def rhs(s, Y):
-        YF = Y @ Fcl[s]
-        return -(YF + np.swapaxes(YF, -1, -2) + forcing[:, s])
+        YF = Y @ Fcl[s][:, None]
+        return -(YF + np.swapaxes(YF, -1, -2) + forcing[s])
 
-    return integrate_backward(rhs, np.zeros((2, n, n)), tabs.grid, project_state=_sym_stack)
+    blowups = {}
+    Pk = integrate_backward(rhs, np.zeros((B, 2, n, n)), tabs.grid, project_state=_sym_stack,
+                            blowups=blowups)
+    _raise_first(blowups)
+    return Pk
+
+
+def _value_gradients(batch: StageTwoBatch) -> np.ndarray:
+    """Gradient matrices G[b, i, k] = d J^i / d theta_k of the first-stage
+    costs of every member of ``batch``, regularizers included."""
+    tabs = batch.tables
+    game, x0 = tabs.game, tabs.game.x0
+    G = []
+    if game.zero_sum:
+        Pk0 = _zerosum_sensitivity(batch)[0]
+        for b, theta in enumerate(tabs.thetas):
+            g = 0.5 * np.einsum("a,kab,b->k", x0, Pk0[b], x0)
+            G.append(np.vstack([g, -g]) + game.regularizer_gradients(theta))
+    else:
+        Pk0, zk0, ek0 = (a[0] for a in _general_sensitivity(batch))
+        for b, theta in enumerate(tabs.thetas):
+            G.append(0.5 * np.einsum("a,kiab,b->ik", x0, Pk0[b], x0)
+                     + np.einsum("kia,a->ik", zk0[b], x0) + ek0[b].T
+                     + game.regularizer_gradients(theta))
+    return np.array(G).reshape(len(tabs.thetas), game.num_players, game.num_players)
 
 
 # -- public operations -------------------------------------------------------
@@ -189,16 +254,7 @@ def value_gradient(game: ConfigGame, theta, grid: TimeGrid = None,
             stage2 = solve_stage_two(game, theta, grid)
         except BlowUpDetected as exc:
             raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
-    x0 = game.x0
-    if game.zero_sum:
-        Pk0 = _zerosum_sensitivity(stage2)[0]
-        g = 0.5 * np.einsum("a,kab,b->k", x0, Pk0, x0)
-        G = np.vstack([g, -g])
-    else:
-        Pk_nodes, zk_nodes, ek_nodes = _general_sensitivity(stage2)
-        G = (0.5 * np.einsum("a,kiab,b->ik", x0, Pk_nodes[0], x0)
-             + np.einsum("kia,a->ik", zk_nodes[0], x0) + ek_nodes[0].T)
-    return G + game.regularizer_gradients(theta)
+    return _value_gradients(stage2.batch)[0]
 
 
 def envelope_gradient(stage2: StageTwoSolution, i: int) -> float:
@@ -217,17 +273,17 @@ def envelope_gradient(stage2: StageTwoSolution, i: int) -> float:
     if not tabs.c_is_zero:
         raise PreconditionViolation("envelope form requires a vanishing drive term")
 
-    Pk_nodes = _general_sensitivity(stage2)[0][:, i]
+    Pk_nodes = _general_sensitivity(stage2.batch)[0][:, 0, i]
     path = rollout(tabs.game, tabs.theta, stage2)
     xs, us = path.x, path.u
     xP = np.einsum("ta,tab->tb", xs, stage2.P_nodes[:, i])
 
-    vals = np.einsum("ta,tab,tb->t", xs, tabs.dQ[i][i][0::2], xs)
-    vals += 2.0 * np.einsum("ta,tab,tb->t", xP, tabs.dB[i][0::2], us[i])
+    vals = np.einsum("ta,tab,tb->t", xs, tabs.dQ[i][i][0::2, 0], xs)
+    vals += 2.0 * np.einsum("ta,tab,tb->t", xP, tabs.dB[i][0::2, 0], us[i])
     for j in range(tabs.game.num_players):
         if j == i:
             continue
-        Bj = tabs.B[j][0::2]
+        Bj = tabs.B[j][0::2, 0]
         pre = np.einsum("tba,tbc,tc->ta", Bj, Pk_nodes[:, j], xs)
         du = -np.linalg.solve(tabs.R[j][j][0::2], pre[..., None])[..., 0]
         vals += 2.0 * np.einsum("ta,tab,tb->t", us[j], tabs.R[i][j][0::2], du)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import BestResponseStalled, BlowUpDetected, InfeasibleTheta
 from .model import ConfigGame
-from .riccati import DEFAULT_STEPS, default_grid, solve_stage_two, stage_one_costs
-from .sensitivity import value_gradient
+from .riccati import DEFAULT_STEPS, _solve_batch, default_grid, solve_stage_two, stage_one_costs
+from .sensitivity import _value_gradients, value_gradient
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,23 @@ def _evaluate(game, theta, grid):
     costs = stage_one_costs(stage2)
     G = value_gradient(game, theta, grid=grid, stage2=stage2)
     return costs, np.diag(G).copy()
+
+
+def _evaluate_batch(game, thetas, grid):
+    """``_evaluate`` at every row of ``thetas``, solved as one batch.
+
+    Returns one entry per row: its (costs, own-gradients), or the
+    InfeasibleTheta of a point with no bounded stage-two solution.  The
+    entries equal the single-point evaluations bit for bit.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    batch, failures = _solve_batch(game, thetas, grid)
+    out = {b: InfeasibleTheta(thetas[b], time=exc.time, player=exc.player)
+           for b, exc in failures.items()}
+    G = _value_gradients(batch) if len(batch.members) else []
+    for b, values, theta, Gb in zip(batch.members, batch.values, batch.tables.thetas, G):
+        out[b] = (values + game.regularizer_values(theta), np.diag(Gb).copy())
+    return [out[b] for b in range(len(thetas))]
 
 
 def _descend(game, theta, i, settings, grid, costs, own, sweep, records):

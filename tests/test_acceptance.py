@@ -148,8 +148,8 @@ def test_criterion_05_zero_sum_consistency(pe_game):
     for theta in (np.array([0.3, 1.2]), np.array([0.9, 0.5]),
                   np.array([1.4, 1.4])):
         tabs = StageTables(pe_game, theta, grid)
-        coupled = solve_coupled_riccati(tabs)
-        single = solve_zerosum_riccati(tabs)
+        coupled = solve_coupled_riccati(tabs)[0][:, 0]
+        single = solve_zerosum_riccati(tabs)[0][:, 0]
         worst_path = max(
             worst_path,
             float(np.abs(coupled[:, 0] - single).max()),

@@ -1,0 +1,108 @@
+"""A batch of parameter points is the single-point pipeline, member by member.
+
+The stage-two passes and the sensitivity passes advance every member of a
+batch as one stacked state; each member's values, gradients and blow-up
+report must equal those of its own one-member solve bit for bit.
+"""
+
+import dataclasses
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from confgames import (InfeasibleTheta, TimeGrid, cli, random_aq_game, solve_stage_two,
+                       value_gradient)
+from confgames import model as model_mod
+from confgames import solver as solver_mod
+from confgames.errors import BlowUpDetected
+from confgames.riccati import _solve_batch
+from confgames.sensitivity import _value_gradients
+
+
+@functools.lru_cache(maxsize=None)
+def _random_game(seed, players, state_dim, control_dim, affine):
+    return random_aq_game(seed, players, state_dim, control_dim, affine=affine)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 3), players=st.integers(1, 3), state_dim=st.integers(1, 6),
+       control_dim=st.integers(1, 2), affine=st.booleans(),
+       unit=st.lists(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+                     min_size=1, max_size=5))
+def test_member_equals_its_one_member_solve(seed, players, state_dim, control_dim, affine,
+                                             unit):
+    game = _random_game(seed, players, state_dim, control_dim, affine)
+    lo, hi = game.theta_box[0]
+    thetas = lo + (hi - lo) * np.array(unit)[:, :players]
+    grid = TimeGrid(game.horizon, 40)
+    batch, failures = _solve_batch(game, thetas, grid)
+    assert not failures
+    G = _value_gradients(batch)
+    for b, theta in enumerate(thetas):
+        single = solve_stage_two(game, theta, grid)
+        assert np.array_equal(batch.values[b], single.values)
+        assert np.array_equal(batch.P_nodes[:, b], single.P_nodes)
+        assert np.array_equal(batch.zeta_nodes[:, b], single.zeta_nodes)
+        assert np.array_equal(G[b], value_gradient(game, theta, grid=grid, stage2=single))
+
+
+def test_diverged_member_leaves_the_others_unchanged(gs_game):
+    # on this longer horizon (1.2, 0.8) has no bounded equilibrium while
+    # the two other points do
+    game = dataclasses.replace(gs_game, horizon=0.8)
+    grid = TimeGrid(game.horizon, 200)
+    thetas = np.array([[0.2, 0.2], [1.2, 0.8], [0.5, 0.5]])
+    results = solver_mod._evaluate_batch(game, thetas, grid)
+    for b in (0, 2):
+        costs, own = solver_mod._evaluate(game, thetas[b], grid)
+        assert np.array_equal(results[b][0], costs)
+        assert np.array_equal(results[b][1], own)
+    with pytest.raises(BlowUpDetected) as single:
+        solve_stage_two(game, thetas[1], grid)
+    diverged = results[1]
+    assert isinstance(diverged, InfeasibleTheta)
+    assert diverged.theta == (1.2, 0.8)
+    assert diverged.time == single.value.time and diverged.player == single.value.player
+    assert 0.0 < diverged.time < game.horizon and diverged.player == 1
+    # a batch whose every member diverges
+    assert all(isinstance(r, InfeasibleTheta) for r in
+               solver_mod._evaluate_batch(game, thetas[[1, 1]], grid))
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_theta_free_coefficients_sampled_once_per_batch(members, gs_game, monkeypatch):
+    # the two time-varying state costs at 2001 stage times, A, c and the
+    # four control costs once for the batch; B^0 and B^1 once per member
+    calls = [0]
+    real = model_mod.MatrixFn.__call__
+
+    def counted(self, t, theta):
+        calls[0] += 1
+        return real(self, t, theta)
+
+    monkeypatch.setattr(model_mod.MatrixFn, "__call__", counted)
+    thetas = np.column_stack([np.linspace(0.3, 1.1, members), np.full(members, 0.9)])
+    solver_mod._evaluate_batch(gs_game, thetas, TimeGrid(gs_game.horizon, 1000))
+    assert calls[0] == 4008 + 2 * members
+
+
+def test_lattice_over_several_batches_matches_point_evaluations(tmp_path, monkeypatch,
+                                                                gs_game):
+    monkeypatch.setattr(cli, "MAX_BATCH", 4)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--set", "scenario=general_sum", "--set", "sweep.grid=3",
+                     "--set", "grid_steps=60", "--out", str(out)]) == 0
+    rows = [line for line in (out / "landscape.csv").read_text().splitlines()
+            if not line.startswith("#")][1:]
+    grid = TimeGrid(gs_game.horizon, 60)
+    (lo1, hi1), (lo2, hi2) = gs_game.theta_box
+    expected = []
+    for t1 in np.linspace(lo1, hi1, 3):
+        for t2 in np.linspace(lo2, hi2, 3):
+            costs, own = solver_mod._evaluate(gs_game, np.array([t1, t2]), grid)
+            expected.append(",".join(cli._fmt(x) for x in
+                                     (t1, t2, costs[0], costs[1], own[0], own[1], 1)))
+    assert rows == expected

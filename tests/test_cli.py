@@ -33,12 +33,20 @@ FAST = ["--set", "grid_steps=200"]
 
 
 def fault_at_corner(error):
-    """Stand-in for cli._evaluate that raises ``error`` at (theta1 lo, theta2 hi)."""
-    def evaluate(game, theta, grid):
-        if tuple(theta) == (game.theta_box[0][0], game.theta_box[1][1]):
-            raise error
-        return np.array([1.0, -1.0]), np.array([0.5, -0.5])
-    return evaluate
+    """Stand-in for cli._evaluate_batch that fails with ``error`` at
+    (theta1 lo, theta2 hi): an InfeasibleTheta is that point's entry, any
+    other error is raised."""
+    def evaluate_batch(game, thetas, grid):
+        out = []
+        for theta in thetas:
+            if tuple(theta) != (game.theta_box[0][0], game.theta_box[1][1]):
+                out.append((np.array([1.0, -1.0]), np.array([0.5, -0.5])))
+            elif isinstance(error, InfeasibleTheta):
+                out.append(error)
+            else:
+                raise error
+        return out
+    return evaluate_batch
 
 
 class TestConfigParsing:
@@ -148,7 +156,7 @@ class TestSolveCommand:
             return wrapper
 
         monkeypatch.setattr(solver, "solve_stage_two", counted)
-        for name in ("solve_stage_two", "_evaluate", "certify_first_order"):
+        for name in ("solve_stage_two", "_evaluate", "_evaluate_batch", "certify_first_order"):
             if hasattr(cli, name):
                 monkeypatch.setattr(cli, name, record(name, getattr(cli, name)))
         code = main(["solve", "--set", "solver.max_outer=1", "--out",
@@ -224,7 +232,7 @@ class TestSweepCommand:
 
     def test_infeasible_point_is_reported_as_row(self, tmp_path, monkeypatch):
         game = load_config(None, []).build_game()
-        monkeypatch.setattr(cli, "_evaluate", fault_at_corner(InfeasibleTheta((0.0, 0.0))))
+        monkeypatch.setattr(cli, "_evaluate_batch", fault_at_corner(InfeasibleTheta((0.0, 0.0))))
         out = tmp_path / "sweep"
         assert main(["sweep", "--set", "sweep.grid=2", "--set", "sweep.workers=1",
                      "--out", str(out)] + FAST) == 0
@@ -236,7 +244,7 @@ class TestSweepCommand:
 
     def test_numerical_failure_is_an_error_not_infeasible(self, tmp_path, monkeypatch,
                                                          capsys):
-        monkeypatch.setattr(cli, "_evaluate", fault_at_corner(NumericalFailure("nan")))
+        monkeypatch.setattr(cli, "_evaluate_batch", fault_at_corner(NumericalFailure("nan")))
         out = tmp_path / "sweep"
         assert main(["sweep", "--set", "sweep.grid=2", "--set", "sweep.workers=1",
                      "--out", str(out)] + FAST) == 1
@@ -244,11 +252,19 @@ class TestSweepCommand:
         assert not (out / "landscape.csv").exists()
 
     def test_blowup_in_a_worker_reaches_main(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_evaluate", fault_at_corner(BlowUpDetected(0.5, 1e9)))
+        monkeypatch.setattr(cli, "_evaluate_batch", fault_at_corner(BlowUpDetected(0.5, 1e9)))
         out = tmp_path / "sweep"
         assert main(["sweep", "--set", "sweep.grid=2", "--set", "sweep.workers=2",
                      "--out", str(out)] + FAST) == 3
         assert "blow-up threshold near t=0.5" in capsys.readouterr().err
+
+    def test_negative_worker_count_is_usage_error(self, tmp_path, capsys):
+        # -3 used to run, exit 0 and echo "sweep.workers = -3" into landscape.csv
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--set", "scenario=general_sum", "--set", "sweep.grid=1",
+                     "--set", "sweep.workers=-3", "--out", str(out)] + FAST) == 1
+        assert "sweep.workers" in capsys.readouterr().err
+        assert not (out / "landscape.csv").exists()
 
     def test_requires_two_players(self, tmp_path):
         code = main(["sweep", "--set", "scenario=random",

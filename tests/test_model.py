@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import confgames
 from confgames import (ConfigGame, IndefiniteStateCostWarning, MatrixFn,
                        PositiveDefinitenessViolation, StageTables, TimeGrid,
                        build_general_sum, envelope_gradient, rollout, solve_stage_two,
@@ -82,12 +86,12 @@ class TestComputeS:
             A=MatrixFn.constant(np.zeros((n, n))), B=(eye,), Q=(eye,),
             R=((eye,),), c=MatrixFn.constant(np.zeros(n)), Qf=(np.zeros((n, n)),),
             theta_box=((0.0, 1.0),), x0=np.zeros(n))
-        S = _tables_at_t0(game, [0.5]).S[0, 0, 0]
+        S = _tables_at_t0(game, [0.5]).S[0, 0, 0, 0]
         assert np.allclose(S, np.eye(n), atol=1e-14)
 
     def test_pursuit_actuation_block_at_zero_angle(self, pe_game):
         # at theta1 = 0 the own coupling has diag(4, 1) at the velocity rows
-        S = _tables_at_t0(pe_game, [0.0, 1.0]).S[0, 0, 0]
+        S = _tables_at_t0(pe_game, [0.0, 1.0]).S[0, 0, 0, 0]
         expected = np.zeros((8, 8))
         expected[2, 2] = 4.0
         expected[3, 3] = 1.0
@@ -96,13 +100,13 @@ class TestComputeS:
     def test_cross_coupling_zero_when_cross_cost_zero(self, gs_game):
         # at every stage time of the grid, t = 0.1 among them
         tabs = StageTables(gs_game, np.array([0.7, 0.9]), TimeGrid(gs_game.horizon, 18))
-        assert not tabs.S[0, 1].any()
+        assert not tabs.S[:, 0, 0, 1].any()
 
     def test_own_coupling_psd_on_grid(self, pe_game, gs_game):
         for game in (pe_game, gs_game):
             # the nodes of a 6-step grid are linspace(0, horizon, 7)
             tabs = StageTables(game, game.theta_mid, TimeGrid(game.horizon, 6))
-            for S_t in tabs.S_diag[:, 0::2].reshape(-1, game.state_dim, game.state_dim):
+            for S_t in tabs.S_diag[0::2].reshape(-1, game.state_dim, game.state_dim):
                 assert np.linalg.eigvalsh(0.5 * (S_t + S_t.T)).min() >= -1e-10
 
     def test_singular_control_cost_raises(self):
@@ -125,14 +129,15 @@ class TestComputeSDeriv:
         # which is why the tables hold no such entry
         theta = np.array([0.3, 0.8])
         moved = np.array([0.3, 1.3])
-        d = _tables_at_t0(pe_game, moved).S[0, 0] - _tables_at_t0(pe_game, theta).S[0, 0]
+        d = (_tables_at_t0(pe_game, moved).S[:, 0, 0, 0]
+             - _tables_at_t0(pe_game, theta).S[:, 0, 0, 0])
         assert not d.any()
 
     def test_scalar_game_gives_two_theta(self):
         game = make_scalar_lqr()
         tabs = _tables_at_t0(game, [0.7])
         tabs.ensure_derivs()
-        d = tabs.dS[0][0][0]
+        d = tabs.dS[0][0][0, 0]
         assert d[0, 0] == pytest.approx(2 * 0.7, abs=1e-14)
 
     def test_matches_central_difference_on_pursuit_game(self, pe_game):
@@ -144,9 +149,9 @@ class TestComputeSDeriv:
             up, dn = theta.copy(), theta.copy()
             up[k] += h
             dn[k] -= h
-            fd = (_tables_at_t0(pe_game, up).S[i, j, 0]
-                  - _tables_at_t0(pe_game, dn).S[i, j, 0]) / (2 * h)
-            d = tabs.dS[k][i][0]
+            fd = (_tables_at_t0(pe_game, up).S[0, 0, i, j]
+                  - _tables_at_t0(pe_game, dn).S[0, 0, i, j]) / (2 * h)
+            d = tabs.dS[k][i][0, 0]
             assert np.abs(d - fd).max() <= 1e-8
 
 
@@ -199,8 +204,8 @@ class TestSampler:
             B = [game.B[j](t, theta) for j in range(2)]
             dB = [game.B[j].d_theta(t, theta, j) for j in range(2)]
             for j in range(2):
-                assert np.array_equal(tabs.B[j][m], B[j])
-                assert np.array_equal(tabs.dB[j][m], dB[j])
+                assert np.array_equal(tabs.B[j][m, 0], B[j])
+                assert np.array_equal(tabs.dB[j][m, 0], dB[j])
             for i in range(2):
                 for j in range(2):
                     assert np.array_equal(tabs.R[i][j][m], game.R[i][j](t, theta))
@@ -208,25 +213,25 @@ class TestSampler:
                     M = Rjj_inv @ game.R[i][j](t, theta) @ Rjj_inv
                     S = B[j] @ M @ B[j].T
                     dS = dB[j] @ M @ B[j].T + B[j] @ M @ dB[j].T
-                    assert np.allclose(tabs.S[i, j, m], S, rtol=1e-12, atol=1e-14)
-                    assert np.allclose(tabs.dS[j][i][m], dS, rtol=1e-12, atol=1e-14)
+                    assert np.allclose(tabs.S[m, 0, i, j], S, rtol=1e-12, atol=1e-14)
+                    assert np.allclose(tabs.dS[j][i][m, 0], dS, rtol=1e-12, atol=1e-14)
 
 
 class TestClosedLoopMatrix:
     def test_zero_feedback_returns_drift(self, pe_game):
         theta = np.array([0.2, 0.4])
         grid = TimeGrid(pe_game.horizon, 2)
-        P_st = np.zeros((len(grid.stage_times), 2, 8, 8))
+        P_st = np.zeros((len(grid.stage_times), 1, 2, 8, 8))
         F = _closed_loop(StageTables(pe_game, theta, grid), P_st)
-        for F_m in F:
+        for F_m in F[:, 0]:
             assert np.array_equal(F_m, pe_game.A(0.0, theta))
 
     def test_scalar_direct_substitution(self):
         game = make_scalar_lqr()
         grid = TimeGrid(game.horizon, 2)
-        P_st = np.full((len(grid.stage_times), 1, 1, 1), 2.0)
+        P_st = np.full((len(grid.stage_times), 1, 1, 1, 1), 2.0)
         F = _closed_loop(StageTables(game, np.array([1.0]), grid), P_st)
-        assert F[0, 0, 0] == pytest.approx(-2.0, abs=1e-14)
+        assert F[0, 0, 0, 0] == pytest.approx(-2.0, abs=1e-14)
 
     def test_matches_independent_recomputation(self, gs_game, gs_grid):
         theta = np.array([0.6, 1.1])
@@ -345,3 +350,16 @@ class TestConfigGameValidation:
             pe_game.x0[0] = 7.0
         with pytest.raises(ValueError):
             pe_game.Qf[0][0, 0] = 7.0
+
+
+class TestRuntimeDependencies:
+    def test_library_runs_without_scipy(self):
+        # scipy is a test dependency only: importing the library and building
+        # both built-in games, which solves their corner probes, loads none of it
+        code = ("import sys, warnings; warnings.simplefilter('ignore'); import confgames; "
+                "confgames.build_pursuit_evasion(); confgames.build_general_sum(); "
+                "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
+        src = os.path.dirname(os.path.dirname(confgames.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                       check=True, timeout=120)

@@ -67,6 +67,29 @@ class TestBackwardIntegration:
             integrate_backward(lambda s, y: np.full_like(y, np.nan),
                                np.zeros(2), g)
 
+    def test_member_blowup_is_recorded_and_leaves_the_others_unchanged(self):
+        # y' = -y^2 backward from y(T) = y0 diverges within the horizon for
+        # y0 = 10 only; members 0 and 2 must equal their own integrations
+        g = TimeGrid(1.0, 200)
+        rhs = lambda s, y: -y * y
+        start = np.array([[0.5, 0.2], [10.0, 0.1], [0.3, 0.4]])
+        blowups = {}
+        path = integrate_backward(rhs, start, g, blowups=blowups)
+        assert list(blowups) == [1]
+        with pytest.raises(BlowUpDetected) as single:
+            integrate_backward(rhs, start[1], g)
+        assert blowups[1].time == single.value.time
+        assert blowups[1].norm == single.value.norm
+        for b in (0, 2):
+            assert np.array_equal(path[:, b], integrate_backward(rhs, start[b], g))
+        assert np.all(np.isfinite(path))
+
+    def test_nan_member_raises_numerical_failure(self):
+        g = TimeGrid(1.0, 10)
+        rhs = lambda s, y: np.where(np.arange(2)[:, None] == 1, np.nan, 0.0) + 0.0 * y
+        with pytest.raises(NumericalFailure):
+            integrate_backward(rhs, np.zeros((2, 3)), g, blowups={})
+
     def test_deterministic(self):
         g = TimeGrid(1.0, 100)
         rhs = lambda s, P: -(1.0 - P * P)
@@ -113,6 +136,12 @@ class TestBackwardRunningSum:
         with pytest.raises(BlowUpDetected) as got:
             backward_running_sum(f, g)
         assert got.value.time == ref.value.time
+        # as the member axis of a batch, beside a member that stays bounded
+        blowups = {}
+        both = np.stack([f, np.ones_like(f)], axis=1)
+        out = backward_running_sum(both, g, blowups=blowups)
+        assert list(blowups) == [0] and blowups[0].time == ref.value.time
+        assert np.array_equal(out[:, 1], backward_running_sum(np.ones_like(f), g))
         assert got.value.norm == ref.value.norm
 
     def test_nan_raises_numerical_failure(self):

@@ -23,8 +23,8 @@ class TestCoupledRiccati:
 
     def test_zero_cost_gives_zero_solution(self, pe_game):
         game = make_scalar_lqr(q=0.0, qf=0.0)
-        P = solve_coupled_riccati(StageTables(game, np.array([1.0]), TimeGrid(1.0, 100)))
-        assert not P.any()
+        P, blown = solve_coupled_riccati(StageTables(game, np.array([1.0]), TimeGrid(1.0, 100)))
+        assert not P.any() and not blown
 
     def test_terminal_conditions_bit_exact(self, gs_game, gs_grid):
         theta = np.array([0.7, 1.0])
@@ -44,10 +44,11 @@ class TestCoupledRiccati:
     def test_blowup_propagates_player_and_time(self, gs_game):
         # the builder rejects this horizon, so lengthen the built game's instead
         game = dataclasses.replace(gs_game, horizon=6.0)
-        with pytest.raises(BlowUpDetected) as info:
-            solve_coupled_riccati(StageTables(game, np.array([0.6, 1.2]), TimeGrid(6.0, 1000)))
-        assert 0.0 < info.value.time < 6.0
-        assert info.value.player in (0, 1)
+        _, blown = solve_coupled_riccati(StageTables(game, np.array([0.6, 1.2]),
+                                                     TimeGrid(6.0, 1000)))
+        assert isinstance(blown[0], BlowUpDetected)
+        assert 0.0 < blown[0].time < 6.0
+        assert blown[0].player in (0, 1)
 
     def test_theta_outside_box_rejected(self, pe_game):
         with pytest.raises(ValueError):
@@ -77,12 +78,12 @@ class TestAffinePasses:
         grid = TimeGrid(1.0, 100)
         theta = np.array([0.5])
         tabs = StageTables(game, theta, grid)
-        P = solve_coupled_riccati(tabs)
+        P, _ = solve_coupled_riccati(tabs)
         assert not P.any()
         sol = solve_stage_two(game, theta, grid)
-        zeta = solve_zeta(tabs, sol.P_st, sol.F_st)
+        zeta, _ = solve_zeta(tabs, sol.P_st[:, None], sol.F_st[:, None])
         assert not zeta.any()
-        eta = solve_eta(tabs, sol.zeta_st, sol.beta_st)
+        eta, _ = solve_eta(tabs, sol.zeta_st[:, None], sol.beta_st[:, None])
         assert not eta.any()
 
     def test_drive_residual_recomputation(self, gs_game, gs_grid):
@@ -136,8 +137,8 @@ class TestZeroSum:
                (MatrixFn.constant(-np.eye(1)), eye1)),
             c=MatrixFn.constant(np.zeros(n)), Qf=(Qf, -Qf),
             theta_box=((0.0, 1.0),) * 2, x0=np.ones(n), zero_sum=True)
-        P = solve_zerosum_riccati(StageTables(game, np.array([0.5, 0.5]), TimeGrid(1.0, 100)))
-        assert np.allclose(P[0], Qf, atol=1e-14)
+        P, _ = solve_zerosum_riccati(StageTables(game, np.array([0.5, 0.5]), TimeGrid(1.0, 100)))
+        assert np.allclose(P[0, 0], Qf, atol=1e-14)
 
     def test_matched_angles_match_matrix_exponential_oracle(self, pe_game, pe_grid):
         # equal capabilities cancel the quadratic term, leaving a linear
@@ -169,8 +170,8 @@ class TestZeroSum:
     def test_coupled_encoding_agrees_with_single_matrix(self, pe_game, pe_grid):
         for theta in (np.array([0.4, 1.1]), np.array([1.3, 0.2])):
             tabs = StageTables(pe_game, theta, pe_grid)
-            Pc = solve_coupled_riccati(tabs)
-            Pz = solve_zerosum_riccati(tabs)
+            Pc = solve_coupled_riccati(tabs)[0][:, 0]
+            Pz = solve_zerosum_riccati(tabs)[0][:, 0]
             assert np.abs(Pc[:, 0] - Pz).max() <= 1e-6
             assert np.abs(Pc[:, 1] + Pz).max() <= 1e-6
 

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,14 @@ def fd_gradient(game, theta, grid, h=1e-5):
     return out
 
 
+def general_stacks(stage2):
+    """The P, zeta and eta path-derivative stacks (steps+1, N, ...) of a
+    solution, from the general-sum core run on it as a one-member batch."""
+    one = SimpleNamespace(tables=stage2.tables, **{
+        name: getattr(stage2, name)[:, None] for name in ("P_st", "F_st", "zeta_st", "beta_st")})
+    return [a[:, 0] for a in _general_sensitivity(one)]
+
+
 def column_from_paths(game, theta, k, Pk, zk, ek):
     """Column k of the value gradient from one component's path derivatives."""
     x0 = game.x0
@@ -41,7 +50,7 @@ class TestPathDerivatives:
         theta = np.array([1.0, 1.0])
         stage2 = solve_stage_two(game, theta, grid)
         for k in range(2):
-            Pk, zk, ek = (a[:, k] for a in _general_sensitivity(stage2))
+            Pk, zk, ek = (a[:, k] for a in general_stacks(stage2))
             assert not Pk.any()
             assert not zk.any()
             assert not ek.any()
@@ -55,14 +64,14 @@ class TestPathDerivatives:
         grid = TimeGrid(1.0, 1000)
         theta = np.array([1.0])
         stage2 = solve_stage_two(game, theta, grid)
-        Pk = _general_sensitivity(stage2)[0][:, 0]
+        Pk = general_stacks(stage2)[0][:, 0]
         expected = 1.0 / np.cosh(1.0) ** 2 - np.tanh(1.0)
         assert Pk[0, 0, 0, 0] == pytest.approx(expected, rel=1e-6)
 
     def test_terminal_samples_exactly_zero(self, gs_game, gs_grid):
         theta = np.array([0.7, 1.0])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
-        Pk, zk, ek = (a[:, 0] for a in _general_sensitivity(stage2))
+        Pk, zk, ek = (a[:, 0] for a in general_stacks(stage2))
         for i in range(2):
             assert not Pk[-1, i].any()
             assert not zk[-1, i].any()
@@ -71,7 +80,7 @@ class TestPathDerivatives:
     def test_path_derivative_symmetric(self, gs_game, gs_grid):
         theta = np.array([0.4, 1.1])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
-        Pk = _general_sensitivity(stage2)[0][:, 1]
+        Pk = general_stacks(stage2)[0][:, 1]
         for i in range(2):
             p = Pk[:, i]
             asym = np.abs(p - p.transpose(0, 2, 1)).max()
@@ -81,9 +90,9 @@ class TestPathDerivatives:
         theta = np.array([0.5, 0.9])
         stage2 = solve_stage_two(pe_game, theta, pe_grid)
         # the zero-sum core returns the value-matrix derivative alone
-        Pk = _zerosum_sensitivity(stage2)
+        Pk = _zerosum_sensitivity(stage2.batch)[:, 0]
         assert isinstance(Pk, np.ndarray) and Pk.shape == (pe_grid.steps + 1, 2, 8, 8)
-        _, zk, ek = _general_sensitivity(stage2)
+        _, zk, ek = general_stacks(stage2)
         assert not zk.any() and not ek.any()
 
     def test_pursuit_value_matrix_derivative_against_differences(self, pe_game, pe_grid):
@@ -92,7 +101,7 @@ class TestPathDerivatives:
         stage2 = solve_stage_two(pe_game, theta, pe_grid)
         h = 1e-5
         for k in range(2):
-            Pk = _zerosum_sensitivity(stage2)[:, k]
+            Pk = _zerosum_sensitivity(stage2.batch)[:, 0, k]
             lhs = 0.5 * x0 @ Pk[0] @ x0
             step = np.zeros(2)
             step[k] = h
@@ -111,7 +120,7 @@ class TestPathDerivatives:
             stage2 = solve_stage_two(game, theta, grid)
             G = value_gradient(game, theta, grid=grid, stage2=stage2)
             N = game.num_players
-            batched = _general_sensitivity(stage2)
+            batched = general_stacks(stage2)
             for k in range(N):
                 column = [every[:, k] for every in batched]
                 assert np.allclose(G[:, k], column_from_paths(game, theta, k, *column),
