@@ -53,7 +53,8 @@ def _stacked(blocks, axes, shape):
 
 
 def _cholesky(R, j, stage_times):
-    """Lower Cholesky factors of the samples R (M', m, m) of R^jj."""
+    """Lower Cholesky factors of the samples R (M', m, m) of R^jj; raises
+    PositiveDefinitenessViolation at the first sample that has none."""
     try:
         return np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
@@ -64,22 +65,6 @@ def _cholesky(R, j, stage_times):
                 raise PositiveDefinitenessViolation(
                     f"R[{j}][{j}](t={stage_times[m]}) is not positive definite") from exc
         raise
-
-
-def _cho_solve(L, X):
-    """Y with L L' Y = X, by forward and back substitution over the rows
-    (L lower triangular, (..., m, m); X (..., m, k))."""
-    Lt = np.swapaxes(L, -1, -2)
-    m = L.shape[-1]
-    Y = np.array(np.broadcast_to(X, np.broadcast_shapes(L.shape[:-2], X.shape[:-2])
-                                 + X.shape[-2:]))
-    for r in range(m):
-        Y[..., r, :] = (Y[..., r, :] - (L[..., r:r + 1, :r] @ Y[..., :r, :])[..., 0, :]) \
-            / L[..., r, r, None]
-    for r in reversed(range(m)):
-        Y[..., r, :] = (Y[..., r, :] - (Lt[..., r:r + 1, r + 1:] @ Y[..., r + 1:, :])[..., 0, :]) \
-            / L[..., r, r, None]
-    return Y
 
 
 def _select(x, keep):
@@ -141,7 +126,8 @@ class StageTables:
         for j in range(N):
             Bj = _compact(self.B[j])
             Rjj = _compact(self.R[j][j], 1)
-            Y = _cho_solve(_cholesky(Rjj, j, st)[:, None], np.swapaxes(Bj, -1, -2))
+            _cholesky(Rjj, j, st)
+            Y = np.linalg.solve(Rjj[:, None], np.swapaxes(Bj, -1, -2))
             for i in range(N):
                 blocks[i, j] = (Bj @ Y if i == j else
                                 np.swapaxes(Y, -1, -2) @ _compact(self.R[i][j], 1)[:, None] @ Y)
@@ -201,14 +187,13 @@ class StageTables:
             if k not in game.B[k].depends_on:
                 continue
             Bk, dBk = _compact(self.B[k]), _compact(self.dB[k])
-            L = _cholesky(_compact(self.R[k][k], 1), k, st)
-            eye = np.eye(Bk.shape[-1])
+            Rkk = _compact(self.R[k][k], 1)
             for i in range(N):
                 if i == k:
-                    M = _cho_solve(L, eye)
+                    M = np.linalg.inv(Rkk)
                 else:
-                    M = np.swapaxes(_cho_solve(L, np.swapaxes(
-                        _cho_solve(L, _compact(self.R[i][k], 1)), -1, -2)), -1, -2)
+                    M = np.swapaxes(np.linalg.solve(Rkk, np.swapaxes(
+                        np.linalg.solve(Rkk, _compact(self.R[i][k], 1)), -1, -2)), -1, -2)
                 M = M[:, None]
                 d = dBk @ M @ np.swapaxes(Bk, -1, -2) + Bk @ M @ np.swapaxes(dBk, -1, -2)
                 self.dS[k][i] = np.broadcast_to(d, shape + d.shape[2:])

@@ -8,7 +8,9 @@ through the drive residual beta), and per-player scalar quadratures for
 the value constants eta.  Player values and feedback strategies are read
 off the t=0 samples.  The pipeline runs on a batch of parameter vectors
 at once, every pass advancing all members as one stacked state; one
-parameter vector is the one-member batch.
+parameter vector is the one-member batch.  Both game kinds keep one
+layout: a zero-sum game's single value matrix P is stored as the player
+stack (P, -P), and the batch derives every stage-time sample it lacks.
 """
 
 from __future__ import annotations
@@ -50,12 +52,14 @@ class StageTwoBatch:
     member axis (the second axis of every array).
 
     ``members`` holds their rows in the requested batch and ``values``
-    (B, N) their pure stage-two costs; ``tables`` are theirs.  A general-sum
-    batch holds ``P_nodes`` (steps+1, B, N, n, n), ``zeta_nodes``
-    (steps+1, B, N, n), ``eta_nodes`` (steps+1, B, N) and the stage-time
-    samples its passes ran on (``P_st``, ``F_st``, ``zeta_st``,
-    ``beta_st``).  A zero-sum batch holds the single value matrix,
-    ``P_nodes`` (steps+1, B, n, n), and its ``P_st`` is derived on first use.
+    (B, N) their pure stage-two costs; ``tables`` are theirs.  The node
+    arrays are ``P_nodes`` (steps+1, B, N, n, n), ``zeta_nodes``
+    (steps+1, B, N, n) and ``eta_nodes`` (steps+1, B, N).  A zero-sum batch
+    solves a single value matrix P per member and stores it as the player
+    stack (P, -P), with no offset arrays (None).  The samples at the RK4
+    stage times (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are the
+    arrays the general-sum passes ran on; a zero-sum batch derives them on
+    first use, and its ``zeta_st`` and ``beta_st`` are exact zeros.
     """
 
     tables: StageTables = field(repr=False)
@@ -69,22 +73,32 @@ class StageTwoBatch:
     def P_st(self) -> np.ndarray:
         return stage_samples(self.P_nodes)
 
+    @cached_property
+    def F_st(self) -> np.ndarray:
+        return _closed_loop(self.tables, self.P_st)
+
+    @cached_property
+    def zeta_st(self) -> np.ndarray:
+        return np.zeros(self.P_st.shape[:-1])
+
+    @cached_property
+    def beta_st(self) -> np.ndarray:
+        return _drive_residual(self.tables, self.zeta_st)
+
 
 @dataclass(frozen=True)
 class StageTwoSolution:
-    """Equilibrium solution bundle at one parameter vector.
+    """Equilibrium solution bundle at one parameter vector: member 0 of
+    ``batch``, the one-member StageTwoBatch it was solved as.
 
     ``values`` holds the pure stage-two equilibrium costs (no first-stage
     regularizer; stage_one_costs adds it).  The game, theta and grid it
-    was solved at are those of ``tables``, and ``batch`` is the one-member
-    StageTwoBatch it was read from.  The paths are node arrays:
+    was solved at are those of ``tables``.  The paths are node arrays:
     ``P_nodes`` (steps+1, N, n, n), ``zeta_nodes`` (steps+1, N, n) and
-    ``eta_nodes`` (steps+1, N).  For zero-sum games a single value matrix
-    P is solved and stored as the stack (P, -P), with no offset arrays
-    (None).  The samples at the RK4 stage times (``P_st``, ``F_st``,
-    ``zeta_st``, ``beta_st``) are the arrays the general-sum passes ran
-    on; a zero-sum solution derives them from the node arrays on first
-    use, and its ``zeta_st`` and ``beta_st`` are exact zeros.
+    ``eta_nodes`` (steps+1, N); a zero-sum solution holds the stack
+    (P, -P) and no offset arrays (None).  The samples at the RK4 stage
+    times (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are read from the
+    batch.
     """
 
     values: np.ndarray
@@ -94,37 +108,10 @@ class StageTwoSolution:
     eta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
     batch: StageTwoBatch = field(default=None, repr=False, compare=False)
 
-    @classmethod
-    def of(cls, batch: StageTwoBatch) -> "StageTwoSolution":
-        """The solution of a one-member batch."""
-        if batch.zeta_nodes is None:
-            P = batch.P_nodes[:, 0]
-            return cls(values=batch.values[0], tables=batch.tables,
-                       P_nodes=np.stack([P, -P], axis=1), batch=batch)
-        solution = cls(values=batch.values[0], tables=batch.tables,
-                       P_nodes=batch.P_nodes[:, 0], zeta_nodes=batch.zeta_nodes[:, 0],
-                       eta_nodes=batch.eta_nodes[:, 0], batch=batch)
-        # the gradient and rollout read the very samples the passes ran on
-        vars(solution).update({name: getattr(batch, name)[:, 0]
-                               for name in ("P_st", "F_st", "zeta_st", "beta_st")})
-        return solution
-
-    @cached_property
-    def P_st(self) -> np.ndarray:
-        P = self.batch.P_st[:, 0]
-        return np.stack([P, -P], axis=1)
-
-    @cached_property
-    def F_st(self) -> np.ndarray:
-        return _closed_loop(self.tables, self.P_st[:, None])[:, 0]
-
-    @cached_property
-    def zeta_st(self) -> np.ndarray:
-        return np.zeros(self.P_st.shape[:-1])
-
-    @cached_property
-    def beta_st(self) -> np.ndarray:
-        return _drive_residual(self.tables, self.zeta_st[:, None])[:, 0]
+    P_st = property(lambda self: self.batch.P_st[:, 0])
+    F_st = property(lambda self: self.batch.F_st[:, 0])
+    zeta_st = property(lambda self: self.batch.zeta_st[:, 0])
+    beta_st = property(lambda self: self.batch.beta_st[:, 0])
 
 
 def _closed_loop(tabs: StageTables, P_st):
@@ -318,7 +305,8 @@ def _solve_batch(game: ConfigGame, thetas, grid: TimeGrid = None):
         members, tabs, P = _drop(blown, failures, members, tabs, P)
         J = [0.5 * float(x0 @ P[0, b] @ x0) for b in range(len(members))]
         values = np.array([[j, -j] for j in J]).reshape(-1, 2)
-        return StageTwoBatch(tables=tabs, members=members, values=values, P_nodes=P), failures
+        return StageTwoBatch(tables=tabs, members=members, values=values,
+                             P_nodes=np.stack([P, -P], axis=2)), failures
 
     P, blown = solve_coupled_riccati(tabs)
     members, tabs, P = _drop(blown, failures, members, tabs, P)
@@ -349,7 +337,10 @@ def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoS
     batch, failures = _solve_batch(game, np.asarray(theta, dtype=float)[None], grid)
     if failures:
         raise failures[0]
-    return StageTwoSolution.of(batch)
+    zeta, eta = (None if a is None else a[:, 0] for a in (batch.zeta_nodes, batch.eta_nodes))
+    return StageTwoSolution(values=batch.values[0], tables=batch.tables,
+                            P_nodes=batch.P_nodes[:, 0], zeta_nodes=zeta, eta_nodes=eta,
+                            batch=batch)
 
 
 def stage_one_costs(solution: StageTwoSolution) -> np.ndarray:

@@ -188,7 +188,7 @@ def _zerosum_sensitivity(batch: StageTwoBatch):
     """
     tabs = batch.tables
     tabs.ensure_derivs()
-    P_st = batch.P_st
+    P_st = stage_samples(batch.P_nodes[:, :, 0])
     Fcl = tabs.A[:, None] + _zerosum_coupling(tabs) @ P_st
     M, B, n = P_st.shape[:3]
 

@@ -49,6 +49,21 @@ def test_member_equals_its_one_member_solve(seed, players, state_dim, control_di
         assert np.array_equal(G[b], value_gradient(game, theta, grid=grid, stage2=single))
 
 
+def test_zero_sum_member_equals_its_one_member_solve(pe_game):
+    # the batch stores each member's value matrix as the player stack (P, -P)
+    grid = TimeGrid(pe_game.horizon, 200)
+    corner = [hi for _, hi in pe_game.theta_box]
+    thetas = np.array([[0.4, 1.1], corner, [0.9, 0.7]])
+    batch, failures = _solve_batch(pe_game, thetas, grid)
+    assert not failures and batch.zeta_nodes is None
+    G = _value_gradients(batch)
+    for b, theta in enumerate(thetas):
+        single = solve_stage_two(pe_game, theta, grid)
+        assert np.array_equal(batch.values[b], single.values)
+        assert np.array_equal(batch.P_nodes[:, b], single.P_nodes)
+        assert np.array_equal(G[b], value_gradient(pe_game, theta, grid=grid, stage2=single))
+
+
 def test_diverged_member_leaves_the_others_unchanged(gs_game):
     # on this longer horizon (1.2, 0.8) has no bounded equilibrium while
     # the two other points do

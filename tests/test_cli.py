@@ -1,13 +1,8 @@
 import json
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
 
-import confgames
 from confgames import cli, recommended_settings
 from confgames.cli import KNOWN_KEYS, load_config, main
 from confgames.errors import (BlowUpDetected, ConfigError, InfeasibleTheta,
@@ -206,29 +201,6 @@ class TestSweepCommand:
         strip = lambda p: [ln for ln in p.read_text().splitlines()
                            if not ln.startswith("# sweep.workers")]
         assert strip(a / "landscape.csv") == strip(b / "landscape.csv")
-
-    def test_parallel_sweep_under_spawn_start_method(self, tmp_path):
-        # the start method is global to a process, so the sweep runs in a child
-        script = tmp_path / "spawn_sweep.py"
-        script.write_text(textwrap.dedent("""
-            import multiprocessing
-            from confgames.cli import main
-
-            if __name__ == "__main__":
-                multiprocessing.set_start_method("spawn")
-                for workers in (1, 2):
-                    code = main(["sweep", "--set", "scenario=general_sum",
-                                 "--set", "sweep.grid=2", "--set", f"sweep.workers={workers}",
-                                 "--set", "grid_steps=200", "--out", f"w{workers}"])
-                    assert code == 0, code
-        """))
-        src = os.path.dirname(os.path.dirname(confgames.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env, check=True,
-                       timeout=300)
-        strip = lambda p: [ln for ln in p.read_text().splitlines()
-                           if not ln.startswith("# sweep.workers")]
-        assert strip(tmp_path / "w1" / "landscape.csv") == strip(tmp_path / "w2" / "landscape.csv")
 
     def test_infeasible_point_is_reported_as_row(self, tmp_path, monkeypatch):
         game = load_config(None, []).build_game()

@@ -275,6 +275,15 @@ class TestEnvelopeGradient:
             env = envelope_gradient(stage2, i)
             assert env == pytest.approx(G[i, i], rel=1e-6)
 
+    def test_matches_own_gradient_on_zero_sum_solution(self, pe_game, pe_grid):
+        # a zero-sum solution holds the player stack (P, -P), which the
+        # general-sum strategy shifts and the rollout read
+        theta = np.array([0.4, 1.1])
+        stage2 = solve_stage_two(pe_game, theta, pe_grid)
+        G = value_gradient(pe_game, theta, grid=pe_grid, stage2=stage2)
+        for i in range(2):
+            assert envelope_gradient(stage2, i) == pytest.approx(G[i, i], rel=1e-9)
+
     def test_requires_drive_free_game(self, gs_game, gs_grid):
         with pytest.raises(PreconditionViolation):
             envelope_gradient(solve_stage_two(gs_game, np.array([0.7, 0.9]), gs_grid), 0)
