@@ -155,7 +155,7 @@ class StageTables:
         return not np.any(self.c)
 
     def select(self, keep) -> "StageTables":
-        """The tables of the members ``keep`` (indices into ``thetas``)."""
+        """The tables of the members ``keep``, whose derivatives ensure_derivs builds."""
         keep = list(keep)
         out = copy.copy(self)
         out.thetas = self.thetas[keep]
@@ -163,10 +163,7 @@ class StageTables:
         out.B = [_select(b, keep) for b in self.B]
         out.S = _select(self.S, keep)
         out.S_diag = _select(self.S_diag, keep)
-        if self.dS is not None:
-            out.dB = [_select(b, keep) for b in self.dB]
-            out.dS = [[_select(d, keep) for d in row] for row in self.dS]
-            out.dQ = [[_select(d, keep) for d in row] for row in self.dQ]
+        out.dB = out.dS = out.dQ = None
         return out
 
     def ensure_derivs(self):

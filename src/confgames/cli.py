@@ -178,14 +178,6 @@ def load_config(path=None, overrides=()) -> RunConfig:
     return RunConfig(values)
 
 
-def _validate_theta0(cfg: RunConfig, game: ConfigGame):
-    theta0 = np.array(cfg["theta0"], dtype=float)
-    if not game.contains_theta(theta0):
-        raise ConfigError(
-            f"theta0 {tuple(theta0)} lies outside the parameter box {game.theta_box}")
-    return theta0
-
-
 # -- output helpers -----------------------------------------------------------
 
 
@@ -224,7 +216,7 @@ def _record_row(r, *prefix):
 
 def cmd_solve(cfg: RunConfig, outdir) -> int:
     game = cfg.build_game()
-    theta0 = _validate_theta0(cfg, game)
+    theta0 = cfg["theta0"]
     settings = cfg.solver_settings()
     meta = cfg.metadata()
     meta["command"] = "solve"
@@ -380,14 +372,11 @@ def cmd_grad_check(cfg: RunConfig, outdir) -> int:
 
 def cmd_baseline(cfg: RunConfig, outdir) -> int:
     game = cfg.build_game()
-    if not game.zero_sum:
-        raise ConfigError("baseline requires a zero-sum scenario")
-    theta0 = _validate_theta0(cfg, game)
     settings = cfg.solver_settings()
     meta = cfg.metadata()
     meta["command"] = "baseline"
 
-    result = naive_baseline(game, theta0, settings)
+    result = naive_baseline(game, cfg["theta0"], settings)
     meta["theta1_naive"] = _fmt(result.theta1_naive)
     meta["theta_star_1"] = _fmt(result.theta_star[0])
     meta["theta_star_2"] = _fmt(result.theta_star[1])

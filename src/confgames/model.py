@@ -94,11 +94,12 @@ def _frozen_vector(x, n, name):
     return arr
 
 
-def _symmetrized(mat, name):
-    mat = np.array(mat, dtype=float)
+def _symmetrized(mat, name, t=None):
+    mat = np.asarray(mat, dtype=float)
     asym = np.abs(mat - mat.T).max() if mat.size else 0.0
     if asym > SYMMETRY_TOL * (1.0 + np.abs(mat).max()):
-        raise ValueError(f"{name} is asymmetric (max deviation {asym:.3e})")
+        at = "" if t is None else f" at t={t:.6g}"
+        raise ValueError(f"{name} is asymmetric{at} (max deviation {asym:.3e})")
     out = 0.5 * (mat + mat.T)
     out.setflags(write=False)
     return out
@@ -181,7 +182,7 @@ class ConfigGame:
         if self.regularizers is not None and len(self.regularizers) != N:
             raise ValueError("regularizers must have one (possibly None) entry per player")
 
-        self._check_control_cost_definiteness()
+        self._check_control_costs()
         self._check_declarations()
         if self.zero_sum:
             self._check_zero_sum_negation()
@@ -189,14 +190,18 @@ class ConfigGame:
 
     # -- construction-time spot checks ------------------------------------
 
-    def _check_control_cost_definiteness(self):
+    def _check_control_costs(self):
+        """Reject an asymmetric control cost or an own one that is not positive
+        definite; R reads no theta, so its samples at theta_mid cover the box."""
         ts = np.linspace(0.0, self.horizon, 33)
         theta = self.theta_mid
-        for i in range(self.num_players):
+        for i, j in itertools.product(range(self.num_players), repeat=2):
             for t in ts:
-                Rii = self.R[i][i](t, theta)
+                Rij = _symmetrized(self.R[i][j](t, theta), f"R[{i}][{j}]", t)
+                if i != j:
+                    continue
                 try:
-                    np.linalg.cholesky(Rii)
+                    np.linalg.cholesky(Rij)
                 except np.linalg.LinAlgError as exc:
                     raise PositiveDefinitenessViolation(
                         f"R[{i}][{i}] not positive definite at t={t:.6g}"
@@ -226,24 +231,29 @@ class ConfigGame:
     def _check_zero_sum_negation(self):
         """Reject zero-sum games the single-matrix solve would answer wrongly.
 
-        That solve reads player 1's costs only and assumes identity
-        own-control costs, so player 2's costs must be player 1's negated
-        and R[0][0], R[1][1] must be the identity.
+        That solve reads player 1's costs only, assumes identity own-control
+        costs and no drive, so player 2's costs must be player 1's negated,
+        R[0][0], R[1][1] must be the identity and c must vanish.  Q and c are
+        checked at theta_mid and at the box corners, R (which reads no
+        theta) at theta_mid.
         """
         def negated(m1, m2):
             return np.abs(m1 + m2).max() <= SYMMETRY_TOL * (1.0 + np.abs(m1).max())
 
         if not negated(self.Qf[0], self.Qf[1]):
             raise ValueError("zero-sum game needs Qf[1] = -Qf[0]")
-        theta = self.theta_mid
-        for t in np.linspace(0.0, self.horizon, 33):
-            if not negated(self.Q[0](t, theta), self.Q[1](t, theta)):
-                raise ValueError(f"zero-sum game needs Q[1] = -Q[0] (fails at t={t:.6g})")
+        ts, mid = np.linspace(0.0, self.horizon, 33), self.theta_mid
+        corners = [np.array(corner) for corner in itertools.product(*self.theta_box)]
+        for t, th in [(t, mid) for t in ts] + list(itertools.product(ts[::8], corners)):
+            if not negated(self.Q[0](t, th), self.Q[1](t, th)) or np.any(self.c(t, th)):
+                raise ValueError(f"zero-sum game needs Q[1] = -Q[0] and c = 0 "
+                                 f"(fails at t={t:.6g}, theta={th.tolist()})")
+        for t in ts:
             for j in range(2):
-                if not negated(self.R[0][j](t, theta), self.R[1][j](t, theta)):
+                if not negated(self.R[0][j](t, mid), self.R[1][j](t, mid)):
                     raise ValueError(
                         f"zero-sum game needs R[1][{j}] = -R[0][{j}] (fails at t={t:.6g})")
-                Rjj = self.R[j][j](t, theta)
+                Rjj = self.R[j][j](t, mid)
                 if not np.allclose(Rjj, np.eye(Rjj.shape[0]), atol=1e-12):
                     raise ValueError(
                         f"zero-sum game needs R[{j}][{j}] = I (fails at t={t:.6g})")
@@ -276,11 +286,7 @@ class ConfigGame:
 
     def eval_Q(self, i: int, t, theta) -> np.ndarray:
         """Evaluate Q[i], asserting near-symmetry and symmetrizing the result."""
-        M = self.Q[i](t, theta)
-        asym = np.abs(M - M.T).max()
-        if asym > SYMMETRY_TOL * (1.0 + np.abs(M).max()):
-            raise ValueError(f"Q[{i}](t={t}) asymmetric by {asym:.3e}")
-        return 0.5 * (M + M.T)
+        return _symmetrized(self.Q[i](t, theta), f"Q[{i}]", t)
 
     def regularizer_values(self, theta) -> np.ndarray:
         out = np.zeros(self.num_players)

@@ -39,11 +39,9 @@ def _sym_stack(Y):
 
 
 def _attribute_blowup(exc: BlowUpDetected, num_players: int) -> BlowUpDetected:
-    player = None
-    if exc.state is not None and exc.state.ndim >= 3 and exc.state.shape[0] == num_players:
-        norms = np.linalg.norm(exc.state.reshape(num_players, -1), axis=1)
-        player = int(np.argmax(norms))
-    return BlowUpDetected(time=exc.time, norm=exc.norm, player=player)
+    """``exc`` naming the player whose block of the member state is largest."""
+    norms = np.linalg.norm(exc.state.reshape(num_players, -1), axis=1)
+    return BlowUpDetected(time=exc.time, norm=exc.norm, player=int(np.argmax(norms)))
 
 
 @dataclass(frozen=True)
@@ -293,7 +291,7 @@ def _solve_batch(game: ConfigGame, thetas, grid: TimeGrid = None):
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     for theta in thetas:
         if not game.contains_theta(theta):
-            raise ValueError(f"theta {tuple(theta)} outside the parameter box {game.theta_box}")
+            raise ValueError(f"theta {theta.tolist()} outside the parameter box {game.theta_box}")
     if grid is None:
         grid = default_grid(game)
     tabs = StageTables(game, thetas, grid)

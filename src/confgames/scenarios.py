@@ -65,10 +65,6 @@ class PursuitEvasionSpec:
     def __post_init__(self):
         if min(self.kappa1, self.kappa2, self.kappa3) <= 0:
             raise ValueError("kappa gains must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if len(self.x0) != 8:
-            raise ValueError("x0 must have 8 components (p1, v1, p2, v2 blocks)")
 
 
 def _pe_single_block():
@@ -179,8 +175,6 @@ class GeneralSumSpec:
     theta_max: float = 1.2
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
         if self.q_v < 0:
             raise ValueError("q_v must be nonnegative")
         if len(self.x0) != 4:

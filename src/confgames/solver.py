@@ -182,8 +182,6 @@ def ibr_solve(game: ConfigGame, theta0, settings: SolverSettings = None) -> IbrT
     """
     settings = settings if settings is not None else SolverSettings()
     theta = np.array(theta0, dtype=float)
-    if not game.contains_theta(theta):
-        raise ValueError(f"theta0 {tuple(theta)} outside the parameter box")
     grid = default_grid(game, settings.grid_steps)
     costs, own = _evaluate(game, theta, grid)
     trace = IbrTrace(theta0=tuple(theta), values0=costs)
@@ -264,7 +262,7 @@ def naive_baseline(game: ConfigGame, theta0, settings: SolverSettings = None) ->
     best response (same start, same frozen opponent), read from its trace;
     a realized profile that is the search's end point is not solved again.
     """
-    if not (game.zero_sum and game.num_players == 2):
+    if not game.zero_sum:
         raise ValueError("baseline is defined for two-player zero-sum games")
     settings = settings if settings is not None else SolverSettings()
     trace = ibr_solve(game, theta0, settings)

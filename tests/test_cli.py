@@ -119,6 +119,10 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "run")])
         assert code == 1
 
+    def test_nonpositive_horizon_is_usage_error(self, tmp_path):
+        code = main(["solve", "--set", "pe.horizon=-1", "--out", str(tmp_path / "run")])
+        assert code == 1
+
     def test_nan_search_setting_is_usage_error(self, tmp_path):
         # a NaN tolerance would certify a stationary point NOT_STATIONARY, exit 0
         code = main(["solve", "--set", "solver.stationarity_tol=nan",
@@ -299,6 +303,11 @@ class TestBaselineCommand:
         assert float(meta["gap"]) > 0.0
         paths = {row[0] for row in rows}
         assert paths == {"naive", "ibr"}
+
+    def test_start_outside_box_is_usage_error(self, tmp_path):
+        code = main(["baseline", "--set", "theta0=-1.0,0.3",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
 
     def test_rejects_general_sum(self, tmp_path):
         code = main(["baseline", "--set", "scenario=general_sum",

@@ -271,15 +271,21 @@ class TestConfigGameValidation:
                 A=game.A, B=game.B, Q=game.Q, R=game.R, c=game.c, Qf=game.Qf,
                 theta_box=game.theta_box, x0=game.x0, zero_sum=True)
 
-    @pytest.mark.parametrize("cost", ["Qf", "Q", "R"])
+    @pytest.mark.parametrize("cost", ["Qf", "Q", "Q_off_mid", "c", "R"])
     def test_zero_sum_requires_negated_costs(self, pe_game, cost):
         # with Qf = (Qf1, Qf1) the zero-sum solve used to report +-0.00805 at
         # theta = (0.4, 1.1), where the general-sum solve of the same costs
-        # gives 0.00319 and 0.00252
-        Q, R = pe_game.Q, pe_game.R
+        # gives 0.00319 and 0.00252; a Q[1] that vanishes at theta_mid only
+        # was solved as Q[1] = -Q[0] = 0, reporting (0.0082946, -0.0082946)
+        # at (0.2, 1.2) on 200 steps; a drive was refused by every solve
+        Q, R, scale = pe_game.Q, pe_game.R, 1e-2 * np.eye(8)
+        off_mid = MatrixFn((8, 8), lambda t, th: (th[0] - np.pi / 4) * scale,
+                           lambda t, th, k: scale, depends_on=(0,), time_varying=False)
         change = {
             "Qf": {"Qf": (pe_game.Qf[0], pe_game.Qf[0])},
             "Q": {"Q": (Q[0], MatrixFn.of_time((8, 8), lambda t: t * np.eye(8)))},
+            "Q_off_mid": {"Q": (Q[0], off_mid)},
+            "c": {"c": MatrixFn.constant(0.1 * np.ones(8))},
             "R": {"R": (R[0], (R[0][0], R[1][1]))},
         }[cost]
         with pytest.raises(ValueError, match="zero-sum"):
@@ -344,6 +350,30 @@ class TestConfigGameValidation:
             theta_box=((0.0, 1.0),), x0=np.zeros(2))
         with pytest.raises(ValueError, match="asymmetric"):
             ConfigGame(Q=(bad,), **game_kwargs)
+
+    def test_asymmetric_control_cost_rejected(self):
+        # R = [[1, 0.5], [-0.5, 1]] is the same cost u'u as R = I, yet the
+        # solve read it as given: values (1.150397, 0.275816) at theta =
+        # (1.0, 1.3) where R = I gives (1.034160, 0.326451), and its own
+        # rollout disagreed (1.150402)
+        base = np.array([[0.0, 1.0], [1.0, 0.3]])
+
+        def actuation(owner):
+            return MatrixFn((2, 2), lambda t, th: th[owner] * base,
+                            lambda t, th, k: base, depends_on=(owner,), time_varying=False)
+
+        eye2, zero2 = MatrixFn.constant(np.eye(2)), MatrixFn.constant(np.zeros((2, 2)))
+        skew = MatrixFn.constant(np.array([[1.0, 0.5], [-0.5, 1.0]]))
+        with pytest.raises(ValueError, match="asymmetric"):
+            ConfigGame(
+                num_players=2, state_dim=2, control_dims=(2, 2), horizon=2.0,
+                A=MatrixFn.constant(np.array([[0.0, 1.0], [-0.5, -0.2]])),
+                B=(actuation(0), actuation(1)),
+                Q=(MatrixFn.constant(np.diag([2.0, 0.5])),
+                   MatrixFn.constant(np.diag([0.5, 1.0]))),
+                R=((skew, zero2), (zero2, eye2)), c=MatrixFn.constant(np.zeros(2)),
+                Qf=(0.5 * np.eye(2), 0.25 * np.eye(2)),
+                theta_box=((0.4, 2.0), (0.4, 2.0)), x0=np.array([1.5, 0.0]))
 
     def test_immutability_of_stored_arrays(self, pe_game):
         with pytest.raises(ValueError):

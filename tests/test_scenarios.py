@@ -36,6 +36,14 @@ class TestPursuitEvasionBuilder:
         with pytest.raises(ValueError, match="diverges near t="):
             build_pursuit_evasion(PursuitEvasionSpec(horizon=60.0))
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("horizon", -1.0, "horizon must be positive"),
+        ("x0", (1.0, 2.0), "x0 must have"),
+    ])
+    def test_malformed_spec_rejected_by_build(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            build_pursuit_evasion(PursuitEvasionSpec(**{field: value}))
+
     def test_diagonal_values_constant(self, pe_game):
         # equal capabilities cancel the coupling, so the common angle is
         # irrelevant along the diagonal
@@ -103,6 +111,10 @@ class TestGeneralSumBuilder:
     def test_infeasible_horizon_reports_divergence(self):
         with pytest.raises(ValueError, match="diverges near t="):
             build_gs_quiet(GeneralSumSpec(horizon=6.0))
+
+    def test_nonpositive_horizon_rejected_by_build(self):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            build_gs_quiet(GeneralSumSpec(horizon=-1.0))
 
     def test_values_stable_under_step_doubling_with_inhorizon_switch(self):
         # place the separation-weight switch on a grid node inside the
