@@ -86,12 +86,11 @@ class Regularizer:
     grad: Callable[[np.ndarray], np.ndarray]
 
 
-def _frozen_vector(x, n, name):
-    arr = np.array(x, dtype=float).reshape(-1)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+def _require_finite(named):
+    """Raise ValueError naming the first of the (name, value) pairs holding a NaN or inf."""
+    for name, value in named:
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} is not finite")
 
 
 def _symmetrized(mat, name, t=None):
@@ -167,9 +166,14 @@ class ConfigGame:
                 if self.R[i][j].depends_on:
                     raise ValueError("R coefficients must be parameter-independent")
 
+        _require_finite([("horizon", self.horizon), ("x0", self.x0), *zip(["Qf"] * N, self.Qf)])
         object.__setattr__(self, "Qf", tuple(_symmetrized(q, f"Qf[{i}]")
                                              for i, q in enumerate(self.Qf)))
-        object.__setattr__(self, "x0", _frozen_vector(self.x0, n, "x0"))
+        x0 = np.array(self.x0, dtype=float).reshape(-1)
+        if x0.shape != (n,):
+            raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
+        x0.setflags(write=False)
+        object.__setattr__(self, "x0", x0)
 
         box = tuple((float(lo), float(hi)) for lo, hi in self.theta_box)
         if len(box) != N:
@@ -182,53 +186,55 @@ class ConfigGame:
         if self.regularizers is not None and len(self.regularizers) != N:
             raise ValueError("regularizers must have one (possibly None) entry per player")
 
-        self._check_control_costs()
-        self._check_declarations()
+        coefs = {"A": self.A, "c": self.c}
+        for i in range(N):
+            coefs.update({f"B[{i}]": self.B[i], f"Q[{i}]": self.Q[i]})
+            coefs.update({f"R[{i}][{j}]": r for j, r in enumerate(self.R[i])})
+        ts, mid = np.linspace(0.0, self.horizon, 33), self.theta_mid
+        table = {name: np.array([coef(t, mid) for t in ts]) for name, coef in coefs.items()}
+        for name, samples in table.items():
+            if not np.isfinite(samples).all():
+                _require_finite((f"{name} at t={t:.6g}", sample) for t, sample in zip(ts, samples))
+        self._check_control_costs(ts, table)
+        self._check_declarations(coefs, ts, table)
         if self.zero_sum:
-            self._check_zero_sum_negation()
-        self._warn_if_state_cost_indefinite()
+            self._check_zero_sum_negation(ts, table)
+        self._warn_if_state_cost_indefinite(ts, table)
 
-    # -- construction-time spot checks ------------------------------------
+    # -- construction-time spot checks on the table[name][s] = name(ts[s], theta_mid)
 
-    def _check_control_costs(self):
+    def _check_control_costs(self, ts, table):
         """Reject an asymmetric control cost or an own one that is not positive
         definite; R reads no theta, so its samples at theta_mid cover the box."""
-        ts = np.linspace(0.0, self.horizon, 33)
-        theta = self.theta_mid
         for i, j in itertools.product(range(self.num_players), repeat=2):
-            for t in ts:
-                Rij = _symmetrized(self.R[i][j](t, theta), f"R[{i}][{j}]", t)
+            for t, Rij in zip(ts, table[f"R[{i}][{j}]"]):
+                Rij = _symmetrized(Rij, f"R[{i}][{j}]", t)
                 if i != j:
                     continue
                 try:
                     np.linalg.cholesky(Rij)
                 except np.linalg.LinAlgError as exc:
                     raise PositiveDefinitenessViolation(
-                        f"R[{i}][{i}] not positive definite at t={t:.6g}"
-                    ) from exc
+                        f"R[{i}][{i}] not positive definite at t={t:.6g}") from exc
 
-    def _check_declarations(self):
+    def _check_declarations(self, coefs, ts, table):
         """Reject a coefficient that reads a time or parameter its declaration
         rules out: solvers sample a time-constant coefficient once and take
         no derivative outside ``depends_on``, so the answer would be wrong."""
-        coefs = {"A": self.A, "c": self.c}
-        for i in range(self.num_players):
-            coefs.update({f"B[{i}]": self.B[i], f"Q[{i}]": self.Q[i]})
-            coefs.update({f"R[{i}][{j}]": r for j, r in enumerate(self.R[i])})
-        ts, mid = np.linspace(0.0, self.horizon, 33), self.theta_mid
-        for name, coef in coefs.items():
-            for t in ts[1:] if not coef.time_varying else ():
-                if not np.array_equal(coef(ts[0], mid), coef(t, mid)):
-                    raise ValueError(f"{name} is declared time-constant but changes at t={t:.6g}")
+        for (name, coef), samples in zip(coefs.items(), table.values()):
+            changed = (samples != samples[0]).reshape(len(ts), -1).any(axis=1)
+            if not coef.time_varying and changed.any():
+                raise ValueError(f"{name} is declared time-constant but changes at "
+                                 f"t={ts[changed.argmax()]:.6g}")
             for k in set(range(self.num_players)) - coef.depends_on:
-                for t, end in itertools.product(ts[::8], self.theta_box[k]):
-                    moved = mid.copy()
+                for s, end in itertools.product(range(0, len(ts), 8), self.theta_box[k]):
+                    moved = self.theta_mid
                     moved[k] = end
-                    if not np.array_equal(coef(t, mid), coef(t, moved)):
+                    if not np.array_equal(samples[s], coef(ts[s], moved)):
                         raise ValueError(f"{name} changes with theta_{k}, which its "
-                                         f"depends_on leaves out (t={t:.6g})")
+                                         f"depends_on leaves out (t={ts[s]:.6g})")
 
-    def _check_zero_sum_negation(self):
+    def _check_zero_sum_negation(self, ts, table):
         """Reject zero-sum games the single-matrix solve would answer wrongly.
 
         That solve reads player 1's costs only, assumes identity own-control
@@ -242,35 +248,31 @@ class ConfigGame:
 
         if not negated(self.Qf[0], self.Qf[1]):
             raise ValueError("zero-sum game needs Qf[1] = -Qf[0]")
-        ts, mid = np.linspace(0.0, self.horizon, 33), self.theta_mid
         corners = [np.array(corner) for corner in itertools.product(*self.theta_box)]
-        for t, th in [(t, mid) for t in ts] + list(itertools.product(ts[::8], corners)):
-            if not negated(self.Q[0](t, th), self.Q[1](t, th)) or np.any(self.c(t, th)):
+        spots = itertools.chain(
+            zip(ts, itertools.repeat(self.theta_mid), table["Q[0]"], table["Q[1]"], table["c"]),
+            ((t, th, self.Q[0](t, th), self.Q[1](t, th), self.c(t, th))
+             for t, th in itertools.product(ts[::8], corners)))
+        for t, th, Q0, Q1, c in spots:
+            if not negated(Q0, Q1) or np.any(c):
                 raise ValueError(f"zero-sum game needs Q[1] = -Q[0] and c = 0 "
                                  f"(fails at t={t:.6g}, theta={th.tolist()})")
-        for t in ts:
-            for j in range(2):
-                if not negated(self.R[0][j](t, mid), self.R[1][j](t, mid)):
-                    raise ValueError(
-                        f"zero-sum game needs R[1][{j}] = -R[0][{j}] (fails at t={t:.6g})")
-                Rjj = self.R[j][j](t, mid)
-                if not np.allclose(Rjj, np.eye(Rjj.shape[0]), atol=1e-12):
-                    raise ValueError(
-                        f"zero-sum game needs R[{j}][{j}] = I (fails at t={t:.6g})")
+        for (s, t), j in itertools.product(enumerate(ts), range(2)):
+            if not negated(table[f"R[0][{j}]"][s], table[f"R[1][{j}]"][s]):
+                raise ValueError(
+                    f"zero-sum game needs R[1][{j}] = -R[0][{j}] (fails at t={t:.6g})")
+            if not np.allclose(table[f"R[{j}][{j}]"][s], np.eye(self.control_dims[j]), atol=1e-12):
+                raise ValueError(f"zero-sum game needs R[{j}][{j}] = I (fails at t={t:.6g})")
 
-    def _warn_if_state_cost_indefinite(self):
-        ts = np.linspace(0.0, self.horizon, 5)
-        theta = self.theta_mid
-        for i in range(self.num_players):
-            for t in ts:
-                if np.linalg.eigvalsh(self.eval_Q(i, t, theta)).min() < -1e-10:
-                    warnings.warn(
-                        f"state cost Q[{i}] sampled indefinite; proceeding and "
-                        "relying on blow-up detection",
-                        IndefiniteStateCostWarning,
-                        stacklevel=3,
-                    )
-                    return
+    def _warn_if_state_cost_indefinite(self, ts, table):
+        """Reject an asymmetric Q sample; warn once if a symmetrized one is
+        indefinite at ``ts[::8]``, naming the caller of ``ConfigGame(...)``."""
+        Qs = [[_symmetrized(q, f"Q[{i}]", t) for t, q in zip(ts, table[f"Q[{i}]"])]
+              for i in range(self.num_players)]
+        indefinite = [i for i, Qi in enumerate(Qs) if np.linalg.eigvalsh(Qi[::8]).min() < -1e-10]
+        if indefinite:
+            warnings.warn(f"state cost Q[{indefinite[0]}] sampled indefinite; proceeding and "
+                          "relying on blow-up detection", IndefiniteStateCostWarning, stacklevel=4)
 
     # -- evaluation helpers ------------------------------------------------
 

@@ -8,12 +8,12 @@ surfacing later inside a solver loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import GenerationFailed
-from .model import ConfigGame, MatrixFn, Regularizer
+from .model import ConfigGame, MatrixFn, Regularizer, _require_finite
 from .odekit import TimeGrid
 from .riccati import _solve_batch, default_grid
 from .solver import SolverSettings
@@ -63,6 +63,7 @@ class PursuitEvasionSpec:
     theta_max: float = float(np.pi / 2)
 
     def __post_init__(self):
+        _require_finite((f.name, getattr(self, f.name)) for f in fields(self))
         if min(self.kappa1, self.kappa2, self.kappa3) <= 0:
             raise ValueError("kappa gains must be positive")
 
@@ -175,6 +176,7 @@ class GeneralSumSpec:
     theta_max: float = 1.2
 
     def __post_init__(self):
+        _require_finite((f.name, getattr(self, f.name)) for f in fields(self))
         if self.q_v < 0:
             raise ValueError("q_v must be nonnegative")
         if len(self.x0) != 4:

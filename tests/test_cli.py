@@ -123,6 +123,13 @@ class TestSolveCommand:
         code = main(["solve", "--set", "pe.horizon=-1", "--out", str(tmp_path / "run")])
         assert code == 1
 
+    def test_non_finite_scenario_value_is_usage_error(self, tmp_path, capsys):
+        # exited 0 with the answer of gs.switch_time=-1
+        code = main(["solve", "--set", "scenario=general_sum", "--set", "gs.switch_time=nan",
+                     "--out", str(tmp_path / "run")] + FAST)
+        assert code == 1
+        assert "switch_time is not finite" in capsys.readouterr().err
+
     def test_nan_search_setting_is_usage_error(self, tmp_path):
         # a NaN tolerance would certify a stationary point NOT_STATIONARY, exit 0
         code = main(["solve", "--set", "solver.stationarity_tol=nan",

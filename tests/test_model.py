@@ -2,14 +2,16 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import confgames
-from confgames import (ConfigGame, IndefiniteStateCostWarning, MatrixFn,
-                       PositiveDefinitenessViolation, StageTables, TimeGrid,
-                       build_general_sum, envelope_gradient, rollout, solve_stage_two,
+from confgames import (ConfigGame, GeneralSumSpec, IndefiniteStateCostWarning, MatrixFn,
+                       PositiveDefinitenessViolation, PursuitEvasionSpec, StageTables,
+                       TimeGrid, build_general_sum, build_pursuit_evasion,
+                       envelope_gradient, random_aq_game, rollout, solve_stage_two,
                        value_gradient)
 from confgames import model as model_mod
 from confgames.riccati import _closed_loop
@@ -194,6 +196,28 @@ class TestSampler:
             envelope_gradient(sol, i)
         assert calls[0] == 0
 
+    @pytest.mark.parametrize("make,expected", [
+        (build_pursuit_evasion, 570),
+        (build_general_sum, 510),
+        (lambda: random_aq_game(0, 3, 6, 2), 951),
+    ])
+    def test_construction_samples_each_spot_once(self, monkeypatch, make, expected):
+        # every coefficient at the 33 spot times at theta_mid, plus theta_k
+        # moved to both ends of its interval at five of them for each k the
+        # coefficient declares it ignores, plus Q^0, Q^1 and c at the four box
+        # corners at five times for a zero-sum game; each check sampling on
+        # its own made 1,499, 1,005 and 2,180 calls
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IndefiniteStateCostWarning)
+            game = make()
+            fields = {f.name: getattr(game, f.name) for f in dataclasses.fields(game)}
+            N = game.num_players
+            per_slot = [33 + 10 * (N - len(coef.depends_on))
+                        for _, coef in _all_coefficients(game)]
+            calls = self._count_calls(monkeypatch)
+            ConfigGame(**fields)
+        assert calls[0] == sum(per_slot) + 60 * game.zero_sum == expected
+
     def test_coupling_tables_match_closed_form(self):
         game = make_time_varying_game()
         theta = np.array([0.7, 1.3])
@@ -374,6 +398,56 @@ class TestConfigGameValidation:
                 R=((skew, zero2), (zero2, eye2)), c=MatrixFn.constant(np.zeros(2)),
                 Qf=(0.5 * np.eye(2), 0.25 * np.eye(2)),
                 theta_box=((0.4, 2.0), (0.4, 2.0)), x0=np.array([1.5, 0.0]))
+
+    def test_indefinite_state_cost_warning_names_the_caller(self):
+        # stacklevel 3 named the dataclass-generated __init__, "<string>"
+        with pytest.warns(IndefiniteStateCostWarning) as rec:
+            build_general_sum()
+        assert rec[0].filename.endswith("scenarios.py")
+
+    def test_q_asymmetric_between_warning_samples_rejected(self):
+        # asymmetric only for 0 < t < T/5, between the five times the
+        # indefiniteness warning reads; it was accepted at build and rejected
+        # by the first solve
+        skew = np.array([[0.0, 0.5], [0.0, 0.0]])
+        Q = MatrixFn.of_time((2, 2), lambda t: np.eye(2) + (0.0 < t < 0.2) * skew)
+        with pytest.raises(ValueError, match=r"Q\[0\] is asymmetric at t=0.03125"):
+            ConfigGame(
+                num_players=1, state_dim=2, control_dims=(1,), horizon=1.0,
+                A=MatrixFn.constant(np.zeros((2, 2))),
+                B=(MatrixFn.constant(np.ones((2, 1))),), Q=(Q,),
+                R=((MatrixFn.constant(np.eye(1)),),),
+                c=MatrixFn.constant(np.zeros(2)), Qf=(np.zeros((2, 2)),),
+                theta_box=((0.0, 1.0),), x0=np.zeros(2))
+
+    @pytest.mark.parametrize("scenario,field,value,match", [
+        # each was accepted or misdiagnosed: NaN != NaN read as a time or
+        # parameter dependence, an inf Qf as a non-negated one, an inf Q
+        # as "Eigenvalues did not converge"
+        ("pe", "kappa1", np.nan, r"B\[0\] at t=0 is not finite"),
+        ("gs", "q_v", np.nan, r"Q\[0\] at t=0 is not finite"),
+        ("gs", "v_o1", np.nan, "x0 is not finite"),
+        ("pe", "kappa3", np.inf, "Qf is not finite"),
+        ("gs", "q_h_scale", np.inf, r"Q\[0\] at t=0 is not finite"),
+    ])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_game_data_named_at_build(self, scenario, field, value, match):
+        spec, build = {"pe": (PursuitEvasionSpec(), build_pursuit_evasion),
+                       "gs": (GeneralSumSpec(), build_general_sum)}[scenario]
+        object.__setattr__(spec, field, value)  # past the spec's own check
+        with pytest.raises(ValueError, match=match):
+            build(spec)
+
+    @pytest.mark.parametrize("field,value,match", [
+        # a NaN x0 solved to values [nan, nan]; an infinite horizon was
+        # rejected only by the first TimeGrid
+        ("x0", np.full(8, np.nan), "x0 is not finite"),
+        ("horizon", np.inf, "horizon is not finite"),
+    ])
+    def test_non_finite_start_or_horizon_named_at_build(self, pe_game, field, value,
+                                                         match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(pe_game, **{field: value})
 
     def test_immutability_of_stored_arrays(self, pe_game):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,23 @@ from confgames import (GeneralSumSpec, PursuitEvasionSpec, TimeGrid,
                        build_pursuit_evasion, random_aq_game, rollout,
                        solve_stage_two, stage_one_costs, value_gradient)
 from conftest import build_gs_quiet
+
+
+def _float_fields(spec):
+    return [f.name for f in dataclasses.fields(spec) if f.type in (float, "float")]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("build,spec,field", [
+    *((build_pursuit_evasion, PursuitEvasionSpec, f) for f in _float_fields(PursuitEvasionSpec)),
+    *((build_gs_quiet, GeneralSumSpec, f) for f in _float_fields(GeneralSumSpec)),
+])
+def test_non_finite_spec_value_rejected_by_build(build, spec, field, value):
+    # a NaN switch_time read as negative dropped the separation reward,
+    # solving as switch_time=-1; a NaN w_r failed only after the first
+    # evaluation, as a theta outside the box
+    with pytest.raises(ValueError, match=f"{field} is not finite"):
+        build(spec(**{field: value}))
 
 
 class TestPursuitEvasionBuilder:
