@@ -28,6 +28,12 @@ def _compact(x, lead: int = 2):
     return x[tuple(slice(0, 1) if x.strides[d] == 0 else slice(None) for d in range(lead))]
 
 
+def _rows(x, rows):
+    """The stage ``rows`` of ``x``, or ``x`` itself when its stage axis has
+    one row (a table cut by _compact)."""
+    return x if x.shape[0] == 1 else x[rows]
+
+
 def _sample(fn, thetas, stage_times, varying: bool, reads_theta: bool):
     """``fn(t, theta)`` at every stage time and member, shape (M, B, ...).
 
@@ -144,11 +150,14 @@ class StageTables:
             raise ValueError(f"tables hold {len(self.thetas)} parameter points, not one")
         return self.thetas[0]
 
-    def member_S(self, b) -> np.ndarray:
-        """Member b's couplings as one dense (N, N, M, n, n) array: the operand
-        layout in which the three-operand contractions over them take their
-        summation order, so that a member's sums do not depend on its batch."""
-        return np.ascontiguousarray(np.moveaxis(self.S[:, b], 0, 2))
+    def dense_S(self, rows: slice) -> np.ndarray:
+        """Every member's couplings at the stage ``rows`` as one dense
+        (N, N, rows*B, n, n) array, the member axis folded into the stage
+        axis (row r*B + b is member b at stage row r): the operand layout in
+        which the three-operand contractions over them take their summation
+        order, so that a member's sums do not depend on its batch."""
+        S = np.ascontiguousarray(np.moveaxis(self.S[rows], (0, 1), (2, 3)))
+        return S.reshape(S.shape[:2] + (-1,) + S.shape[4:])
 
     @property
     def c_is_zero(self) -> bool:

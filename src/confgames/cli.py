@@ -257,17 +257,24 @@ def cmd_solve(cfg: RunConfig, outdir) -> int:
     return exit_code
 
 
-# parameter points per batch (sweep lattice points, grad-check difference
-# points): the per-step interpreter cost of every pass is shared by a
-# batch's members, while its arrays grow with their count (at 1000 steps
-# about 5 MB per general-sum, 8 MB per pursuit-evasion and 10 MB per
-# three-player random-game member at the peak)
-MAX_BATCH = 5
+# per-stage coupling elements a batch of parameter points (sweep lattice
+# points, grad-check difference points) may hold, N^2 n^2 per member: the
+# per-step interpreter cost of every pass is shared by a batch's members,
+# while the coupling products, formed a block of stage rows at a time, grow
+# with their count.  It gives 20 general-sum, 5 pursuit-evasion and 3
+# three-player random-game (n=6) members; at 1000 steps the peak grows by
+# about 2.5 MB per general-sum member
+BATCH_BUDGET = 1280
 
 
-def _batches(points):
-    """Consecutive batches of near-equal size, at most MAX_BATCH points each."""
-    return np.array_split(np.asarray(points), -(-len(points) // MAX_BATCH))
+def _batches(points, game):
+    """Consecutive batches of near-equal size, at most _batch_size(game) points each."""
+    return np.array_split(np.asarray(points), -(-len(points) // _batch_size(game)))
+
+
+def _batch_size(game):
+    """Members per batch: BATCH_BUDGET // (N^2 n^2), and at least one."""
+    return max(1, BATCH_BUDGET // (game.num_players * game.state_dim) ** 2)
 
 
 def cmd_sweep(cfg: RunConfig, outdir) -> int:
@@ -290,7 +297,7 @@ def cmd_sweep(cfg: RunConfig, outdir) -> int:
     points = np.array([(t1, t2) for t1 in axes[0] for t2 in axes[1]])
 
     rows = []
-    for batch in _batches(points):
+    for batch in _batches(points, game):
         for theta, result in zip(batch, _evaluate_batch(game, batch, grid)):
             if isinstance(result, InfeasibleTheta):
                 nan = float("nan")
@@ -352,7 +359,7 @@ def cmd_grad_check(cfg: RunConfig, outdir) -> int:
             step[k] = h
             probes += [theta + step, theta - step]
         J = []
-        for chunk in _batches(probes):
+        for chunk in _batches(probes, game):
             batch, failures = _solve_batch(game, chunk, grid)
             if failures:
                 raise failures[min(failures)]

@@ -156,6 +156,8 @@ class ConfigGame:
                 raise ValueError(f"B[{i}] may only depend on player {i}'s parameter")
             if self.Q[i].shape != (n, n):
                 raise ValueError(f"Q[{i}] must be {n}x{n}")
+            if np.shape(self.Qf[i]) != (n, n):
+                raise ValueError(f"Qf[{i}] must be {n}x{n}")
         if len(self.R) != N or any(len(row) != N for row in self.R):
             raise ValueError("R must be an NxN table of coefficient functions")
         for i in range(N):

@@ -8,9 +8,10 @@ the value at ``TimeGrid.nodes[j]``.  The integrator is classical
 4th-order Runge-Kutta, one loop that steps forward or backward in time.
 Right-hand sides are called as rhs(s, y) with the stage index s into
 ``TimeGrid.stage_times`` (nodes at even s, step midpoints at odd s), so
-tables sampled at the stage times are indexed directly.  A backward
-integral of a known integrand, where RK4 reduces to Simpson's rule per
-step, is a vectorised running sum.
+tables sampled at the stage times are indexed directly, and a per-stage
+product that a right-hand side reads is formed one block of stage rows at
+a time (StageBlocks).  A backward integral of a known integrand, where RK4
+reduces to Simpson's rule per step, is a vectorised running sum.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ import numpy as np
 from .errors import BlowUpDetected, NumericalFailure
 
 BLOWUP_THRESHOLD = 1e8
+
+# stage rows per block of a per-stage product formed while its pass runs
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -64,30 +68,81 @@ class TimeGrid:
         return st
 
 
-def stage_samples(node_samples: np.ndarray) -> np.ndarray:
+def stage_samples(node_samples: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
     """Interleave node samples with interpolated step-midpoint values.
 
-    Maps an array of shape (steps+1, ...), steps even, to (2*steps+1, ...).
-    Used to feed stored paths back into RK4 right-hand sides as frozen
-    coefficients; midpoints use 4-point interpolation (3-point at the two
-    boundary steps) so the reconstruction error stays below the
-    integrator's own order.
+    Maps an array of shape (steps+1, ...), steps even, to (2*steps+1, ...),
+    or to the stage ``rows`` (a unit-step slice) of that.  Used to feed
+    stored paths back into RK4 right-hand sides as frozen coefficients;
+    midpoints use 4-point interpolation (3-point at the two boundary steps)
+    so the reconstruction error stays below the integrator's own order.  A
+    row is formed by the same arithmetic whichever rows are asked for.
     """
     y = node_samples
     m = y.shape[0]
-    out = np.empty((2 * m - 1,) + y.shape[1:])
-    out[0::2] = y
-    mids = out[1::2]
-    mids[0] = (3.0 * y[0] + 6.0 * y[1] - y[2]) / 8.0
-    mids[-1] = (-y[-3] + 6.0 * y[-2] + 3.0 * y[-1]) / 8.0
-    # (-y[:-3] + 9 y[1:-2] + 9 y[2:-1] - y[3:]) / 16, formed in place
-    inner = np.negative(y[:-3], out=mids[1:-1])
-    nine = 9.0 * y[1:-2]
-    inner += nine
-    inner += np.multiply(y[2:-1], 9.0, out=nine)
-    inner -= y[3:]
-    inner /= 16.0
+    lo, hi, _ = rows.indices(2 * m - 1)
+    out = np.empty((hi - lo,) + y.shape[1:])
+    out[lo % 2::2] = y[(lo + 1) // 2:(hi + 1) // 2]
+    # midpoint j sits at stage 2j + 1; boundary steps j = 0 and m - 2
+    j0, j1 = lo // 2, hi // 2
+    mids = out[1 - lo % 2::2]
+    if j0 == 0 < j1:
+        mids[0] = (3.0 * y[0] + 6.0 * y[1] - y[2]) / 8.0
+    if j0 <= m - 2 < j1:
+        mids[-1] = (-y[-3] + 6.0 * y[-2] + 3.0 * y[-1]) / 8.0
+    a, b = max(j0, 1), min(j1, m - 2)
+    if a < b:
+        # (-y[j-1] + 9 y[j] + 9 y[j+1] - y[j+2]) / 16, formed in place
+        inner = np.negative(y[a - 1:b - 1], out=mids[a - j0:b - j0])
+        nine = 9.0 * y[a:b]
+        inner += nine
+        inner += np.multiply(y[a + 1:b + 1], 9.0, out=nine)
+        inner -= y[a + 2:b + 2]
+        inner /= 16.0
     return out
+
+
+def stage_blocks(stages: int) -> list:
+    """The row slices that cut a stage axis of ``stages`` rows into blocks.
+
+    Blocks hold BLOCK_ROWS rows (at least 2), and a last row left over
+    joins the block before it, so no block holds a single row: a product
+    formed on a block then has the axis layout of the product formed on
+    all rows, and the same bits.
+    """
+    starts = list(range(0, stages, BLOCK_ROWS))
+    if len(starts) > 1 and stages - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [stages])]
+
+
+class StageBlocks:
+    """Rows of a per-stage product, formed one block of stage rows at a time.
+
+    ``build(rows)`` returns the product at the stage ``rows`` (a slice from
+    stage_blocks), stage axis first.  Reading row s forms the block that
+    holds it, unless that block is the one held, and drops the block held
+    before: a pass that walks the stage axis one way forms each block once,
+    and the product never exists at full length.
+    """
+
+    def __init__(self, build, stages: int):
+        self._build = build
+        self._blocks = stage_blocks(stages)
+        self._index = [k for k, rows in enumerate(self._blocks)
+                       for _ in range(rows.start, rows.stop)]
+        self._held = None
+        self._block = None
+        self._start = 0
+
+    def __getitem__(self, s):
+        k = self._index[s]
+        if k != self._held:
+            self._block = None  # so that two blocks are never held at once
+            rows = self._blocks[k]
+            self._block = self._build(rows)
+            self._held, self._start = k, rows.start
+        return self._block[s - self._start]
 
 
 def _blowup(y, t):

@@ -21,11 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._stage import StageTables, _compact
+from ._stage import StageTables, _compact, _rows
 from .errors import BlowUpDetected, PreconditionViolation
 from .model import ConfigGame
-from .odekit import (TimeGrid, backward_running_sum, integrate_backward, integrate_forward,
-                     simpson_nodes, stage_samples)
+from .odekit import (StageBlocks, TimeGrid, backward_running_sum, integrate_backward,
+                     integrate_forward, simpson_nodes, stage_blocks, stage_samples)
 
 DEFAULT_STEPS = 1000
 
@@ -229,10 +229,13 @@ def solve_zeta(tabs: StageTables, P_st: np.ndarray, F_st: np.ndarray):
     ``P_st`` (M, B, N, n, n) and ``F_st`` (M, B, n, n) hold the value
     matrices and the closed-loop drift at the stage times, as
     StageTwoBatch keeps them; returns the offsets at the nodes,
-    (steps+1, B, N, n), and the blow-ups.
+    (steps+1, B, N, n), and the blow-ups.  The products P^j S^ij are
+    formed a block of stage rows at a time as the pass reaches them.
     """
     N, n = tabs.game.num_players, tabs.game.state_dim
-    PS_st = np.einsum("m...jab,m...ijbc->m...ijac", P_st, _compact(tabs.S), optimize=True)
+    S = _compact(tabs.S)
+    PS_st = StageBlocks(lambda r: np.einsum("m...jab,m...ijbc->m...ijac", P_st[r], _rows(S, r),
+                                            optimize=True), len(P_st))
     c, S_diag = tabs.c, tabs.S_diag
 
     def rhs(s, Z):
@@ -252,12 +255,15 @@ def solve_eta(tabs: StageTables, zeta_st: np.ndarray, beta_st: np.ndarray):
 
     ``zeta_st`` (M, B, N, n) and ``beta_st`` (M, B, n) hold the offsets and
     the drive residual at the stage times; returns the constants at the
-    nodes, (steps+1, B, N), and the blow-ups.
+    nodes, (steps+1, B, N), and the blow-ups.  The coupling term of the
+    integrand is formed a block of stage rows at a time.
     """
-    quad = np.empty(zeta_st.shape[:3])
-    for b in range(quad.shape[1]):
-        quad[:, b] = np.einsum("mja,ijmab,mjb->mi", zeta_st[:, b], tabs.member_S(b),
-                               zeta_st[:, b], optimize=True)
+    M, B, N, n = zeta_st.shape
+    quad = np.empty((M, B, N))
+    for r in stage_blocks(M):
+        z = zeta_st[r].reshape(-1, N, n)
+        quad[r] = np.einsum("mja,ijmab,mjb->mi", z, tabs.dense_S(r), z,
+                            optimize=True).reshape(quad[r].shape)
     integrand = np.einsum("m...a,m...ia->m...i", beta_st, zeta_st) + 0.5 * quad
     blowups = {}
     eta = backward_running_sum(integrand, tabs.grid, blowups=blowups)

@@ -18,11 +18,11 @@ import itertools
 
 import numpy as np
 
-from ._stage import _compact
+from ._stage import _compact, _rows
 from .errors import BlowUpDetected, InfeasibleTheta, PreconditionViolation
 from .model import ConfigGame
-from .odekit import (TimeGrid, backward_running_sum, integrate_backward, simpson_nodes,
-                     stage_samples)
+from .odekit import (StageBlocks, TimeGrid, backward_running_sum, integrate_backward,
+                     simpson_nodes, stage_blocks, stage_samples)
 from .riccati import (StageTwoBatch, StageTwoSolution, _check_solution, _sym_stack,
                       _zerosum_coupling, rollout, solve_stage_two)
 
@@ -34,38 +34,52 @@ def _raise_first(blowups):
         raise blowups[min(blowups)]
 
 
-def _coupling_tables(tabs, P_st):
-    """H[.., i, j] = S^{ij} P^j - S^{jj} P^i at every stage time and member
-    (zero at j=i), (M, B, N, N, n, n)."""
-    H = np.einsum("m...ijab,m...jbc->m...ijac", _compact(tabs.S), P_st, optimize=True)
-    H -= np.einsum("m...jab,m...ibc->m...ijac", _compact(tabs.S_diag), P_st, optimize=True)
+def _coupling_tables(tabs, P_st, rows):
+    """H[.., i, j] = S^{ij} P^j - S^{jj} P^i at the stage ``rows`` and every
+    member (zero at j=i), (rows, B, N, N, n, n)."""
+    P = P_st[rows]
+    H = np.einsum("m...ijab,m...jbc->m...ijac", _rows(_compact(tabs.S), rows), P,
+                  optimize=True)
+    H -= np.einsum("m...jab,m...ibc->m...ijac", _rows(_compact(tabs.S_diag), rows), P,
+                   optimize=True)
     return H
 
 
-def _p_forcing(tabs, P_st):
-    """Forcing Q^i_k + P^k S^{ik}_k P^k - (P^i S^{kk}_k P^k + transpose),
-    (M, B, K, N, n, n) with k on the third axis.
+def _sandwich(X, D, Y):
+    """X D Y at every stage and member.  1x1 blocks are multiplied outer
+    factors first, the order np.einsum's contraction path takes for them,
+    so that a one-dimensional state gets the same bits from either form."""
+    return X @ Y @ D if X.shape[-1] == 1 else X @ D @ Y
+
+
+def _p_forcing(tabs, P_st, rows):
+    """Forcing Q^i_k + P^k S^{ik}_k P^k - (P^i S^{kk}_k P^k + transpose) at
+    the stage ``rows``, (rows, B, K, N, n, n) with k on the third axis.
 
     The mixed block is applied in symmetrized form so the path derivative
     stays a symmetric matrix, which is also its exact analytic value.
     """
-    M, B, N, n = P_st.shape[:4]
+    P = P_st[rows]
+    M, B, N, n = P.shape[:4]
     out = np.empty((M, B, N, N, n, n))
     for k in range(N):
-        Pk = P_st[:, :, k]
-        dSkk = tabs.dS[k][k]
+        Pk = P[:, :, k]
+        dSkk = tabs.dS[k][k][rows]
         for i in range(N):
-            own = np.einsum("m...ab,m...bc,m...cd->m...ad", Pk, tabs.dS[k][i], Pk,
-                            optimize=True)
-            mix = np.einsum("m...ab,m...bc,m...cd->m...ad", P_st[:, :, i], dSkk, Pk,
-                            optimize=True)
+            own = _sandwich(Pk, tabs.dS[k][i][rows], Pk)
+            mix = _sandwich(P[:, :, i], dSkk, Pk)
             mix += np.swapaxes(mix, -1, -2).copy()
-            np.subtract(np.add(tabs.dQ[k][i], own, out=own), mix, out=out[:, :, k, i])
+            np.subtract(np.add(tabs.dQ[k][i][rows], own, out=own), mix, out=out[:, :, k, i])
     return out
 
 
-def _solve_p_pass(grid, F_st, H_st, forcing):
-    B, K, N, n = forcing.shape[1:5]
+def _solve_p_pass(batch):
+    """Node samples (steps+1, B, K, N, n, n) of the P-path derivatives; the
+    coupling and forcing are formed a block of stage rows at a time."""
+    tabs, P_st, F_st = batch.tables, batch.P_st, batch.F_st
+    B, N, n = P_st.shape[1:4]
+    H_st = StageBlocks(lambda r: _coupling_tables(tabs, P_st, r), len(P_st))
+    forcing = StageBlocks(lambda r: _p_forcing(tabs, P_st, r), len(P_st))
 
     def rhs(s, Y):
         YF = Y @ F_st[s][:, None, None]
@@ -74,31 +88,34 @@ def _solve_p_pass(grid, F_st, H_st, forcing):
         return -(part + np.swapaxes(part, -1, -2) + forcing[s])
 
     blowups = {}
-    Pk = integrate_backward(rhs, np.zeros((B, K, N, n, n)), grid, project_state=_sym_stack,
-                            blowups=blowups)
+    Pk = integrate_backward(rhs, np.zeros((B, N, N, n, n)), tabs.grid,
+                            project_state=_sym_stack, blowups=blowups)
     _raise_first(blowups)
     return Pk
 
 
-def _zeta_forcing(tabs, z_st, beta_st, P_st, Pk_st):
-    """Per-stage vector forcing for the zeta-path derivatives, (M, B, K, N, n)."""
+def _zeta_forcing(batch, Pk_nodes, rows):
+    """Vector forcing for the zeta-path derivatives at the stage ``rows``,
+    (rows, B, K, N, n)."""
+    tabs = batch.tables
+    z_st, beta_st, P_st = batch.zeta_st[rows], batch.beta_st[rows], batch.P_st[rows]
+    Pk_st = stage_samples(Pk_nodes, rows)
     M, B, N, n = z_st.shape
     out = np.empty((M, B, N, N, n))
-    # Pk^j S^{ij} zeta^j per member, from its dense couplings (see member_S)
+    # sum_j Pk^j S^ij zeta^j, members folded into the stage axis (see dense_S)
+    S, z = tabs.dense_S(rows), z_st.reshape(-1, N, n)
     coupled = np.empty((M, B, N, N, n))
-    for b in range(B):
-        S_b = tabs.member_S(b)
-        for k, i in itertools.product(range(N), repeat=2):
-            coupled[:, b, k, i] = np.einsum("mjab,jmbc,mjc->ma", Pk_st[:, b, k], S_b[i],
-                                            z_st[:, b], optimize=True)
+    for k, i in itertools.product(range(N), repeat=2):
+        coupled[:, :, k, i] = np.einsum("mjab,jmbc,mjc->ma", Pk_st[:, :, k].reshape(-1, N, n, n),
+                                        S[i], z, optimize=True).reshape(M, B, n)
     for k in range(N):
-        dSkk = tabs.dS[k][k]
+        dSkk = tabs.dS[k][k][rows]
         dF = -(dSkk @ P_st[:, :, k]
-               + np.einsum("m...jab,m...jbc->m...ac", _compact(tabs.S_diag), Pk_st[:, :, k],
-                           optimize=True))
+               + np.einsum("m...jab,m...jbc->m...ac", _rows(_compact(tabs.S_diag), rows),
+                           Pk_st[:, :, k], optimize=True))
         dF_term = np.einsum("m...ba,m...ib->m...ia", dF, z_st)
         for i in range(N):
-            mix = P_st[:, :, k] @ tabs.dS[k][i] - P_st[:, :, i] @ dSkk
+            mix = P_st[:, :, k] @ tabs.dS[k][i][rows] - P_st[:, :, i] @ dSkk
             w = np.einsum("m...ab,m...b->m...a", mix, z_st[:, :, k])
             w += np.einsum("m...ab,m...b->m...a", Pk_st[:, :, k, i], beta_st)
             w += coupled[:, :, k, i]
@@ -106,41 +123,51 @@ def _zeta_forcing(tabs, z_st, beta_st, P_st, Pk_st):
     return out
 
 
-def _solve_zeta_pass(grid, F_st, H_st, forcing):
-    B, K, N, n = forcing.shape[1:]
+def _solve_zeta_pass(batch, Pk_nodes):
+    """Node samples (steps+1, B, K, N, n) of the zeta-path derivatives; the
+    coupling and forcing are formed a block of stage rows at a time."""
+    tabs, P_st, F_st = batch.tables, batch.P_st, batch.F_st
+    B, N, n = P_st.shape[1:4]
+    H_st = StageBlocks(lambda r: _coupling_tables(tabs, P_st, r), len(P_st))
+    forcing = StageBlocks(lambda r: _zeta_forcing(batch, Pk_nodes, r), len(P_st))
 
     def rhs(s, Z):
         coup = np.matmul(Z[:, :, None, :, None, :], H_st[s][:, None])[..., 0, :].sum(axis=3)
         return -(Z @ F_st[s][:, None] + coup + forcing[s])
 
     blowups = {}
-    zk = integrate_backward(rhs, np.zeros((B, K, N, n)), grid, blowups=blowups)
+    zk = integrate_backward(rhs, np.zeros((B, N, N, n)), tabs.grid, blowups=blowups)
     _raise_first(blowups)
     return zk
 
 
-def _eta_integrand(tabs, z_st, beta_st, zk_st):
-    """Scalar integrand stack (stage, member, k, i) for the eta-path derivatives."""
-    M, B, N, _ = z_st.shape
+def _eta_integrand(batch, zk_nodes):
+    """Scalar integrand stack (stage, member, k, i) for the eta-path
+    derivatives, formed a block of stage rows at a time."""
+    tabs = batch.tables
+    M, B, N, n = batch.zeta_st.shape
     out = np.empty((M, B, N, N))
-    # zeta^j' S^{ij} zeta^j_k per member, from its dense couplings (see member_S)
-    coupled = np.empty((M, B, N, N))
-    for b in range(B):
-        S_b = tabs.member_S(b)
+    for rows in stage_blocks(M):
+        z_st, beta_st = batch.zeta_st[rows], batch.beta_st[rows]
+        zk_st = stage_samples(zk_nodes, rows)
+        # sum_j zeta^j' S^ij zeta^j_k, members folded into the stage axis (see dense_S)
+        S, z = tabs.dense_S(rows), z_st.reshape(-1, N, n)
+        coupled = np.empty((len(z_st), B, N, N))
         for k, i in itertools.product(range(N), repeat=2):
-            coupled[:, b, k, i] = np.einsum("mja,jmab,mjb->m", z_st[:, b], S_b[i],
-                                            zk_st[:, b, k], optimize=True)
-    for k in range(N):
-        beta_k = -(np.einsum("m...ab,m...b->m...a", tabs.dS[k][k], z_st[:, :, k])
-                   + np.einsum("m...jab,m...jb->m...a", tabs.S_diag, zk_st[:, :, k],
-                               optimize=True))
-        for i in range(N):
-            v = np.einsum("m...a,m...a->m...", beta_k, z_st[:, :, i])
-            v += np.einsum("m...a,m...a->m...", beta_st, zk_st[:, :, k, i])
-            v += coupled[:, :, k, i]
-            v += 0.5 * np.einsum("m...a,m...ab,m...b->m...", z_st[:, :, k], tabs.dS[k][i],
-                                 z_st[:, :, k])
-            out[:, :, k, i] = v
+            coupled[:, :, k, i] = np.einsum("mja,jmab,mjb->m", z, S[i],
+                                            zk_st[:, :, k].reshape(-1, N, n),
+                                            optimize=True).reshape(coupled.shape[:2])
+        for k in range(N):
+            beta_k = -(np.einsum("m...ab,m...b->m...a", tabs.dS[k][k][rows], z_st[:, :, k])
+                       + np.einsum("m...jab,m...jb->m...a", tabs.S_diag[rows], zk_st[:, :, k],
+                                   optimize=True))
+            for i in range(N):
+                v = np.einsum("m...a,m...a->m...", beta_k, z_st[:, :, i])
+                v += np.einsum("m...a,m...a->m...", beta_st, zk_st[:, :, k, i])
+                v += coupled[:, :, k, i]
+                v += 0.5 * np.einsum("m...a,m...ab,m...b->m...", z_st[:, :, k],
+                                     tabs.dS[k][i][rows], z_st[:, :, k])
+                out[rows, :, k, i] = v
     return out
 
 
@@ -154,9 +181,7 @@ def _general_sensitivity(batch: StageTwoBatch):
     tabs = batch.tables
     grid = tabs.grid
     tabs.ensure_derivs()
-    P_st, F_st = batch.P_st, batch.F_st
-    H_st = _coupling_tables(tabs, P_st)
-    Pk_nodes = _solve_p_pass(grid, F_st, H_st, _p_forcing(tabs, P_st))
+    Pk_nodes = _solve_p_pass(batch)
 
     if tabs.c_is_zero:
         # drive-free: the offsets vanish identically and so do their derivatives
@@ -164,15 +189,9 @@ def _general_sensitivity(batch: StageTwoBatch):
         zk_nodes = np.zeros((grid.steps + 1, B, N, N, n))
         ek_nodes = np.zeros((grid.steps + 1, B, N, N))
     else:
-        Pk_st = stage_samples(Pk_nodes)
-        zf = _zeta_forcing(tabs, batch.zeta_st, batch.beta_st, P_st, Pk_st)
-        del Pk_st
-        zk_nodes = _solve_zeta_pass(grid, F_st, H_st, zf)
-        del H_st, zf
-        zk_st = stage_samples(zk_nodes)
+        zk_nodes = _solve_zeta_pass(batch, Pk_nodes)
         blowups = {}
-        ek_nodes = backward_running_sum(_eta_integrand(tabs, batch.zeta_st, batch.beta_st,
-                                                       zk_st), grid, blowups=blowups)
+        ek_nodes = backward_running_sum(_eta_integrand(batch, zk_nodes), grid, blowups=blowups)
         _raise_first(blowups)
 
     return Pk_nodes, zk_nodes, ek_nodes

@@ -7,6 +7,7 @@ report must equal those of its own one-member solve bit for bit.
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from confgames import (InfeasibleTheta, TimeGrid, cli, random_aq_game, solve_stage_two,
                        value_gradient)
 from confgames import model as model_mod
+from confgames import odekit
 from confgames import solver as solver_mod
 from confgames.errors import BlowUpDetected
 from confgames.riccati import _solve_batch
@@ -106,7 +108,8 @@ def test_theta_free_coefficients_sampled_once_per_batch(members, gs_game, monkey
 
 def test_lattice_over_several_batches_matches_point_evaluations(tmp_path, monkeypatch,
                                                                 gs_game):
-    monkeypatch.setattr(cli, "MAX_BATCH", 4)
+    # four general-sum members per batch (N^2 n^2 = 64): batches of 3, 3, 3
+    monkeypatch.setattr(cli, "BATCH_BUDGET", 4 * 64)
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--set", "scenario=general_sum", "--set", "sweep.grid=3",
                      "--set", "grid_steps=60", "--out", str(out)]) == 0
@@ -121,3 +124,47 @@ def test_lattice_over_several_batches_matches_point_evaluations(tmp_path, monkey
             expected.append(",".join(cli._fmt(x) for x in
                                      (t1, t2, costs[0], costs[1], own[0], own[1], 1)))
     assert rows == expected
+
+
+@pytest.mark.parametrize("scenario", ["gs", "rand"])
+def test_block_edges_inside_a_step_leave_every_number_unchanged(scenario, gs_game, monkeypatch):
+    # 3-row blocks put block edges between the stages of one RK4 step (a
+    # step reads stages 2j, 2j-1, 2j-1, 2j-2), and 401 stage rows leave a
+    # 2-row last block
+    game = gs_game if scenario == "gs" else _random_game(1, 3, 4, 1, True)
+    lo, hi = np.array(game.theta_box).T
+    thetas = lo + (hi - lo) * np.array([[0.2, 0.7, 0.4], [0.9, 0.3, 0.6]])[:, :game.num_players]
+    grid = TimeGrid(game.horizon, 200)
+
+    def solve():
+        batch, failures = _solve_batch(game, thetas, grid)
+        assert not failures
+        return batch, _value_gradients(batch)
+
+    default, G = solve()
+    monkeypatch.setattr(odekit, "BLOCK_ROWS", 3)
+    small, G3 = solve()
+    assert np.array_equal(small.values, default.values)
+    for name in ("P_nodes", "zeta_nodes", "eta_nodes"):
+        assert np.array_equal(getattr(small, name), getattr(default, name)), name
+    assert np.array_equal(G3, G)
+
+
+def test_general_sum_batch_forms_no_coupling_product_at_full_length(gs_game):
+    # at 1000 steps one (2001, 9, 2, 2, 4, 4) product is 9.2 MB; with every
+    # product formed at full length the numpy peak of this batch was 56 MB
+    (lo1, hi1), (lo2, hi2) = gs_game.theta_box
+    thetas = [(t1, t2) for t1 in np.linspace(lo1, hi1, 3) for t2 in np.linspace(lo2, hi2, 3)]
+    tracemalloc.start()
+    try:
+        solver_mod._evaluate_batch(gs_game, thetas, TimeGrid(gs_game.horizon, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+
+
+def test_batch_budget_sizes_each_game(pe_game, gs_game):
+    assert cli._batch_size(gs_game) == 20
+    assert cli._batch_size(pe_game) == 5
+    assert cli._batch_size(_random_game(0, 3, 6, 2, True)) == 3

@@ -283,6 +283,14 @@ class TestConfigGameValidation:
                 Qf=(np.array([[1.0, 0.5], [0.0, 1.0]]),),
                 theta_box=((0.0, 1.0),), x0=np.zeros(2))
 
+    @pytest.mark.parametrize("Qf", [np.eye(2), np.eye(1)[0], [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_terminal_cost_of_wrong_shape_rejected(self, Qf):
+        # a 2x2 Qf in a one-state game was accepted and the first solve
+        # failed inside numpy's matmul; the shape is checked before the
+        # finiteness and symmetry checks read the matrix
+        with pytest.raises(ValueError, match=r"Qf\[0\] must be 1x1"):
+            dataclasses.replace(make_scalar_lqr(), Qf=(np.asarray(Qf),))
+
     def test_empty_parameter_interval_rejected(self):
         with pytest.raises(ValueError):
             make_scalar_lqr(theta_box=(2.0, 1.0))

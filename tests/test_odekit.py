@@ -3,7 +3,9 @@ import pytest
 
 from confgames import (BlowUpDetected, NumericalFailure, TimeGrid,
                        integrate_backward, integrate_forward, simpson_nodes)
-from confgames.odekit import BLOWUP_THRESHOLD, backward_running_sum
+from confgames import odekit
+from confgames.odekit import (BLOWUP_THRESHOLD, StageBlocks, backward_running_sum,
+                              stage_blocks, stage_samples)
 
 
 class TestTimeGrid:
@@ -174,3 +176,37 @@ class TestQuadrature:
         out = simpson_nodes(vals, g)
         assert out[0] == pytest.approx(0.5, abs=1e-14)
         assert out[1] == pytest.approx(1.0 / 3.0, abs=1e-14)
+
+
+class TestStageBlocks:
+    @pytest.mark.parametrize("rows", [2, 3, 128])
+    @pytest.mark.parametrize("steps", [2, 60, 64, 200])
+    def test_blocks_cover_every_row_and_none_holds_one(self, rows, steps, monkeypatch):
+        # 121 stage rows at 60 steps leave one row past the last 3-row
+        # block, 129 at 64 one past the first 128-row block
+        monkeypatch.setattr(odekit, "BLOCK_ROWS", rows)
+        stages = 2 * steps + 1
+        blocks = stage_blocks(stages)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert blocks[0].start == 0 and blocks[-1].stop == stages
+        assert all(2 <= b.stop - b.start <= rows + 1 for b in blocks)
+
+    @pytest.mark.parametrize("steps", [2, 4, 60])
+    def test_any_rows_of_stage_samples_equal_the_full_array(self, steps):
+        y = np.random.default_rng(steps).normal(size=(steps + 1, 2, 3))
+        full = stage_samples(y)
+        for lo in range(len(full)):
+            for hi in range(lo + 1, len(full) + 1):
+                assert np.array_equal(stage_samples(y, slice(lo, hi)), full[lo:hi])
+
+    def test_backward_reads_form_each_block_once(self, monkeypatch):
+        monkeypatch.setattr(odekit, "BLOCK_ROWS", 3)
+        built = []
+
+        def build(rows):
+            built.append(rows)
+            return np.arange(rows.start, rows.stop)
+
+        rows = StageBlocks(build, 121)
+        assert [rows[s] for s in range(120, -1, -1)] == list(range(120, -1, -1))
+        assert built == stage_blocks(121)[::-1]
