@@ -317,10 +317,10 @@ def gradcheck_rel_err(ode_value: float, fd_value: float,
 
     Components whose difference quotient is below the floor are compared
     absolutely (0/0 counts as exact agreement); anything else is relative
-    to the difference quotient.
+    to the difference quotient.  A NaN on either side is an infinite error.
     """
     diff = abs(ode_value - fd_value)
-    if abs(fd_value) > floor:
+    if abs(fd_value) > floor and not np.isnan(diff):
         return diff / abs(fd_value)
     return 0.0 if diff <= floor else float("inf")
 

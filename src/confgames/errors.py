@@ -4,19 +4,7 @@ from __future__ import annotations
 
 
 class ConfGamesError(Exception):
-    """Base class for all library-specific errors.
-
-    An error that carries fields names them in ``_fields``, in constructor
-    order; it pickles as a call with those fields (plus any attributes set
-    after construction), so it survives a process boundary.
-    """
-
-    _fields = ()
-
-    def __reduce__(self):
-        if not self._fields:
-            return super().__reduce__()
-        return type(self), tuple(getattr(self, f) for f in self._fields), self.__dict__
+    """Base class for all library-specific errors."""
 
 
 class PositiveDefinitenessViolation(ConfGamesError):
@@ -46,8 +34,6 @@ class BlowUpDetected(ConfGamesError):
         Last computed stacked state, for diagnostics.
     """
 
-    _fields = ("time", "norm", "player", "state")
-
     def __init__(self, time, norm, player=None, state=None):
         self.time = float(time)
         self.norm = float(norm)
@@ -62,8 +48,6 @@ class BlowUpDetected(ConfGamesError):
 class InfeasibleTheta(ConfGamesError):
     """No bounded stage-two solution exists at the queried parameter vector."""
 
-    _fields = ("theta", "time", "player")
-
     def __init__(self, theta, time=None, player=None):
         self.theta = tuple(float(x) for x in theta)
         self.time = time
@@ -76,8 +60,6 @@ class InfeasibleTheta(ConfGamesError):
 
 class BestResponseStalled(ConfGamesError):
     """Projected gradient descent could not find a feasible descent step."""
-
-    _fields = ("player", "theta", "records")
 
     def __init__(self, player, theta, records=None):
         self.player = int(player)

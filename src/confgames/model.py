@@ -110,7 +110,7 @@ class ConfigGame:
 
     Per-player scalar parameters live in the closed intervals of
     ``theta_box``.  All coefficient callables are immutable after
-    construction; instances are safe to share across parallel workers.
+    construction.
     """
 
     num_players: int
@@ -239,10 +239,9 @@ class ConfigGame:
     def _check_zero_sum_negation(self, ts, table):
         """Reject zero-sum games the single-matrix solve would answer wrongly.
 
-        That solve reads player 1's costs only, assumes identity own-control
-        costs and no drive, so player 2's costs must be player 1's negated,
-        R[0][0], R[1][1] must be the identity and c must vanish.  Q and c are
-        checked at theta_mid and at the box corners, R (which reads no
+        That solve reads player 1's costs only and assumes no drive, so
+        player 2's costs must be player 1's negated and c must vanish.  Q and
+        c are checked at theta_mid and at the box corners, R (which reads no
         theta) at theta_mid.
         """
         def negated(m1, m2):
@@ -263,8 +262,6 @@ class ConfigGame:
             if not negated(table[f"R[0][{j}]"][s], table[f"R[1][{j}]"][s]):
                 raise ValueError(
                     f"zero-sum game needs R[1][{j}] = -R[0][{j}] (fails at t={t:.6g})")
-            if not np.allclose(table[f"R[{j}][{j}]"][s], np.eye(self.control_dims[j]), atol=1e-12):
-                raise ValueError(f"zero-sum game needs R[{j}][{j}] = I (fails at t={t:.6g})")
 
     def _warn_if_state_cost_indefinite(self, ts, table):
         """Reject an asymmetric Q sample; warn once if a symmetrized one is

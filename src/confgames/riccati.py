@@ -188,11 +188,12 @@ def solve_coupled_riccati(tabs: StageTables):
 def solve_zerosum_riccati(tabs: StageTables):
     """Solve the single value-matrix equation of the two-player zero-sum game.
 
-    Uses the difference coupling S_tilde = B2 B2' - B1 B1' (minimizer gets
-    the negative-feedback block, maximizer the positive one).  Requires the
-    zero-sum flag and a vanishing drive term; ``ConfigGame`` has already
-    checked the negated costs and the identity own-control costs.  Returns
-    the node samples of P (steps+1, B, n, n) and the blow-ups.
+    Uses the difference coupling S_tilde = S^22 - S^11, with
+    S^jj = B^j (R^jj)^-1 B^j' (minimizer gets the negative-feedback block,
+    maximizer the positive one).  Requires the zero-sum flag and a
+    vanishing drive term; ``ConfigGame`` has already checked the negated
+    costs.  Returns the node samples of P (steps+1, B, n, n) and the
+    blow-ups.
     """
     game = tabs.game
     if not game.zero_sum:

@@ -81,7 +81,6 @@ class IbrTrace:
 
     theta0: tuple
     records: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
     converged: bool = False
     sweeps: int = 0
     theta: tuple = ()
@@ -89,6 +88,11 @@ class IbrTrace:
     values: Optional[np.ndarray] = None
     gradients: Optional[np.ndarray] = None
     certification: Optional[list] = None
+
+    @property
+    def warnings(self) -> list:
+        """The records that carry a warning, so far."""
+        return [r for r in self.records if r.warning]
 
 
 def project(theta_i: float, box) -> float:
@@ -203,7 +207,6 @@ def ibr_solve(game: ConfigGame, theta0, settings: SolverSettings = None) -> IbrT
             break
 
     trace.theta = tuple(theta)
-    trace.warnings = [r for r in trace.records if r.warning]
     trace.values = costs
     trace.gradients = own
     trace.certification = _verdicts(game, theta, own, settings.stationarity_tol)

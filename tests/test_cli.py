@@ -271,6 +271,17 @@ class TestGradCheckCommand:
                      "--out", str(tmp_path / "gc")] + FAST)
         assert code == 4
 
+    def test_nan_gradient_fails_with_exit_four(self, tmp_path):
+        # a NaN relative error used to drop out of the running maximum, so
+        # this run exited 0 with max_rel_err = 0
+        out = tmp_path / "gc"
+        code = main(["grad-check", "--set", "scenario=general_sum", "--set", "gradcheck.samples=1",
+                     "--set", "gradcheck.corrupt=nan", "--out", str(out)] + FAST)
+        assert code == 4
+        meta, _, rows = read_meta_and_rows(out / "gradcheck.csv")
+        assert meta["max_rel_err"] == "inf"
+        assert all(row[-1] == "inf" for row in rows)
+
     def test_random_scenario_passes(self, tmp_path):
         out = tmp_path / "gc"
         code = main(["grad-check", "--set", "scenario=random",
@@ -299,6 +310,9 @@ class TestGradCheckCommand:
         assert gradcheck_rel_err(1e-3, 0.0) == float("inf")
         # ordinary components are relative
         assert gradcheck_rel_err(1.01, 1.0) == pytest.approx(0.01)
+        # a NaN gradient fails against any difference quotient
+        assert gradcheck_rel_err(float("nan"), 1.0) == float("inf")
+        assert gradcheck_rel_err(float("nan"), 0.0) == float("inf")
 
 
 class TestBaselineCommand:

@@ -9,10 +9,10 @@ import pytest
 
 import confgames
 from confgames import (ConfigGame, GeneralSumSpec, IndefiniteStateCostWarning, MatrixFn,
-                       PositiveDefinitenessViolation, PursuitEvasionSpec, StageTables,
-                       TimeGrid, build_general_sum, build_pursuit_evasion,
-                       envelope_gradient, random_aq_game, rollout, solve_stage_two,
-                       value_gradient)
+                       PositiveDefinitenessViolation, PursuitEvasionSpec, SolverSettings,
+                       StageTables, TimeGrid, build_general_sum, build_pursuit_evasion,
+                       envelope_gradient, naive_baseline, random_aq_game, rollout,
+                       solve_stage_two, value_gradient)
 from confgames import model as model_mod
 from confgames.riccati import _closed_loop
 from conftest import make_scalar_lqr, make_time_varying_game
@@ -324,12 +324,43 @@ class TestConfigGameValidation:
             dataclasses.replace(pe_game, **change)
         dataclasses.replace(pe_game, zero_sum=False, **change)
 
-    def test_zero_sum_requires_identity_own_control_costs(self, pe_game):
-        m0, m1 = pe_game.control_dims
-        R00 = MatrixFn.constant(2.0 * np.eye(m0))
-        R = ((R00, pe_game.R[0][1]), (MatrixFn.constant(-2.0 * np.eye(m0)), pe_game.R[1][1]))
-        with pytest.raises(ValueError, match=r"R\[0\]\[0\] = I"):
-            dataclasses.replace(pe_game, R=R)
+    def test_zero_sum_accepts_weighted_control_costs(self, pe_game):
+        # the single-matrix solve reads R^jj through S^jj = B^j (R^jj)^-1 B^j',
+        # so weighted own-control costs need no identity: the weighted game
+        # used to be refused and had to take the coupled route
+        I2 = np.eye(2)
+        R = tuple(tuple(MatrixFn.constant(w * I2) for w in row) for row in ((2, -3), (-2, 3)))
+        game = dataclasses.replace(pe_game, R=R)
+        twin = dataclasses.replace(game, zero_sum=False)
+        grid = TimeGrid(game.horizon, 200)
+        theta = np.array([0.3, 1.1])
+        values = solve_stage_two(game, theta, grid).values
+        np.testing.assert_allclose(values, solve_stage_two(twin, theta, grid).values,
+                                   rtol=1e-12, atol=0)
+        G = value_gradient(game, theta, grid=grid)
+        assert np.abs(G - value_gradient(twin, theta, grid=grid)).max() <= 1e-12 * np.abs(G).max()
+        result = naive_baseline(game, np.array([0.2, 1.2]),
+                                SolverSettings(alpha=150.0, grid_steps=200))
+        assert result.gap >= 0.0
+
+    def test_weighted_zero_sum_rollout_and_envelope_match_coupled_twin(self, pe_game):
+        # rollout and envelope_gradient read R^jj from the tables, so the
+        # weighted single-matrix solution drives the same trajectory
+        I2 = np.eye(2)
+        R = tuple(tuple(MatrixFn.constant(w * I2) for w in row) for row in ((2, -3), (-2, 3)))
+        game = dataclasses.replace(pe_game, R=R)
+        twin = dataclasses.replace(game, zero_sum=False)
+        grid = TimeGrid(game.horizon, 200)
+        theta = np.array([0.3, 1.1])
+        sol, twin_sol = solve_stage_two(game, theta, grid), solve_stage_two(twin, theta, grid)
+        got, want = rollout(game, theta, sol), rollout(twin, theta, twin_sol)
+        np.testing.assert_allclose(got.x, want.x, rtol=1e-12, atol=1e-12 * np.abs(want.x).max())
+        for u, v in zip(got.u, want.u):
+            np.testing.assert_allclose(u, v, rtol=1e-12, atol=1e-12 * np.abs(v).max())
+        np.testing.assert_allclose(got.rollout_costs, want.rollout_costs, rtol=1e-12, atol=0)
+        envelope = [envelope_gradient(sol, i) for i in range(2)]
+        twin_envelope = [envelope_gradient(twin_sol, i) for i in range(2)]
+        np.testing.assert_allclose(envelope, twin_envelope, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("wrong,match", [
         ("time_constant", r"B\[0\] is declared time-constant"),

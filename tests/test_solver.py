@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import confgames.solver as solver_mod
-from confgames import (BestResponseStalled, CertVerdict, InfeasibleTheta,
+from confgames import (BestResponseStalled, CertVerdict, IbrTrace, InfeasibleTheta,
                        Regularizer, SolverSettings, TimeGrid, certify_first_order,
                        ibr_solve, naive_baseline, project)
 from conftest import make_scalar_lqr
@@ -112,6 +112,38 @@ class TestBestResponse:
         with pytest.raises(BestResponseStalled) as info:
             best_response(game, theta0, 0, SolverSettings(alpha=1.0, grid_steps=200))
         assert info.value.player == 0
+
+    def test_stalled_trace_reports_an_earlier_ascent_warning(self, monkeypatch):
+        # the two candidates after theta0 raise the cost, so the second is
+        # accepted with a warning; every later candidate is infeasible.  The
+        # warnings used to be collected only after the sweeps finished
+        game = make_scalar_lqr()
+        real_evaluate = solver_mod._evaluate
+        calls = []
+
+        def fake_evaluate(g, theta, grid):
+            calls.append(tuple(theta))
+            if len(calls) > 3:
+                raise InfeasibleTheta(theta)
+            costs, own = real_evaluate(g, theta, grid)
+            return (costs, own) if len(calls) == 1 else (costs + 1.0, own)
+
+        monkeypatch.setattr(solver_mod, "_evaluate", fake_evaluate)
+        with pytest.raises(BestResponseStalled) as info:
+            ibr_solve(game, np.array([1.0]), SolverSettings(alpha=1.0, grid_steps=200))
+        trace = info.value.trace
+        assert len(trace.records) == 1
+        assert trace.warnings == trace.records
+        assert trace.records[0].warning == "accepted ascent step after halving"
+
+    def test_trace_warnings_is_a_read_only_view_of_records(self):
+        trace = IbrTrace(theta0=(1.0,))
+        plain = solver_mod.InnerRecord(0, 0, 1, (0.9,), (1.0,), 0.5)
+        warned = dataclasses.replace(plain, inner_iter=2, warning="accepted ascent step after halving")
+        trace.records += [plain, warned]
+        assert trace.warnings == [warned]
+        with pytest.raises(AttributeError):
+            trace.warnings = []
 
 
 class TestIbr:
