@@ -23,23 +23,12 @@ A = np.array([[0.0, 1.0], [-0.5, -0.2]])
 
 
 def make_actuation(direction, owner):
-    base = np.array(direction, dtype=float).reshape(n, 1)
-
-    def fn(t, theta):
-        return theta[owner] * base
-
-    def grad(t, theta, k):
-        return base
-
-    return cg.MatrixFn((n, 1), fn, grad, depends_on=(owner,), time_varying=False)
+    return cg.MatrixFn.affine(np.zeros((n, 1)), {owner: np.reshape(direction, (n, 1))})
 
 
 eye1 = cg.MatrixFn.constant(np.eye(1))
 zero1 = cg.MatrixFn.constant(np.zeros((1, 1)))
 game = cg.ConfigGame(
-    num_players=2,
-    state_dim=n,
-    control_dims=(1, 1),
     horizon=2.0,
     A=cg.MatrixFn.constant(A),
     B=(make_actuation([0.0, 1.0], 0), make_actuation([0.3, 0.7], 1)),

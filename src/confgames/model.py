@@ -64,9 +64,29 @@ class MatrixFn:
 
     @classmethod
     def constant(cls, value) -> "MatrixFn":
-        arr = np.array(value, dtype=float)
-        arr.setflags(write=False)
+        arr = _frozen(value)
         return cls(arr.shape, lambda t, theta: arr, depends_on=(), time_varying=False)
+
+    @classmethod
+    def affine(cls, base, slopes) -> "MatrixFn":
+        """Time-constant ``base + sum_k theta[k] * slopes[k]``.
+
+        ``slopes`` maps a player index k to a matrix of ``base``'s shape; the
+        terms are added in the dict's order, and d/dtheta_k is ``slopes[k]``.
+        """
+        base = _frozen(base)
+        slopes = {int(k): _frozen(s) for k, s in slopes.items()}
+        if any(s.shape != base.shape for s in slopes.values()):
+            raise ValueError(f"every slope must have the base's shape {base.shape}")
+
+        def fn(t, theta):
+            out = base.copy()
+            for k, s in slopes.items():
+                out += theta[k] * s
+            return out
+
+        return cls(base.shape, fn, lambda t, theta, k: slopes[k], depends_on=slopes,
+                   time_varying=False)
 
     @classmethod
     def of_time(cls, shape, fn) -> "MatrixFn":
@@ -84,6 +104,12 @@ class Regularizer:
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
+
+
+def _frozen(value) -> np.ndarray:
+    arr = np.array(value, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def _require_finite(named):
@@ -108,14 +134,13 @@ def _symmetrized(mat, name, t=None):
 class ConfigGame:
     """Complete description of an N-player configuration game.
 
-    Per-player scalar parameters live in the closed intervals of
-    ``theta_box``.  All coefficient callables are immutable after
-    construction.
+    The number of players is ``len(B)``, the state dimension that of the
+    square ``A``, and player j's control dimension the column count of
+    ``B[j]``; every other input is checked against these.  Per-player
+    scalar parameters live in the closed intervals of ``theta_box``.  All
+    coefficient callables are immutable after construction.
     """
 
-    num_players: int
-    state_dim: int
-    control_dims: tuple
     horizon: float
     A: MatrixFn
     B: tuple
@@ -129,44 +154,45 @@ class ConfigGame:
     zero_sum: bool = False
 
     def __post_init__(self):
+        shape = self.A.shape
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+            raise ValueError(f"A must be a non-empty square matrix, got shape {shape}")
         n, N = self.state_dim, self.num_players
         if N < 1:
-            raise ValueError("need at least one player")
-        if n < 1:
-            raise ValueError("state dimension must be positive")
+            raise ValueError("B must hold one actuation matrix per player, got none")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if len(self.control_dims) != N or any(m < 1 for m in self.control_dims):
-            raise ValueError("control_dims must list a positive dimension per player")
         if self.zero_sum and N != 2:
             raise ValueError("zero-sum games must have exactly two players")
-
-        if self.A.shape != (n, n):
-            raise ValueError(f"A must be {n}x{n}")
-        if self.A.depends_on or self.c.depends_on:
-            raise ValueError("A and c must be parameter-independent")
+        entries = {"Q": self.Q, "Qf": self.Qf, "R": self.R, "theta_box": self.theta_box,
+                   **{f"R[{i}]": row for i, row in enumerate(self.R)}}
+        if self.regularizers is not None:
+            entries["regularizers"] = self.regularizers
+        for name, entry in entries.items():
+            if len(entry) != N:
+                raise ValueError(f"{name} must have one entry per player ({N}), "
+                                 f"got {len(entry)}")
+        for name, coef in (("A", self.A), ("c", self.c)):
+            if coef.depends_on:
+                raise ValueError(f"{name} must be parameter-independent")
         if self.c.shape != (n,):
             raise ValueError(f"c must be a length-{n} vector")
-        if len(self.B) != N or len(self.Q) != N or len(self.Qf) != N:
-            raise ValueError("B, Q, Qf must have one entry per player")
-        for i in range(N):
-            if self.B[i].shape != (n, self.control_dims[i]):
-                raise ValueError(f"B[{i}] has wrong shape")
-            if not self.B[i].depends_on <= {i}:
+        for i, Bi in enumerate(self.B):
+            if len(Bi.shape) != 2 or Bi.shape[0] != n or Bi.shape[1] < 1:
+                raise ValueError(f"B[{i}] must have {n} rows and at least one column, "
+                                 f"got shape {Bi.shape}")
+            if not Bi.depends_on <= {i}:
                 raise ValueError(f"B[{i}] may only depend on player {i}'s parameter")
             if self.Q[i].shape != (n, n):
                 raise ValueError(f"Q[{i}] must be {n}x{n}")
             if np.shape(self.Qf[i]) != (n, n):
                 raise ValueError(f"Qf[{i}] must be {n}x{n}")
-        if len(self.R) != N or any(len(row) != N for row in self.R):
-            raise ValueError("R must be an NxN table of coefficient functions")
-        for i in range(N):
-            for j in range(N):
-                mj = self.control_dims[j]
-                if self.R[i][j].shape != (mj, mj):
-                    raise ValueError(f"R[{i}][{j}] must be {mj}x{mj}")
-                if self.R[i][j].depends_on:
-                    raise ValueError("R coefficients must be parameter-independent")
+        for (i, row), (j, Bj) in itertools.product(enumerate(self.R), enumerate(self.B)):
+            mj = Bj.shape[1]
+            if row[j].shape != (mj, mj):
+                raise ValueError(f"R[{i}][{j}] must be {mj}x{mj}")
+            if row[j].depends_on:
+                raise ValueError(f"R[{i}][{j}] must be parameter-independent")
 
         _require_finite([("horizon", self.horizon), ("x0", self.x0), *zip(["Qf"] * N, self.Qf)])
         object.__setattr__(self, "Qf", tuple(_symmetrized(q, f"Qf[{i}]")
@@ -178,15 +204,10 @@ class ConfigGame:
         object.__setattr__(self, "x0", x0)
 
         box = tuple((float(lo), float(hi)) for lo, hi in self.theta_box)
-        if len(box) != N:
-            raise ValueError("theta_box needs one interval per player")
         for lo, hi in box:
             if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
                 raise ValueError(f"empty or invalid parameter interval [{lo}, {hi}]")
         object.__setattr__(self, "theta_box", box)
-
-        if self.regularizers is not None and len(self.regularizers) != N:
-            raise ValueError("regularizers must have one (possibly None) entry per player")
 
         coefs = {"A": self.A, "c": self.c}
         for i in range(N):
@@ -274,6 +295,14 @@ class ConfigGame:
                           "relying on blow-up detection", IndefiniteStateCostWarning, stacklevel=4)
 
     # -- evaluation helpers ------------------------------------------------
+
+    @property
+    def num_players(self) -> int:
+        return len(self.B)
+
+    @property
+    def state_dim(self) -> int:
+        return self.A.shape[0]
 
     @property
     def theta_mid(self) -> np.ndarray:

@@ -17,6 +17,7 @@ reduces to Simpson's rule per step, is a vectorised running sum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,7 +45,7 @@ class TimeGrid:
     def __post_init__(self):
         if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.steps <= 0 or self.steps % 2 != 0:
+        if not isinstance(self.steps, numbers.Integral) or self.steps <= 0 or self.steps % 2:
             raise ValueError(f"steps must be a positive even integer, got {self.steps}")
 
     @property

@@ -123,9 +123,6 @@ def build_pursuit_evasion(spec: PursuitEvasionSpec = None) -> ConfigGame:
 
     zero_q = MatrixFn.constant(np.zeros((n, n)))
     game = ConfigGame(
-        num_players=2,
-        state_dim=n,
-        control_dims=(2, 2),
         horizon=spec.horizon,
         A=MatrixFn.constant(A),
         B=(B1, B2),
@@ -206,19 +203,6 @@ def build_general_sum(spec: GeneralSumSpec = None) -> ConfigGame:
     f = np.array([0.0, spec.v_o1, 0.0, spec.v_o2])
     c = A @ f
 
-    def b_matrix(row, owner):
-        def fn(t, theta):
-            B = np.zeros((n, 1))
-            B[row, 0] = theta[owner]
-            return B
-
-        def grad(t, theta, k):
-            B = np.zeros((n, 1))
-            B[row, 0] = 1.0
-            return B
-
-        return MatrixFn((n, 1), fn, grad, depends_on=(owner,), time_varying=False)
-
     def q_fn(t):
         qh = spec.q_h_at(t)
         return np.array([
@@ -247,12 +231,10 @@ def build_general_sum(spec: GeneralSumSpec = None) -> ConfigGame:
     one = MatrixFn.constant(np.eye(1))
     zero1 = MatrixFn.constant(np.zeros((1, 1)))
     game = ConfigGame(
-        num_players=2,
-        state_dim=n,
-        control_dims=(1, 1),
         horizon=spec.horizon,
         A=MatrixFn.constant(A),
-        B=(b_matrix(1, 0), b_matrix(3, 1)),
+        B=tuple(MatrixFn.affine(np.zeros((n, 1)), {j: np.eye(n)[:, [row]]})
+                for j, row in enumerate((1, 3))),
         Q=(Q, Q),
         R=((one, zero1), (zero1, one)),
         c=MatrixFn.constant(c),
@@ -307,39 +289,14 @@ def random_aq_game(seed: int, num_players: int = 2, state_dim: int = 3,
         c_vec = rng.normal(size=n) * 0.5 if affine else np.zeros(n)
         x0 = rng.normal(size=n) * 0.7
 
-        def make_B(i):
-            return MatrixFn(
-                (n, m),
-                lambda t, theta, i=i: B0[i] + theta[i] * B1[i],
-                lambda t, theta, k, i=i: B1[i],
-                depends_on=(i,), time_varying=False)
-
-        def make_Q(i):
-            base = L[i] @ L[i].T
-            mats = [bumps[i][k] @ bumps[i][k].T for k in range(N)]
-
-            def fn(t, theta, base=base, mats=mats):
-                out = base.copy()
-                for k in range(N):
-                    out += theta[k] * mats[k]
-                return out
-
-            def grad(t, theta, k, mats=mats):
-                return mats[k]
-
-            return MatrixFn((n, n), fn, grad, depends_on=tuple(range(N)),
-                            time_varying=False)
-
         eye_m = MatrixFn.constant(np.eye(m))
         zero_m = MatrixFn.constant(np.zeros((m, m)))
         game = ConfigGame(
-            num_players=N,
-            state_dim=n,
-            control_dims=(m,) * N,
             horizon=horizon,
             A=MatrixFn.constant(A),
-            B=tuple(make_B(i) for i in range(N)),
-            Q=tuple(make_Q(i) for i in range(N)),
+            B=tuple(MatrixFn.affine(B0[i], {i: B1[i]}) for i in range(N)),
+            Q=tuple(MatrixFn.affine(L[i] @ L[i].T, {k: bumps[i][k] @ bumps[i][k].T
+                                                    for k in range(N)}) for i in range(N)),
             R=tuple(tuple(eye_m if i == j else zero_m for j in range(N))
                     for i in range(N)),
             c=MatrixFn.constant(c_vec),

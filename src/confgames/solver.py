@@ -16,6 +16,7 @@ point's evaluation (first-stage costs and own-gradients) forward.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,6 +45,9 @@ class SolverSettings:
     grid_steps: int = DEFAULT_STEPS
 
     def __post_init__(self):
+        for name in ("max_outer", "max_inner", "grid_steps"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("alpha", "epsilon", "max_inner", "stationarity_tol",
                      "grid_steps"):
             if not 0 < getattr(self, name) < np.inf:

@@ -30,9 +30,6 @@ def make_scalar_lqr(q: float = 1.0, theta_box=(0.5, 2.0), x0: float = 1.0,
     when qf = 0, so values and gradients have analytic oracles.
     """
     return ConfigGame(
-        num_players=1,
-        state_dim=1,
-        control_dims=(1,),
         horizon=horizon,
         A=MatrixFn.constant(np.zeros((1, 1))),
         B=(MatrixFn((1, 1), lambda t, th: np.array([[th[0]]]),
@@ -56,9 +53,6 @@ def make_theta_independent_game(n: int = 2, drive: bool = True) -> ConfigGame:
     L = rng.normal(size=(n, n)) * 0.5
     Q = L @ L.T
     return ConfigGame(
-        num_players=2,
-        state_dim=n,
-        control_dims=(1, 1),
         horizon=1.0,
         A=MatrixFn.constant(A),
         B=tuple(MatrixFn.constant(b) for b in B),
@@ -90,7 +84,7 @@ def make_time_varying_game() -> ConfigGame:
     own = MatrixFn.of_time((1, 1), lambda t: (1.0 + 0.3 * t) * np.eye(1))
     cross = MatrixFn.of_time((1, 1), lambda t: 0.2 * (1.0 + t) * np.eye(1))
     return ConfigGame(
-        num_players=2, state_dim=n, control_dims=(1, 1), horizon=1.0,
+        horizon=1.0,
         A=MatrixFn.constant(rng.normal(size=(n, n)) * 0.3),
         B=(actuation(0), actuation(1)),
         Q=tuple(MatrixFn.constant(Li @ Li.T) for Li in L),

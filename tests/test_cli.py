@@ -90,6 +90,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="scenario"):
             load_config(None, ["scenario=unknown_game"])
 
+    def test_boolean_key_resolved_and_echoed(self, tmp_path, capsys):
+        cfg = load_config(None, ["scenario=random", "random.affine=no"])
+        assert cfg["random.affine"] is False
+        out = tmp_path / "run"
+        assert main(["solve", "--set", "scenario=random", "--set", "random.affine=no",
+                     "--set", "solver.max_outer=0", "--out", str(out)] + FAST) == 2
+        assert "# random.affine = false\n" in (out / "trace.csv").read_text()
+        assert main(["solve", "--set", "scenario=random", "--set", "random.affine=maybe",
+                     "--out", str(out)] + FAST) == 1
+        assert "'random.affine'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config,setting,named", [
+        ("missing.cfg", None, "missing.cfg"),
+        ("run.cfg", None, "run.cfg:2: expected key = value"),
+        (None, "novalue", "novalue"),
+        (None, "theta0=0.5", "theta0"),
+        (None, "sweep.grid=0", "sweep.grid"),
+    ])
+    def test_malformed_input_exits_one_naming_it(self, tmp_path, capsys, config, setting,
+                                                 named):
+        (tmp_path / "run.cfg").write_text("scenario = general_sum\nsweep.grid 3\n")
+        argv = ["sweep", "--out", str(tmp_path / "out")] + FAST
+        if config:
+            argv += ["--config", str(tmp_path / config)]
+        if setting:
+            argv += ["--set", setting]
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_pursuit_defaults_converge(self, tmp_path):
@@ -144,6 +173,25 @@ class TestSolveCommand:
         result = json.loads((out / "result.json").read_text())
         assert result["certification"][1] == "BOUNDARY_DESCENT_OUTWARD"
 
+
+    def test_stalled_search_exits_three_with_its_start(self, tmp_path, monkeypatch):
+        # every point but theta0 is infeasible, so player 0's best response stalls
+        from confgames import solver
+        real_evaluate = solver._evaluate
+
+        def fake_evaluate(game, theta, grid):
+            if tuple(theta) != (0.2, 1.2):
+                raise InfeasibleTheta(theta)
+            return real_evaluate(game, theta, grid)
+
+        monkeypatch.setattr(solver, "_evaluate", fake_evaluate)
+        out = tmp_path / "run"
+        assert main(["solve", "--out", str(out)] + FAST) == 3
+        result = json.loads((out / "result.json").read_text())
+        assert (result["converged"], result["stalled"], result["exit_code"]) == (False, True, 3)
+        _, _, rows = read_meta_and_rows(out / "trace.csv")
+        assert [row[:5] for row in rows] == [["0", "0", "0", "0.20000000000000001",
+                                              "1.2"]]
 
     def test_every_theta_solved_once_and_none_by_the_command(self, tmp_path,
                                                               monkeypatch):

@@ -71,6 +71,49 @@ class TestMatrixFn:
         with pytest.raises(ValueError):
             fn(0.0, np.zeros(1))
 
+    def test_affine_reproduces_the_hand_written_coefficients(self, gs_game):
+        # the general-sum actuation set theta_owner into a zero column, and
+        # random_aq_game built B0 + theta_i B1 and L L' + sum_k theta_k bump bump'
+        # by hand; the first draw of these seeds is accepted
+        for (row, owner), (lo, hi) in zip([(1, 0), (3, 1)], gs_game.theta_box):
+            for theta in ([lo, hi], [hi, lo]):
+                want = np.zeros((4, 1))
+                want[row, 0] = theta[owner]
+                assert np.array_equal(gs_game.B[owner](0.0, np.array(theta)), want)
+                assert np.array_equal(gs_game.B[owner].d_theta(0.0, np.array(theta), owner),
+                                      np.eye(4)[:, [row]])
+        for N in (1, 2, 3):
+            n, m = 4, 2
+            game = random_aq_game(0, N, n, m)
+            rng = np.random.default_rng([0, 0, N, n, m, 1])
+            rng.normal(size=(n, n))
+            B0 = [rng.normal(size=(n, m)) * 0.7 for _ in range(N)]
+            B1 = [rng.normal(size=(n, m)) * 0.5 for _ in range(N)]
+            L = [rng.normal(size=(n, n)) * 0.6 for _ in range(N)]
+            bumps = [[rng.normal(size=(n, n)) * 0.35 for _ in range(N)] for _ in range(N)]
+            for theta in np.linspace(0.5, 1.3, 5)[:, None] + 0.1 * np.arange(N):
+                for i in range(N):
+                    Q = L[i] @ L[i].T
+                    for k in range(N):
+                        Q += theta[k] * (bumps[i][k] @ bumps[i][k].T)
+                        assert np.array_equal(game.Q[i].d_theta(0.3, theta, k),
+                                              bumps[i][k] @ bumps[i][k].T)
+                    assert np.array_equal(game.B[i](0.3, theta), B0[i] + theta[i] * B1[i])
+                    assert np.array_equal(game.B[i].d_theta(0.3, theta, i), B1[i])
+                    assert np.array_equal(game.Q[i](0.3, theta), Q)
+
+    def test_affine_stores_read_only_copies(self):
+        base, slope = np.eye(2), np.ones((2, 2))
+        fn = MatrixFn.affine(base, {1: slope})
+        base[0, 0] = slope[0, 0] = 7.0
+        theta = np.array([5.0, 2.0])
+        assert np.array_equal(fn(0.0, theta), [[3.0, 2.0], [2.0, 3.0]])
+        assert not fn.d_theta(0.0, theta, 1).flags.writeable
+        assert not fn.d_theta(0.0, theta, 0).any()
+        assert (fn.depends_on, fn.time_varying) == ({1}, False)
+        with pytest.raises(ValueError, match=r"every slope must have the base's shape \(2, 2\)"):
+            MatrixFn.affine(np.eye(2), {0: np.ones((2, 1))})
+
 
 def _tables_at_t0(game, theta):
     """Stage tables on a 2-step grid: stage index 0 is t = 0."""
@@ -84,7 +127,7 @@ class TestComputeS:
         n = 2
         eye = MatrixFn.constant(np.eye(n))
         game = ConfigGame(
-            num_players=1, state_dim=n, control_dims=(n,), horizon=1.0,
+            horizon=1.0,
             A=MatrixFn.constant(np.zeros((n, n))), B=(eye,), Q=(eye,),
             R=((eye,),), c=MatrixFn.constant(np.zeros(n)), Qf=(np.zeros((n, n)),),
             theta_box=((0.0, 1.0),), x0=np.zeros(n))
@@ -115,12 +158,26 @@ class TestComputeS:
         bad_r = MatrixFn.constant(np.zeros((1, 1)))
         with pytest.raises(PositiveDefinitenessViolation):
             ConfigGame(
-                num_players=1, state_dim=1, control_dims=(1,), horizon=1.0,
+                horizon=1.0,
                 A=MatrixFn.constant(np.zeros((1, 1))),
                 B=(MatrixFn.constant(np.ones((1, 1))),),
                 Q=(MatrixFn.constant(np.eye(1)),), R=((bad_r,),),
                 c=MatrixFn.constant(np.zeros(1)), Qf=(np.zeros((1, 1)),),
                 theta_box=((0.0, 1.0),), x0=np.ones(1))
+
+    def test_control_cost_indefinite_between_spot_times_named_at_solve(self):
+        # R^00 dips below zero for |t - t_b| < 0.0021 around t_b = T (1/2 + 1/128),
+        # between the spot times T k/32 the build checks, so the game builds and
+        # the per-sample fallback of the tables' factorization names the first
+        # stage time where R^00 has no Cholesky factor
+        T = 1.0
+        t_b = T * (0.5 + 1.0 / 128)
+        R = MatrixFn.of_time((1, 1), lambda t: np.array(
+            [[1.0 - 2.0 * np.exp(-((t - t_b) / (T / 400)) ** 2)]]))
+        game = dataclasses.replace(make_scalar_lqr(horizon=T), R=((R,),))
+        with pytest.raises(PositiveDefinitenessViolation) as info:
+            solve_stage_two(game, np.array([1.0]))
+        assert str(info.value) == "R[0][0](t=0.506) is not positive definite"
 
 
 class TestComputeSDeriv:
@@ -270,11 +327,79 @@ class TestClosedLoopMatrix:
         assert np.allclose(F, expected, atol=1e-12)
 
 
+def _two_player_inputs(**change):
+    """ConfigGame inputs of a two-state game whose players have one and two
+    controls, with the entries of ``change`` replaced."""
+    eye1, eye2 = MatrixFn.constant(np.eye(1)), MatrixFn.constant(np.eye(2))
+    inputs = dict(
+        horizon=1.0, A=MatrixFn.constant(np.zeros((2, 2))),
+        B=(MatrixFn.affine(np.zeros((2, 1)), {0: np.ones((2, 1))}),
+           MatrixFn.affine(np.zeros((2, 2)), {1: np.eye(2)})),
+        Q=(eye2, eye2), R=((eye1, MatrixFn.constant(np.zeros((2, 2)))),
+                           (MatrixFn.constant(np.zeros((1, 1))), eye2)),
+        c=MatrixFn.constant(np.zeros(2)), Qf=(np.eye(2), np.eye(2)),
+        theta_box=((0.5, 1.5), (0.5, 1.5)), x0=np.ones(2), regularizers=(None, None))
+    inputs.update(change)
+    return inputs
+
+
 class TestConfigGameValidation:
+    def test_consistent_inputs_give_the_dimensions(self):
+        game = ConfigGame(**_two_player_inputs())
+        assert (game.num_players, game.state_dim) == (2, 2)
+        assert [b.shape[1] for b in game.B] == [1, 2]
+
+    @pytest.mark.parametrize("field", ["num_players", "state_dim", "control_dims"])
+    def test_dimensions_are_not_inputs(self, field):
+        with pytest.raises(TypeError, match=field):
+            ConfigGame(**_two_player_inputs(**{field: 2}))
+
+    @pytest.mark.parametrize("change,match", [
+        ({"A": MatrixFn.constant(np.zeros((2, 3)))}, r"A must be a non-empty square"),
+        ({"A": MatrixFn.constant(np.zeros((0, 0)))}, r"A must be a non-empty square"),
+        ({"A": MatrixFn.constant(np.zeros(2))}, r"A must be a non-empty square"),
+        ({"A": MatrixFn.constant(0.0)}, r"A must be a non-empty square"),
+        ({"B": ()}, r"B must hold one actuation matrix per player"),
+        ({"B": (MatrixFn.constant(np.ones((3, 1))), MatrixFn.constant(np.eye(2)))},
+         r"B\[0\] must have 2 rows"),
+        ({"B": (MatrixFn.constant(np.ones((2, 1))), MatrixFn.constant(np.ones((2, 0))))},
+         r"B\[1\] must have 2 rows and at least one column"),
+        ({"B": (MatrixFn.constant(np.ones((2, 1))),
+                MatrixFn.affine(np.eye(2), {0: np.eye(2)}))},
+         r"B\[1\] may only depend on player 1's parameter"),
+        ({"Q": (MatrixFn.constant(np.eye(2)), MatrixFn.constant(np.eye(3)))},
+         r"Q\[1\] must be 2x2"),
+        ({"c": MatrixFn.constant(np.zeros(3))}, r"c must be a length-2 vector"),
+        ({"x0": np.ones(3)}, r"x0 must have shape \(2,\)"),
+        ({"Q": (MatrixFn.constant(np.eye(2)),)}, r"Q must have one entry per player"),
+        ({"Qf": (np.eye(2),) * 3}, r"Qf must have one entry per player"),
+        ({"R": ((MatrixFn.constant(np.eye(1)),),)}, r"R must have one entry per player"),
+        ({"R": ((MatrixFn.constant(np.eye(1)),), (MatrixFn.constant(np.eye(1)),))},
+         r"R\[0\] must have one entry per player"),
+        ({"theta_box": ((0.5, 1.5),)}, r"theta_box must have one entry per player"),
+        ({"regularizers": ()}, r"regularizers must have one entry per player"),
+        ({"R": ((MatrixFn.constant(np.eye(1)), MatrixFn.constant(np.zeros((1, 1)))),
+                (MatrixFn.constant(np.zeros((1, 1))), MatrixFn.constant(np.eye(2))))},
+         r"R\[0\]\[1\] must be 2x2"),
+        ({"A": MatrixFn.affine(np.zeros((2, 2)), {0: np.eye(2)})},
+         r"A must be parameter-independent"),
+        ({"c": MatrixFn.affine(np.zeros(2), {1: np.ones(2)})},
+         r"c must be parameter-independent"),
+        ({"R": ((MatrixFn.affine(np.eye(1), {0: np.eye(1)}),
+                 MatrixFn.constant(np.zeros((2, 2)))),
+                (MatrixFn.constant(np.zeros((1, 1))), MatrixFn.constant(np.eye(2))))},
+         r"R\[0\]\[0\] must be parameter-independent"),
+    ])
+    def test_inconsistent_input_named_at_build(self, change, match):
+        # none of these checks ran in the test suite while the dimensions
+        # were inputs of their own; each names the coefficient it rejects
+        with pytest.raises(ValueError, match=match):
+            ConfigGame(**_two_player_inputs(**change))
+
     def test_asymmetric_terminal_cost_rejected(self):
         with pytest.raises(ValueError, match="asymmetric"):
             ConfigGame(
-                num_players=1, state_dim=2, control_dims=(1,), horizon=1.0,
+                horizon=1.0,
                 A=MatrixFn.constant(np.zeros((2, 2))),
                 B=(MatrixFn.constant(np.ones((2, 1))),),
                 Q=(MatrixFn.constant(np.eye(2)),),
@@ -299,7 +424,7 @@ class TestConfigGameValidation:
         game = make_scalar_lqr()
         with pytest.raises(ValueError):
             ConfigGame(
-                num_players=1, state_dim=1, control_dims=(1,), horizon=1.0,
+                horizon=1.0,
                 A=game.A, B=game.B, Q=game.Q, R=game.R, c=game.c, Qf=game.Qf,
                 theta_box=game.theta_box, x0=game.x0, zero_sum=True)
 
@@ -379,7 +504,7 @@ class TestConfigGameValidation:
             Q = MatrixFn((1, 1), lambda t, th: np.array([[th[0]]]), time_varying=False)
         with pytest.raises(ValueError, match=match):
             ConfigGame(
-                num_players=1, state_dim=1, control_dims=(1,), horizon=1.0,
+                horizon=1.0,
                 A=MatrixFn.constant(np.zeros((1, 1))), B=(B,), Q=(Q,),
                 R=((MatrixFn.constant(np.eye(1)),),), c=MatrixFn.constant(np.zeros(1)),
                 Qf=(np.zeros((1, 1)),), theta_box=((0.5, 2.0),), x0=np.ones(1))
@@ -392,7 +517,7 @@ class TestConfigGameValidation:
     def test_q_symmetrized_on_evaluation(self):
         slight = np.array([[1.0, 1e-14], [0.0, 1.0]])
         game = ConfigGame(
-            num_players=1, state_dim=2, control_dims=(1,), horizon=1.0,
+            horizon=1.0,
             A=MatrixFn.constant(np.zeros((2, 2))),
             B=(MatrixFn.constant(np.ones((2, 1))),),
             Q=(MatrixFn.constant(slight),),
@@ -405,7 +530,7 @@ class TestConfigGameValidation:
     def test_grossly_asymmetric_q_rejected(self):
         bad = MatrixFn.constant(np.array([[1.0, 0.5], [0.0, 1.0]]))
         game_kwargs = dict(
-            num_players=1, state_dim=2, control_dims=(1,), horizon=1.0,
+            horizon=1.0,
             A=MatrixFn.constant(np.zeros((2, 2))),
             B=(MatrixFn.constant(np.ones((2, 1))),),
             R=((MatrixFn.constant(np.eye(1)),),),
@@ -422,14 +547,13 @@ class TestConfigGameValidation:
         base = np.array([[0.0, 1.0], [1.0, 0.3]])
 
         def actuation(owner):
-            return MatrixFn((2, 2), lambda t, th: th[owner] * base,
-                            lambda t, th, k: base, depends_on=(owner,), time_varying=False)
+            return MatrixFn.affine(np.zeros((2, 2)), {owner: base})
 
         eye2, zero2 = MatrixFn.constant(np.eye(2)), MatrixFn.constant(np.zeros((2, 2)))
         skew = MatrixFn.constant(np.array([[1.0, 0.5], [-0.5, 1.0]]))
         with pytest.raises(ValueError, match="asymmetric"):
             ConfigGame(
-                num_players=2, state_dim=2, control_dims=(2, 2), horizon=2.0,
+                horizon=2.0,
                 A=MatrixFn.constant(np.array([[0.0, 1.0], [-0.5, -0.2]])),
                 B=(actuation(0), actuation(1)),
                 Q=(MatrixFn.constant(np.diag([2.0, 0.5])),
@@ -452,7 +576,7 @@ class TestConfigGameValidation:
         Q = MatrixFn.of_time((2, 2), lambda t: np.eye(2) + (0.0 < t < 0.2) * skew)
         with pytest.raises(ValueError, match=r"Q\[0\] is asymmetric at t=0.03125"):
             ConfigGame(
-                num_players=1, state_dim=2, control_dims=(1,), horizon=1.0,
+                horizon=1.0,
                 A=MatrixFn.constant(np.zeros((2, 2))),
                 B=(MatrixFn.constant(np.ones((2, 1))),), Q=(Q,),
                 R=((MatrixFn.constant(np.eye(1)),),),

@@ -68,7 +68,7 @@ class TestAffinePasses:
     def test_offsets_vanish_when_value_matrix_zero(self):
         # no control authority, no state cost, but a unit drive
         game = ConfigGame(
-            num_players=1, state_dim=1, control_dims=(1,), horizon=1.0,
+            horizon=1.0,
             A=MatrixFn.constant(np.zeros((1, 1))),
             B=(MatrixFn.constant(np.zeros((1, 1))),),
             Q=(MatrixFn.constant(np.zeros((1, 1))),),
@@ -130,7 +130,7 @@ class TestZeroSum:
         Qf = np.array([[2.0, 0.3], [0.3, 1.0]])
         eye1 = MatrixFn.constant(np.eye(1))
         game = ConfigGame(
-            num_players=2, state_dim=n, control_dims=(1, 1), horizon=1.0,
+            horizon=1.0,
             A=MatrixFn.constant(np.zeros((n, n))), B=(B, B),
             Q=(MatrixFn.constant(np.zeros((n, n))),) * 2,
             R=((eye1, MatrixFn.constant(-np.eye(1))),
@@ -182,7 +182,6 @@ class TestZeroSum:
         x0 = pe_game.x0
         x0_swapped = np.concatenate([x0[4:], x0[:4]])
         relabeled = ConfigGame(
-            num_players=2, state_dim=8, control_dims=(2, 2),
             horizon=pe_game.horizon, A=pe_game.A,
             B=pe_game.B, Q=pe_game.Q, R=pe_game.R, c=pe_game.c,
             Qf=(-pe_game.Qf[0], pe_game.Qf[0]),
@@ -212,7 +211,7 @@ class TestZeroSum:
 class TestValues:
     def test_identity_value_matrix(self):
         game = ConfigGame(
-            num_players=1, state_dim=2, control_dims=(1,), horizon=1.0,
+            horizon=1.0,
             A=MatrixFn.constant(np.zeros((2, 2))),
             B=(MatrixFn.constant(np.zeros((2, 1))),),
             Q=(MatrixFn.constant(np.zeros((2, 2))),),
@@ -238,7 +237,7 @@ class TestRollout:
     def test_zero_cost_rollout_is_free(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         game = ConfigGame(
-            num_players=1, state_dim=2, control_dims=(1,), horizon=1.0,
+            horizon=1.0,
             A=MatrixFn.constant(A), B=(MatrixFn.constant(np.array([[0.0], [1.0]])),),
             Q=(MatrixFn.constant(np.zeros((2, 2))),),
             R=((MatrixFn.constant(np.eye(1)),),),

@@ -45,8 +45,8 @@ class TestPursuitEvasionBuilder:
 
     def test_structure(self, pe_game):
         assert pe_game.zero_sum
-        assert pe_game.state_dim == 8
-        assert pe_game.control_dims == (2, 2)
+        assert (pe_game.num_players, pe_game.state_dim) == (2, 8)
+        assert [b.shape[1] for b in pe_game.B] == [2, 2]
         theta = np.array([0.3, 0.4])
         assert not pe_game.Q[0](0.5, theta).any()
         assert not pe_game.c(0.5, theta).any()

@@ -42,6 +42,24 @@ class TestProject:
             SolverSettings(max_outer=-1)
         SolverSettings(max_outer=0)
 
+    @pytest.mark.parametrize("make,field", [
+        (lambda: TimeGrid(1.0, 200.0), "steps"),
+        (lambda: SolverSettings(grid_steps=200.0), "grid_steps"),
+        (lambda: SolverSettings(grid_steps=200, max_inner=2.5), "max_inner"),
+        (lambda: SolverSettings(grid_steps=200, max_outer=1.5), "max_outer"),
+    ])
+    def test_non_integer_count_rejected_at_construction(self, make, field):
+        # each was accepted and failed inside numpy or range with "'float'
+        # object cannot be interpreted as an integer" at the first solve
+        with pytest.raises(ValueError, match=field):
+            make()
+
+    def test_numpy_integer_counts_accepted(self):
+        settings = SolverSettings(alpha=1.0, max_outer=np.int64(1), max_inner=np.int32(2),
+                                  grid_steps=np.int64(200))
+        assert len(TimeGrid(1.0, np.int16(200)).nodes) == 201
+        assert ibr_solve(make_scalar_lqr(), [1.0], settings).sweeps == 1
+
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverSettings)
                                       if isinstance(f.default, float)])
     def test_nan_setting_rejected(self, name):
