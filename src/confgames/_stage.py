@@ -14,6 +14,7 @@ broadcast samples is formed once and broadcast too (stride 0).
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -117,9 +118,16 @@ class StageTables:
         st = grid.stage_times
         N = game.num_players
 
+        samples = {}
+
         def sample(coef, fn=None):
-            return _sample(fn or coef, self.thetas, st, coef.time_varying,
-                           bool(coef.depends_on))
+            # one sample per coefficient object (and per reading: raw, or
+            # through ``fn``) however many players' slots it fills
+            key = (id(coef), fn is None)
+            if key not in samples:
+                samples[key] = _sample(fn or coef, self.thetas, st, coef.time_varying,
+                                       bool(coef.depends_on))
+            return samples[key]
 
         self.A = sample(game.A)[:, 0]
         self.c = sample(game.c)[:, 0]
@@ -158,6 +166,13 @@ class StageTables:
         order, so that a member's sums do not depend on its batch."""
         S = np.ascontiguousarray(np.moveaxis(self.S[rows], (0, 1), (2, 3)))
         return S.reshape(S.shape[:2] + (-1,) + S.shape[4:])
+
+    @property
+    def coupling_elems(self) -> int:
+        """Elements of the couplings of every member at one stage time,
+        B N^2 n^2: the size per stage row of the per-stage products that the
+        passes form a block of stage rows at a time."""
+        return math.prod(self.S.shape[1:])
 
     @property
     def c_is_zero(self) -> bool:

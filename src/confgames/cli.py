@@ -30,7 +30,7 @@ from .riccati import DEFAULT_STEPS, _solve_batch, default_grid
 from .scenarios import (GeneralSumSpec, PursuitEvasionSpec, build_general_sum,
                         build_pursuit_evasion, random_aq_game,
                         recommended_settings)
-from .sensitivity import value_gradient
+from .sensitivity import _value_gradients
 from .solver import SolverSettings, _evaluate_batch, ibr_solve, naive_baseline
 
 PER_SCENARIO = object()
@@ -257,24 +257,31 @@ def cmd_solve(cfg: RunConfig, outdir) -> int:
     return exit_code
 
 
-# per-stage coupling elements a batch of parameter points (sweep lattice
-# points, grad-check difference points) may hold, N^2 n^2 per member: the
-# per-step interpreter cost of every pass is shared by a batch's members,
-# while the coupling products, formed a block of stage rows at a time, grow
-# with their count.  It gives 20 general-sum, 5 pursuit-evasion and 3
-# three-player random-game (n=6) members; at 1000 steps the peak grows by
-# about 2.5 MB per general-sum member
-BATCH_BUDGET = 1280
+# elements per grid node that the arrays of a batch of parameter points
+# (sweep lattice points, grad-check points) may hold, about 26 MB at 1000
+# steps.  The per-stage products that the passes read are formed in blocks
+# of at most odekit.BLOCK_ELEMS elements, so a batch's size is bounded by
+# what its members hold: a values-only member its value matrices at the
+# nodes, N n^2 (its offsets and constants are of lower order), and a
+# member whose gradients are taken also their samples at the stage times
+# (twice the nodes) and their path derivatives at the nodes, N^2 n^2.
+# Gradient batches then take 20 general-sum, 5 pursuit-evasion and 4
+# three-player random-game (n=6) members, values-only batches 100, 25 and 29
+BATCH_BUDGET = 3200
 
 
-def _batches(points, game):
-    """Consecutive batches of near-equal size, at most _batch_size(game) points each."""
-    return np.array_split(np.asarray(points), -(-len(points) // _batch_size(game)))
+def _batches(points, game, gradients=True):
+    """Consecutive batches of near-equal size, at most _batch_size(game,
+    gradients) points each."""
+    return np.array_split(np.asarray(points), -(-len(points) // _batch_size(game, gradients)))
 
 
-def _batch_size(game):
-    """Members per batch: BATCH_BUDGET // (N^2 n^2), and at least one."""
-    return max(1, BATCH_BUDGET // (game.num_players * game.state_dim) ** 2)
+def _batch_size(game, gradients=True):
+    """Members per batch: BATCH_BUDGET // the elements per grid node that a
+    member holds, N n^2 (N + 3) with its gradients and N n^2 without, and
+    at least one."""
+    N, n = game.num_players, game.state_dim
+    return max(1, BATCH_BUDGET // (N * n * n * (N + 3 if gradients else 1)))
 
 
 def cmd_sweep(cfg: RunConfig, outdir) -> int:
@@ -348,28 +355,47 @@ def cmd_grad_check(cfg: RunConfig, outdir) -> int:
     inner_lo = lo + 0.1 * span
     inner_hi = hi - 0.1 * span
 
+    # sample s is point s (2N + 1), followed by its probes theta_s +- h e_k
+    width = 2 * N + 1
+    thetas = [inner_lo + rng.random(N) * (inner_hi - inner_lo)
+              for _ in range(cfg["gradcheck.samples"])]
+    points = []
+    for theta in thetas:
+        points.append(theta)
+        for e in h * np.eye(N):
+            points += [theta + e, theta - e]
+    J = np.empty((len(points), N))
+    G = []
+    start = 0
+    for chunk in _batches(points, game, gradients=False):
+        batch, failures = _solve_batch(game, chunk, grid)
+        # the gradients at the samples before the first failing point come
+        # first, as a sample-by-sample run reaches them; the probes' node
+        # arrays are dropped before the gradient passes run
+        first = min(failures, default=len(chunk))
+        keep = [b for b in range(first) if (start + b) % width == 0]
+        values, batch = batch.values, batch.select(keep)
+        if keep:
+            G.extend(_value_gradients(batch))
+        if failures:
+            exc = failures[first]
+            if (start + first) % width:
+                raise exc
+            raise InfeasibleTheta(chunk[first], time=exc.time, player=exc.player)
+        J[start:start + len(chunk)] = values + [game.regularizer_values(p) for p in chunk]
+        start += len(chunk)
+
     rows = []
     worst = 0.0
-    for _ in range(cfg["gradcheck.samples"]):
-        theta = inner_lo + rng.random(N) * (inner_hi - inner_lo)
-        G = value_gradient(game, theta, grid=grid) + corrupt
-        probes = []
+    for s, theta in enumerate(thetas):
+        Gs = G[s] + corrupt
+        Js = J[s * width + 1:(s + 1) * width]
         for k in range(N):
-            step = np.zeros(N)
-            step[k] = h
-            probes += [theta + step, theta - step]
-        J = []
-        for chunk in _batches(probes, game):
-            batch, failures = _solve_batch(game, chunk, grid)
-            if failures:
-                raise failures[min(failures)]
-            J.extend(batch.values + [game.regularizer_values(p) for p in chunk])
-        for k in range(N):
-            fd = (J[2 * k] - J[2 * k + 1]) / (2 * h)
+            fd = (Js[2 * k] - Js[2 * k + 1]) / (2 * h)
             for i in range(N):
-                rel = gradcheck_rel_err(G[i, k], fd[i])
+                rel = gradcheck_rel_err(Gs[i, k], fd[i])
                 worst = max(worst, rel)
-                rows.append((*theta, f"J{i+1}_theta{k+1}", G[i, k], fd[i], rel))
+                rows.append((*theta, f"J{i+1}_theta{k+1}", Gs[i, k], fd[i], rel))
 
     header = [f"theta_{i+1}" for i in range(N)] + ["component", "ode_grad", "fd_grad", "rel_err"]
     meta["max_rel_err"] = _fmt(worst)

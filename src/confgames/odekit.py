@@ -27,8 +27,12 @@ from .errors import BlowUpDetected, NumericalFailure
 
 BLOWUP_THRESHOLD = 1e8
 
-# stage rows per block of a per-stage product formed while its pass runs
+# stage rows per block of a per-stage product formed while its pass runs,
+# and the elements a block may hold: a wide product (many members) is cut
+# into shorter blocks, while every one-member pass and general-sum batches
+# of up to 20 members keep BLOCK_ROWS rows
 BLOCK_ROWS = 256
+BLOCK_ELEMS = 256 * 20 * 64
 
 
 @dataclass(frozen=True)
@@ -103,15 +107,17 @@ def stage_samples(node_samples: np.ndarray, rows: slice = slice(None)) -> np.nda
     return out
 
 
-def stage_blocks(stages: int) -> list:
+def stage_blocks(stages: int, per_row: int) -> list:
     """The row slices that cut a stage axis of ``stages`` rows into blocks.
 
-    Blocks hold BLOCK_ROWS rows (at least 2), and a last row left over
-    joins the block before it, so no block holds a single row: a product
-    formed on a block then has the axis layout of the product formed on
-    all rows, and the same bits.
+    A block holds BLOCK_ROWS rows, or fewer (at least 2) when a product of
+    ``per_row`` elements per stage row would exceed BLOCK_ELEMS on them;
+    a last row left over joins the block before it, so no block holds a
+    single row: a product formed on a block then has the axis layout of
+    the product formed on all rows, and the same bits.
     """
-    starts = list(range(0, stages, BLOCK_ROWS))
+    rows = min(BLOCK_ROWS, max(2, BLOCK_ELEMS // max(1, per_row)))
+    starts = list(range(0, stages, rows))
     if len(starts) > 1 and stages - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [stages])]
@@ -121,15 +127,16 @@ class StageBlocks:
     """Rows of a per-stage product, formed one block of stage rows at a time.
 
     ``build(rows)`` returns the product at the stage ``rows`` (a slice from
-    stage_blocks), stage axis first.  Reading row s forms the block that
-    holds it, unless that block is the one held, and drops the block held
-    before: a pass that walks the stage axis one way forms each block once,
-    and the product never exists at full length.
+    stage_blocks), stage axis first, with ``per_row`` elements per row.
+    Reading row s forms the block that holds it, unless that block is the
+    one held, and drops the block held before: a pass that walks the stage
+    axis one way forms each block once, and the product never exists at
+    full length.
     """
 
-    def __init__(self, build, stages: int):
+    def __init__(self, build, stages: int, per_row: int):
         self._build = build
-        self._blocks = stage_blocks(stages)
+        self._blocks = stage_blocks(stages, per_row)
         self._index = [k for k, rows in enumerate(self._blocks)
                        for _ in range(rows.start, rows.stop)]
         self._held = None

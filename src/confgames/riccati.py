@@ -55,9 +55,9 @@ class StageTwoBatch:
     (steps+1, B, N, n) and ``eta_nodes`` (steps+1, B, N).  A zero-sum batch
     solves a single value matrix P per member and stores it as the player
     stack (P, -P), with no offset arrays (None).  The samples at the RK4
-    stage times (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are the
-    arrays the general-sum passes ran on; a zero-sum batch derives them on
-    first use, and its ``zeta_st`` and ``beta_st`` are exact zeros.
+    stage times (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are derived
+    from the node arrays on first use, for both game kinds; a zero-sum
+    batch's ``zeta_st`` and ``beta_st`` are exact zeros.
     """
 
     tables: StageTables = field(repr=False)
@@ -77,11 +77,21 @@ class StageTwoBatch:
 
     @cached_property
     def zeta_st(self) -> np.ndarray:
-        return np.zeros(self.P_st.shape[:-1])
+        if self.zeta_nodes is None:
+            return np.zeros(self.P_st.shape[:-1])
+        return stage_samples(self.zeta_nodes)
 
     @cached_property
     def beta_st(self) -> np.ndarray:
         return _drive_residual(self.tables, self.zeta_st)
+
+    def select(self, keep) -> "StageTwoBatch":
+        """The batch of the members at the positions ``keep``."""
+        keep = list(keep)
+        zeta, eta = (None if a is None else a[:, keep] for a in (self.zeta_nodes, self.eta_nodes))
+        return StageTwoBatch(tables=self.tables.select(keep), members=self.members[keep],
+                             values=self.values[keep], P_nodes=self.P_nodes[:, keep],
+                             zeta_nodes=zeta, eta_nodes=eta)
 
 
 @dataclass(frozen=True)
@@ -112,14 +122,16 @@ class StageTwoSolution:
     beta_st = property(lambda self: self.batch.beta_st[:, 0])
 
 
-def _closed_loop(tabs: StageTables, P_st):
-    """Closed-loop drift F = A - sum_i S^ii P^i at every stage time and member."""
-    return tabs.A[:, None] - np.einsum("m...iab,m...ibc->m...ac", tabs.S_diag, P_st)
+def _closed_loop(tabs: StageTables, P_st, rows: slice = slice(None)):
+    """Closed-loop drift F = A - sum_i S^ii P^i at the stage ``rows`` (all by
+    default) and every member, from the samples ``P_st`` at those rows."""
+    return tabs.A[rows, None] - np.einsum("m...iab,m...ibc->m...ac", tabs.S_diag[rows], P_st)
 
 
-def _drive_residual(tabs: StageTables, zeta_st):
-    """Drive residual beta = c - sum_i S^ii zeta^i at every stage time and member."""
-    return tabs.c[:, None] - np.einsum("m...iab,m...ib->m...a", tabs.S_diag, zeta_st)
+def _drive_residual(tabs: StageTables, zeta_st, rows: slice = slice(None)):
+    """Drive residual beta = c - sum_i S^ii zeta^i at the stage ``rows`` (all
+    by default) and every member, from the samples ``zeta_st`` at those rows."""
+    return tabs.c[rows, None] - np.einsum("m...iab,m...ib->m...a", tabs.S_diag[rows], zeta_st)
 
 
 @dataclass(frozen=True)
@@ -222,28 +234,34 @@ def _zerosum_coupling(tabs: StageTables):
     return np.broadcast_to(Stilde, (M, B) + Stilde.shape[2:])
 
 
-def solve_zeta(tabs: StageTables, P_st: np.ndarray, F_st: np.ndarray):
+def solve_zeta(tabs: StageTables, P_nodes: np.ndarray):
     """Solve the stacked linear pass for the affine offsets.
 
     The N offset vectors are coupled through the drive residual
     beta = c - sum_i S^{ii} zeta^i, so they advance as one stacked state.
-    ``P_st`` (M, B, N, n, n) and ``F_st`` (M, B, n, n) hold the value
-    matrices and the closed-loop drift at the stage times, as
-    StageTwoBatch keeps them; returns the offsets at the nodes,
-    (steps+1, B, N, n), and the blow-ups.  The products P^j S^ij are
-    formed a block of stage rows at a time as the pass reaches them.
+    ``P_nodes`` (steps+1, B, N, n, n) holds the value matrices at the
+    nodes; returns the offsets at the nodes, (steps+1, B, N, n), and the
+    blow-ups.  The value matrices and the closed-loop drift at the stage
+    times and the products P^j S^ij are formed a block of stage rows at a
+    time as the pass reaches them.
     """
     N, n = tabs.game.num_players, tabs.game.state_dim
     S = _compact(tabs.S)
-    PS_st = StageBlocks(lambda r: np.einsum("m...jab,m...ijbc->m...ijac", P_st[r], _rows(S, r),
-                                            optimize=True), len(P_st))
+
+    def block(r):
+        P = stage_samples(P_nodes, r)
+        PS = np.einsum("m...jab,m...ijbc->m...ijac", P, _rows(S, r), optimize=True)
+        return list(zip(P, _closed_loop(tabs, P, r), PS))
+
+    stage = StageBlocks(block, len(tabs.grid.stage_times), tabs.coupling_elems)
     c, S_diag = tabs.c, tabs.S_diag
 
     def rhs(s, Z):
+        P, F, PS = stage[s]
         zc = Z[..., None]
         beta = c[s] - (S_diag[s] @ zc)[..., 0].sum(axis=1)
-        coupling = (PS_st[s] @ zc[:, None])[..., 0].sum(axis=2)
-        return -(Z @ F_st[s] + coupling + (P_st[s] @ beta[:, None, :, None])[..., 0])
+        coupling = (PS @ zc[:, None])[..., 0].sum(axis=2)
+        return -(Z @ F + coupling + (P @ beta[:, None, :, None])[..., 0])
 
     blowups = {}
     zeta = integrate_backward(rhs, np.zeros((len(tabs.thetas), N, n)), tabs.grid,
@@ -251,21 +269,24 @@ def solve_zeta(tabs: StageTables, P_st: np.ndarray, F_st: np.ndarray):
     return zeta, blowups
 
 
-def solve_eta(tabs: StageTables, zeta_st: np.ndarray, beta_st: np.ndarray):
+def solve_eta(tabs: StageTables, zeta_nodes: np.ndarray):
     """Backward running integral for the per-player scalar value constants.
 
-    ``zeta_st`` (M, B, N, n) and ``beta_st`` (M, B, n) hold the offsets and
-    the drive residual at the stage times; returns the constants at the
-    nodes, (steps+1, B, N), and the blow-ups.  The coupling term of the
-    integrand is formed a block of stage rows at a time.
+    ``zeta_nodes`` (steps+1, B, N, n) holds the offsets at the nodes;
+    returns the constants at the nodes, (steps+1, B, N), and the blow-ups.
+    The integrand, with the offsets and the drive residual at the stage
+    times that it reads, is formed a block of stage rows at a time.
     """
-    M, B, N, n = zeta_st.shape
-    quad = np.empty((M, B, N))
-    for r in stage_blocks(M):
-        z = zeta_st[r].reshape(-1, N, n)
-        quad[r] = np.einsum("mja,ijmab,mjb->mi", z, tabs.dense_S(r), z,
-                            optimize=True).reshape(quad[r].shape)
-    integrand = np.einsum("m...a,m...ia->m...i", beta_st, zeta_st) + 0.5 * quad
+    _, B, N, n = zeta_nodes.shape
+    M = len(tabs.grid.stage_times)
+    integrand = np.empty((M, B, N))
+    for r in stage_blocks(M, tabs.coupling_elems):
+        z_st = stage_samples(zeta_nodes, r)
+        z = z_st.reshape(-1, N, n)
+        quad = np.einsum("mja,ijmab,mjb->mi", z, tabs.dense_S(r), z,
+                         optimize=True).reshape(integrand[r].shape)
+        integrand[r] = (np.einsum("m...a,m...ia->m...i", _drive_residual(tabs, z_st, r), z_st)
+                        + 0.5 * quad)
     blowups = {}
     eta = backward_running_sum(integrand, tabs.grid, blowups=blowups)
     return eta, blowups
@@ -315,22 +336,19 @@ def _solve_batch(game: ConfigGame, thetas, grid: TimeGrid = None):
 
     P, blown = solve_coupled_riccati(tabs)
     members, tabs, P = _drop(blown, failures, members, tabs, P)
-    P_st = stage_samples(P)
-    F_st = _closed_loop(tabs, P_st)
-    zeta, blown = solve_zeta(tabs, P_st, F_st)
-    zeta_st = stage_samples(zeta)
-    beta_st = _drive_residual(tabs, zeta_st)
-    eta, late = solve_eta(tabs, zeta_st, beta_st)
-    late.update(blown)
-    members, tabs, P, zeta, eta, P_st, F_st, zeta_st, beta_st = _drop(
-        late, failures, members, tabs, P, zeta, eta, P_st, F_st, zeta_st, beta_st)
+    if tabs.c_is_zero:
+        # drive-free: the offsets and the value constants vanish identically
+        zeta, eta = np.zeros(P.shape[:-1]), np.zeros(P.shape[:-2])
+    else:
+        zeta, blown = solve_zeta(tabs, P)
+        eta, late = solve_eta(tabs, zeta)
+        late.update(blown)
+        members, tabs, P, zeta, eta = _drop(late, failures, members, tabs, P, zeta, eta)
     values = np.array([[0.5 * float(x0 @ P[0, b, i] @ x0) + float(zeta[0, b, i] @ x0)
                         + float(eta[0, b, i]) for i in range(game.num_players)]
                        for b in range(len(members))]).reshape(-1, game.num_players)
-    batch = StageTwoBatch(tables=tabs, members=members, values=values, P_nodes=P,
-                          zeta_nodes=zeta, eta_nodes=eta)
-    vars(batch).update(P_st=P_st, F_st=F_st, zeta_st=zeta_st, beta_st=beta_st)
-    return batch, failures
+    return StageTwoBatch(tables=tabs, members=members, values=values, P_nodes=P,
+                         zeta_nodes=zeta, eta_nodes=eta), failures
 
 
 def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoSolution:

@@ -78,8 +78,9 @@ def _solve_p_pass(batch):
     coupling and forcing are formed a block of stage rows at a time."""
     tabs, P_st, F_st = batch.tables, batch.P_st, batch.F_st
     B, N, n = P_st.shape[1:4]
-    H_st = StageBlocks(lambda r: _coupling_tables(tabs, P_st, r), len(P_st))
-    forcing = StageBlocks(lambda r: _p_forcing(tabs, P_st, r), len(P_st))
+    size = tabs.coupling_elems
+    H_st = StageBlocks(lambda r: _coupling_tables(tabs, P_st, r), len(P_st), size)
+    forcing = StageBlocks(lambda r: _p_forcing(tabs, P_st, r), len(P_st), size)
 
     def rhs(s, Y):
         YF = Y @ F_st[s][:, None, None]
@@ -128,8 +129,9 @@ def _solve_zeta_pass(batch, Pk_nodes):
     coupling and forcing are formed a block of stage rows at a time."""
     tabs, P_st, F_st = batch.tables, batch.P_st, batch.F_st
     B, N, n = P_st.shape[1:4]
-    H_st = StageBlocks(lambda r: _coupling_tables(tabs, P_st, r), len(P_st))
-    forcing = StageBlocks(lambda r: _zeta_forcing(batch, Pk_nodes, r), len(P_st))
+    size = tabs.coupling_elems
+    H_st = StageBlocks(lambda r: _coupling_tables(tabs, P_st, r), len(P_st), size)
+    forcing = StageBlocks(lambda r: _zeta_forcing(batch, Pk_nodes, r), len(P_st), size)
 
     def rhs(s, Z):
         coup = np.matmul(Z[:, :, None, :, None, :], H_st[s][:, None])[..., 0, :].sum(axis=3)
@@ -147,7 +149,7 @@ def _eta_integrand(batch, zk_nodes):
     tabs = batch.tables
     M, B, N, n = batch.zeta_st.shape
     out = np.empty((M, B, N, N))
-    for rows in stage_blocks(M):
+    for rows in stage_blocks(M, tabs.coupling_elems):
         z_st, beta_st = batch.zeta_st[rows], batch.beta_st[rows]
         zk_st = stage_samples(zk_nodes, rows)
         # sum_j zeta^j' S^ij zeta^j_k, members folded into the stage axis (see dense_S)

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confgames import (InfeasibleTheta, TimeGrid, cli, random_aq_game, solve_stage_two,
+from confgames import (InfeasibleTheta, StageTables, TimeGrid, cli, random_aq_game,
+                       solve_coupled_riccati, solve_eta, solve_stage_two, solve_zeta,
                        value_gradient)
 from confgames import model as model_mod
-from confgames import odekit
+from confgames import odekit, riccati
 from confgames import solver as solver_mod
 from confgames.errors import BlowUpDetected
 from confgames.riccati import _solve_batch
@@ -91,8 +92,9 @@ def test_diverged_member_leaves_the_others_unchanged(gs_game):
 
 @pytest.mark.parametrize("members", [1, 3])
 def test_theta_free_coefficients_sampled_once_per_batch(members, gs_game, monkeypatch):
-    # the two time-varying state costs at 2001 stage times, A, c and the
-    # four control costs once for the batch; B^0 and B^1 once per member
+    # the one time-varying state cost that both players share at 2001
+    # stage times, A, c and the two distinct control costs once for the
+    # batch; B^0 and B^1 once per member
     calls = [0]
     real = model_mod.MatrixFn.__call__
 
@@ -103,7 +105,7 @@ def test_theta_free_coefficients_sampled_once_per_batch(members, gs_game, monkey
     monkeypatch.setattr(model_mod.MatrixFn, "__call__", counted)
     thetas = np.column_stack([np.linspace(0.3, 1.1, members), np.full(members, 0.9)])
     solver_mod._evaluate_batch(gs_game, thetas, TimeGrid(gs_game.horizon, 1000))
-    assert calls[0] == 4008 + 2 * members
+    assert calls[0] == 2005 + 2 * members
 
 
 def test_lattice_over_several_batches_matches_point_evaluations(tmp_path, monkeypatch,
@@ -165,6 +167,70 @@ def test_general_sum_batch_forms_no_coupling_product_at_full_length(gs_game):
 
 
 def test_batch_budget_sizes_each_game(pe_game, gs_game):
+    rand = _random_game(0, 3, 6, 2, True)
     assert cli._batch_size(gs_game) == 20
     assert cli._batch_size(pe_game) == 5
-    assert cli._batch_size(_random_game(0, 3, 6, 2, True)) == 3
+    assert cli._batch_size(rand) == 4
+    assert cli._batch_size(gs_game, gradients=False) == 100
+    assert cli._batch_size(pe_game, gradients=False) == 25
+    # the 14 points of a two-sample grad-check make one batch
+    assert cli._batch_size(rand, gradients=False) == 29
+
+
+def test_values_only_batch_holds_its_node_arrays_only():
+    # 14 three-player members with n = 6: their value matrices at 1001
+    # nodes are 12.1 MB; holding the stage-time samples of the passes at
+    # full length the peak was 73 MB
+    game = _random_game(0, 3, 6, 2, True)
+    lo, hi = np.array(game.theta_box).T
+    thetas = lo + (hi - lo) * np.random.default_rng(0).uniform(0.1, 0.9, (14, 3))
+    grid = TimeGrid(game.horizon, 1000)
+    tracemalloc.start()
+    try:
+        batch, failures = _solve_batch(game, thetas, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not failures and len(batch.members) == 14
+    assert peak <= 25e6
+
+
+@pytest.mark.parametrize("scenario", ["pe", "gs", "rand"])
+def test_gradients_of_selected_members_equal_their_single_points(scenario, pe_game, gs_game):
+    game = {"pe": pe_game, "gs": gs_game, "rand": _random_game(0, 3, 6, 2, True)}[scenario]
+    lo, hi = np.array(game.theta_box).T
+    thetas = lo + (hi - lo) * np.random.default_rng(1).uniform(0.1, 0.9, (5, game.num_players))
+    grid = TimeGrid(game.horizon, 200)
+    batch, failures = _solve_batch(game, thetas, grid)
+    assert not failures
+    keep = [0, 3, 4]
+    sub = batch.select(keep)
+    assert np.array_equal(sub.members, keep)
+    assert np.array_equal(sub.values, batch.values[keep])
+    for g, b in zip(_value_gradients(sub), keep):
+        assert np.array_equal(g, value_gradient(game, thetas[b], grid=grid))
+
+
+@pytest.mark.parametrize("seed,state_dim", [(40, 2), (41, 3), (42, 4)])
+def test_drive_free_batch_skips_the_offset_passes(seed, state_dim, monkeypatch):
+    # the offsets and the value constants of a drive-free game vanish
+    # identically: the batch stores zeros, which are the bits the passes
+    # give, and its values are those the passes' arrays give
+    game = random_aq_game(seed, 2, state_dim, 1, affine=False)
+    lo, hi = np.array(game.theta_box).T
+    thetas = lo + (hi - lo) * np.array([[0.3, 0.6], [0.8, 0.2]])
+    grid = TimeGrid(game.horizon, 200)
+    tabs = StageTables(game, thetas, grid)
+    P, _ = solve_coupled_riccati(tabs)
+    zeta, _ = solve_zeta(tabs, P)
+    eta, _ = solve_eta(tabs, zeta)
+    for name in ("solve_zeta", "solve_eta"):
+        monkeypatch.setattr(riccati, name, None)
+    batch, failures = _solve_batch(game, thetas, grid)
+    assert not failures
+    assert np.array_equal(batch.zeta_nodes, zeta) and np.array_equal(batch.eta_nodes, eta)
+    x0 = game.x0
+    for b in range(len(thetas)):
+        expected = [0.5 * float(x0 @ P[0, b, i] @ x0) + float(zeta[0, b, i] @ x0)
+                    + float(eta[0, b, i]) for i in range(2)]
+        assert np.array_equal(batch.values[b], expected)

@@ -363,6 +363,68 @@ class TestGradCheckCommand:
         assert gradcheck_rel_err(float("nan"), 0.0) == float("inf")
 
 
+def diverge_at(*points):
+    """Stand-in for cli._solve_batch that numbers the points it is given
+    across calls and reports those numbered ``points`` as blown up at
+    t = 0.5; the points it was given are kept in its ``seen`` list."""
+    real = cli._solve_batch
+    seen = []
+
+    def solve_batch(game, thetas, grid):
+        start = len(seen)
+        seen.extend(thetas)
+        batch, failures = real(game, thetas, grid)
+        assert not failures
+        bad = [b for b in range(len(thetas)) if start + b in points]
+        keep = [b for b in range(len(thetas)) if b not in bad]
+        return batch.select(keep), {b: BlowUpDetected(0.5, 1e9, player=1) for b in bad}
+
+    solve_batch.seen = seen
+    return solve_batch
+
+
+class TestGradCheckBatches:
+    # pursuit-evasion points come five per sample: theta_s, then its probes
+    # theta_s + h e_1, theta_s - h e_1, theta_s + h e_2, theta_s - h e_2
+
+    @pytest.mark.parametrize("budget", [None, 2 * 128])
+    def test_diverged_sample_point_is_infeasible(self, tmp_path, monkeypatch, capsys, budget):
+        # sample 2's theta and two later points diverge; with the smaller
+        # budget the 15 points are solved two at a time
+        if budget:
+            monkeypatch.setattr(cli, "BATCH_BUDGET", budget)
+        fake = diverge_at(5, 7, 10)
+        monkeypatch.setattr(cli, "_solve_batch", fake)
+        out = tmp_path / "gc"
+        code = main(["grad-check", "--set", "gradcheck.samples=3", "--out", str(out)] + FAST)
+        assert code == 3
+        expected = InfeasibleTheta(fake.seen[5], time=0.5, player=1)
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (out / "gradcheck.csv").exists()
+
+    @pytest.mark.parametrize("budget", [None, 2 * 128])
+    def test_diverged_probe_is_a_blowup(self, tmp_path, monkeypatch, capsys, budget):
+        # a probe of sample 1 fails before sample 2's theta does
+        if budget:
+            monkeypatch.setattr(cli, "BATCH_BUDGET", budget)
+        monkeypatch.setattr(cli, "_solve_batch", diverge_at(3, 5))
+        code = main(["grad-check", "--set", "gradcheck.samples=2",
+                     "--out", str(tmp_path / "gc")] + FAST)
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {BlowUpDetected(0.5, 1e9, player=1)}\n"
+
+    def test_batches_of_any_size_write_the_same_file(self, tmp_path, monkeypatch):
+        # 3 samples of a three-player game are 21 points: one batch, or
+        # batches of 2 that split samples
+        args = ["grad-check", "--set", "scenario=random", "--set", "random.players=3",
+                "--set", "gradcheck.samples=3"] + FAST
+        assert main(args + ["--out", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(cli, "BATCH_BUDGET", 2 * 3 * 9)
+        assert main(args + ["--out", str(tmp_path / "many")]) == 0
+        assert ((tmp_path / "one" / "gradcheck.csv").read_bytes()
+                == (tmp_path / "many" / "gradcheck.csv").read_bytes())
+
+
 class TestBaselineCommand:
     def test_positive_gap_for_naive_pursuer(self, tmp_path):
         out = tmp_path / "base"

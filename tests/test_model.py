@@ -231,9 +231,11 @@ class TestSampler:
         return calls
 
     def test_one_call_per_stage_time_or_per_constant(self, monkeypatch):
-        # six time-varying coefficients (B^0, B^1 and the four R^ij) at
-        # 2001 stage times, four constant ones (A, c, Q^0, Q^1) once each;
-        # sampling S per (i, j) pair and again at the nodes made 46,030
+        # four time-varying coefficient objects (B^0, B^1 and the own and
+        # cross costs that fill the four R^ij slots) at 2001 stage times,
+        # four constant ones (A, c, Q^0, Q^1) once each; sampling S per
+        # (i, j) pair and again at the nodes made 46,030, and each R^ij
+        # slot on its own 12,010
         game = make_time_varying_game()
         theta = np.array([0.7, 1.3])
         grid = TimeGrid(game.horizon, 1000)
@@ -241,7 +243,7 @@ class TestSampler:
         sol = solve_stage_two(game, theta, grid)
         value_gradient(game, theta, grid=grid, stage2=sol)
         rollout(game, theta, sol)
-        assert calls[0] == 6 * len(grid.stage_times) + 4 == 12010
+        assert calls[0] == 4 * len(grid.stage_times) + 4 == 8008
 
     def test_rollout_and_envelope_read_the_tables(self, monkeypatch):
         game = make_time_varying_game()

@@ -186,7 +186,7 @@ class TestStageBlocks:
         # block, 129 at 64 one past the first 128-row block
         monkeypatch.setattr(odekit, "BLOCK_ROWS", rows)
         stages = 2 * steps + 1
-        blocks = stage_blocks(stages)
+        blocks = stage_blocks(stages, 1)
         assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
         assert blocks[0].start == 0 and blocks[-1].stop == stages
         assert all(2 <= b.stop - b.start <= rows + 1 for b in blocks)
@@ -199,6 +199,13 @@ class TestStageBlocks:
             for hi in range(lo + 1, len(full) + 1):
                 assert np.array_equal(stage_samples(y, slice(lo, hi)), full[lo:hi])
 
+    def test_wide_products_get_shorter_blocks(self):
+        # a block holds at most BLOCK_ELEMS elements, and never fewer than 2 rows
+        cap = odekit.BLOCK_ELEMS
+        assert stage_blocks(2001, cap // odekit.BLOCK_ROWS)[0] == slice(0, odekit.BLOCK_ROWS)
+        assert stage_blocks(2001, 14 * 324)[0] == slice(0, cap // (14 * 324))
+        assert stage_blocks(2001, 10 * cap)[0] == slice(0, 2)
+
     def test_backward_reads_form_each_block_once(self, monkeypatch):
         monkeypatch.setattr(odekit, "BLOCK_ROWS", 3)
         built = []
@@ -207,6 +214,6 @@ class TestStageBlocks:
             built.append(rows)
             return np.arange(rows.start, rows.stop)
 
-        rows = StageBlocks(build, 121)
+        rows = StageBlocks(build, 121, 1)
         assert [rows[s] for s in range(120, -1, -1)] == list(range(120, -1, -1))
-        assert built == stage_blocks(121)[::-1]
+        assert built == stage_blocks(121, 1)[::-1]

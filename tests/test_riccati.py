@@ -80,10 +80,9 @@ class TestAffinePasses:
         tabs = StageTables(game, theta, grid)
         P, _ = solve_coupled_riccati(tabs)
         assert not P.any()
-        sol = solve_stage_two(game, theta, grid)
-        zeta, _ = solve_zeta(tabs, sol.P_st[:, None], sol.F_st[:, None])
+        zeta, _ = solve_zeta(tabs, P)
         assert not zeta.any()
-        eta, _ = solve_eta(tabs, sol.zeta_st[:, None], sol.beta_st[:, None])
+        eta, _ = solve_eta(tabs, zeta)
         assert not eta.any()
 
     def test_drive_residual_recomputation(self, gs_game, gs_grid):
@@ -104,18 +103,22 @@ class TestStageSamples:
         ("pe", {"_closed_loop": 1, "_drive_residual": 1, "stage_samples": 1}),
     ])
     def test_derived_once_per_solve(self, scenario, expected, pe_game, gs_game, monkeypatch):
-        # a solve, its gradient and its rollout share one derivation of each
-        # stage-time array; the zero-sum solve derives them only on demand
+        # a solve holds no stage-time array at full length (its passes form
+        # them a block of stage rows at a time); its gradient and its
+        # rollout share one derivation of each
         calls = collections.Counter()
         for name in expected:
             def counted(*args, name=name, real=getattr(riccati, name)):
-                calls[name] += 1
-                return real(*args)
+                out = real(*args)
+                if len(out) == len(grid.stage_times):
+                    calls[name] += 1
+                return out
             monkeypatch.setattr(riccati, name, counted)
         game = gs_game if scenario == "gs" else pe_game
         theta = np.array([0.7, 0.9])
         grid = TimeGrid(game.horizon, 200)
         sol = solve_stage_two(game, theta, grid)
+        assert not calls
         value_gradient(game, theta, grid=grid, stage2=sol)
         rollout(game, theta, sol)
         assert calls == expected
