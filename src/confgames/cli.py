@@ -370,13 +370,16 @@ def cmd_grad_check(cfg: RunConfig, outdir) -> int:
     for chunk in _batches(points, game, gradients=False):
         batch, failures = _solve_batch(game, chunk, grid)
         # the gradients at the samples before the first failing point come
-        # first, as a sample-by-sample run reaches them; the probes' node
-        # arrays are dropped before the gradient passes run
+        # first, as a sample-by-sample run reaches them; they are taken on
+        # gradient batches of those samples, after the probes' node arrays
+        # are dropped
         first = min(failures, default=len(chunk))
         keep = [b for b in range(first) if (start + b) % width == 0]
-        values, batch = batch.values, batch.select(keep)
-        if keep:
-            G.extend(_value_gradients(batch))
+        values = batch.values
+        parts = [batch.select(part) for part in _batches(keep, game)] if keep else []
+        del batch
+        for part in parts:
+            G.extend(_value_gradients(part))
         if failures:
             exc = failures[first]
             if (start + first) % width:

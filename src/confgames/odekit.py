@@ -29,8 +29,9 @@ BLOWUP_THRESHOLD = 1e8
 
 # stage rows per block of a per-stage product formed while its pass runs,
 # and the elements a block may hold: a wide product (many members) is cut
-# into shorter blocks, while every one-member pass and general-sum batches
-# of up to 20 members keep BLOCK_ROWS rows
+# into shorter blocks, while a product of at most 1280 elements per row
+# keeps BLOCK_ROWS rows, such as the couplings of a general-sum batch of
+# up to 20 members or of one three-player member with n = 6 (324)
 BLOCK_ROWS = 256
 BLOCK_ELEMS = 256 * 20 * 64
 

@@ -336,14 +336,10 @@ def _solve_batch(game: ConfigGame, thetas, grid: TimeGrid = None):
 
     P, blown = solve_coupled_riccati(tabs)
     members, tabs, P = _drop(blown, failures, members, tabs, P)
-    if tabs.c_is_zero:
-        # drive-free: the offsets and the value constants vanish identically
-        zeta, eta = np.zeros(P.shape[:-1]), np.zeros(P.shape[:-2])
-    else:
-        zeta, blown = solve_zeta(tabs, P)
-        eta, late = solve_eta(tabs, zeta)
-        late.update(blown)
-        members, tabs, P, zeta, eta = _drop(late, failures, members, tabs, P, zeta, eta)
+    zeta, blown = solve_zeta(tabs, P)
+    eta, late = solve_eta(tabs, zeta)
+    late.update(blown)
+    members, tabs, P, zeta, eta = _drop(late, failures, members, tabs, P, zeta, eta)
     values = np.array([[0.5 * float(x0 @ P[0, b, i] @ x0) + float(zeta[0, b, i] @ x0)
                         + float(eta[0, b, i]) for i in range(game.num_players)]
                        for b in range(len(members))]).reshape(-1, game.num_players)

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confgames import (InfeasibleTheta, StageTables, TimeGrid, cli, random_aq_game,
-                       solve_coupled_riccati, solve_eta, solve_stage_two, solve_zeta,
+from confgames import (InfeasibleTheta, TimeGrid, cli, random_aq_game, solve_stage_two,
                        value_gradient)
 from confgames import model as model_mod
-from confgames import odekit, riccati
+from confgames import odekit
 from confgames import solver as solver_mod
 from confgames.errors import BlowUpDetected
 from confgames.riccati import _solve_batch
@@ -209,28 +208,3 @@ def test_gradients_of_selected_members_equal_their_single_points(scenario, pe_ga
     assert np.array_equal(sub.values, batch.values[keep])
     for g, b in zip(_value_gradients(sub), keep):
         assert np.array_equal(g, value_gradient(game, thetas[b], grid=grid))
-
-
-@pytest.mark.parametrize("seed,state_dim", [(40, 2), (41, 3), (42, 4)])
-def test_drive_free_batch_skips_the_offset_passes(seed, state_dim, monkeypatch):
-    # the offsets and the value constants of a drive-free game vanish
-    # identically: the batch stores zeros, which are the bits the passes
-    # give, and its values are those the passes' arrays give
-    game = random_aq_game(seed, 2, state_dim, 1, affine=False)
-    lo, hi = np.array(game.theta_box).T
-    thetas = lo + (hi - lo) * np.array([[0.3, 0.6], [0.8, 0.2]])
-    grid = TimeGrid(game.horizon, 200)
-    tabs = StageTables(game, thetas, grid)
-    P, _ = solve_coupled_riccati(tabs)
-    zeta, _ = solve_zeta(tabs, P)
-    eta, _ = solve_eta(tabs, zeta)
-    for name in ("solve_zeta", "solve_eta"):
-        monkeypatch.setattr(riccati, name, None)
-    batch, failures = _solve_batch(game, thetas, grid)
-    assert not failures
-    assert np.array_equal(batch.zeta_nodes, zeta) and np.array_equal(batch.eta_nodes, eta)
-    x0 = game.x0
-    for b in range(len(thetas)):
-        expected = [0.5 * float(x0 @ P[0, b, i] @ x0) + float(zeta[0, b, i] @ x0)
-                    + float(eta[0, b, i]) for i in range(2)]
-        assert np.array_equal(batch.values[b], expected)

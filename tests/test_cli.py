@@ -424,6 +424,28 @@ class TestGradCheckBatches:
         assert ((tmp_path / "one" / "gradcheck.csv").read_bytes()
                 == (tmp_path / "many" / "gradcheck.csv").read_bytes())
 
+    def test_gradient_batches_keep_to_the_gradient_budget(self, tmp_path, monkeypatch):
+        # a one-player member holds 4 n^2 elements per node with its
+        # gradients and n^2 without: at this budget a values-only batch of
+        # 8 points holds 3 samples (points 0, 3 and 6) and a gradient batch
+        # 2 members
+        args = ["grad-check", "--set", "scenario=random", "--set", "random.players=1",
+                "--set", "random.state_dim=2", "--set", "gradcheck.samples=8"] + FAST
+        assert main(args + ["--out", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(cli, "BATCH_BUDGET", 8 * 4)
+        sizes = []
+        real = cli._value_gradients
+
+        def value_gradients(batch):
+            sizes.append(len(batch.members))
+            return real(batch)
+
+        monkeypatch.setattr(cli, "_value_gradients", value_gradients)
+        assert main(args + ["--out", str(tmp_path / "many")]) == 0
+        assert sum(sizes) == 8 and max(sizes) == 2
+        assert ((tmp_path / "one" / "gradcheck.csv").read_bytes()
+                == (tmp_path / "many" / "gradcheck.csv").read_bytes())
+
 
 class TestBaselineCommand:
     def test_positive_gap_for_naive_pursuer(self, tmp_path):
