@@ -259,14 +259,12 @@ def cmd_solve(cfg: RunConfig, outdir) -> int:
 
 # elements per grid node that the arrays of a batch of parameter points
 # (sweep lattice points, grad-check points) may hold, about 26 MB at 1000
-# steps.  The per-stage products that the passes read are formed in blocks
-# of at most odekit.BLOCK_ELEMS elements, so a batch's size is bounded by
-# what its members hold: a values-only member its value matrices at the
-# nodes, N n^2 (its offsets and constants are of lower order), and a
-# member whose gradients are taken also their samples at the stage times
-# (twice the nodes) and their path derivatives at the nodes, N^2 n^2.
-# Gradient batches then take 20 general-sum, 5 pursuit-evasion and 4
-# three-player random-game (n=6) members, values-only batches 100, 25 and 29
+# steps.  The passes form every stage-time array in blocks of at most
+# odekit.BLOCK_ELEMS elements, so a member holds its value matrices at the
+# nodes, N n^2 (offsets and constants are of lower order), and with its
+# gradients their path derivatives at the nodes, N^2 n^2.  Gradient batches
+# then take 33 general-sum, 8 pursuit-evasion and 7 three-player random-game
+# (n=6) members, values-only batches 100, 25 and 29
 BATCH_BUDGET = 3200
 
 
@@ -278,10 +276,10 @@ def _batches(points, game, gradients=True):
 
 def _batch_size(game, gradients=True):
     """Members per batch: BATCH_BUDGET // the elements per grid node that a
-    member holds, N n^2 (N + 3) with its gradients and N n^2 without, and
+    member holds, N n^2 (N + 1) with its gradients and N n^2 without, and
     at least one."""
     N, n = game.num_players, game.state_dim
-    return max(1, BATCH_BUDGET // (N * n * n * (N + 3 if gradients else 1)))
+    return max(1, BATCH_BUDGET // (N * n * n * (N + 1 if gradients else 1)))
 
 
 def cmd_sweep(cfg: RunConfig, outdir) -> int:

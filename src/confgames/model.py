@@ -208,6 +208,13 @@ class ConfigGame:
             if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
                 raise ValueError(f"empty or invalid parameter interval [{lo}, {hi}]")
         object.__setattr__(self, "theta_box", box)
+        corners = [np.array(corner) for corner in itertools.product(*box)]
+        regs = [(i, reg) for i, reg in enumerate(self.regularizers or ()) if reg is not None]
+        for (i, reg), theta in itertools.product(regs, [self.theta_mid, *corners]):
+            value, grad = (np.asarray(f(theta), dtype=float) for f in (reg.value, reg.grad))
+            if value.ndim or grad.size != N or not np.isfinite(np.append(grad, value)).all():
+                raise ValueError(f"regularizers[{i}] must give a finite scalar value and {N} "
+                                 f"finite gradient entries (fails at theta={theta.tolist()})")
 
         coefs = {"A": self.A, "c": self.c}
         for i in range(N):
@@ -221,7 +228,7 @@ class ConfigGame:
         self._check_control_costs(ts, table)
         self._check_declarations(coefs, ts, table)
         if self.zero_sum:
-            self._check_zero_sum_negation(ts, table)
+            self._check_zero_sum_negation(ts, table, corners)
         self._warn_if_state_cost_indefinite(ts, table)
 
     # -- construction-time spot checks on the table[name][s] = name(ts[s], theta_mid)
@@ -257,20 +264,19 @@ class ConfigGame:
                         raise ValueError(f"{name} changes with theta_{k}, which its "
                                          f"depends_on leaves out (t={ts[s]:.6g})")
 
-    def _check_zero_sum_negation(self, ts, table):
+    def _check_zero_sum_negation(self, ts, table, corners):
         """Reject zero-sum games the single-matrix solve would answer wrongly.
 
         That solve reads player 1's costs only and assumes no drive, so
         player 2's costs must be player 1's negated and c must vanish.  Q and
-        c are checked at theta_mid and at the box corners, R (which reads no
-        theta) at theta_mid.
+        c are checked at theta_mid and at the box ``corners``, R (which reads
+        no theta) at theta_mid.
         """
         def negated(m1, m2):
             return np.abs(m1 + m2).max() <= SYMMETRY_TOL * (1.0 + np.abs(m1).max())
 
         if not negated(self.Qf[0], self.Qf[1]):
             raise ValueError("zero-sum game needs Qf[1] = -Qf[0]")
-        corners = [np.array(corner) for corner in itertools.product(*self.theta_box)]
         spots = itertools.chain(
             zip(ts, itertools.repeat(self.theta_mid), table["Q[0]"], table["Q[1]"], table["c"]),
             ((t, th, self.Q[0](t, th), self.Q[1](t, th), self.c(t, th))

@@ -10,13 +10,12 @@ off the t=0 samples.  The pipeline runs on a batch of parameter vectors
 at once, every pass advancing all members as one stacked state; one
 parameter vector is the one-member batch.  Both game kinds keep one
 layout: a zero-sum game's single value matrix P is stored as the player
-stack (P, -P), and the batch derives every stage-time sample it lacks.
+stack (P, -P), and the stage-time samples are formed from the node arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,10 +53,8 @@ class StageTwoBatch:
     arrays are ``P_nodes`` (steps+1, B, N, n, n), ``zeta_nodes``
     (steps+1, B, N, n) and ``eta_nodes`` (steps+1, B, N).  A zero-sum batch
     solves a single value matrix P per member and stores it as the player
-    stack (P, -P), with no offset arrays (None).  The samples at the RK4
-    stage times (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are derived
-    from the node arrays on first use, for both game kinds; a zero-sum
-    batch's ``zeta_st`` and ``beta_st`` are exact zeros.
+    stack (P, -P), with no offset arrays (None).  No stage-time sample is
+    stored: value_rows and offset_rows form them at any stage rows.
     """
 
     tables: StageTables = field(repr=False)
@@ -67,23 +64,18 @@ class StageTwoBatch:
     zeta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
     eta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
 
-    @cached_property
-    def P_st(self) -> np.ndarray:
-        return stage_samples(self.P_nodes)
+    def value_rows(self, rows: slice):
+        """P (rows, B, N, n, n) and the closed-loop drift F (rows, B, n, n)
+        at the stage ``rows``."""
+        P = stage_samples(self.P_nodes, rows)
+        return P, _closed_loop(self.tables, P, rows)
 
-    @cached_property
-    def F_st(self) -> np.ndarray:
-        return _closed_loop(self.tables, self.P_st)
-
-    @cached_property
-    def zeta_st(self) -> np.ndarray:
-        if self.zeta_nodes is None:
-            return np.zeros(self.P_st.shape[:-1])
-        return stage_samples(self.zeta_nodes)
-
-    @cached_property
-    def beta_st(self) -> np.ndarray:
-        return _drive_residual(self.tables, self.zeta_st)
+    def offset_rows(self, rows: slice):
+        """zeta (rows, B, N, n) and the drive residual beta (rows, B, n) at
+        the stage ``rows``; a zero-sum batch's zeta is exact zeros."""
+        zeta = (np.zeros(self.tables.S_diag[rows].shape[:-1]) if self.zeta_nodes is None
+                else stage_samples(self.zeta_nodes, rows))
+        return zeta, _drive_residual(self.tables, zeta, rows)
 
     def select(self, keep) -> "StageTwoBatch":
         """The batch of the members at the positions ``keep``."""
@@ -105,8 +97,8 @@ class StageTwoSolution:
     ``P_nodes`` (steps+1, N, n, n), ``zeta_nodes`` (steps+1, N, n) and
     ``eta_nodes`` (steps+1, N); a zero-sum solution holds the stack
     (P, -P) and no offset arrays (None).  The samples at the RK4 stage
-    times (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are read from the
-    batch.
+    times (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are formed from
+    the batch's node arrays on each read.
     """
 
     values: np.ndarray
@@ -116,10 +108,10 @@ class StageTwoSolution:
     eta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
     batch: StageTwoBatch = field(default=None, repr=False, compare=False)
 
-    P_st = property(lambda self: self.batch.P_st[:, 0])
-    F_st = property(lambda self: self.batch.F_st[:, 0])
-    zeta_st = property(lambda self: self.batch.zeta_st[:, 0])
-    beta_st = property(lambda self: self.batch.beta_st[:, 0])
+    P_st = property(lambda self: stage_samples(self.P_nodes))
+    F_st = property(lambda self: self.batch.value_rows(slice(None))[1][:, 0])
+    zeta_st = property(lambda self: self.batch.offset_rows(slice(None))[0][:, 0])
+    beta_st = property(lambda self: self.batch.offset_rows(slice(None))[1][:, 0])
 
 
 def _closed_loop(tabs: StageTables, P_st, rows: slice = slice(None)):
@@ -381,7 +373,8 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution) -> TrajectoryRo
     _check_solution(solution, game, np.asarray(theta, dtype=float))
     tabs = solution.tables
     grid = tabs.grid
-    F_st, beta_st = solution.F_st, solution.beta_st
+    F_st = solution.batch.value_rows(slice(None))[1][:, 0]
+    zeta_st, beta_st = (a[:, 0] for a in solution.batch.offset_rows(slice(None)))
 
     def rhs(s, x):
         return F_st[s] @ x + beta_st[s]
@@ -389,8 +382,7 @@ def rollout(game: ConfigGame, theta, solution: StageTwoSolution) -> TrajectoryRo
     xs = integrate_forward(rhs, game.x0, grid)
     N = game.num_players
     R = [[Rij[0::2] for Rij in row] for row in tabs.R]
-    feedback = (np.einsum("tiab,tb->tia", solution.P_nodes, xs)
-                + solution.zeta_st[0::2])
+    feedback = np.einsum("tiab,tb->tia", solution.P_nodes, xs) + zeta_st[0::2]
     us = []
     for i in range(N):
         pre = np.einsum("tba,tb->ta", tabs.B[i][0::2, 0], feedback[:, i])

@@ -34,10 +34,9 @@ def _raise_first(blowups):
         raise blowups[min(blowups)]
 
 
-def _coupling_tables(tabs, P_st, rows):
+def _coupling_tables(tabs, P, rows):
     """H[.., i, j] = S^{ij} P^j - S^{jj} P^i at the stage ``rows`` and every
-    member (zero at j=i), (rows, B, N, N, n, n)."""
-    P = P_st[rows]
+    member (zero at j=i), (rows, B, N, N, n, n), from P at those rows."""
     H = np.einsum("m...ijab,m...jbc->m...ijac", _rows(_compact(tabs.S), rows), P,
                   optimize=True)
     H -= np.einsum("m...jab,m...ibc->m...ijac", _rows(_compact(tabs.S_diag), rows), P,
@@ -52,14 +51,13 @@ def _sandwich(X, D, Y):
     return X @ Y @ D if X.shape[-1] == 1 else X @ D @ Y
 
 
-def _p_forcing(tabs, P_st, rows):
+def _p_forcing(tabs, P, rows):
     """Forcing Q^i_k + P^k S^{ik}_k P^k - (P^i S^{kk}_k P^k + transpose) at
-    the stage ``rows``, (rows, B, K, N, n, n) with k on the third axis.
+    the stage ``rows`` of P, (rows, B, K, N, n, n) with k on the third axis.
 
     The mixed block is applied in symmetrized form so the path derivative
     stays a symmetric matrix, which is also its exact analytic value.
     """
-    P = P_st[rows]
     M, B, N, n = P.shape[:4]
     out = np.empty((M, B, N, N, n, n))
     for k in range(N):
@@ -75,18 +73,22 @@ def _p_forcing(tabs, P_st, rows):
 
 def _solve_p_pass(batch):
     """Node samples (steps+1, B, K, N, n, n) of the P-path derivatives; the
-    coupling and forcing are formed a block of stage rows at a time."""
-    tabs, P_st, F_st = batch.tables, batch.P_st, batch.F_st
-    B, N, n = P_st.shape[1:4]
-    size = tabs.coupling_elems
-    H_st = StageBlocks(lambda r: _coupling_tables(tabs, P_st, r), len(P_st), size)
-    forcing = StageBlocks(lambda r: _p_forcing(tabs, P_st, r), len(P_st), size)
+    drift, coupling and forcing are formed a block of stage rows at a time."""
+    tabs = batch.tables
+    B, N, n = batch.P_nodes.shape[1:4]
+
+    def block(r):
+        P, F = batch.value_rows(r)
+        return list(zip(F, _coupling_tables(tabs, P, r), _p_forcing(tabs, P, r)))
+
+    stage = StageBlocks(block, len(tabs.grid.stage_times), tabs.coupling_elems)
 
     def rhs(s, Y):
-        YF = Y @ F_st[s][:, None, None]
-        coup = (Y[:, :, None] @ H_st[s][:, None]).sum(axis=3)
+        F, H, forcing = stage[s]
+        YF = Y @ F[:, None, None]
+        coup = (Y[:, :, None] @ H[:, None]).sum(axis=3)
         part = YF + coup
-        return -(part + np.swapaxes(part, -1, -2) + forcing[s])
+        return -(part + np.swapaxes(part, -1, -2) + forcing)
 
     blowups = {}
     Pk = integrate_backward(rhs, np.zeros((B, N, N, n, n)), tabs.grid,
@@ -95,11 +97,11 @@ def _solve_p_pass(batch):
     return Pk
 
 
-def _zeta_forcing(batch, Pk_nodes, rows):
+def _zeta_forcing(batch, P_st, Pk_nodes, rows):
     """Vector forcing for the zeta-path derivatives at the stage ``rows``,
-    (rows, B, K, N, n)."""
+    (rows, B, K, N, n), from P at those rows."""
     tabs = batch.tables
-    z_st, beta_st, P_st = batch.zeta_st[rows], batch.beta_st[rows], batch.P_st[rows]
+    z_st, beta_st = batch.offset_rows(rows)
     Pk_st = stage_samples(Pk_nodes, rows)
     M, B, N, n = z_st.shape
     out = np.empty((M, B, N, N, n))
@@ -126,16 +128,20 @@ def _zeta_forcing(batch, Pk_nodes, rows):
 
 def _solve_zeta_pass(batch, Pk_nodes):
     """Node samples (steps+1, B, K, N, n) of the zeta-path derivatives; the
-    coupling and forcing are formed a block of stage rows at a time."""
-    tabs, P_st, F_st = batch.tables, batch.P_st, batch.F_st
-    B, N, n = P_st.shape[1:4]
-    size = tabs.coupling_elems
-    H_st = StageBlocks(lambda r: _coupling_tables(tabs, P_st, r), len(P_st), size)
-    forcing = StageBlocks(lambda r: _zeta_forcing(batch, Pk_nodes, r), len(P_st), size)
+    drift, coupling and forcing are formed a block of stage rows at a time."""
+    tabs = batch.tables
+    B, N, n = batch.P_nodes.shape[1:4]
+
+    def block(r):
+        P, F = batch.value_rows(r)
+        return list(zip(F, _coupling_tables(tabs, P, r), _zeta_forcing(batch, P, Pk_nodes, r)))
+
+    stage = StageBlocks(block, len(tabs.grid.stage_times), tabs.coupling_elems)
 
     def rhs(s, Z):
-        coup = np.matmul(Z[:, :, None, :, None, :], H_st[s][:, None])[..., 0, :].sum(axis=3)
-        return -(Z @ F_st[s][:, None] + coup + forcing[s])
+        F, H, forcing = stage[s]
+        coup = np.matmul(Z[:, :, None, :, None, :], H[:, None])[..., 0, :].sum(axis=3)
+        return -(Z @ F[:, None] + coup + forcing)
 
     blowups = {}
     zk = integrate_backward(rhs, np.zeros((B, N, N, n)), tabs.grid, blowups=blowups)
@@ -147,10 +153,10 @@ def _eta_integrand(batch, zk_nodes):
     """Scalar integrand stack (stage, member, k, i) for the eta-path
     derivatives, formed a block of stage rows at a time."""
     tabs = batch.tables
-    M, B, N, n = batch.zeta_st.shape
+    M, (B, N, n) = len(tabs.grid.stage_times), batch.zeta_nodes.shape[1:]
     out = np.empty((M, B, N, N))
     for rows in stage_blocks(M, tabs.coupling_elems):
-        z_st, beta_st = batch.zeta_st[rows], batch.beta_st[rows]
+        z_st, beta_st = batch.offset_rows(rows)
         zk_st = stage_samples(zk_nodes, rows)
         # sum_j zeta^j' S^ij zeta^j_k, members folded into the stage axis (see dense_S)
         S, z = tabs.dense_S(rows), z_st.reshape(-1, N, n)
@@ -205,24 +211,27 @@ def _zerosum_sensitivity(batch: StageTwoBatch):
 
     Differentiates the single-matrix equation directly: the linear system
     shares the closed-loop drift A + S_tilde P across components and is
-    forced by Q_k + P dS_tilde_k P.
+    forced by Q_k + P dS_tilde_k P, both formed a block of rows at a time.
     """
     tabs = batch.tables
     tabs.ensure_derivs()
-    P_st = stage_samples(batch.P_nodes[:, :, 0])
-    Fcl = tabs.A[:, None] + _zerosum_coupling(tabs) @ P_st
-    M, B, n = P_st.shape[:3]
+    B, n = batch.P_nodes.shape[1], batch.P_nodes.shape[-1]
+    Stilde = _zerosum_coupling(tabs)
+    dStilde = [sign * _compact(tabs.dS[k][k]) for k, sign in enumerate((-1.0, 1.0))]
 
-    forcing = np.empty((M, B, 2, n, n))
-    for k in range(2):
-        sign = -1.0 if k == 0 else 1.0
-        dStilde = np.broadcast_to(sign * _compact(tabs.dS[k][k]), P_st.shape)
-        np.add(tabs.dQ[k][0], np.einsum("m...ab,m...bc,m...cd->m...ad", P_st, dStilde, P_st,
-                                        optimize=True), out=forcing[:, :, k])
+    def block(r):
+        P = stage_samples(batch.P_nodes[:, :, 0], r)
+        forcing = [tabs.dQ[k][0][r] + np.einsum("m...ab,m...bc,m...cd->m...ad", P,
+                                                np.broadcast_to(_rows(dS, r), P.shape), P,
+                                                optimize=True) for k, dS in enumerate(dStilde)]
+        return list(zip(tabs.A[r, None] + Stilde[r] @ P, np.stack(forcing, axis=2)))
+
+    stage = StageBlocks(block, len(tabs.grid.stage_times), tabs.coupling_elems)
 
     def rhs(s, Y):
-        YF = Y @ Fcl[s][:, None]
-        return -(YF + np.swapaxes(YF, -1, -2) + forcing[s])
+        Fcl, forcing = stage[s]
+        YF = Y @ Fcl[:, None]
+        return -(YF + np.swapaxes(YF, -1, -2) + forcing)
 
     blowups = {}
     Pk = integrate_backward(rhs, np.zeros((B, 2, n, n)), tabs.grid, project_state=_sym_stack,

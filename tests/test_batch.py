@@ -151,25 +151,33 @@ def test_block_edges_inside_a_step_leave_every_number_unchanged(scenario, gs_gam
     assert np.array_equal(G3, G)
 
 
-def test_general_sum_batch_forms_no_coupling_product_at_full_length(gs_game):
-    # at 1000 steps one (2001, 9, 2, 2, 4, 4) product is 9.2 MB; with every
-    # product formed at full length the numpy peak of this batch was 56 MB
-    (lo1, hi1), (lo2, hi2) = gs_game.theta_box
-    thetas = [(t1, t2) for t1 in np.linspace(lo1, hi1, 3) for t2 in np.linspace(lo2, hi2, 3)]
+@pytest.mark.parametrize("scenario,bound", [("gs", 40e6), ("pe", 20e6)])
+def test_batch_forms_no_stage_product_at_full_length(scenario, bound, pe_game, gs_game):
+    # at 1000 steps one (2001, 9, 2, 2, 4, 4) general-sum product is 9.2 MB,
+    # and with every product formed at full length the numpy peak of the 9
+    # general-sum members was 56 MB; the 5 zero-sum members peaked at 46 MB
+    # while their sensitivity pass formed its drift and forcing at full length
+    game = gs_game if scenario == "gs" else pe_game
+    (lo1, hi1), (lo2, hi2) = game.theta_box
+    if scenario == "gs":
+        thetas = [(t1, t2) for t1 in np.linspace(lo1, hi1, 3) for t2 in np.linspace(lo2, hi2, 3)]
+    else:
+        thetas = np.column_stack([np.linspace(lo1, hi1, 5), np.linspace(hi2, lo2, 5)])
     tracemalloc.start()
     try:
-        solver_mod._evaluate_batch(gs_game, thetas, TimeGrid(gs_game.horizon, 1000))
+        solver_mod._evaluate_batch(game, thetas, TimeGrid(game.horizon, 1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40e6
+    assert peak <= bound
 
 
 def test_batch_budget_sizes_each_game(pe_game, gs_game):
     rand = _random_game(0, 3, 6, 2, True)
-    assert cli._batch_size(gs_game) == 20
-    assert cli._batch_size(pe_game) == 5
-    assert cli._batch_size(rand) == 4
+    # a gradient member holds N n^2 (N + 1) elements per grid node
+    assert cli._batch_size(gs_game) == 33
+    assert cli._batch_size(pe_game) == 8
+    assert cli._batch_size(rand) == 7
     assert cli._batch_size(gs_game, gradients=False) == 100
     assert cli._batch_size(pe_game, gradients=False) == 25
     # the 14 points of a two-sample grad-check make one batch

@@ -425,14 +425,14 @@ class TestGradCheckBatches:
                 == (tmp_path / "many" / "gradcheck.csv").read_bytes())
 
     def test_gradient_batches_keep_to_the_gradient_budget(self, tmp_path, monkeypatch):
-        # a one-player member holds 4 n^2 elements per node with its
-        # gradients and n^2 without: at this budget a values-only batch of
-        # 8 points holds 3 samples (points 0, 3 and 6) and a gradient batch
-        # 2 members
+        # a values-only batch of 8 points holds 3 samples (points 0, 3 and
+        # 6) and a gradient batch 2 members; BATCH_BUDGET's own count, N n^2
+        # (N + 1) per gradient member, never gives a values-only batch more
+        # samples than a gradient batch holds, so the sizes are set here
         args = ["grad-check", "--set", "scenario=random", "--set", "random.players=1",
                 "--set", "random.state_dim=2", "--set", "gradcheck.samples=8"] + FAST
         assert main(args + ["--out", str(tmp_path / "one")]) == 0
-        monkeypatch.setattr(cli, "BATCH_BUDGET", 8 * 4)
+        monkeypatch.setattr(cli, "_batch_size", lambda game, gradients=True: 2 if gradients else 8)
         sizes = []
         real = cli._value_gradients
 

@@ -9,10 +9,10 @@ import pytest
 
 import confgames
 from confgames import (ConfigGame, GeneralSumSpec, IndefiniteStateCostWarning, MatrixFn,
-                       PositiveDefinitenessViolation, PursuitEvasionSpec, SolverSettings,
-                       StageTables, TimeGrid, build_general_sum, build_pursuit_evasion,
-                       envelope_gradient, naive_baseline, random_aq_game, rollout,
-                       solve_stage_two, value_gradient)
+                       PositiveDefinitenessViolation, PursuitEvasionSpec, Regularizer,
+                       SolverSettings, StageTables, TimeGrid, build_general_sum,
+                       build_pursuit_evasion, envelope_gradient, naive_baseline,
+                       random_aq_game, rollout, solve_stage_two, value_gradient)
 from confgames import model as model_mod
 from confgames.riccati import _closed_loop
 from conftest import make_scalar_lqr, make_time_varying_game
@@ -391,6 +391,23 @@ class TestConfigGameValidation:
                  MatrixFn.constant(np.zeros((2, 2)))),
                 (MatrixFn.constant(np.zeros((1, 1))), MatrixFn.constant(np.eye(2))))},
          r"R\[0\]\[0\] must be parameter-independent"),
+        # a NaN value used to solve to NaN values with converged=True, and a
+        # gradient of the wrong size failed only at the first gradient
+        ({"regularizers": (Regularizer(lambda th: np.nan, lambda th: np.zeros(2)), None)},
+         r"regularizers\[0\] must give a finite scalar value and 2 finite gradient entries "
+         r"\(fails at theta=\[1.0, 1.0\]\)"),
+        ({"regularizers": (None, Regularizer(lambda th: 0.0, lambda th: 1.0))},
+         r"regularizers\[1\] must give .* 2 finite gradient entries"),
+        ({"regularizers": (None, Regularizer(lambda th: 0.0, lambda th: np.zeros(3)))},
+         r"regularizers\[1\] must give .* 2 finite gradient entries"),
+        ({"regularizers": (Regularizer(lambda th: th, lambda th: np.zeros(2)), None)},
+         r"regularizers\[0\] must give a finite scalar value"),
+        ({"regularizers": (Regularizer(lambda th: 0.0,
+                                       lambda th: np.where(th > 0.5, th, np.nan)), None)},
+         r"regularizers\[0\] .* \(fails at theta=\[0.5, 0.5\]\)"),
+        ({"regularizers": (None, Regularizer(lambda th: np.inf if th[1] == 1.5 else 0.0,
+                                             lambda th: th))},
+         r"regularizers\[1\] .* \(fails at theta=\[0.5, 1.5\]\)"),
     ])
     def test_inconsistent_input_named_at_build(self, change, match):
         # none of these checks ran in the test suite while the dimensions

@@ -103,9 +103,9 @@ class TestStageSamples:
         ("pe", {"_closed_loop": 1, "_drive_residual": 1, "stage_samples": 1}),
     ])
     def test_derived_once_per_solve(self, scenario, expected, pe_game, gs_game, monkeypatch):
-        # a solve holds no stage-time array at full length (its passes form
-        # them a block of stage rows at a time); its gradient and its
-        # rollout share one derivation of each
+        # neither a solve nor its gradient forms a stage-time array at full
+        # length (their passes form them a block of stage rows at a time);
+        # the rollout forms each of its own once
         calls = collections.Counter()
         for name in expected:
             def counted(*args, name=name, real=getattr(riccati, name)):
@@ -120,6 +120,7 @@ class TestStageSamples:
         sol = solve_stage_two(game, theta, grid)
         assert not calls
         value_gradient(game, theta, grid=grid, stage2=sol)
+        assert not calls
         rollout(game, theta, sol)
         assert calls == expected
 

@@ -1,5 +1,4 @@
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,9 +26,7 @@ def fd_gradient(game, theta, grid, h=1e-5):
 def general_stacks(stage2):
     """The P, zeta and eta path-derivative stacks (steps+1, N, ...) of a
     solution, from the general-sum core run on it as a one-member batch."""
-    one = SimpleNamespace(tables=stage2.tables, **{
-        name: getattr(stage2, name)[:, None] for name in ("P_st", "F_st", "zeta_st", "beta_st")})
-    return [a[:, 0] for a in _general_sensitivity(one)]
+    return [a[:, 0] for a in _general_sensitivity(stage2.batch)]
 
 
 def column_from_paths(game, theta, k, Pk, zk, ek):
