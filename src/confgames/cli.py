@@ -262,9 +262,10 @@ def cmd_solve(cfg: RunConfig, outdir) -> int:
 # steps.  The passes form every stage-time array in blocks of at most
 # odekit.BLOCK_ELEMS elements, so a member holds its value matrices at the
 # nodes, N n^2 (offsets and constants are of lower order), and with its
-# gradients their path derivatives at the nodes, N^2 n^2.  Gradient batches
-# then take 33 general-sum, 8 pursuit-evasion and 7 three-player random-game
-# (n=6) members, values-only batches 100, 25 and 29
+# gradients their path derivatives at the nodes, N^2 n^2, or N n^2 in a
+# zero-sum game (one derivative of its single P per parameter).  Gradient
+# batches then take 33 general-sum, 12 pursuit-evasion and 7 three-player
+# random-game (n=6) members, values-only batches 100, 25 and 29
 BATCH_BUDGET = 3200
 
 
@@ -276,10 +277,11 @@ def _batches(points, game, gradients=True):
 
 def _batch_size(game, gradients=True):
     """Members per batch: BATCH_BUDGET // the elements per grid node that a
-    member holds, N n^2 (N + 1) with its gradients and N n^2 without, and
-    at least one."""
+    member holds, N n^2 without its gradients and with them N n^2 (N + 1),
+    or N n^2 2 in a zero-sum game, and at least one."""
     N, n = game.num_players, game.state_dim
-    return max(1, BATCH_BUDGET // (N * n * n * (N + 1 if gradients else 1)))
+    copies = (2 if game.zero_sum else N + 1) if gradients else 1
+    return max(1, BATCH_BUDGET // (N * n * n * copies))
 
 
 def cmd_sweep(cfg: RunConfig, outdir) -> int:
@@ -369,15 +371,15 @@ def cmd_grad_check(cfg: RunConfig, outdir) -> int:
         batch, failures = _solve_batch(game, chunk, grid)
         # the gradients at the samples before the first failing point come
         # first, as a sample-by-sample run reaches them; they are taken on
-        # gradient batches of those samples, after the probes' node arrays
-        # are dropped
+        # the batch of those samples, after the probes' node arrays are
+        # dropped.  A values-only batch of c points holds at most
+        # ceil(c / (2N + 1)) samples, never more than a gradient batch takes
         first = min(failures, default=len(chunk))
         keep = [b for b in range(first) if (start + b) % width == 0]
-        values = batch.values
-        parts = [batch.select(part) for part in _batches(keep, game)] if keep else []
+        values, samples = batch.values, batch.select(keep)
         del batch
-        for part in parts:
-            G.extend(_value_gradients(part))
+        if keep:
+            G.extend(_value_gradients(samples))
         if failures:
             exc = failures[first]
             if (start + first) % width:

@@ -88,7 +88,7 @@ class StageTwoBatch:
 
 @dataclass(frozen=True)
 class StageTwoSolution:
-    """Equilibrium solution bundle at one parameter vector: member 0 of
+    """Equilibrium solution bundle at one parameter vector: a view of
     ``batch``, the one-member StageTwoBatch it was solved as.
 
     ``values`` holds the pure stage-two equilibrium costs (no first-stage
@@ -96,22 +96,20 @@ class StageTwoSolution:
     was solved at are those of ``tables``.  The paths are node arrays:
     ``P_nodes`` (steps+1, N, n, n), ``zeta_nodes`` (steps+1, N, n) and
     ``eta_nodes`` (steps+1, N); a zero-sum solution holds the stack
-    (P, -P) and no offset arrays (None).  The samples at the RK4 stage
-    times (``P_st``, ``F_st``, ``zeta_st``, ``beta_st``) are formed from
-    the batch's node arrays on each read.
+    (P, -P) and no offset arrays (None).  Each is a read-only attribute
+    viewing member 0 of the batch; the samples at the RK4 stage times are
+    read through the batch's value_rows and offset_rows.
     """
 
-    values: np.ndarray
-    tables: StageTables = field(repr=False, compare=False)
-    P_nodes: np.ndarray = field(repr=False)
-    zeta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
-    eta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
-    batch: StageTwoBatch = field(default=None, repr=False, compare=False)
+    batch: StageTwoBatch
 
-    P_st = property(lambda self: stage_samples(self.P_nodes))
-    F_st = property(lambda self: self.batch.value_rows(slice(None))[1][:, 0])
-    zeta_st = property(lambda self: self.batch.offset_rows(slice(None))[0][:, 0])
-    beta_st = property(lambda self: self.batch.offset_rows(slice(None))[1][:, 0])
+    values = property(lambda self: self.batch.values[0])
+    tables = property(lambda self: self.batch.tables)
+    P_nodes = property(lambda self: self.batch.P_nodes[:, 0])
+    zeta_nodes = property(lambda self: None if self.batch.zeta_nodes is None
+                          else self.batch.zeta_nodes[:, 0])
+    eta_nodes = property(lambda self: None if self.batch.eta_nodes is None
+                         else self.batch.eta_nodes[:, 0])
 
 
 def _closed_loop(tabs: StageTables, P_st, rows: slice = slice(None)):
@@ -348,10 +346,7 @@ def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoS
     batch, failures = _solve_batch(game, np.asarray(theta, dtype=float)[None], grid)
     if failures:
         raise failures[0]
-    zeta, eta = (None if a is None else a[:, 0] for a in (batch.zeta_nodes, batch.eta_nodes))
-    return StageTwoSolution(values=batch.values[0], tables=batch.tables,
-                            P_nodes=batch.P_nodes[:, 0], zeta_nodes=zeta, eta_nodes=eta,
-                            batch=batch)
+    return StageTwoSolution(batch)
 
 
 def stage_one_costs(solution: StageTwoSolution) -> np.ndarray:

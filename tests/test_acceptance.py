@@ -133,7 +133,7 @@ def test_criterion_04_offsets_vanish_without_drive(pe_game):
                           TimeGrid(pe_game.horizon, 1000))
     # a zero-sum solution stores no offsets; its stage samples read as zeros
     assert sol.zeta_nodes is None and sol.eta_nodes is None
-    worst = max(worst, float(np.abs(sol.zeta_st).max()))
+    worst = max(worst, float(np.abs(sol.batch.offset_rows(slice(None))[0]).max()))
     game = random_aq_game(12, 2, 3, 1, affine=False)
     sol = solve_stage_two(game, np.array([1.0, 1.0]), TimeGrid(1.0, 1000))
     worst = max(worst, float(np.abs(sol.zeta_nodes).max()),

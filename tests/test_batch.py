@@ -174,9 +174,10 @@ def test_batch_forms_no_stage_product_at_full_length(scenario, bound, pe_game, g
 
 def test_batch_budget_sizes_each_game(pe_game, gs_game):
     rand = _random_game(0, 3, 6, 2, True)
-    # a gradient member holds N n^2 (N + 1) elements per grid node
+    # a gradient member holds N n^2 (N + 1) elements per grid node, a
+    # zero-sum one N n^2 2: the stack (P, -P) and its two path derivatives
     assert cli._batch_size(gs_game) == 33
-    assert cli._batch_size(pe_game) == 8
+    assert cli._batch_size(pe_game) == 12
     assert cli._batch_size(rand) == 7
     assert cli._batch_size(gs_game, gradients=False) == 100
     assert cli._batch_size(pe_game, gradients=False) == 25

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from confgames import cli, recommended_settings
+from confgames import cli, random_aq_game, recommended_settings
 from confgames.cli import KNOWN_KEYS, load_config, main
 from confgames.errors import (BlowUpDetected, ConfigError, InfeasibleTheta,
                               NumericalFailure)
@@ -424,27 +424,19 @@ class TestGradCheckBatches:
         assert ((tmp_path / "one" / "gradcheck.csv").read_bytes()
                 == (tmp_path / "many" / "gradcheck.csv").read_bytes())
 
-    def test_gradient_batches_keep_to_the_gradient_budget(self, tmp_path, monkeypatch):
-        # a values-only batch of 8 points holds 3 samples (points 0, 3 and
-        # 6) and a gradient batch 2 members; BATCH_BUDGET's own count, N n^2
-        # (N + 1) per gradient member, never gives a values-only batch more
-        # samples than a gradient batch holds, so the sizes are set here
-        args = ["grad-check", "--set", "scenario=random", "--set", "random.players=1",
-                "--set", "random.state_dim=2", "--set", "gradcheck.samples=8"] + FAST
-        assert main(args + ["--out", str(tmp_path / "one")]) == 0
-        monkeypatch.setattr(cli, "_batch_size", lambda game, gradients=True: 2 if gradients else 8)
-        sizes = []
-        real = cli._value_gradients
-
-        def value_gradients(batch):
-            sizes.append(len(batch.members))
-            return real(batch)
-
-        monkeypatch.setattr(cli, "_value_gradients", value_gradients)
-        assert main(args + ["--out", str(tmp_path / "many")]) == 0
-        assert sum(sizes) == 8 and max(sizes) == 2
-        assert ((tmp_path / "one" / "gradcheck.csv").read_bytes()
-                == (tmp_path / "many" / "gradcheck.csv").read_bytes())
+    def test_values_only_batch_never_holds_more_samples_than_a_gradient_batch(
+            self, pe_game, gs_game):
+        # grad-check takes the gradients of each values-only batch's samples
+        # as one batch; with the real budget no values-only batch of any
+        # check the CLI accepts holds more samples than a gradient batch takes
+        games = [pe_game, gs_game]
+        games += [random_aq_game(0, N, n) for N in (1, 2, 3) for n in range(1, 7)]
+        for game in games:
+            width = 2 * game.num_players + 1
+            for samples in range(1, 300):
+                points = np.arange(samples * width)
+                for chunk in cli._batches(points, game, gradients=False):
+                    assert np.count_nonzero(chunk % width == 0) <= cli._batch_size(game)
 
 
 class TestBaselineCommand:

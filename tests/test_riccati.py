@@ -63,7 +63,7 @@ class TestCoupledRiccati:
 class TestAffinePasses:
     def test_offsets_vanish_without_drive(self, pe_game, pe_grid):
         sol = solve_stage_two(pe_game, np.array([0.4, 0.9]), pe_grid)
-        assert np.abs(sol.zeta_st).max() <= 1e-12
+        assert np.abs(sol.batch.offset_rows(slice(None))[0]).max() <= 1e-12
 
     def test_offsets_vanish_when_value_matrix_zero(self):
         # no control authority, no state cost, but a unit drive
@@ -88,13 +88,14 @@ class TestAffinePasses:
     def test_drive_residual_recomputation(self, gs_game, gs_grid):
         theta = np.array([0.8, 0.9])
         sol = solve_stage_two(gs_game, theta, gs_grid)
+        beta = sol.batch.offset_rows(slice(None))[1]
         for j, t in enumerate(gs_grid.nodes):
             expected = gs_game.c(t, theta).copy()
             for i in range(2):
                 Bi = gs_game.B[i](t, theta)
                 S_ii = Bi @ np.linalg.solve(gs_game.R[i][i](t, theta), Bi.T)
                 expected -= S_ii @ sol.zeta_nodes[j, i]
-            assert np.abs(sol.beta_st[2 * j] - expected).max() <= 1e-10
+            assert np.abs(beta[2 * j, 0] - expected).max() <= 1e-10
 
 
 class TestStageSamples:
@@ -123,6 +124,26 @@ class TestStageSamples:
         assert not calls
         rollout(game, theta, sol)
         assert calls == expected
+
+
+class TestSolutionIsItsBatch:
+    def test_batch_is_the_only_field(self):
+        fields = [f.name for f in dataclasses.fields(riccati.StageTwoSolution)]
+        assert fields == ["batch"]
+
+    @pytest.mark.parametrize("scenario", ["pe", "gs"])
+    def test_node_arrays_view_the_batch(self, scenario, pe_game, gs_game):
+        game = gs_game if scenario == "gs" else pe_game
+        sol = solve_stage_two(game, np.array([0.7, 0.9]), TimeGrid(game.horizon, 50))
+        batch = sol.batch
+        assert np.shares_memory(sol.P_nodes, batch.P_nodes)
+        assert np.shares_memory(sol.values, batch.values)
+        for name in ("zeta_nodes", "eta_nodes"):
+            view = getattr(sol, name)
+            assert (view is None) == (scenario == "pe")
+            if view is not None:
+                assert np.shares_memory(view, getattr(batch, name))
+        assert sol.tables is batch.tables
 
 
 class TestZeroSum:
@@ -161,9 +182,10 @@ class TestZeroSum:
         sol = solve_stage_two(pe_game, np.array([0.4, 0.9]), pe_grid)
         assert sol.zeta_nodes is None and sol.eta_nodes is None
         assert np.array_equal(sol.P_nodes[:, 1], -sol.P_nodes[:, 0])
-        assert sol.zeta_st.shape == (2 * pe_grid.steps + 1, 2, 8)
-        assert not sol.zeta_st.any()
-        assert not sol.beta_st.any()
+        zeta, beta = sol.batch.offset_rows(slice(None))
+        assert zeta.shape == (2 * pe_grid.steps + 1, 1, 2, 8)
+        assert not zeta.any()
+        assert not beta.any()
         x0 = pe_game.x0
         assert 0.5 * float(x0 @ sol.P_nodes[0, 0] @ x0) == stage_one_costs(sol)[0]
 
