@@ -26,11 +26,10 @@ from . import __version__
 from .errors import (BestResponseStalled, BlowUpDetected, ConfGamesError,
                      ConfigError, InfeasibleTheta)
 from .model import ConfigGame
-from .riccati import DEFAULT_STEPS, _solve_batch, default_grid
+from .riccati import DEFAULT_STEPS, default_grid
 from .scenarios import (GeneralSumSpec, PursuitEvasionSpec, build_general_sum,
                         build_pursuit_evasion, random_aq_game,
                         recommended_settings)
-from .sensitivity import _value_gradients
 from .solver import SolverSettings, _evaluate_batch, ibr_solve, naive_baseline
 
 PER_SCENARIO = object()
@@ -257,33 +256,6 @@ def cmd_solve(cfg: RunConfig, outdir) -> int:
     return exit_code
 
 
-# elements per grid node that the arrays of a batch of parameter points
-# (sweep lattice points, grad-check points) may hold, about 26 MB at 1000
-# steps.  The passes form every stage-time array in blocks of at most
-# odekit.BLOCK_ELEMS elements, so a member holds its value matrices at the
-# nodes, N n^2 (offsets and constants are of lower order), and with its
-# gradients their path derivatives at the nodes, N^2 n^2, or N n^2 in a
-# zero-sum game (one derivative of its single P per parameter).  Gradient
-# batches then take 33 general-sum, 12 pursuit-evasion and 7 three-player
-# random-game (n=6) members, values-only batches 100, 25 and 29
-BATCH_BUDGET = 3200
-
-
-def _batches(points, game, gradients=True):
-    """Consecutive batches of near-equal size, at most _batch_size(game,
-    gradients) points each."""
-    return np.array_split(np.asarray(points), -(-len(points) // _batch_size(game, gradients)))
-
-
-def _batch_size(game, gradients=True):
-    """Members per batch: BATCH_BUDGET // the elements per grid node that a
-    member holds, N n^2 without its gradients and with them N n^2 (N + 1),
-    or N n^2 2 in a zero-sum game, and at least one."""
-    N, n = game.num_players, game.state_dim
-    copies = (2 if game.zero_sum else N + 1) if gradients else 1
-    return max(1, BATCH_BUDGET // (N * n * n * copies))
-
-
 def cmd_sweep(cfg: RunConfig, outdir) -> int:
     game = cfg.build_game()
     if game.num_players != 2:
@@ -304,14 +276,13 @@ def cmd_sweep(cfg: RunConfig, outdir) -> int:
     points = np.array([(t1, t2) for t1 in axes[0] for t2 in axes[1]])
 
     rows = []
-    for batch in _batches(points, game):
-        for theta, result in zip(batch, _evaluate_batch(game, batch, grid)):
-            if isinstance(result, InfeasibleTheta):
-                nan = float("nan")
-                rows.append((theta[0], theta[1], nan, nan, nan, nan, 0))
-            else:
-                costs, own = result
-                rows.append((theta[0], theta[1], costs[0], costs[1], own[0], own[1], 1))
+    for theta, result in zip(points, _evaluate_batch(game, points, grid)):
+        if isinstance(result, InfeasibleTheta):
+            nan = float("nan")
+            rows.append((theta[0], theta[1], nan, nan, nan, nan, 0))
+        else:
+            costs, G = result
+            rows.append((theta[0], theta[1], costs[0], costs[1], G[0, 0], G[1, 1], 1))
 
     header = ["theta1", "theta2", "J1", "J2", "dJ1_dtheta1", "dJ2_dtheta2", "feasible"]
     write_csv(os.path.join(outdir, "landscape.csv"), meta, header, rows)
@@ -333,29 +304,32 @@ def gradcheck_rel_err(ode_value: float, fd_value: float,
 
 
 def cmd_grad_check(cfg: RunConfig, outdir) -> int:
-    h = cfg["gradcheck.step"]
-    if not h > 0:
-        raise ConfigError("gradcheck.step must be positive")
     if cfg["gradcheck.samples"] < 1:
         raise ConfigError("gradcheck.samples must be at least 1")
     if not cfg["gradcheck.tolerance"] >= 0:
         raise ConfigError("gradcheck.tolerance must be nonnegative")
     game = cfg.build_game()
     N = game.num_players
+    lo = np.array([b[0] for b in game.theta_box])
+    hi = np.array([b[1] for b in game.theta_box])
+    span = hi - lo
+    # the samples sit a tenth of each interval inside the box, so their
+    # probes theta_s +- h e_k stay in it
+    h = cfg["gradcheck.step"]
+    if not 0 < h <= 0.1 * span.min():
+        raise ConfigError(f"gradcheck.step must be positive and at most {0.1 * span.min():.6g}, "
+                          "a tenth of the narrowest parameter interval")
     meta = cfg.metadata()
     meta["command"] = "grad-check"
     grid = default_grid(game, cfg["grid_steps"])
     rng = np.random.default_rng(cfg["gradcheck.seed"])
     tol = cfg["gradcheck.tolerance"]
     corrupt = cfg["gradcheck.corrupt"]
-
-    lo = np.array([b[0] for b in game.theta_box])
-    hi = np.array([b[1] for b in game.theta_box])
-    span = hi - lo
     inner_lo = lo + 0.1 * span
     inner_hi = hi - 0.1 * span
 
-    # sample s is point s (2N + 1), followed by its probes theta_s +- h e_k
+    # sample s is point s (2N + 1), followed by its probes theta_s +- h e_k;
+    # the gradients are taken at the samples only
     width = 2 * N + 1
     thetas = [inner_lo + rng.random(N) * (inner_hi - inner_lo)
               for _ in range(cfg["gradcheck.samples"])]
@@ -364,35 +338,16 @@ def cmd_grad_check(cfg: RunConfig, outdir) -> int:
         points.append(theta)
         for e in h * np.eye(N):
             points += [theta + e, theta - e]
-    J = np.empty((len(points), N))
-    G = []
-    start = 0
-    for chunk in _batches(points, game, gradients=False):
-        batch, failures = _solve_batch(game, chunk, grid)
-        # the gradients at the samples before the first failing point come
-        # first, as a sample-by-sample run reaches them; they are taken on
-        # the batch of those samples, after the probes' node arrays are
-        # dropped.  A values-only batch of c points holds at most
-        # ceil(c / (2N + 1)) samples, never more than a gradient batch takes
-        first = min(failures, default=len(chunk))
-        keep = [b for b in range(first) if (start + b) % width == 0]
-        values, samples = batch.values, batch.select(keep)
-        del batch
-        if keep:
-            G.extend(_value_gradients(samples))
-        if failures:
-            exc = failures[first]
-            if (start + first) % width:
-                raise exc
-            raise InfeasibleTheta(chunk[first], time=exc.time, player=exc.player)
-        J[start:start + len(chunk)] = values + [game.regularizer_values(p) for p in chunk]
-        start += len(chunk)
+    results = _evaluate_batch(game, points, grid, gradients=np.arange(len(points)) % width == 0)
+    for result in results:
+        if isinstance(result, InfeasibleTheta):
+            raise result
 
     rows = []
     worst = 0.0
     for s, theta in enumerate(thetas):
-        Gs = G[s] + corrupt
-        Js = J[s * width + 1:(s + 1) * width]
+        Gs = results[s * width][1] + corrupt
+        Js = [costs for costs, _ in results[s * width + 1:(s + 1) * width]]
         for k in range(N):
             fd = (Js[2 * k] - Js[2 * k + 1]) / (2 * h)
             for i in range(N):

@@ -12,22 +12,19 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import GenerationFailed
+from .errors import GenerationFailed, InfeasibleTheta
 from .model import ConfigGame, MatrixFn, Regularizer, _require_finite
 from .odekit import TimeGrid
-from .riccati import _solve_batch, default_grid
-from .solver import SolverSettings
+from .riccati import default_grid
+from .solver import SolverSettings, _evaluate_batch
 
 
 def _first_blowup(game: ConfigGame, thetas, grid: TimeGrid):
-    """The first (theta, BlowUpDetected) among ``thetas`` whose stage-two
-    solve on ``grid`` blows up, or None when every one stays bounded; the
-    probes are solved as one batch."""
-    failures = _solve_batch(game, np.array(thetas, dtype=float), grid)[1]
-    if not failures:
-        return None
-    first = min(failures)
-    return thetas[first], failures[first]
+    """The InfeasibleTheta of the first of ``thetas`` whose stage-two solve
+    on ``grid`` blows up, or None when every one stays bounded; the probes
+    are solved in batches, with no gradients."""
+    results = _evaluate_batch(game, thetas, grid, gradients=[False] * len(thetas))
+    return next((r for r in results if isinstance(r, InfeasibleTheta)), None)
 
 
 def _check_box_corners(game: ConfigGame, what: str):
@@ -36,8 +33,8 @@ def _check_box_corners(game: ConfigGame, what: str):
     corners = [(t1, t2) for t1 in game.theta_box[0] for t2 in game.theta_box[1]]
     blowup = _first_blowup(game, corners, default_grid(game, 500))
     if blowup is not None:
-        (t1, t2), exc = blowup
-        raise ValueError(f"{what} diverges near t={exc.time:.4g} at "
+        t1, t2 = blowup.theta
+        raise ValueError(f"{what} diverges near t={blowup.time:.4g} at "
                          f"theta=({t1:.4g}, {t2:.4g})")
 
 

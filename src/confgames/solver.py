@@ -116,21 +116,67 @@ def _evaluate(game, theta, grid):
     return costs, np.diag(G).copy()
 
 
-def _evaluate_batch(game, thetas, grid):
-    """``_evaluate`` at every row of ``thetas``, solved as one batch.
+# elements per grid node that the arrays of a batch of parameter points may
+# hold, about 26 MB at 1000 steps.  The passes form every stage-time array
+# in blocks of at most odekit.BLOCK_ELEMS elements, so a member holds its
+# value matrices at the nodes, N n^2 (offsets and constants are of lower
+# order), and while its gradients are taken their path derivatives at the
+# nodes too, N n^2 (N + 1) in all, or N n^2 2 in a zero-sum game (the stack
+# (P, -P) and one derivative of P per parameter).  A batch whose every
+# member's gradients are taken then holds 33 general-sum, 12
+# pursuit-evasion and 7 three-player random-game (n=6) members, one whose
+# gradients are not 100, 25 and 29
+BATCH_BUDGET = 3200
 
-    Returns one entry per row: its (costs, own-gradients), or the
-    InfeasibleTheta of a point with no bounded stage-two solution.  The
-    entries equal the single-point evaluations bit for bit.
+
+def _batches(gradients, game):
+    """Consecutive slices that tile the rows of the mask ``gradients`` (True
+    where a row's gradients are taken), each as long as both of its counts
+    stay within BATCH_BUDGET: N n^2 per row while the batch is solved, and
+    N n^2 (N + 1), or N n^2 2 in a zero-sum game, per asked row while the
+    gradients are taken.  A single row is a slice even when it exceeds the
+    budget."""
+    N, n = game.num_players, game.state_dim
+    solved = N * n * n
+    asked = solved * (2 if game.zero_sum else N + 1)
+    slices, start, count = [], 0, 0
+    for row, ask in enumerate(np.asarray(gradients, bool)):
+        if row > start and max((row + 1 - start) * solved, (count + ask) * asked) > BATCH_BUDGET:
+            slices.append(slice(start, row))
+            start, count = row, 0
+        count += ask
+    return slices + [slice(start, len(gradients))] if len(gradients) else []
+
+
+def _evaluate_batch(game, thetas, grid, gradients=None):
+    """First-stage costs at every row of ``thetas``, and the gradient matrix
+    G at the rows that the mask ``gradients`` asks for (every row by
+    default), solved in the batches of ``_batches``.
+
+    Returns one entry per row: (costs, G), with G None at a row not asked
+    for, or the InfeasibleTheta of a point with no bounded stage-two
+    solution.  The node arrays of the members not asked for are dropped
+    before the gradients are taken.  The entries equal the single-point
+    evaluations (``stage_one_costs``, ``value_gradient``) bit for bit.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    batch, failures = _solve_batch(game, thetas, grid)
-    out = {b: InfeasibleTheta(thetas[b], time=exc.time, player=exc.player)
-           for b, exc in failures.items()}
-    G = _value_gradients(batch) if len(batch.members) else []
-    for b, values, theta, Gb in zip(batch.members, batch.values, batch.tables.thetas, G):
-        out[b] = (values + game.regularizer_values(theta), np.diag(Gb).copy())
-    return [out[b] for b in range(len(thetas))]
+    asked = np.ones(len(thetas), bool) if gradients is None else np.asarray(gradients, bool)
+    out = {}
+    for rows in _batches(asked, game):
+        batch, failures = _solve_batch(game, thetas[rows], grid)
+        for b, exc in failures.items():
+            out[rows.start + b] = InfeasibleTheta(thetas[rows.start + b], time=exc.time,
+                                                  player=exc.player)
+        members = rows.start + batch.members
+        for r, values, theta in zip(members, batch.values, batch.tables.thetas):
+            out[r] = (values + game.regularizer_values(theta), None)
+        keep = np.flatnonzero(asked[members])
+        if len(keep):
+            batch = batch if len(keep) == len(members) else batch.select(keep)
+            for r, G in zip(members[keep], _value_gradients(batch)):
+                out[r] = (out[r][0], G)
+        del batch  # before the next slice is solved
+    return [out[r] for r in range(len(thetas))]
 
 
 def _descend(game, theta, i, settings, grid, costs, own, sweep, records):

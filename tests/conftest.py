@@ -136,11 +136,13 @@ def _timed(fn, *args):
 
 
 @pytest.fixture(scope="session")
-def pe_ibr_runs(pe_game, pe_settings):
-    """IBR traces from the two canonical starts, with wall time."""
-    a, ta = _timed(ibr_solve, pe_game, np.array([0.2, 1.2]), pe_settings)
+def pe_ibr_runs(pe_game, pe_settings, pe_baseline_result):
+    """IBR traces from the two canonical starts, with wall time.  The run
+    from (0.2, 1.2) is the one the naive baseline made, so its seconds
+    include the baseline's naive rounds."""
     b, tb = _timed(ibr_solve, pe_game, np.array([1.2, 0.2]), pe_settings)
-    return SimpleNamespace(a=a, b=b, seconds=ta + tb)
+    return SimpleNamespace(a=pe_baseline_result.result.ibr_trace, b=b,
+                           seconds=pe_baseline_result.seconds + tb)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confgames import (InfeasibleTheta, TimeGrid, cli, random_aq_game, solve_stage_two,
-                       value_gradient)
+                       stage_one_costs, value_gradient)
 from confgames import model as model_mod
 from confgames import odekit
 from confgames import solver as solver_mod
@@ -76,7 +76,7 @@ def test_diverged_member_leaves_the_others_unchanged(gs_game):
     for b in (0, 2):
         costs, own = solver_mod._evaluate(game, thetas[b], grid)
         assert np.array_equal(results[b][0], costs)
-        assert np.array_equal(results[b][1], own)
+        assert np.array_equal(np.diag(results[b][1]), own)
     with pytest.raises(BlowUpDetected) as single:
         solve_stage_two(game, thetas[1], grid)
     diverged = results[1]
@@ -109,8 +109,9 @@ def test_theta_free_coefficients_sampled_once_per_batch(members, gs_game, monkey
 
 def test_lattice_over_several_batches_matches_point_evaluations(tmp_path, monkeypatch,
                                                                 gs_game):
-    # four general-sum members per batch (N^2 n^2 = 64): batches of 3, 3, 3
-    monkeypatch.setattr(cli, "BATCH_BUDGET", 4 * 64)
+    # two general-sum members per batch (N n^2 (N + 1) = 96): batches of 2,
+    # 2, 2, 2, 1
+    monkeypatch.setattr(solver_mod, "BATCH_BUDGET", 2 * 96)
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "--set", "scenario=general_sum", "--set", "sweep.grid=3",
                      "--set", "grid_steps=60", "--out", str(out)]) == 0
@@ -174,15 +175,86 @@ def test_batch_forms_no_stage_product_at_full_length(scenario, bound, pe_game, g
 
 def test_batch_budget_sizes_each_game(pe_game, gs_game):
     rand = _random_game(0, 3, 6, 2, True)
+
+    def first_size(game, gradients):
+        rows = solver_mod._batches([gradients] * 200, game)[0]
+        return rows.stop - rows.start
+
     # a gradient member holds N n^2 (N + 1) elements per grid node, a
     # zero-sum one N n^2 2: the stack (P, -P) and its two path derivatives
-    assert cli._batch_size(gs_game) == 33
-    assert cli._batch_size(pe_game) == 12
-    assert cli._batch_size(rand) == 7
-    assert cli._batch_size(gs_game, gradients=False) == 100
-    assert cli._batch_size(pe_game, gradients=False) == 25
+    assert first_size(gs_game, True) == 33
+    assert first_size(pe_game, True) == 12
+    assert first_size(rand, True) == 7
+    assert first_size(gs_game, False) == 100
+    assert first_size(pe_game, False) == 25
     # the 14 points of a two-sample grad-check make one batch
-    assert cli._batch_size(rand, gradients=False) == 29
+    assert first_size(rand, False) == 29
+    assert solver_mod._batches([True, False] + [False] * 12, rand) == [slice(0, 14)]
+
+
+def test_batches_tile_the_rows_within_budget(pe_game, gs_game):
+    # each slice holds at most BATCH_BUDGET elements per grid node while it
+    # is solved (N n^2 per row) and while its asked rows' gradients are
+    # taken, unless it is one row, and the next row would break a count
+    games = [pe_game, gs_game]
+    games += [_random_game(0, N, n, 1, True) for N in (1, 2, 3) for n in range(1, 7)]
+    rng = np.random.default_rng(0)
+    budget = solver_mod.BATCH_BUDGET
+    for game in games:
+        N, n = game.num_players, game.state_dim
+        solved = N * n * n
+        asked = solved * (2 if game.zero_sum else N + 1)
+        width = 2 * N + 1
+        for rows in (1, 2, 3, 299):
+            for mask in (np.ones(rows, bool), np.zeros(rows, bool),
+                         np.arange(rows) % width == 0, rng.random(rows) < 0.3):
+                slices = solver_mod._batches(mask, game)
+                assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
+                assert slices[-1].stop == rows
+                for s in slices:
+                    size = s.stop - s.start
+                    assert size >= 1
+                    if size > 1:
+                        assert size * solved <= budget
+                        assert np.count_nonzero(mask[s]) * asked <= budget
+                    if s.stop < rows:
+                        assert max((size + 1) * solved,
+                                   np.count_nonzero(mask[s.start:s.stop + 1]) * asked) > budget
+
+
+@pytest.mark.parametrize("scenario", ["gs", "rand"])
+def test_masked_evaluation_equals_single_points(scenario, gs_game, monkeypatch):
+    # on this longer general-sum horizon (1.2, 0.8) has no bounded
+    # equilibrium; a budget of one gradient member puts each asked row in a
+    # batch of its own
+    if scenario == "gs":
+        game = dataclasses.replace(gs_game, horizon=0.8)
+        thetas = np.array([[0.2, 0.2], [1.2, 0.8], [0.5, 0.5], [0.9, 0.3], [1.2, 0.8]])
+    else:
+        game = _random_game(0, 3, 6, 2, True)
+        lo, hi = np.array(game.theta_box).T
+        thetas = lo + (hi - lo) * np.random.default_rng(2).uniform(0.1, 0.9, (5, 3))
+    N, n = game.num_players, game.state_dim
+    monkeypatch.setattr(solver_mod, "BATCH_BUDGET", N * n * n * (N + 1))
+    grid = TimeGrid(game.horizon, 200)
+    mask = [True, False, True, False, True]
+    results = solver_mod._evaluate_batch(game, thetas, grid, gradients=mask)
+    for theta, ask, result in zip(thetas, mask, results):
+        try:
+            single = solve_stage_two(game, theta, grid)
+        except BlowUpDetected as exc:
+            assert isinstance(result, InfeasibleTheta)
+            assert result.theta == tuple(theta)
+            assert (result.time, result.player) == (exc.time, exc.player)
+            continue
+        costs, G = result
+        assert np.array_equal(costs, stage_one_costs(single))
+        if ask:
+            assert np.array_equal(G, value_gradient(game, theta, grid=grid, stage2=single))
+        else:
+            assert G is None
+    if scenario == "gs":
+        assert [type(r) for r in results[1::3]] == [InfeasibleTheta] * 2
 
 
 def test_values_only_batch_holds_its_node_arrays_only():

@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from confgames import cli, random_aq_game, recommended_settings
+from confgames import cli, recommended_settings
+from confgames import solver as solver_mod
 from confgames.cli import KNOWN_KEYS, load_config, main
 from confgames.errors import (BlowUpDetected, ConfigError, InfeasibleTheta,
                               NumericalFailure)
@@ -35,7 +37,7 @@ def fault_at_corner(error):
         out = []
         for theta in thetas:
             if tuple(theta) != (game.theta_box[0][0], game.theta_box[1][1]):
-                out.append((np.array([1.0, -1.0]), np.array([0.5, -0.5])))
+                out.append((np.array([1.0, -1.0]), np.array([[0.5, 0.0], [0.0, -0.5]])))
             elif isinstance(error, InfeasibleTheta):
                 out.append(error)
             else:
@@ -349,6 +351,19 @@ class TestGradCheckCommand:
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (out / "gradcheck.csv").exists()
 
+    @pytest.mark.parametrize("step", ["0.5", "inf"])
+    def test_step_that_leaves_the_box_is_a_config_error(self, tmp_path, capsys, step):
+        # the samples sit a tenth of each interval inside the box; 0.5 used
+        # to exit 1 naming a probe outside the box, and inf to warn first
+        out = tmp_path / "gc"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["grad-check", "--set", f"gradcheck.step={step}",
+                         "--out", str(out)] + FAST)
+        assert code == 1
+        assert "gradcheck.step" in capsys.readouterr().err
+        assert not (out / "gradcheck.csv").exists()
+
     def test_vanishing_gradient_components_compared_absolutely(self):
         from confgames.cli import gradcheck_rel_err
         # both sides numerically zero counts as exact agreement
@@ -364,10 +379,10 @@ class TestGradCheckCommand:
 
 
 def diverge_at(*points):
-    """Stand-in for cli._solve_batch that numbers the points it is given
+    """Stand-in for solver._solve_batch that numbers the points it is given
     across calls and reports those numbered ``points`` as blown up at
     t = 0.5; the points it was given are kept in its ``seen`` list."""
-    real = cli._solve_batch
+    real = solver_mod._solve_batch
     seen = []
 
     def solve_batch(game, thetas, grid):
@@ -387,56 +402,56 @@ class TestGradCheckBatches:
     # pursuit-evasion points come five per sample: theta_s, then its probes
     # theta_s + h e_1, theta_s - h e_1, theta_s + h e_2, theta_s - h e_2
 
+    @pytest.fixture
+    def prebuilt(self, monkeypatch, pe_game):
+        # the game is built before a stand-in numbers the points, so the
+        # builder's corner probes are not among them
+        monkeypatch.setattr(cli.RunConfig, "build_game", lambda cfg: pe_game)
+
+    @pytest.mark.usefixtures("prebuilt")
     @pytest.mark.parametrize("budget", [None, 2 * 128])
     def test_diverged_sample_point_is_infeasible(self, tmp_path, monkeypatch, capsys, budget):
         # sample 2's theta and two later points diverge; with the smaller
         # budget the 15 points are solved two at a time
         if budget:
-            monkeypatch.setattr(cli, "BATCH_BUDGET", budget)
+            monkeypatch.setattr(solver_mod, "BATCH_BUDGET", budget)
         fake = diverge_at(5, 7, 10)
-        monkeypatch.setattr(cli, "_solve_batch", fake)
+        monkeypatch.setattr(solver_mod, "_solve_batch", fake)
         out = tmp_path / "gc"
         code = main(["grad-check", "--set", "gradcheck.samples=3", "--out", str(out)] + FAST)
         assert code == 3
+        assert len(fake.seen) == 15
         expected = InfeasibleTheta(fake.seen[5], time=0.5, player=1)
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not (out / "gradcheck.csv").exists()
 
+    @pytest.mark.usefixtures("prebuilt")
     @pytest.mark.parametrize("budget", [None, 2 * 128])
     def test_diverged_probe_is_a_blowup(self, tmp_path, monkeypatch, capsys, budget):
-        # a probe of sample 1 fails before sample 2's theta does
+        # a probe of sample 1 fails before sample 2's theta does, and is
+        # named
         if budget:
-            monkeypatch.setattr(cli, "BATCH_BUDGET", budget)
-        monkeypatch.setattr(cli, "_solve_batch", diverge_at(3, 5))
+            monkeypatch.setattr(solver_mod, "BATCH_BUDGET", budget)
+        fake = diverge_at(3, 5)
+        monkeypatch.setattr(solver_mod, "_solve_batch", fake)
         code = main(["grad-check", "--set", "gradcheck.samples=2",
                      "--out", str(tmp_path / "gc")] + FAST)
         assert code == 3
-        assert capsys.readouterr().err == f"error: {BlowUpDetected(0.5, 1e9, player=1)}\n"
+        assert len(fake.seen) == 10
+        expected = InfeasibleTheta(fake.seen[3], time=0.5, player=1)
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     def test_batches_of_any_size_write_the_same_file(self, tmp_path, monkeypatch):
-        # 3 samples of a three-player game are 21 points: one batch, or
-        # batches of 2 that split samples
+        # 3 samples of a three-player game are 21 points: one batch, or each
+        # sample alone (its gradients exceed the budget) and its probes two
+        # at a time
         args = ["grad-check", "--set", "scenario=random", "--set", "random.players=3",
                 "--set", "gradcheck.samples=3"] + FAST
         assert main(args + ["--out", str(tmp_path / "one")]) == 0
-        monkeypatch.setattr(cli, "BATCH_BUDGET", 2 * 3 * 9)
+        monkeypatch.setattr(solver_mod, "BATCH_BUDGET", 2 * 3 * 9)
         assert main(args + ["--out", str(tmp_path / "many")]) == 0
         assert ((tmp_path / "one" / "gradcheck.csv").read_bytes()
                 == (tmp_path / "many" / "gradcheck.csv").read_bytes())
-
-    def test_values_only_batch_never_holds_more_samples_than_a_gradient_batch(
-            self, pe_game, gs_game):
-        # grad-check takes the gradients of each values-only batch's samples
-        # as one batch; with the real budget no values-only batch of any
-        # check the CLI accepts holds more samples than a gradient batch takes
-        games = [pe_game, gs_game]
-        games += [random_aq_game(0, N, n) for N in (1, 2, 3) for n in range(1, 7)]
-        for game in games:
-            width = 2 * game.num_players + 1
-            for samples in range(1, 300):
-                points = np.arange(samples * width)
-                for chunk in cli._batches(points, game, gradients=False):
-                    assert np.count_nonzero(chunk % width == 0) <= cli._batch_size(game)
 
 
 class TestBaselineCommand:
