@@ -154,11 +154,17 @@ class StageBlocks:
         return self._block[s - self._start]
 
 
+def _norm(y) -> float:
+    """Frobenius norm of ``y``: the arithmetic of np.linalg.norm's 1-D path."""
+    flat = y.ravel()
+    return math.sqrt(flat.dot(flat))
+
+
 def _blowup(y, t):
     """The BlowUpDetected of state ``y`` at time t, or None when its Frobenius
     norm is within BLOWUP_THRESHOLD; NumericalFailure on NaN/Inf."""
-    norm = float(np.linalg.norm(y.ravel()))
-    if not np.isfinite(norm):
+    norm = _norm(y)
+    if not math.isfinite(norm):
         raise NumericalFailure(f"non-finite state during integration near t={t:.6g}")
     if norm > BLOWUP_THRESHOLD:
         return BlowUpDetected(time=t, norm=norm, state=y)
@@ -176,7 +182,7 @@ def _check_state(y, t, blowups):
     formed only when it trips; the margin covers the rounding of the one
     against the other.
     """
-    if float(np.linalg.norm(y.ravel())) <= BLOWUP_THRESHOLD * (1.0 - 1e-9):
+    if _norm(y) <= BLOWUP_THRESHOLD * (1.0 - 1e-9):
         return
     found = {} if blowups is None else blowups
     members = y if blowups is not None else y[None]
@@ -196,22 +202,29 @@ def _rk4(rhs, y, grid: TimeGrid, h: float, project_state, blowups) -> np.ndarray
     """Classical RK4 over every grid step with signed step h = +dt or -dt.
 
     The step from node j to node j + d (d = sign of h) evaluates
-    rhs(s, y) at the stage indices s = 2j, 2j + d, 2j + d, 2j + 2d.
-    Returns the node samples, shape (steps+1, *y.shape).
+    rhs(s, y) at the stage indices s = 2j, 2j + d, 2j + d, 2j + 2d; the
+    sums of a step are formed in place in arrays made here, never in what
+    rhs returns.  Returns the node samples, shape (steps+1, *y.shape).
     """
     d = 1 if h > 0 else -1
     j = 0 if d > 0 else grid.steps
+    # 0-d arrays: numpy scales by them faster than by Python floats, same bits
+    h, half, sixth, two = (np.array(c) for c in (h, 0.5 * h, h / 6.0, 2.0))
     out = np.empty((grid.steps + 1,) + y.shape)
     out[j] = y
     for _ in range(grid.steps):
         s = 2 * j
         k1 = rhs(s, y)
-        k2 = rhs(s + d, y + 0.5 * h * k1)
-        k3 = rhs(s + d, y + 0.5 * h * k2)
+        k2 = rhs(s + d, y + half * k1)
+        k3 = rhs(s + d, y + half * k2)
         k4 = rhs(s + 2 * d, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project_state is not None:
-            y = project_state(y)
+        acc = two * k2
+        acc += k1
+        acc += two * k3
+        acc += k4
+        acc *= sixth
+        acc += y
+        y = acc if project_state is None else project_state(acc)
         j += d
         _check_state(y, grid.nodes[j], blowups)
         out[j] = y
@@ -229,7 +242,7 @@ def integrate_backward(rhs, terminal_value, grid: TimeGrid, project_state=None,
     (steps+1, *state.shape), with the terminal condition stored
     bit-exactly at the last node.
 
-    Raises BlowUpDetected when an intermediate Frobenius norm exceeds
+    Raises BlowUpDetected when the state's Frobenius norm at a node exceeds
     BLOWUP_THRESHOLD (carrying the divergence time), and NumericalFailure
     on NaN/Inf.  Given a ``blowups`` dict, the leading axis of the state
     indexes independent members (the parameter points of a batch): a

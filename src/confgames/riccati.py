@@ -33,8 +33,14 @@ def default_grid(game: ConfigGame, steps: int = DEFAULT_STEPS) -> TimeGrid:
     return TimeGrid(game.horizon, steps)
 
 
+def _plus_mT(Y):
+    """Y plus its transpose over the last two axes; numpy adds a contiguous
+    copy of the transpose faster than the strided view, with the same bits."""
+    return Y + Y.mT.copy()
+
+
 def _sym_stack(Y):
-    return 0.5 * (Y + np.swapaxes(Y, -1, -2))
+    return 0.5 * _plus_mT(Y)
 
 
 def _attribute_blowup(exc: BlowUpDetected, num_players: int) -> BlowUpDetected:
@@ -175,10 +181,9 @@ def solve_coupled_riccati(tabs: StageTables):
     A, S, S_diag, Q = tabs.A, tabs.S, tabs.S_diag, tabs.Q
 
     def rhs(s, Y):
-        F = A[s] - (S_diag[s] @ Y).sum(axis=1)
-        YF = Y @ F[:, None]
-        cross = (Y[:, None] @ S[s] @ Y[:, None]).sum(axis=2)
-        return -(YF + np.swapaxes(YF, -1, -2) + Q[s] + cross)
+        F = A[s] - np.add.reduce(S_diag[s] @ Y, axis=1)
+        cross = np.add.reduce(Y[:, None] @ S[s] @ Y[:, None], axis=2)
+        return -(_plus_mT(Y @ F[:, None]) + Q[s] + cross)
 
     terminal = np.stack([game.Qf[i] for i in range(N)])
     terminal = np.broadcast_to(terminal, (len(tabs.thetas),) + terminal.shape)
@@ -206,8 +211,7 @@ def solve_zerosum_riccati(tabs: StageTables):
     A, Q, Stilde = tabs.A, tabs.Q[:, :, 0], _zerosum_coupling(tabs)
 
     def rhs(s, P):
-        PA = P @ A[s]
-        return -(PA + np.swapaxes(PA, -1, -2) + Q[s] + P @ Stilde[s] @ P)
+        return -(_plus_mT(P @ A[s]) + Q[s] + P @ Stilde[s] @ P)
 
     terminal = np.broadcast_to(game.Qf[0], (len(tabs.thetas),) + game.Qf[0].shape)
     blowups = {}
@@ -249,8 +253,8 @@ def solve_zeta(tabs: StageTables, P_nodes: np.ndarray):
     def rhs(s, Z):
         P, F, PS = stage[s]
         zc = Z[..., None]
-        beta = c[s] - (S_diag[s] @ zc)[..., 0].sum(axis=1)
-        coupling = (PS @ zc[:, None])[..., 0].sum(axis=2)
+        beta = c[s] - np.add.reduce((S_diag[s] @ zc)[..., 0], axis=1)
+        coupling = np.add.reduce((PS @ zc[:, None])[..., 0], axis=2)
         return -(Z @ F + coupling + (P @ beta[:, None, :, None])[..., 0])
 
     blowups = {}

@@ -23,8 +23,8 @@ from .errors import BlowUpDetected, InfeasibleTheta, PreconditionViolation
 from .model import ConfigGame
 from .odekit import (StageBlocks, TimeGrid, backward_running_sum, integrate_backward,
                      simpson_nodes, stage_blocks, stage_samples)
-from .riccati import (StageTwoBatch, StageTwoSolution, _check_solution, _sym_stack,
-                      _zerosum_coupling, rollout, solve_stage_two)
+from .riccati import (StageTwoBatch, StageTwoSolution, _check_solution, _plus_mT,
+                      _sym_stack, _zerosum_coupling, rollout, solve_stage_two)
 
 
 def _raise_first(blowups):
@@ -85,10 +85,8 @@ def _solve_p_pass(batch):
 
     def rhs(s, Y):
         F, H, forcing = stage[s]
-        YF = Y @ F[:, None, None]
-        coup = (Y[:, :, None] @ H[:, None]).sum(axis=3)
-        part = YF + coup
-        return -(part + np.swapaxes(part, -1, -2) + forcing)
+        coup = np.add.reduce(Y[:, :, None] @ H[:, None], axis=3)
+        return -(_plus_mT(Y @ F[:, None, None] + coup) + forcing)
 
     blowups = {}
     Pk = integrate_backward(rhs, np.zeros((B, N, N, n, n)), tabs.grid,
@@ -140,7 +138,7 @@ def _solve_zeta_pass(batch, Pk_nodes):
 
     def rhs(s, Z):
         F, H, forcing = stage[s]
-        coup = np.matmul(Z[:, :, None, :, None, :], H[:, None])[..., 0, :].sum(axis=3)
+        coup = np.add.reduce(np.matmul(Z[:, :, None, :, None, :], H[:, None])[..., 0, :], axis=3)
         return -(Z @ F[:, None] + coup + forcing)
 
     blowups = {}
@@ -224,14 +222,13 @@ def _zerosum_sensitivity(batch: StageTwoBatch):
         forcing = [tabs.dQ[k][0][r] + np.einsum("m...ab,m...bc,m...cd->m...ad", P,
                                                 np.broadcast_to(_rows(dS, r), P.shape), P,
                                                 optimize=True) for k, dS in enumerate(dStilde)]
-        return list(zip(tabs.A[r, None] + Stilde[r] @ P, np.stack(forcing, axis=2)))
+        return list(zip((tabs.A[r, None] + Stilde[r] @ P)[:, :, None], np.stack(forcing, axis=2)))
 
     stage = StageBlocks(block, len(tabs.grid.stage_times), tabs.coupling_elems)
 
     def rhs(s, Y):
         Fcl, forcing = stage[s]
-        YF = Y @ Fcl[:, None]
-        return -(YF + np.swapaxes(YF, -1, -2) + forcing)
+        return -(_plus_mT(Y @ Fcl) + forcing)
 
     blowups = {}
     Pk = integrate_backward(rhs, np.zeros((B, 2, n, n)), tabs.grid, project_state=_sym_stack,

@@ -6,6 +6,7 @@ from confgames import (BlowUpDetected, NumericalFailure, TimeGrid,
 from confgames import odekit
 from confgames.odekit import (BLOWUP_THRESHOLD, StageBlocks, backward_running_sum,
                               stage_blocks, stage_samples)
+from confgames.riccati import _sym_stack
 
 
 class TestTimeGrid:
@@ -25,6 +26,54 @@ class TestTimeGrid:
     def test_rejects_bad_construction(self, horizon, steps):
         with pytest.raises(ValueError):
             TimeGrid(horizon, steps)
+
+
+def _textbook_check(y, t, blowups):
+    """The node check written with np.linalg.norm: past the threshold a
+    member is recorded once, and a recorded member is reset to zero
+    whenever the whole state trips the check."""
+    if float(np.linalg.norm(y.ravel())) <= BLOWUP_THRESHOLD * (1.0 - 1e-9):
+        return
+    found = {} if blowups is None else blowups
+    members = y if blowups is not None else y[None]
+    for b in range(len(members)):
+        if b not in found:
+            norm = float(np.linalg.norm(members[b].ravel()))
+            if not np.isfinite(norm):
+                raise NumericalFailure("non-finite state")
+            if norm <= BLOWUP_THRESHOLD:
+                continue
+            found[b] = BlowUpDetected(time=t, norm=norm, state=members[b].copy())
+        members[b] = 0.0
+    if blowups is None and found:
+        raise found[0]
+
+
+def _textbook_rk4(rhs, y, grid, h, project_state=None, blowups=None):
+    """Classical RK4 as a textbook writes it, the reference for every bit of
+    integrate_backward and integrate_forward."""
+    d = 1 if h > 0 else -1
+    j = 0 if d > 0 else grid.steps
+    y = np.array(y, dtype=float)
+    out = np.empty((grid.steps + 1,) + y.shape)
+    out[j] = y
+    for _ in range(grid.steps):
+        s = 2 * j
+        k1 = rhs(s, y)
+        k2 = rhs(s + d, y + 0.5 * h * k1)
+        k3 = rhs(s + d, y + 0.5 * h * k2)
+        k4 = rhs(s + 2 * d, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if project_state is not None:
+            y = project_state(y)
+        j += d
+        _textbook_check(y, grid.nodes[j], blowups)
+        out[j] = y
+    return out
+
+
+def _textbook_sym(Y):
+    return 0.5 * (Y + np.swapaxes(Y, -1, -2))
 
 
 class TestBackwardIntegration:
@@ -62,6 +111,23 @@ class TestBackwardIntegration:
             integrate_backward(lambda s, y: -y * y, np.array(10.0), g)
         assert 0.0 <= info.value.time < 1.0
         assert info.value.norm > BLOWUP_THRESHOLD
+
+    # the 24-element starts were chosen so that summing their trip states'
+    # squares in another order than np.linalg.norm does changes the last bit
+    @pytest.mark.parametrize("start", [10.0] + [
+        10.0 + np.random.default_rng(seed).uniform(size=(2, 3, 4)) for seed in (1, 2, 3)])
+    def test_blowup_norm_is_the_states_norm(self, start):
+        # one norm gates the step and is reported: the norm of the state
+        # that tripped the gate, at the textbook loop's divergence time
+        g = TimeGrid(1.0, 200)
+        rhs = lambda s, y: -y * y
+        with pytest.raises(BlowUpDetected) as info:
+            integrate_backward(rhs, start, g)
+        with pytest.raises(BlowUpDetected) as ref:
+            _textbook_rk4(rhs, start, g, -g.dt)
+        assert info.value.norm == float(np.linalg.norm(info.value.state))
+        assert info.value.time == ref.value.time
+        assert info.value.norm == ref.value.norm
 
     def test_nan_rhs_raises_numerical_failure(self):
         g = TimeGrid(1.0, 10)
@@ -217,3 +283,67 @@ class TestStageBlocks:
         rows = StageBlocks(build, 121, 1)
         assert [rows[s] for s in range(120, -1, -1)] == list(range(120, -1, -1))
         assert built == stage_blocks(121, 1)[::-1]
+
+
+class TestTextbookStep:
+    """integrate_backward and integrate_forward equal _textbook_rk4 byte for
+    byte, and never write into what a right-hand side returns."""
+
+    @staticmethod
+    def _same(got, ref):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_symmetric_matrix_riccati(self):
+        g = TimeGrid(1.5, 120)
+        rng = np.random.default_rng(1)
+        A, Q = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3, 3))
+        S = rng.normal(size=(3, 3))
+        S, Q = S @ S.T, Q @ np.swapaxes(Q, -1, -2)
+
+        def rhs(s, P):
+            PA = P @ (A * np.cos(g.stage_times[s]))
+            return -(PA + np.swapaxes(PA, -1, -2) + Q - P @ S @ P)
+
+        start = rng.normal(size=(2, 3, 3))
+        start = start @ np.swapaxes(start, -1, -2)
+        self._same(integrate_backward(rhs, start, g, project_state=_sym_stack),
+                   _textbook_rk4(rhs, start, g, -g.dt, project_state=_textbook_sym))
+
+    def test_linear_vector(self):
+        g = TimeGrid(2.0, 100)
+        rng = np.random.default_rng(2)
+        M, c = rng.normal(size=(4, 4)), rng.normal(size=4)
+        rhs = lambda s, x: M @ x + g.stage_times[s] * c
+        x0 = rng.normal(size=4)
+        self._same(integrate_backward(rhs, x0, g), _textbook_rk4(rhs, x0, g, -g.dt))
+        self._same(integrate_forward(rhs, x0, g), _textbook_rk4(rhs, x0, g, g.dt))
+
+    def test_scalar_state(self):
+        g = TimeGrid(1.0, 100)
+        rhs = lambda s, P: -(1.0 - P * P)
+        self._same(integrate_backward(rhs, 0.25, g), _textbook_rk4(rhs, 0.25, g, -g.dt))
+        self._same(integrate_forward(rhs, 0.25, g), _textbook_rk4(rhs, 0.25, g, g.dt))
+
+    def test_batch_with_a_member_that_blows_up(self):
+        g = TimeGrid(1.0, 200)
+        rhs = lambda s, y: -y * y
+        start = np.array([[0.5, 0.2], [10.0, 0.1], [0.3, 0.4]])
+        got, ref = {}, {}
+        self._same(integrate_backward(rhs, start, g, blowups=got),
+                   _textbook_rk4(rhs, start, g, -g.dt, blowups=ref))
+        assert list(got) == list(ref) == [1]
+        assert got[1].time == ref[1].time and got[1].norm == ref[1].norm
+        self._same(got[1].state, ref[1].state)
+
+    @pytest.mark.parametrize("kind", ["table row", "read-only broadcast", "its input"])
+    def test_never_writes_into_what_rhs_returns(self, kind):
+        g = TimeGrid(1.0, 50)
+        table = np.random.default_rng(3).normal(size=(2 * g.steps + 1, 3))
+        kept = table.copy()
+        rhs = {"table row": lambda s, y: table[s],
+               "read-only broadcast": lambda s, y: np.broadcast_to(table[s, :1], y.shape),
+               "its input": lambda s, y: y}[kind]
+        y0 = np.array([1.0, -0.5, 0.25])
+        self._same(integrate_backward(rhs, y0, g), _textbook_rk4(rhs, y0, g, -g.dt))
+        self._same(integrate_forward(rhs, y0, g), _textbook_rk4(rhs, y0, g, g.dt))
+        assert table.tobytes() == kept.tobytes()
