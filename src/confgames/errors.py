@@ -27,11 +27,13 @@ class BlowUpDetected(ConfGamesError):
         Integration time (in original game time) at which the threshold
         was crossed.
     norm : float
-        Frobenius norm of the stacked state at detection.
+        Frobenius norm of the stacked state at detection; for a member of
+        a batch, that member's state.
     player : int or None
         Index of the dominant diverging block, when attributable.
     state : ndarray or None
-        Last computed stacked state, for diagnostics.
+        Last computed stacked state, for diagnostics; for a member of a
+        batch, a copy of that member's state.
     """
 
     def __init__(self, time, norm, player=None, state=None):
@@ -61,10 +63,9 @@ class InfeasibleTheta(ConfGamesError):
 class BestResponseStalled(ConfGamesError):
     """Projected gradient descent could not find a feasible descent step."""
 
-    def __init__(self, player, theta, records=None):
+    def __init__(self, player, theta):
         self.player = int(player)
         self.theta = tuple(float(x) for x in theta)
-        self.records = records if records is not None else []
         super().__init__(
             f"best response for player {self.player} stalled at theta={self.theta}"
         )

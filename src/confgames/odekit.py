@@ -160,25 +160,16 @@ def _norm(y) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _blowup(y, t):
-    """The BlowUpDetected of state ``y`` at time t, or None when its Frobenius
-    norm is within BLOWUP_THRESHOLD; NumericalFailure on NaN/Inf."""
-    norm = _norm(y)
-    if not math.isfinite(norm):
-        raise NumericalFailure(f"non-finite state during integration near t={t:.6g}")
-    if norm > BLOWUP_THRESHOLD:
-        return BlowUpDetected(time=t, norm=norm, state=y)
-    return None
-
-
 def _check_state(y, t, blowups):
-    """Blow-up check after a step (``y`` is a fresh array, reset in place).
+    """The one blow-up check, at each node of an RK4 pass or running sum
+    (``y`` is a node state the caller owns, reset in place).
 
     Without ``blowups`` the whole state is one system and a blow-up raises.
     With it, the leading axis indexes independent members: a member past
-    the threshold is recorded in ``blowups`` under its index and reset to
-    zero, and a recorded member is reset again whenever it trips the check.
-    The whole stack's norm bounds every member's, so the member norms are
+    the threshold is recorded in ``blowups`` under its index, with a copy
+    of its state, and reset to zero, and a recorded member is reset again
+    whenever it trips the check.  NaN/Inf raises NumericalFailure.  The
+    whole stack's norm bounds every member's, so the member norms are
     formed only when it trips; the margin covers the rounding of the one
     against the other.
     """
@@ -188,11 +179,12 @@ def _check_state(y, t, blowups):
     members = y if blowups is not None else y[None]
     for b in range(len(members)):
         if b not in found:
-            exc = _blowup(members[b], t)
-            if exc is None:
+            norm = _norm(members[b])
+            if not math.isfinite(norm):
+                raise NumericalFailure(f"non-finite state during integration near t={t:.6g}")
+            if norm <= BLOWUP_THRESHOLD:
                 continue
-            exc.state = members[b].copy()
-            found[b] = exc
+            found[b] = BlowUpDetected(time=t, norm=norm, state=members[b].copy())
         members[b] = 0.0
     if blowups is None and found:
         raise found[0]
@@ -273,29 +265,20 @@ def backward_running_sum(integrand: np.ndarray, grid: TimeGrid,
     step's increment is formed exactly as integrate_backward forms it and
     the increments are accumulated from the zero terminal value: the
     result equals integrate_backward(lambda s, E: -f[s], 0, grid) bit for
-    bit, with the same non-finite and blow-up checks.  With ``blowups``
-    the axis after the stage axis indexes members, and each member's
-    first blow-up in backward time is recorded there, as
+    bit.  Its nodes are then checked from the last to the first, as
+    integrate_backward meets them, by the same check, _check_state.  With
+    ``blowups`` the axis after the stage axis indexes members, and each
+    member's first blow-up in backward time is recorded there, as
     integrate_backward records it.
     """
     k = -np.asarray(integrand, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         inc = (-grid.dt / 6.0) * (k[2::2] + 2.0 * k[1::2] + 2.0 * k[1::2] + k[:-1:2])
         acc = np.cumsum(np.concatenate([np.zeros((1,) + k.shape[1:]), inc[::-1]]), axis=0)
-        out = acc[::-1]
-        members = out if blowups is not None else out[:, None]
-        flat = members.reshape(members.shape[:2] + (math.prod(members.shape[2:]),))
-        norms = np.linalg.norm(flat, axis=-1)
-    found = {} if blowups is None else blowups
-    for b in range(members.shape[1]):
-        for j in np.flatnonzero(~(norms[:, b] <= BLOWUP_THRESHOLD))[::-1]:
-            exc = _blowup(members[j, b], grid.nodes[j])
-            if exc is not None:
-                found[b] = exc
-                break
-    if blowups is None and found:
-        raise found[0]
-    return np.ascontiguousarray(out)
+    out = np.ascontiguousarray(acc[::-1])
+    for j in range(grid.steps - 1, -1, -1):
+        _check_state(out[j], grid.nodes[j], blowups)
+    return out
 
 
 def simpson_nodes(values: np.ndarray, grid: TimeGrid):

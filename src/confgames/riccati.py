@@ -216,7 +216,7 @@ def solve_zerosum_riccati(tabs: StageTables):
     terminal = np.broadcast_to(game.Qf[0], (len(tabs.thetas),) + game.Qf[0].shape)
     blowups = {}
     P = integrate_backward(rhs, terminal, tabs.grid, project_state=_sym_stack, blowups=blowups)
-    return P, {b: BlowUpDetected(time=exc.time, norm=exc.norm) for b, exc in blowups.items()}
+    return P, blowups
 
 
 def _zerosum_coupling(tabs: StageTables):

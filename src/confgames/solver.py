@@ -203,7 +203,7 @@ def _descend(game, theta, i, settings, grid, costs, own, sweep, records):
             except InfeasibleTheta:
                 rejections += 1
                 if rejections > 10:
-                    raise BestResponseStalled(i, theta, records) from None
+                    raise BestResponseStalled(i, theta) from None
                 alpha *= 0.5
                 continue
             if cand_costs[i] > costs[i] and not ascent_retried:

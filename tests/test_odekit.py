@@ -204,13 +204,21 @@ class TestBackwardRunningSum:
         with pytest.raises(BlowUpDetected) as got:
             backward_running_sum(f, g)
         assert got.value.time == ref.value.time
-        # as the member axis of a batch, beside a member that stays bounded
-        blowups = {}
-        both = np.stack([f, np.ones_like(f)], axis=1)
-        out = backward_running_sum(both, g, blowups=blowups)
-        assert list(blowups) == [0] and blowups[0].time == ref.value.time
-        assert np.array_equal(out[:, 1], backward_running_sum(np.ones_like(f), g))
         assert got.value.norm == ref.value.norm
+        # as the member axis of a batch, beside a member that stays bounded:
+        # both routes record the same blow-up and leave the other bit for bit
+        both = np.stack([f, np.ones_like(f)], axis=1)
+        ref_blowups, blowups = {}, {}
+        path = integrate_backward(lambda s, E: -both[s], np.zeros((2, 2)), g,
+                                  blowups=ref_blowups)
+        out = backward_running_sum(both, g, blowups=blowups)
+        assert list(blowups) == list(ref_blowups) == [0]
+        assert blowups[0].time == ref_blowups[0].time == ref.value.time
+        assert blowups[0].norm == ref_blowups[0].norm == ref.value.norm
+        assert np.array_equal(blowups[0].state, ref_blowups[0].state)
+        assert blowups[0].state.base is None  # a copy, not a view into the sums
+        assert np.array_equal(out[:, 1].view(np.uint64), path[:, 1].view(np.uint64))
+        assert np.array_equal(out[:, 1], backward_running_sum(np.ones_like(f), g))
 
     def test_nan_raises_numerical_failure(self):
         g = TimeGrid(1.0, 10)
@@ -218,6 +226,10 @@ class TestBackwardRunningSum:
         f[7, 1] = np.nan
         with pytest.raises(NumericalFailure):
             backward_running_sum(f, g)
+        # a batch: member 1 NaN beside a bounded member 0
+        both = np.stack([np.ones_like(f), f], axis=1)
+        with pytest.raises(NumericalFailure):
+            backward_running_sum(both, g, blowups={})
 
 
 class TestQuadrature:
