@@ -52,8 +52,9 @@ print(f"state dim {game.state_dim}, horizon {game.horizon}, "
 sol = cg.solve_stage_two(game, theta)
 traj = cg.rollout(game, theta, sol)
 print("\n== stage two ==")
-print(f"equilibrium values  {sol.values}")
-print(f"rollout costs       {traj.rollout_costs}")
+# both are batches of one member: member 0 is theta's
+print(f"equilibrium values  {sol.values[0]}")
+print(f"rollout costs       {traj.rollout_costs[0]}")
 print(f"agreement           {np.abs(sol.values - traj.rollout_costs).max():.2e}")
 
 # ---------------------------------------------------------------------------
@@ -70,14 +71,14 @@ FD = np.zeros((2, 2))
 for k in range(2):
     step = np.zeros(2)
     step[k] = h
-    up = cg.solve_stage_two(game, theta + step, grid).values
-    dn = cg.solve_stage_two(game, theta - step, grid).values
+    up = cg.solve_stage_two(game, theta + step, grid).values[0]
+    dn = cg.solve_stage_two(game, theta - step, grid).values[0]
     FD[:, k] = (up - dn) / (2 * h)
 print(f"against central differences: max rel err "
       f"{np.abs(G - FD).max() / np.abs(FD).max():.2e}")
 
 for i in range(2):
-    env = cg.envelope_gradient(sol, i)
+    env = cg.envelope_gradient(sol, i)[0]
     print(f"trajectory-integral form, player {i}: {env:+.6e} "
           f"(path-derivative {G[i, i]:+.6e})")
 

@@ -15,7 +15,7 @@ from .errors import (BestResponseStalled, BlowUpDetected, ConfGamesError,
 from ._stage import StageTables
 from .model import ConfigGame, IndefiniteStateCostWarning, MatrixFn, Regularizer
 from .odekit import TimeGrid, integrate_backward, integrate_forward, simpson_nodes
-from .riccati import (StageTwoSolution, TrajectoryRollout, default_grid,
+from .riccati import (StageTwoBatch, TrajectoryRollout, default_grid,
                       rollout, solve_coupled_riccati, solve_eta,
                       solve_stage_two, solve_zerosum_riccati, solve_zeta,
                       stage_one_costs)
@@ -35,7 +35,7 @@ __all__ = [
     "InfeasibleTheta", "MatrixFn", "NumericalFailure",
     "PositiveDefinitenessViolation", "PreconditionViolation",
     "PursuitEvasionSpec", "Regularizer", "SolverSettings", "StageTables",
-    "StageTwoSolution", "TimeGrid", "TrajectoryRollout",
+    "StageTwoBatch", "TimeGrid", "TrajectoryRollout",
     "build_general_sum", "build_pursuit_evasion", "certify_first_order",
     "default_grid", "envelope_gradient", "ibr_solve", "integrate_backward",
     "integrate_forward", "naive_baseline", "project", "random_aq_game",

@@ -151,13 +151,6 @@ class StageTables:
         self.dS = None
         self.dQ = None
 
-    @property
-    def theta(self) -> np.ndarray:
-        """The parameter vector of a one-member table."""
-        if len(self.thetas) != 1:
-            raise ValueError(f"tables hold {len(self.thetas)} parameter points, not one")
-        return self.thetas[0]
-
     def dense_S(self, rows: slice) -> np.ndarray:
         """Every member's couplings at the stage ``rows`` as one dense
         (N, N, rows*B, n, n) array, the member axis folded into the stage

@@ -269,7 +269,8 @@ def backward_running_sum(integrand: np.ndarray, grid: TimeGrid,
     integrate_backward meets them, by the same check, _check_state.  With
     ``blowups`` the axis after the stage axis indexes members, and each
     member's first blow-up in backward time is recorded there, as
-    integrate_backward records it.
+    integrate_backward records it; a recorded member is zero from its
+    divergence node down.
     """
     k = -np.asarray(integrand, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,7 +278,10 @@ def backward_running_sum(integrand: np.ndarray, grid: TimeGrid,
         acc = np.cumsum(np.concatenate([np.zeros((1,) + k.shape[1:]), inc[::-1]]), axis=0)
     out = np.ascontiguousarray(acc[::-1])
     for j in range(grid.steps - 1, -1, -1):
+        known = len(blowups or ())
         _check_state(out[j], grid.nodes[j], blowups)
+        for b in list(blowups or ())[known:]:
+            out[:j, b] = 0.0
     return out
 
 

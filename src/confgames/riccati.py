@@ -92,32 +92,6 @@ class StageTwoBatch:
                              zeta_nodes=zeta, eta_nodes=eta)
 
 
-@dataclass(frozen=True)
-class StageTwoSolution:
-    """Equilibrium solution bundle at one parameter vector: a view of
-    ``batch``, the one-member StageTwoBatch it was solved as.
-
-    ``values`` holds the pure stage-two equilibrium costs (no first-stage
-    regularizer; stage_one_costs adds it).  The game, theta and grid it
-    was solved at are those of ``tables``.  The paths are node arrays:
-    ``P_nodes`` (steps+1, N, n, n), ``zeta_nodes`` (steps+1, N, n) and
-    ``eta_nodes`` (steps+1, N); a zero-sum solution holds the stack
-    (P, -P) and no offset arrays (None).  Each is a read-only attribute
-    viewing member 0 of the batch; the samples at the RK4 stage times are
-    read through the batch's value_rows and offset_rows.
-    """
-
-    batch: StageTwoBatch
-
-    values = property(lambda self: self.batch.values[0])
-    tables = property(lambda self: self.batch.tables)
-    P_nodes = property(lambda self: self.batch.P_nodes[:, 0])
-    zeta_nodes = property(lambda self: None if self.batch.zeta_nodes is None
-                          else self.batch.zeta_nodes[:, 0])
-    eta_nodes = property(lambda self: None if self.batch.eta_nodes is None
-                         else self.batch.eta_nodes[:, 0])
-
-
 def _closed_loop(tabs: StageTables, P_st, rows: slice = slice(None)):
     """Closed-loop drift F = A - sum_i S^ii P^i at the stage ``rows`` (all by
     default) and every member, from the samples ``P_st`` at those rows."""
@@ -132,10 +106,10 @@ def _drive_residual(tabs: StageTables, zeta_st, rows: slice = slice(None)):
 
 @dataclass(frozen=True)
 class TrajectoryRollout:
-    """Closed-loop state trajectory, controls, and quadrature costs.
+    """Closed-loop state trajectories, controls and quadrature costs of a batch.
 
-    ``x`` holds the states at the nodes, (steps+1, n); ``u`` one control
-    array (steps+1, m_i) per player.
+    ``x`` holds the states at the nodes, (steps+1, B, n); ``u`` one control
+    array (steps+1, B, m_i) per player; ``rollout_costs`` (B, N).
     """
 
     x: np.ndarray
@@ -143,18 +117,19 @@ class TrajectoryRollout:
     rollout_costs: np.ndarray
 
 
-def _check_solution(solution: StageTwoSolution, game: ConfigGame, theta,
-                    grid: TimeGrid = None):
-    """Reject a game, theta or grid (when given) other than the ones
-    ``solution`` was solved at; the game is compared by identity."""
-    tabs = solution.tables
+def _check_solution(batch: StageTwoBatch, game: ConfigGame, thetas, grid: TimeGrid = None):
+    """Reject a game, thetas or grid (when given) other than the ones
+    ``batch`` was solved at; the game is compared by identity and the
+    thetas row by row (one vector stands for a one-member batch)."""
+    tabs = batch.tables
     if game is not tabs.game:
         raise ValueError("game is not the game the solution was solved for")
     if grid is not None and grid != tabs.grid:
         raise ValueError(f"grid {grid} does not match the solution grid {tabs.grid}")
-    if not np.array_equal(theta, tabs.theta):
-        raise ValueError(f"theta {np.asarray(theta).tolist()} does not match the "
-                         f"solution theta {tabs.theta.tolist()}")
+    thetas = np.atleast_2d(thetas)
+    if not np.array_equal(thetas, tabs.thetas):
+        raise ValueError(f"theta {thetas.tolist()} does not match the "
+                         f"solution theta {tabs.thetas.tolist()}")
 
 
 # -- backward passes ---------------------------------------------------------
@@ -341,8 +316,9 @@ def _solve_batch(game: ConfigGame, thetas, grid: TimeGrid = None):
                          zeta_nodes=zeta, eta_nodes=eta), failures
 
 
-def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoSolution:
-    """Full stage-two pipeline at one parameter vector (a one-member batch).
+def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoBatch:
+    """Full stage-two pipeline at one parameter vector, returned as the
+    one-member StageTwoBatch it is solved as.
 
     ``theta`` must lie inside the parameter box; raises BlowUpDetected when
     no bounded solution exists there.
@@ -350,51 +326,54 @@ def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoS
     batch, failures = _solve_batch(game, np.asarray(theta, dtype=float)[None], grid)
     if failures:
         raise failures[0]
-    return StageTwoSolution(batch)
+    return batch
 
 
-def stage_one_costs(solution: StageTwoSolution) -> np.ndarray:
-    """All players' first-stage costs (stage-two values plus regularizers)."""
-    tabs = solution.tables
-    return solution.values + tabs.game.regularizer_values(tabs.theta)
+def stage_one_costs(batch: StageTwoBatch) -> np.ndarray:
+    """Every member's first-stage costs, (B, N): its stage-two values plus
+    the regularizers of the batch's game at its theta."""
+    tabs = batch.tables
+    regs = [tabs.game.regularizer_values(theta) for theta in tabs.thetas]
+    return batch.values + np.reshape(regs, batch.values.shape)
 
 
-def rollout(game: ConfigGame, theta, solution: StageTwoSolution) -> TrajectoryRollout:
-    """Forward-integrate the closed loop and integrate the realized costs.
+def rollout(game: ConfigGame, thetas, batch: StageTwoBatch) -> TrajectoryRollout:
+    """Forward-integrate the closed loop of every member and integrate the
+    realized costs.
 
-    The state follows dx/dt = F(t) x + beta(t) on the solution's grid;
-    controls are reconstructed from the feedback law at every node, with
-    B and R read from the node rows of the solution's tables; each
-    player's cost is the Simpson quadrature of their running quadratic
-    forms plus the terminal cost.  ``game`` and ``theta`` must be the ones
-    ``solution`` was solved at.
+    The states of all members follow dx/dt = F(t) x + beta(t) as one
+    (B, n) forward pass on the batch's grid; controls are reconstructed
+    from the feedback law at every node, with B and R read from the node
+    rows of the batch's tables; each player's cost is the Simpson
+    quadrature of their running quadratic forms, member by member, plus
+    the terminal cost.  ``game`` and ``thetas`` must be the ones ``batch``
+    was solved at.  A member's rollout does not depend on its batch.
     """
-    _check_solution(solution, game, np.asarray(theta, dtype=float))
-    tabs = solution.tables
-    grid = tabs.grid
-    F_st = solution.batch.value_rows(slice(None))[1][:, 0]
-    zeta_st, beta_st = (a[:, 0] for a in solution.batch.offset_rows(slice(None)))
+    _check_solution(batch, game, np.asarray(thetas, dtype=float))
+    tabs = batch.tables
+    F_st = batch.value_rows(slice(None))[1]
+    zeta_st, beta_st = batch.offset_rows(slice(None))
 
     def rhs(s, x):
-        return F_st[s] @ x + beta_st[s]
+        return (F_st[s] @ x[..., None])[..., 0] + beta_st[s]
 
-    xs = integrate_forward(rhs, game.x0, grid)
+    xs = integrate_forward(rhs, np.broadcast_to(game.x0, beta_st.shape[1:]), tabs.grid)
     N = game.num_players
-    R = [[Rij[0::2] for Rij in row] for row in tabs.R]
-    feedback = np.einsum("tiab,tb->tia", solution.P_nodes, xs) + zeta_st[0::2]
+    R = [[Rij[0::2, None] for Rij in row] for row in tabs.R]
+    col, row = xs[:, :, None, :, None], xs[:, :, None, None, :]
+    feedback = (batch.P_nodes @ col)[..., 0] + zeta_st[0::2]
     us = []
     for i in range(N):
-        pre = np.einsum("tba,tb->ta", tabs.B[i][0::2, 0], feedback[:, i])
-        us.append(-np.linalg.solve(R[i][i], pre[..., None])[..., 0])
+        pre = tabs.B[i][0::2].mT @ feedback[:, :, i, :, None]
+        us.append(-np.linalg.solve(R[i][i], pre)[..., 0])
 
-    Q = np.ascontiguousarray(np.moveaxis(tabs.Q[:, 0], 1, 0))  # (N, M, n, n)
-    running = np.einsum("ta,itab,tb->ti", xs, Q[:, 0::2], xs)
+    running = (row @ tabs.Q[0::2] @ col)[..., 0, 0]
     for i in range(N):
         for j in range(N):
-            running[:, i] += np.einsum("ta,tab,tb->t", us[j], R[i][j], us[j])
-    integrals = simpson_nodes(running, grid)
-    xT = xs[-1]
-    costs = np.array([
-        0.5 * (integrals[i] + float(xT @ game.Qf[i] @ xT)) for i in range(N)
-    ])
-    return TrajectoryRollout(x=xs, u=tuple(us), rollout_costs=costs)
+            running[:, :, i] += (us[j][..., None, :] @ R[i][j] @ us[j][..., None])[..., 0, 0]
+    xT = xs[-1, :, None]
+    terminal = (xT[:, :, None] @ np.stack(game.Qf) @ xT[..., None])[..., 0, 0]
+    # Simpson member by member: over the whole stack its last bits would depend on B
+    running = np.ascontiguousarray(np.moveaxis(running, 1, 0))
+    integrals = np.reshape([simpson_nodes(r, tabs.grid) for r in running], terminal.shape)
+    return TrajectoryRollout(x=xs, u=tuple(us), rollout_costs=0.5 * (integrals + terminal))

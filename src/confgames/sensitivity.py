@@ -23,8 +23,8 @@ from .errors import BlowUpDetected, InfeasibleTheta, PreconditionViolation
 from .model import ConfigGame
 from .odekit import (StageBlocks, TimeGrid, backward_running_sum, integrate_backward,
                      simpson_nodes, stage_blocks, stage_samples)
-from .riccati import (StageTwoBatch, StageTwoSolution, _check_solution, _plus_mT,
-                      _sym_stack, _zerosum_coupling, rollout, solve_stage_two)
+from .riccati import (StageTwoBatch, _check_solution, _plus_mT, _sym_stack,
+                      _zerosum_coupling, rollout, solve_stage_two)
 
 
 def _raise_first(blowups):
@@ -261,7 +261,7 @@ def _value_gradients(batch: StageTwoBatch) -> np.ndarray:
 
 
 def value_gradient(game: ConfigGame, theta, grid: TimeGrid = None,
-                   stage2: StageTwoSolution = None) -> np.ndarray:
+                   stage2: StageTwoBatch = None) -> np.ndarray:
     """Gradient matrix G[i, k] = d J^i / d theta_k of the first-stage costs.
 
     Zero-sum games differentiate the single value-matrix equation (the
@@ -269,9 +269,9 @@ def value_gradient(game: ConfigGame, theta, grid: TimeGrid = None,
     nonnegative-cost hypothesis of the coupled system, and the
     single-matrix route is exact there); general games run the stacked
     linear passes for every component at once.  Regularizer gradients are
-    added row-wise.  A given ``stage2`` must have been solved for this
-    game, theta and grid.  Raises InfeasibleTheta when the stage-two
-    solve blows up.
+    added row-wise.  A given ``stage2``, the one-member batch of
+    solve_stage_two, must have been solved for this game, theta and grid.
+    Raises InfeasibleTheta when the stage-two solve blows up.
     """
     theta = np.asarray(theta, dtype=float)
     if stage2 is not None:
@@ -281,14 +281,15 @@ def value_gradient(game: ConfigGame, theta, grid: TimeGrid = None,
             stage2 = solve_stage_two(game, theta, grid)
         except BlowUpDetected as exc:
             raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
-    return _value_gradients(stage2.batch)[0]
+    return _value_gradients(stage2)[0]
 
 
-def envelope_gradient(stage2: StageTwoSolution, i: int) -> float:
-    """Own-parameter derivative of player i's value as a trajectory integral.
+def envelope_gradient(batch: StageTwoBatch, i: int) -> np.ndarray:
+    """Own-parameter derivative of player i's value as a trajectory integral,
+    one per member of ``batch``, (B,).
 
-    Valid for drive-free games only: rolls out the equilibrium trajectory
-    of ``stage2``, reconstructs every player's feedback control, and
+    Valid for drive-free games only: rolls out the equilibrium trajectories
+    of ``batch``, reconstructs every player's feedback control, and
     integrates the instantaneous effects of the parameter on the state
     cost, on the ego player's control effectiveness, and on the other
     players' strategy shifts.  The ego player's own strategy shift
@@ -296,24 +297,24 @@ def envelope_gradient(stage2: StageTwoSolution, i: int) -> float:
     the path-derivative gradient.  The regularizer, being
     control-independent, is excluded.
     """
-    tabs = stage2.tables
+    tabs = batch.tables
     if not tabs.c_is_zero:
         raise PreconditionViolation("envelope form requires a vanishing drive term")
 
-    Pk_nodes = _general_sensitivity(stage2.batch)[0][:, 0, i]
-    path = rollout(tabs.game, tabs.theta, stage2)
+    Pk_nodes = _general_sensitivity(batch)[0][:, :, i]
+    path = rollout(tabs.game, tabs.thetas, batch)
     xs, us = path.x, path.u
-    xP = np.einsum("ta,tab->tb", xs, stage2.P_nodes[:, i])
+    xP = np.einsum("t...a,t...ab->t...b", xs, batch.P_nodes[:, :, i])
 
-    vals = np.einsum("ta,tab,tb->t", xs, tabs.dQ[i][i][0::2, 0], xs)
-    vals += 2.0 * np.einsum("ta,tab,tb->t", xP, tabs.dB[i][0::2, 0], us[i])
+    vals = np.einsum("t...a,t...ab,t...b->t...", xs, tabs.dQ[i][i][0::2], xs)
+    vals += 2.0 * np.einsum("t...a,t...ab,t...b->t...", xP, tabs.dB[i][0::2], us[i])
     for j in range(tabs.game.num_players):
         if j == i:
             continue
-        Bj = tabs.B[j][0::2, 0]
-        pre = np.einsum("tba,tbc,tc->ta", Bj, Pk_nodes[:, j], xs)
-        du = -np.linalg.solve(tabs.R[j][j][0::2], pre[..., None])[..., 0]
-        vals += 2.0 * np.einsum("ta,tab,tb->t", us[j], tabs.R[i][j][0::2], du)
-        vals += 2.0 * np.einsum("ta,tab,tb->t", xP, Bj, du)
+        Bj = tabs.B[j][0::2]
+        pre = np.einsum("t...ba,t...bc,t...c->t...a", Bj, Pk_nodes[:, :, j], xs)
+        du = -np.linalg.solve(tabs.R[j][j][0::2, None], pre[..., None])[..., 0]
+        vals += 2.0 * np.einsum("t...a,tab,t...b->t...", us[j], tabs.R[i][j][0::2], du)
+        vals += 2.0 * np.einsum("t...a,t...ab,t...b->t...", xP, Bj, du)
 
-    return 0.5 * float(simpson_nodes(vals, tabs.grid))
+    return 0.5 * simpson_nodes(vals, tabs.grid)

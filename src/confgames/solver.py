@@ -111,7 +111,7 @@ def _evaluate(game, theta, grid):
         stage2 = solve_stage_two(game, theta, grid)
     except BlowUpDetected as exc:
         raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
-    costs = stage_one_costs(stage2)
+    costs = stage_one_costs(stage2)[0]
     G = value_gradient(game, theta, grid=grid, stage2=stage2)
     return costs, np.diag(G).copy()
 
@@ -168,8 +168,8 @@ def _evaluate_batch(game, thetas, grid, gradients=None):
             out[rows.start + b] = InfeasibleTheta(thetas[rows.start + b], time=exc.time,
                                                   player=exc.player)
         members = rows.start + batch.members
-        for r, values, theta in zip(members, batch.values, batch.tables.thetas):
-            out[r] = (values + game.regularizer_values(theta), None)
+        for r, costs in zip(members, stage_one_costs(batch)):
+            out[r] = (costs, None)
         keep = np.flatnonzero(asked[members])
         if len(keep):
             batch = batch if len(keep) == len(members) else batch.select(keep)
@@ -183,8 +183,9 @@ def _descend(game, theta, i, settings, grid, costs, own, sweep, records):
     """Player i's best response from ``theta``, whose evaluation (costs, own) is given.
 
     Appends each accepted iterate to ``records`` and returns the point
-    reached with its evaluation.  A candidate that the box projection puts
-    back onto the current point reuses its evaluation.
+    reached with its evaluation, and whether the loop ended by the epsilon
+    test rather than at max_inner.  A candidate that the box projection
+    puts back onto the current point reuses its evaluation.
     """
     box = game.theta_box[i]
     for tau in range(1, settings.max_inner + 1):
@@ -220,8 +221,8 @@ def _descend(game, theta, i, settings, grid, costs, own, sweep, records):
                                    theta=tuple(theta), values=tuple(costs),
                                    grad_own=float(own[i]), warning=warning))
         if moved <= settings.epsilon:
-            break
-    return theta, costs, own
+            return theta, costs, own, True
+    return theta, costs, own, False
 
 
 def ibr_solve(game: ConfigGame, theta0, settings: SolverSettings = None) -> IbrTrace:
@@ -229,10 +230,11 @@ def ibr_solve(game: ConfigGame, theta0, settings: SolverSettings = None) -> IbrT
 
     Within a sweep each player reacts to the components already updated
     in that sweep.  The outer loop stops when a full sweep moves theta by
-    at most epsilon in the max norm, or after max_outer sweeps; the
-    converged flag records which.  The final values, gradients and
-    certification are the evaluation the search holds, not a new solve.
-    A stalled best response propagates with the partial trace attached.
+    at most epsilon in the max norm and every best response of it ended by
+    the epsilon test, or after max_outer sweeps; the converged flag records
+    which.  The final values, gradients and certification are the
+    evaluation the search holds, not a new solve.  A stalled best response
+    propagates with the partial trace attached.
     """
     settings = settings if settings is not None else SolverSettings()
     theta = np.array(theta0, dtype=float)
@@ -241,18 +243,19 @@ def ibr_solve(game: ConfigGame, theta0, settings: SolverSettings = None) -> IbrT
     trace = IbrTrace(theta0=tuple(theta), values0=costs)
 
     for sweep in range(1, settings.max_outer + 1):
-        previous = theta.copy()
+        previous, settled = theta.copy(), True
         for i in range(game.num_players):
             try:
-                theta, costs, own = _descend(game, theta, i, settings, grid, costs, own,
-                                             sweep, trace.records)
+                theta, costs, own, done = _descend(game, theta, i, settings, grid, costs, own,
+                                                   sweep, trace.records)
+                settled &= done
             except BestResponseStalled as exc:
                 trace.sweeps = sweep
                 trace.theta = tuple(theta)
                 exc.trace = trace
                 raise
         trace.sweeps = sweep
-        if np.max(np.abs(theta - previous)) <= settings.epsilon:
+        if settled and np.max(np.abs(theta - previous)) <= settings.epsilon:
             trace.converged = True
             break
 
@@ -340,7 +343,7 @@ def naive_baseline(game: ConfigGame, theta0, settings: SolverSettings = None) ->
         realized = equilibrium
     else:
         stage2 = solve_stage_two(game, realized_profile, grid)
-        realized = float(stage_one_costs(stage2)[0])
+        realized = float(stage_one_costs(stage2)[0, 0])
     return BaselineResult(theta1_naive=theta1_naive, theta_star=theta_star,
                           realized_value=realized, equilibrium_value=equilibrium,
                           gap=realized - equilibrium,

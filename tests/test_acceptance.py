@@ -17,6 +17,7 @@ from confgames import (CertVerdict, SolverSettings, StageTables, TimeGrid,
                        rollout, solve_coupled_riccati, solve_stage_two,
                        solve_zerosum_riccati, stage_one_costs, value_gradient)
 from confgames.cli import main as cli_main
+from confgames.riccati import _solve_batch
 from conftest import make_scalar_lqr
 
 
@@ -32,8 +33,8 @@ def _fd_cost_gradient(game, theta, grid, h=1e-5):
     for k in range(N):
         step = np.zeros(N)
         step[k] = h
-        Jp = stage_one_costs(solve_stage_two(game, theta + step, grid))
-        Jm = stage_one_costs(solve_stage_two(game, theta - step, grid))
+        Jp = stage_one_costs(solve_stage_two(game, theta + step, grid))[0]
+        Jm = stage_one_costs(solve_stage_two(game, theta - step, grid))[0]
         out[:, k] = (Jp - Jm) / (2 * h)
     return out
 
@@ -53,7 +54,7 @@ def test_criterion_01_scalar_closed_form_and_convergence_order():
     errs = []
     for steps in (250, 500, 1000):
         sol = solve_stage_two(game, theta, TimeGrid(1.0, steps))
-        errs.append(abs(sol.P_nodes[0, 0, 0, 0] - np.tanh(1.0)))
+        errs.append(abs(sol.P_nodes[0, 0, 0, 0, 0] - np.tanh(1.0)))
     p_ok = errs[-1] <= 1e-6 * np.tanh(1.0)
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     order_ok = min(orders) >= 3.5
@@ -115,12 +116,13 @@ def test_criterion_03_value_rollout_consistency(pe_game, gs_game):
         grid = TimeGrid(game.horizon, 1000)
         lo = np.array([b[0] for b in game.theta_box])
         hi = np.array([b[1] for b in game.theta_box])
-        for _ in range(20):
-            theta = lo + rng.random(2) * (hi - lo)
-            sol = solve_stage_two(game, theta, grid)
-            ro = rollout(game, theta, sol)
-            err = np.abs(sol.values - ro.rollout_costs) / (1.0 + np.abs(sol.values))
-            worst = max(worst, float(err.max()))
+        # the 20 points are solved and rolled out as one batch
+        thetas = np.array([lo + rng.random(2) * (hi - lo) for _ in range(20)])
+        batch, failures = _solve_batch(game, thetas, grid)
+        assert not failures
+        ro = rollout(game, thetas, batch)
+        err = np.abs(batch.values - ro.rollout_costs) / (1.0 + np.abs(batch.values))
+        worst = max(worst, float(err.max()))
     elapsed = time.perf_counter() - start
     _report(3, "equilibrium values match rollout quadrature",
             worst <= 1e-4 and elapsed < 60.0,
@@ -133,7 +135,7 @@ def test_criterion_04_offsets_vanish_without_drive(pe_game):
                           TimeGrid(pe_game.horizon, 1000))
     # a zero-sum solution stores no offsets; its stage samples read as zeros
     assert sol.zeta_nodes is None and sol.eta_nodes is None
-    worst = max(worst, float(np.abs(sol.batch.offset_rows(slice(None))[0]).max()))
+    worst = max(worst, float(np.abs(sol.offset_rows(slice(None))[0]).max()))
     game = random_aq_game(12, 2, 3, 1, affine=False)
     sol = solve_stage_two(game, np.array([1.0, 1.0]), TimeGrid(1.0, 1000))
     worst = max(worst, float(np.abs(sol.zeta_nodes).max()),
@@ -173,7 +175,7 @@ def test_criterion_06_envelope_identity():
         stage2 = solve_stage_two(game, theta, grid)
         G = value_gradient(game, theta, grid=grid, stage2=stage2)
         for i in range(2):
-            env = envelope_gradient(stage2, i)
+            env = envelope_gradient(stage2, i)[0]
             worst = max(worst, abs(env - G[i, i]) / max(abs(G[i, i]), 1e-10))
     _report(6, "trajectory-integral form of the own gradient",
             worst <= 1e-3, f"max rel err={worst:.2e}")
@@ -189,13 +191,13 @@ def test_criterion_07_saddle_reproduction(pe_game, pe_settings, pe_ibr_runs):
 
     grid = TimeGrid(pe_game.horizon, 1000)
     theta_star = np.array(run_a.theta)
-    J_star = solve_stage_two(pe_game, theta_star, grid).values[0]
+    J_star = solve_stage_two(pe_game, theta_star, grid).values[0, 0]
     lattice = np.linspace(0.0, np.pi / 2, 21)
     row = np.array([
-        solve_stage_two(pe_game, np.array([theta_star[0], t2]), grid).values[0]
+        solve_stage_two(pe_game, np.array([theta_star[0], t2]), grid).values[0, 0]
         for t2 in lattice])
     col = np.array([
-        solve_stage_two(pe_game, np.array([t1, theta_star[1]]), grid).values[0]
+        solve_stage_two(pe_game, np.array([t1, theta_star[1]]), grid).values[0, 0]
         for t1 in lattice])
     saddle = (row.max() <= J_star + 1e-6) and (col.min() >= J_star - 1e-6)
     # lattice min-max structure: the evader's best lattice response to

@@ -14,14 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confgames import (InfeasibleTheta, TimeGrid, cli, random_aq_game, solve_stage_two,
-                       stage_one_costs, value_gradient)
+from confgames import (InfeasibleTheta, TimeGrid, cli, envelope_gradient, random_aq_game,
+                       rollout, solve_stage_two, stage_one_costs, value_gradient)
 from confgames import model as model_mod
 from confgames import odekit
 from confgames import solver as solver_mod
 from confgames.errors import BlowUpDetected
 from confgames.riccati import _solve_batch
 from confgames.sensitivity import _value_gradients
+from conftest import make_time_varying_game
 
 
 @functools.lru_cache(maxsize=None)
@@ -45,9 +46,9 @@ def test_member_equals_its_one_member_solve(seed, players, state_dim, control_di
     G = _value_gradients(batch)
     for b, theta in enumerate(thetas):
         single = solve_stage_two(game, theta, grid)
-        assert np.array_equal(batch.values[b], single.values)
-        assert np.array_equal(batch.P_nodes[:, b], single.P_nodes)
-        assert np.array_equal(batch.zeta_nodes[:, b], single.zeta_nodes)
+        assert np.array_equal(batch.values[b], single.values[0])
+        assert np.array_equal(batch.P_nodes[:, b], single.P_nodes[:, 0])
+        assert np.array_equal(batch.zeta_nodes[:, b], single.zeta_nodes[:, 0])
         assert np.array_equal(G[b], value_gradient(game, theta, grid=grid, stage2=single))
 
 
@@ -61,8 +62,8 @@ def test_zero_sum_member_equals_its_one_member_solve(pe_game):
     G = _value_gradients(batch)
     for b, theta in enumerate(thetas):
         single = solve_stage_two(pe_game, theta, grid)
-        assert np.array_equal(batch.values[b], single.values)
-        assert np.array_equal(batch.P_nodes[:, b], single.P_nodes)
+        assert np.array_equal(batch.values[b], single.values[0])
+        assert np.array_equal(batch.P_nodes[:, b], single.P_nodes[:, 0])
         assert np.array_equal(G[b], value_gradient(pe_game, theta, grid=grid, stage2=single))
 
 
@@ -248,7 +249,7 @@ def test_masked_evaluation_equals_single_points(scenario, gs_game, monkeypatch):
             assert (result.time, result.player) == (exc.time, exc.player)
             continue
         costs, G = result
-        assert np.array_equal(costs, stage_one_costs(single))
+        assert np.array_equal(costs, stage_one_costs(single)[0])
         if ask:
             assert np.array_equal(G, value_gradient(game, theta, grid=grid, stage2=single))
         else:
@@ -289,3 +290,43 @@ def test_gradients_of_selected_members_equal_their_single_points(scenario, pe_ga
     assert np.array_equal(sub.values, batch.values[keep])
     for g, b in zip(_value_gradients(sub), keep):
         assert np.array_equal(g, value_gradient(game, thetas[b], grid=grid))
+
+
+def _five_members(game):
+    lo, hi = np.array(game.theta_box).T
+    thetas = lo + (hi - lo) * np.random.default_rng(3).uniform(0.1, 0.9, (5, game.num_players))
+    grid = TimeGrid(game.horizon, 200)
+    batch, failures = _solve_batch(game, thetas, grid)
+    assert not failures
+    return thetas, grid, batch
+
+
+@pytest.mark.parametrize("scenario", ["pe", "gs", "tv"])
+def test_rollout_of_a_batch_equals_its_members_rollouts(scenario, pe_game, gs_game):
+    # the states of all five members advance as one forward pass
+    game = {"pe": pe_game, "gs": gs_game, "tv": make_time_varying_game()}[scenario]
+    thetas, grid, batch = _five_members(game)
+    path = rollout(game, thetas, batch)
+    assert path.x.shape == (grid.steps + 1, 5, game.state_dim)
+    assert path.rollout_costs.shape == (5, game.num_players)
+    for b, theta in enumerate(thetas):
+        single = rollout(game, theta, solve_stage_two(game, theta, grid))
+        assert np.array_equal(path.x[:, b], single.x[:, 0])
+        for u, v in zip(path.u, single.u):
+            assert np.array_equal(u[:, b], v[:, 0])
+        assert np.array_equal(path.rollout_costs[b], single.rollout_costs[0])
+    # a batch with no members (every point diverged) has an empty rollout
+    empty = rollout(game, thetas[:0], batch.select([]))
+    assert empty.x.shape == (grid.steps + 1, 0, game.state_dim)
+    assert empty.rollout_costs.shape == (0, game.num_players)
+
+
+@pytest.mark.parametrize("scenario", ["tv", "rand"])
+def test_envelope_gradient_of_a_batch_equals_its_members(scenario):
+    game = make_time_varying_game() if scenario == "tv" else _random_game(3, 2, 3, 1, False)
+    thetas, grid, batch = _five_members(game)
+    for i in range(game.num_players):
+        env = envelope_gradient(batch, i)
+        assert env.shape == (5,)
+        one = [envelope_gradient(solve_stage_two(game, theta, grid), i)[0] for theta in thetas]
+        np.testing.assert_allclose(env, one, rtol=1e-13, atol=0)

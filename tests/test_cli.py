@@ -497,7 +497,7 @@ class TestOutputContracts:
         for row in rows:
             rec = dict(zip(header, row))
             theta = np.array([float(rec["theta1"]), float(rec["theta2"])])
-            expected = solve_stage_two(game, theta, grid).values[0]
+            expected = solve_stage_two(game, theta, grid).values[0, 0]
             assert float(rec["J1"]) == expected
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):

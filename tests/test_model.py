@@ -319,8 +319,8 @@ class TestClosedLoopMatrix:
     def test_matches_independent_recomputation(self, gs_game, gs_grid):
         theta = np.array([0.6, 1.1])
         sol = solve_stage_two(gs_game, theta, gs_grid)
-        P = sol.P_nodes[0]
-        F = sol.batch.value_rows(slice(None))[1][0, 0]
+        P = sol.P_nodes[0, 0]
+        F = sol.value_rows(slice(None))[1][0, 0]
         expected = gs_game.A(0.0, theta).copy()
         for i in range(2):
             Bi = gs_game.B[i](0.0, theta)

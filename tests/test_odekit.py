@@ -195,7 +195,7 @@ class TestBackwardRunningSum:
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
-    def test_blowup_reports_the_integrators_time(self):
+    def test_blowup_reports_the_integrators_time(self, monkeypatch):
         g = TimeGrid(1.0, 200)
         f = np.zeros((2 * g.steps + 1, 2))
         f[150:] = 1e11
@@ -219,6 +219,27 @@ class TestBackwardRunningSum:
         assert blowups[0].state.base is None  # a copy, not a view into the sums
         assert np.array_equal(out[:, 1].view(np.uint64), path[:, 1].view(np.uint64))
         assert np.array_equal(out[:, 1], backward_running_sum(np.ones_like(f), g))
+        # 20 (2, 2) members, member 7 past the threshold in its last 3
+        # steps: its earlier nodes are zero at once, so the check trips at
+        # one node only, and its norm pass over the members runs once
+        g = TimeGrid(1.0, 1000)
+        many = np.ones((2 * g.steps + 1, 20, 2, 2))
+        many[-6:, 7] = 1e11
+        ref_blowups, blowups = {}, {}
+        integrate_backward(lambda s, E: -many[s], np.zeros((20, 2, 2)), g, blowups=ref_blowups)
+        calls = []
+        norm = odekit._norm
+        monkeypatch.setattr(odekit, "_norm", lambda y: calls.append(1) or norm(y))
+        out = backward_running_sum(many, g, blowups=blowups)
+        monkeypatch.undo()
+        assert list(blowups) == list(ref_blowups) == [7]
+        for key in ("time", "norm", "state"):
+            assert np.array_equal(getattr(blowups[7], key), getattr(ref_blowups[7], key))
+        bounded = backward_running_sum(np.delete(many, 7, axis=1), g)
+        assert np.array_equal(np.delete(out, 7, axis=1).view(np.uint64), bounded.view(np.uint64))
+        j = int(np.flatnonzero(g.nodes == blowups[7].time)[0])
+        assert j >= g.steps - 3 and not out[:j + 1, 7].any()
+        assert len(calls) == g.steps + 20
 
     def test_nan_raises_numerical_failure(self):
         g = TimeGrid(1.0, 10)

@@ -17,9 +17,9 @@ class TestCoupledRiccati:
     def test_scalar_closed_form(self):
         game = make_scalar_lqr()
         sol = solve_stage_two(game, np.array([1.0]), TimeGrid(1.0, 1000))
-        P0 = sol.P_nodes[0, 0, 0, 0]
+        P0 = sol.P_nodes[0, 0, 0, 0, 0]
         assert abs(P0 - np.tanh(1.0)) < 1e-8
-        assert sol.values[0] == pytest.approx(0.5 * np.tanh(1.0), rel=1e-8)
+        assert sol.values[0, 0] == pytest.approx(0.5 * np.tanh(1.0), rel=1e-8)
 
     def test_zero_cost_gives_zero_solution(self, pe_game):
         game = make_scalar_lqr(q=0.0, qf=0.0)
@@ -30,14 +30,14 @@ class TestCoupledRiccati:
         theta = np.array([0.7, 1.0])
         sol = solve_stage_two(gs_game, theta, gs_grid)
         for i in range(2):
-            assert np.array_equal(sol.P_nodes[-1, i], gs_game.Qf[i])
-            assert not sol.zeta_nodes[-1, i].any()
-            assert sol.eta_nodes[-1, i] == 0.0
+            assert np.array_equal(sol.P_nodes[-1, 0, i], gs_game.Qf[i])
+            assert not sol.zeta_nodes[-1, 0, i].any()
+            assert sol.eta_nodes[-1, 0, i] == 0.0
 
     def test_value_matrix_paths_symmetric(self, gs_game, gs_grid):
         sol = solve_stage_two(gs_game, np.array([0.5, 1.1]), gs_grid)
         for i in range(2):
-            p = sol.P_nodes[:, i]
+            p = sol.P_nodes[:, 0, i]
             asym = np.abs(p - p.transpose(0, 2, 1)).max()
             assert asym <= 1e-9
 
@@ -63,7 +63,7 @@ class TestCoupledRiccati:
 class TestAffinePasses:
     def test_offsets_vanish_without_drive(self, pe_game, pe_grid):
         sol = solve_stage_two(pe_game, np.array([0.4, 0.9]), pe_grid)
-        assert np.abs(sol.batch.offset_rows(slice(None))[0]).max() <= 1e-12
+        assert np.abs(sol.offset_rows(slice(None))[0]).max() <= 1e-12
 
     def test_offsets_vanish_when_value_matrix_zero(self):
         # no control authority, no state cost, but a unit drive
@@ -88,13 +88,13 @@ class TestAffinePasses:
     def test_drive_residual_recomputation(self, gs_game, gs_grid):
         theta = np.array([0.8, 0.9])
         sol = solve_stage_two(gs_game, theta, gs_grid)
-        beta = sol.batch.offset_rows(slice(None))[1]
+        beta = sol.offset_rows(slice(None))[1]
         for j, t in enumerate(gs_grid.nodes):
             expected = gs_game.c(t, theta).copy()
             for i in range(2):
                 Bi = gs_game.B[i](t, theta)
                 S_ii = Bi @ np.linalg.solve(gs_game.R[i][i](t, theta), Bi.T)
-                expected -= S_ii @ sol.zeta_nodes[j, i]
+                expected -= S_ii @ sol.zeta_nodes[j, 0, i]
             assert np.abs(beta[2 * j, 0] - expected).max() <= 1e-10
 
 
@@ -126,24 +126,20 @@ class TestStageSamples:
         assert calls == expected
 
 
-class TestSolutionIsItsBatch:
-    def test_batch_is_the_only_field(self):
-        fields = [f.name for f in dataclasses.fields(riccati.StageTwoSolution)]
-        assert fields == ["batch"]
-
+class TestOneMemberBatch:
     @pytest.mark.parametrize("scenario", ["pe", "gs"])
-    def test_node_arrays_view_the_batch(self, scenario, pe_game, gs_game):
+    def test_solve_stage_two_is_the_one_member_batch(self, scenario, pe_game, gs_game):
         game = gs_game if scenario == "gs" else pe_game
-        sol = solve_stage_two(game, np.array([0.7, 0.9]), TimeGrid(game.horizon, 50))
-        batch = sol.batch
-        assert np.shares_memory(sol.P_nodes, batch.P_nodes)
-        assert np.shares_memory(sol.values, batch.values)
-        for name in ("zeta_nodes", "eta_nodes"):
-            view = getattr(sol, name)
-            assert (view is None) == (scenario == "pe")
-            if view is not None:
-                assert np.shares_memory(view, getattr(batch, name))
-        assert sol.tables is batch.tables
+        theta, grid = np.array([0.7, 0.9]), TimeGrid(game.horizon, 50)
+        sol = solve_stage_two(game, theta, grid)
+        batch, failures = riccati._solve_batch(game, theta[None], grid)
+        assert isinstance(sol, riccati.StageTwoBatch) and not failures
+        assert np.array_equal(sol.members, [0]) and np.array_equal(sol.tables.thetas, [theta])
+        assert sol.values.shape == (1, 2) and sol.P_nodes.shape[1] == 1
+        for name in ("values", "P_nodes", "zeta_nodes", "eta_nodes"):
+            got, want = getattr(sol, name), getattr(batch, name)
+            assert (got is None and want is None) or np.array_equal(got, want)
+        assert (sol.zeta_nodes is None) == (scenario == "pe")
 
 
 class TestZeroSum:
@@ -174,24 +170,24 @@ class TestZeroSum:
         T = pe_game.horizon
         Phi = expm(A * T)
         expected = Phi.T @ pe_game.Qf[0] @ Phi
-        assert np.abs(sol.P_nodes[0, 0] - expected).max() <= 1e-9
+        assert np.abs(sol.P_nodes[0, 0, 0] - expected).max() <= 1e-9
         x0 = pe_game.x0
-        assert sol.values[0] == pytest.approx(0.5 * x0 @ expected @ x0, abs=1e-12)
+        assert sol.values[0, 0] == pytest.approx(0.5 * x0 @ expected @ x0, abs=1e-12)
 
     def test_solution_stores_no_offsets(self, pe_game, pe_grid):
         sol = solve_stage_two(pe_game, np.array([0.4, 0.9]), pe_grid)
         assert sol.zeta_nodes is None and sol.eta_nodes is None
-        assert np.array_equal(sol.P_nodes[:, 1], -sol.P_nodes[:, 0])
-        zeta, beta = sol.batch.offset_rows(slice(None))
+        assert np.array_equal(sol.P_nodes[:, 0, 1], -sol.P_nodes[:, 0, 0])
+        zeta, beta = sol.offset_rows(slice(None))
         assert zeta.shape == (2 * pe_grid.steps + 1, 1, 2, 8)
         assert not zeta.any()
         assert not beta.any()
         x0 = pe_game.x0
-        assert 0.5 * float(x0 @ sol.P_nodes[0, 0] @ x0) == stage_one_costs(sol)[0]
+        assert 0.5 * float(x0 @ sol.P_nodes[0, 0, 0] @ x0) == stage_one_costs(sol)[0, 0]
 
     def test_zero_sum_values_sum_to_zero(self, pe_game, pe_grid):
         sol = solve_stage_two(pe_game, np.array([0.3, 1.4]), pe_grid)
-        assert sol.values[0] + sol.values[1] == 0.0
+        assert sol.values[0, 0] + sol.values[0, 1] == 0.0
 
     def test_coupled_encoding_agrees_with_single_matrix(self, pe_game, pe_grid):
         for theta in (np.array([0.4, 1.1]), np.array([1.3, 0.2])):
@@ -215,8 +211,8 @@ class TestZeroSum:
         grid = TimeGrid(pe_game.horizon, 400)
         for t1 in np.linspace(0.05, np.pi / 2 - 0.05, 5):
             for t2 in np.linspace(0.05, np.pi / 2 - 0.05, 5):
-                a = solve_stage_two(pe_game, np.array([t1, t2]), grid).values[0]
-                b = solve_stage_two(relabeled, np.array([t2, t1]), grid).values[0]
+                a = solve_stage_two(pe_game, np.array([t1, t2]), grid).values[0, 0]
+                b = solve_stage_two(relabeled, np.array([t2, t1]), grid).values[0, 0]
                 assert a == pytest.approx(-b, abs=1e-12)
 
     def test_mirrored_start_state_is_value_neutral(self, pe_game):
@@ -229,8 +225,8 @@ class TestZeroSum:
             PursuitEvasionSpec(x0=tuple(np.concatenate([x0[4:], x0[:4]]))))
         grid = TimeGrid(pe_game.horizon, 400)
         theta = np.array([0.3, 1.0])
-        a = solve_stage_two(pe_game, theta, grid).values[0]
-        b = solve_stage_two(swapped, theta, grid).values[0]
+        a = solve_stage_two(pe_game, theta, grid).values[0, 0]
+        b = solve_stage_two(swapped, theta, grid).values[0, 0]
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -245,17 +241,17 @@ class TestValues:
             c=MatrixFn.constant(np.zeros(2)), Qf=(np.eye(2),),
             theta_box=((0.0, 1.0),), x0=np.array([1.0, 1.0]))
         sol = solve_stage_two(game, np.array([0.5]), TimeGrid(1.0, 100))
-        assert stage_one_costs(sol)[0] == pytest.approx(1.0)
+        assert stage_one_costs(sol)[0, 0] == pytest.approx(1.0)
 
     def test_regularizer_added_to_stage_one_cost(self, gs_game, gs_grid):
         theta = np.array([0.5, 0.5])
         sol = solve_stage_two(gs_game, theta, gs_grid)
-        costs = stage_one_costs(sol)
+        costs = stage_one_costs(sol)[0]
         # at equal parameters the proximity bump is exactly w_r
-        assert costs[0] == pytest.approx(sol.values[0] + 0.02, abs=1e-15)
+        assert costs[0] == pytest.approx(sol.values[0, 0] + 0.02, abs=1e-15)
         x0 = gs_game.x0
-        value = (0.5 * x0 @ sol.P_nodes[0, 0] @ x0 + sol.zeta_nodes[0, 0] @ x0
-                 + sol.eta_nodes[0, 0] + gs_game.regularizer_values(theta)[0])
+        value = (0.5 * x0 @ sol.P_nodes[0, 0, 0] @ x0 + sol.zeta_nodes[0, 0, 0] @ x0
+                 + sol.eta_nodes[0, 0, 0] + gs_game.regularizer_values(theta)[0])
         assert value == pytest.approx(costs[0])
 
 
@@ -273,13 +269,13 @@ class TestRollout:
         sol = solve_stage_two(game, np.array([0.5]), grid)
         ro = rollout(game, np.array([0.5]), sol)
         assert not ro.u[0].any()
-        assert ro.rollout_costs[0] == 0.0
-        assert np.allclose(ro.x[-1], expm(A) @ game.x0, atol=1e-10)
+        assert ro.rollout_costs[0, 0] == 0.0
+        assert np.allclose(ro.x[-1, 0], expm(A) @ game.x0, atol=1e-10)
 
     def test_initial_state_exact(self, gs_game, gs_grid):
         sol = solve_stage_two(gs_game, np.array([0.6, 0.8]), gs_grid)
         ro = rollout(gs_game, np.array([0.6, 0.8]), sol)
-        assert np.array_equal(ro.x[0], gs_game.x0)
+        assert np.array_equal(ro.x[0, 0], gs_game.x0)
 
     def test_rejects_theta_other_than_the_solutions(self, gs_game, gs_grid):
         sol = solve_stage_two(gs_game, np.array([0.6, 0.8]), gs_grid)
@@ -291,7 +287,7 @@ class TestRollout:
         grid = TimeGrid(1.0, 1000)
         sol = solve_stage_two(game, np.array([1.0]), grid)
         ro = rollout(game, np.array([1.0]), sol)
-        assert ro.rollout_costs[0] == pytest.approx(np.tanh(1.0) / 2, rel=1e-6)
+        assert ro.rollout_costs[0, 0] == pytest.approx(np.tanh(1.0) / 2, rel=1e-6)
 
     def test_controls_match_feedback_law(self, gs_game, gs_grid):
         theta = np.array([0.9, 0.7])
@@ -301,10 +297,10 @@ class TestRollout:
             Bi = gs_game.B[i](0.0, theta)
             Rii = gs_game.R[i][i](0.0, theta)
             for j in (0, 250, 700, 1000):
-                x = ro.x[j]
+                x = ro.x[j, 0]
                 expected = -np.linalg.solve(
-                    Rii, Bi.T @ (sol.P_nodes[j, i] @ x + sol.zeta_nodes[j, i]))
-                assert np.abs(ro.u[i][j] - expected).max() <= 1e-10
+                    Rii, Bi.T @ (sol.P_nodes[j, 0, i] @ x + sol.zeta_nodes[j, 0, i]))
+                assert np.abs(ro.u[i][j, 0] - expected).max() <= 1e-10
 
     def test_time_varying_coefficients_sampled_per_node(self):
         game = make_time_varying_game()
@@ -317,9 +313,9 @@ class TestRollout:
                 t = grid.nodes[j]
                 expected = -np.linalg.solve(
                     game.R[i][i](t, theta),
-                    game.B[i](t, theta).T @ (sol.P_nodes[j, i] @ ro.x[j]
-                                             + sol.zeta_nodes[j, i]))
-                assert np.abs(ro.u[i][j] - expected).max() <= 1e-10
+                    game.B[i](t, theta).T @ (sol.P_nodes[j, 0, i] @ ro.x[j, 0]
+                                             + sol.zeta_nodes[j, 0, i]))
+                assert np.abs(ro.u[i][j, 0] - expected).max() <= 1e-10
         err = np.abs(sol.values - ro.rollout_costs)
         assert np.all(err <= 1e-8 * (1.0 + np.abs(sol.values)))
 
@@ -340,7 +336,7 @@ class TestRollout:
         theta = np.array([0.218, 0.218])
         sol = solve_stage_two(pe_game, theta, pe_grid)
         ro = rollout(pe_game, theta, sol)
-        assert ro.rollout_costs[0] == pytest.approx(sol.values[0], rel=1e-5)
+        assert ro.rollout_costs[0, 0] == pytest.approx(sol.values[0, 0], rel=1e-5)
 
     def test_trajectory_against_refined_grid_reference(self, pe_game, pe_grid):
         # a 16x finer fixed grid serves as the reference integration

@@ -67,7 +67,7 @@ class TestPursuitEvasionBuilder:
         # equal capabilities cancel the coupling, so the common angle is
         # irrelevant along the diagonal
         grid = TimeGrid(pe_game.horizon, 400)
-        vals = [solve_stage_two(pe_game, np.array([t, t]), grid).values[0]
+        vals = [solve_stage_two(pe_game, np.array([t, t]), grid).values[0, 0]
                 for t in np.linspace(0.0, np.pi / 2, 5)]
         assert max(vals) - min(vals) <= 1e-9
 
@@ -122,8 +122,8 @@ class TestGeneralSumBuilder:
         grid = TimeGrid(gs_game.horizon, 400)
         for t1 in np.linspace(0.3, 1.1, 5):
             for t2 in np.linspace(0.3, 1.1, 5):
-                a = stage_one_costs(solve_stage_two(gs_game, np.array([t1, t2]), grid))
-                b = stage_one_costs(solve_stage_two(gs_game, np.array([t2, t1]), grid))
+                a = stage_one_costs(solve_stage_two(gs_game, np.array([t1, t2]), grid))[0]
+                b = stage_one_costs(solve_stage_two(gs_game, np.array([t2, t1]), grid))[0]
                 assert a[0] == pytest.approx(b[1], abs=1e-8)
                 assert a[1] == pytest.approx(b[0], abs=1e-8)
 
@@ -186,8 +186,8 @@ class TestRandomGames:
         for k in range(2):
             step = np.zeros(2)
             step[k] = h
-            Jp = solve_stage_two(game, theta + step, grid).values
-            Jm = solve_stage_two(game, theta - step, grid).values
+            Jp = solve_stage_two(game, theta + step, grid).values[0]
+            Jm = solve_stage_two(game, theta - step, grid).values[0]
             fd = (Jp - Jm) / (2 * h)
             rel = np.abs(G[:, k] - fd) / np.maximum(np.abs(fd), 1e-12)
             assert rel.max() <= 1e-4

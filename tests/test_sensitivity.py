@@ -17,16 +17,16 @@ def fd_gradient(game, theta, grid, h=1e-5):
     for k in range(N):
         step = np.zeros(N)
         step[k] = h
-        Jp = stage_one_costs(solve_stage_two(game, theta + step, grid))
-        Jm = stage_one_costs(solve_stage_two(game, theta - step, grid))
+        Jp = stage_one_costs(solve_stage_two(game, theta + step, grid))[0]
+        Jm = stage_one_costs(solve_stage_two(game, theta - step, grid))[0]
         out[:, k] = (Jp - Jm) / (2 * h)
     return out
 
 
 def general_stacks(stage2):
     """The P, zeta and eta path-derivative stacks (steps+1, N, ...) of a
-    solution, from the general-sum core run on it as a one-member batch."""
-    return [a[:, 0] for a in _general_sensitivity(stage2.batch)]
+    one-member batch, from the general-sum core run on it."""
+    return [a[:, 0] for a in _general_sensitivity(stage2)]
 
 
 def column_from_paths(game, theta, k, Pk, zk, ek):
@@ -87,7 +87,7 @@ class TestPathDerivatives:
         theta = np.array([0.5, 0.9])
         stage2 = solve_stage_two(pe_game, theta, pe_grid)
         # the zero-sum core returns the value-matrix derivative alone
-        Pk = _zerosum_sensitivity(stage2.batch)[:, 0]
+        Pk = _zerosum_sensitivity(stage2)[:, 0]
         assert isinstance(Pk, np.ndarray) and Pk.shape == (pe_grid.steps + 1, 2, 8, 8)
         _, zk, ek = general_stacks(stage2)
         assert not zk.any() and not ek.any()
@@ -98,12 +98,12 @@ class TestPathDerivatives:
         stage2 = solve_stage_two(pe_game, theta, pe_grid)
         h = 1e-5
         for k in range(2):
-            Pk = _zerosum_sensitivity(stage2.batch)[:, 0, k]
+            Pk = _zerosum_sensitivity(stage2)[:, 0, k]
             lhs = 0.5 * x0 @ Pk[0] @ x0
             step = np.zeros(2)
             step[k] = h
-            up = solve_stage_two(pe_game, theta + step, pe_grid).values[0]
-            dn = solve_stage_two(pe_game, theta - step, pe_grid).values[0]
+            up = solve_stage_two(pe_game, theta + step, pe_grid).values[0, 0]
+            dn = solve_stage_two(pe_game, theta - step, pe_grid).values[0, 0]
             fd = (up - dn) / (2 * h)
             assert lhs == pytest.approx(fd, rel=1e-4)
 
@@ -226,8 +226,8 @@ class TestDirectionalDerivative:
         h = np.array([1.0, 1.0]) / np.sqrt(2.0)
         d = value_gradient(gs_game, theta, grid=gs_grid) @ h
         eps = 1e-5
-        J1 = stage_one_costs(solve_stage_two(gs_game, theta + eps * h, gs_grid))
-        J0 = stage_one_costs(solve_stage_two(gs_game, theta, gs_grid))
+        J1 = stage_one_costs(solve_stage_two(gs_game, theta + eps * h, gs_grid))[0]
+        J0 = stage_one_costs(solve_stage_two(gs_game, theta, gs_grid))[0]
         quotient = (J1 - J0) / eps
         assert np.abs(d - quotient).max() / np.abs(quotient).max() <= 1e-3
 
@@ -236,7 +236,7 @@ class TestEnvelopeGradient:
     def test_zero_for_parameter_independent_game(self):
         game = make_theta_independent_game(drive=False)
         grid = TimeGrid(1.0, 400)
-        val = envelope_gradient(solve_stage_two(game, np.array([1.0, 1.0]), grid), 0)
+        val = envelope_gradient(solve_stage_two(game, np.array([1.0, 1.0]), grid), 0)[0]
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_single_player_matches_value_gradient(self):
@@ -244,7 +244,7 @@ class TestEnvelopeGradient:
         grid = TimeGrid(1.0, 1000)
         theta = np.array([1.0])
         stage2 = solve_stage_two(game, theta, grid)
-        env = envelope_gradient(stage2, 0)
+        env = envelope_gradient(stage2, 0)[0]
         G = value_gradient(game, theta, grid=grid, stage2=stage2)
         assert env == pytest.approx(G[0, 0], rel=1e-5)
         expected = 0.5 * (1.0 / np.cosh(1.0) ** 2 - np.tanh(1.0))
@@ -259,7 +259,7 @@ class TestEnvelopeGradient:
         stage2 = solve_stage_two(game, theta, grid)
         G = value_gradient(game, theta, grid=grid, stage2=stage2)
         for i in range(2):
-            env = envelope_gradient(stage2, i)
+            env = envelope_gradient(stage2, i)[0]
             assert env == pytest.approx(G[i, i], rel=1e-3)
 
     def test_matches_own_gradient_with_time_varying_coefficients(self):
@@ -269,7 +269,7 @@ class TestEnvelopeGradient:
         stage2 = solve_stage_two(game, theta, grid)
         G = value_gradient(game, theta, grid=grid, stage2=stage2)
         for i in range(2):
-            env = envelope_gradient(stage2, i)
+            env = envelope_gradient(stage2, i)[0]
             assert env == pytest.approx(G[i, i], rel=1e-6)
 
     def test_matches_own_gradient_on_zero_sum_solution(self, pe_game, pe_grid):
@@ -279,7 +279,7 @@ class TestEnvelopeGradient:
         stage2 = solve_stage_two(pe_game, theta, pe_grid)
         G = value_gradient(pe_game, theta, grid=pe_grid, stage2=stage2)
         for i in range(2):
-            assert envelope_gradient(stage2, i) == pytest.approx(G[i, i], rel=1e-9)
+            assert envelope_gradient(stage2, i)[0] == pytest.approx(G[i, i], rel=1e-9)
 
     def test_requires_drive_free_game(self, gs_game, gs_grid):
         with pytest.raises(PreconditionViolation):

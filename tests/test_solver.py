@@ -19,7 +19,7 @@ def best_response(game, theta, i, settings, records=None):
     grid = TimeGrid(game.horizon, settings.grid_steps)
     records = [] if records is None else records
     costs, own = solver_mod._evaluate(game, theta, grid)
-    theta, _, _ = solver_mod._descend(game, theta, i, settings, grid, costs, own, 0, records)
+    theta, *_ = solver_mod._descend(game, theta, i, settings, grid, costs, own, 0, records)
     return float(theta[i]), records
 
 
@@ -112,7 +112,7 @@ class TestBestResponse:
         search_grid = TimeGrid(pe_game.horizon, 300)
         candidates = np.linspace(0.0, np.pi / 2, 200)
         values = [solve_stage_two(pe_game, np.array([t, np.pi / 4]),
-                                  search_grid).values[0] for t in candidates]
+                                  search_grid).values[0, 0] for t in candidates]
         best = candidates[int(np.argmin(values))]
         assert abs(best - out) <= (np.pi / 2) / 199 + 1e-9
 
@@ -130,6 +130,23 @@ class TestBestResponse:
         with pytest.raises(BestResponseStalled) as info:
             best_response(game, theta0, 0, SolverSettings(alpha=1.0, grid_steps=200))
         assert info.value.player == 0
+
+    def test_best_response_cut_at_max_inner_is_not_converged(self, monkeypatch):
+        # the own-gradient sends theta from 0.25 to 0.75 and back, at equal
+        # costs, so after an even max_inner each sweep ends where it began
+        # without its best response settling; that was reported as
+        # converged after one sweep
+        game = make_scalar_lqr(theta_box=(0.1, 1.0))
+        settings = SolverSettings(alpha=1.0, max_outer=5, max_inner=4, grid_steps=200)
+
+        def fake_evaluate(g, theta, grid):
+            return np.ones(1), np.array([-0.5 if theta[0] < 0.5 else 0.5])
+
+        monkeypatch.setattr(solver_mod, "_evaluate", fake_evaluate)
+        trace = ibr_solve(game, np.array([0.25]), settings)
+        assert [r.theta[0] for r in trace.records[:4]] == [0.75, 0.25, 0.75, 0.25]
+        assert not trace.converged and trace.sweeps == settings.max_outer
+        assert len(trace.records) == settings.max_outer * settings.max_inner
 
     def test_stalled_trace_reports_an_earlier_ascent_warning(self, monkeypatch):
         # the two candidates after theta0 raise the cost, so the second is
