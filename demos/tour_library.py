@@ -62,7 +62,7 @@ print(f"agreement           {np.abs(sol.values - traj.rollout_costs).max():.2e}"
 # ---------------------------------------------------------------------------
 
 grid = sol.tables.grid
-G = cg.value_gradient(game, theta, stage2=sol)
+G = cg.value_gradient(game, theta, stage2=sol)[0]
 print("\n== value gradients dJ^i/dtheta_k ==")
 print(G)
 
@@ -77,9 +77,9 @@ for k in range(2):
 print(f"against central differences: max rel err "
       f"{np.abs(G - FD).max() / np.abs(FD).max():.2e}")
 
+env = cg.envelope_gradient(sol)[0]
 for i in range(2):
-    env = cg.envelope_gradient(sol, i)[0]
-    print(f"trajectory-integral form, player {i}: {env:+.6e} "
+    print(f"trajectory-integral form, player {i}: {env[i]:+.6e} "
           f"(path-derivative {G[i, i]:+.6e})")
 
 d = G @ np.array([1.0, -1.0])

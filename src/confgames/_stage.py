@@ -35,8 +35,8 @@ def _rows(x, rows):
     return x if x.shape[0] == 1 else x[rows]
 
 
-def _sample(fn, thetas, stage_times, varying: bool, reads_theta: bool):
-    """``fn(t, theta)`` at every stage time and member, shape (M, B, ...).
+def _sample(fn, shape, thetas, stage_times, varying: bool, reads_theta: bool):
+    """``fn(t, theta)`` at every stage time and member, (M, B) + ``shape``.
 
     Sampled at the first stage time only when not ``varying`` and for the
     first member only when not ``reads_theta``, and broadcast.
@@ -44,6 +44,7 @@ def _sample(fn, thetas, stage_times, varying: bool, reads_theta: bool):
     times = stage_times if varying else stage_times[:1]
     members = thetas if reads_theta else thetas[:1]
     v = np.array([[fn(t, theta) for theta in members] for t in times])
+    v = v.reshape((len(times), len(members)) + shape)
     return np.broadcast_to(v, (len(stage_times), len(thetas)) + v.shape[2:])
 
 
@@ -125,7 +126,7 @@ class StageTables:
             # through ``fn``) however many players' slots it fills
             key = (id(coef), fn is None)
             if key not in samples:
-                samples[key] = _sample(fn or coef, self.thetas, st, coef.time_varying,
+                samples[key] = _sample(fn or coef, coef.shape, self.thetas, st, coef.time_varying,
                                        bool(coef.depends_on))
             return samples[key]
 
@@ -191,7 +192,7 @@ class StageTables:
         shape = self.S.shape[:2]
 
         def deriv(coef, k):
-            return _sample(lambda t, th: coef.d_theta(t, th, k), self.thetas, st,
+            return _sample(lambda t, th: coef.d_theta(t, th, k), coef.shape, self.thetas, st,
                            coef.time_varying and k in coef.depends_on, k in coef.depends_on)
 
         self.dB = [deriv(game.B[j], j) for j in range(N)]

@@ -5,8 +5,8 @@ parameter yields linear backward systems in the path derivatives of P,
 zeta, and eta, with coefficients read from the stored stage-two solution.
 The value gradient is assembled from the t=0 samples; a quadrature form
 of each player's own-parameter derivative along the equilibrium
-trajectory is provided as an independent cross-check for the drive-free
-case.
+trajectory is provided as an independent cross-check.  Both give one row
+per member of a batch.
 
 Dedicated linear systems (not automatic differentiation of the
 integrator) keep every intermediate object checkable stage by stage.
@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from ._stage import _compact, _rows
-from .errors import BlowUpDetected, InfeasibleTheta, PreconditionViolation
+from .errors import BlowUpDetected, InfeasibleTheta
 from .model import ConfigGame
 from .odekit import (StageBlocks, TimeGrid, backward_running_sum, integrate_backward,
                      simpson_nodes, stage_blocks, stage_samples)
@@ -178,29 +178,25 @@ def _eta_integrand(batch, zk_nodes):
 
 
 def _general_sensitivity(batch: StageTwoBatch):
-    """Batched sensitivity passes over every member and parameter component.
-
-    Returns node-sampled stacks (steps+1, B, N, ...) for the P, zeta, and
-    eta path derivatives of a general-sum batch, with the third axis
-    indexing the component k.
-    """
-    tabs = batch.tables
-    grid = tabs.grid
-    tabs.ensure_derivs()
+    """Node stacks (steps+1, B, K, N, ...) of the P and zeta path derivatives
+    of a general-sum batch, every member and component k at once."""
+    batch.tables.ensure_derivs()
     Pk_nodes = _solve_p_pass(batch)
-
-    if tabs.c_is_zero:
+    if batch.tables.c_is_zero:
         # drive-free: the offsets vanish identically and so do their derivatives
-        B, N, n = len(tabs.thetas), tabs.game.num_players, tabs.game.state_dim
-        zk_nodes = np.zeros((grid.steps + 1, B, N, N, n))
-        ek_nodes = np.zeros((grid.steps + 1, B, N, N))
-    else:
-        zk_nodes = _solve_zeta_pass(batch, Pk_nodes)
-        blowups = {}
-        ek_nodes = backward_running_sum(_eta_integrand(batch, zk_nodes), grid, blowups=blowups)
-        _raise_first(blowups)
+        return Pk_nodes, np.zeros(Pk_nodes.shape[:-1])
+    return Pk_nodes, _solve_zeta_pass(batch, Pk_nodes)
 
-    return Pk_nodes, zk_nodes, ek_nodes
+
+def _eta_nodes(batch: StageTwoBatch, zk_nodes):
+    """Node samples (steps+1, B, K, N) of the eta-path derivatives, the
+    backward running sum of their integrand; zero for a drive-free batch."""
+    if batch.tables.c_is_zero:
+        return np.zeros(zk_nodes.shape[:-1])
+    blowups = {}
+    ek = backward_running_sum(_eta_integrand(batch, zk_nodes), batch.tables.grid, blowups=blowups)
+    _raise_first(blowups)
+    return ek
 
 
 def _zerosum_sensitivity(batch: StageTwoBatch):
@@ -237,84 +233,85 @@ def _zerosum_sensitivity(batch: StageTwoBatch):
     return Pk
 
 
-def _value_gradients(batch: StageTwoBatch) -> np.ndarray:
-    """Gradient matrices G[b, i, k] = d J^i / d theta_k of the first-stage
-    costs of every member of ``batch``, regularizers included."""
-    tabs = batch.tables
-    game, x0 = tabs.game, tabs.game.x0
-    G = []
-    if game.zero_sum:
-        Pk0 = _zerosum_sensitivity(batch)[0]
-        for b, theta in enumerate(tabs.thetas):
-            g = 0.5 * np.einsum("a,kab,b->k", x0, Pk0[b], x0)
-            G.append(np.vstack([g, -g]) + game.regularizer_gradients(theta))
-    else:
-        Pk0, zk0, ek0 = (a[0] for a in _general_sensitivity(batch))
-        for b, theta in enumerate(tabs.thetas):
-            G.append(0.5 * np.einsum("a,kiab,b->ik", x0, Pk0[b], x0)
-                     + np.einsum("kia,a->ik", zk0[b], x0) + ek0[b].T
-                     + game.regularizer_gradients(theta))
-    return np.array(G).reshape(len(tabs.thetas), game.num_players, game.num_players)
-
-
 # -- public operations -------------------------------------------------------
 
 
 def value_gradient(game: ConfigGame, theta, grid: TimeGrid = None,
                    stage2: StageTwoBatch = None) -> np.ndarray:
-    """Gradient matrix G[i, k] = d J^i / d theta_k of the first-stage costs.
+    """Gradient matrices G[b, i, k] = d J^i / d theta_k of the first-stage
+    costs, one per member of ``stage2``, (B, N, N).
 
     Zero-sum games differentiate the single value-matrix equation (the
     two-player encoding with sign-flipped cross costs falls outside the
     nonnegative-cost hypothesis of the coupled system, and the
     single-matrix route is exact there); general games run the stacked
-    linear passes for every component at once.  Regularizer gradients are
-    added row-wise.  A given ``stage2``, the one-member batch of
-    solve_stage_two, must have been solved for this game, theta and grid.
-    Raises InfeasibleTheta when the stage-two solve blows up.
+    linear passes for every member and component at once.  Regularizer
+    gradients are added row-wise.  A given ``stage2`` must have been solved
+    for this game and grid at the rows of ``theta`` (one vector is a
+    one-member batch); without it ``theta`` is solved, and InfeasibleTheta
+    raised when that solve blows up; ``theta`` must then be one vector.
     """
     theta = np.asarray(theta, dtype=float)
     if stage2 is not None:
         _check_solution(stage2, game, theta, grid)
+    elif theta.ndim != 1:
+        raise ValueError(f"without a stage2, theta must be one vector, not of shape {theta.shape}")
     else:
         try:
             stage2 = solve_stage_two(game, theta, grid)
         except BlowUpDetected as exc:
             raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
-    return _value_gradients(stage2)[0]
+    thetas, x0 = stage2.tables.thetas, game.x0
+    G = []
+    if game.zero_sum:
+        Pk0 = _zerosum_sensitivity(stage2)[0]
+        for b, theta in enumerate(thetas):
+            g = 0.5 * np.einsum("a,kab,b->k", x0, Pk0[b], x0)
+            G.append(np.vstack([g, -g]) + game.regularizer_gradients(theta))
+    else:
+        Pk_nodes, zk_nodes = _general_sensitivity(stage2)
+        Pk0, zk0, ek0 = Pk_nodes[0], zk_nodes[0], _eta_nodes(stage2, zk_nodes)[0]
+        for b, theta in enumerate(thetas):
+            G.append(0.5 * np.einsum("a,kiab,b->ik", x0, Pk0[b], x0)
+                     + np.einsum("kia,a->ik", zk0[b], x0) + ek0[b].T
+                     + game.regularizer_gradients(theta))
+    return np.array(G).reshape(len(thetas), game.num_players, game.num_players)
 
 
-def envelope_gradient(batch: StageTwoBatch, i: int) -> np.ndarray:
-    """Own-parameter derivative of player i's value as a trajectory integral,
-    one per member of ``batch``, (B,).
+def envelope_gradient(batch: StageTwoBatch) -> np.ndarray:
+    """Every player's own-parameter derivative of their value as a trajectory
+    integral, one row per member of ``batch``, (B, N).
 
-    Valid for drive-free games only: rolls out the equilibrium trajectories
-    of ``batch``, reconstructs every player's feedback control, and
-    integrates the instantaneous effects of the parameter on the state
-    cost, on the ego player's control effectiveness, and on the other
-    players' strategy shifts.  The ego player's own strategy shift
-    contributes nothing, which is what makes this an independent check of
-    the path-derivative gradient.  The regularizer, being
-    control-independent, is excluded.
+    Rolls out the equilibrium trajectories of ``batch``, reconstructs every
+    player's feedback control, and integrates the instantaneous effects of
+    theta_i on player i's Hamiltonian, with costate P^i x + zeta^i: on the
+    state cost, on the ego player's control effectiveness, and on the other
+    players' strategy shifts, formed from P^j_i x + zeta^j_i.  The ego
+    player's own strategy shift contributes nothing, which is what makes
+    this an independent check of the path-derivative gradient.  A
+    drive-free game is the case zeta = 0, and a zero-sum batch, which holds
+    no offsets, reads as one.  The regularizer, being control-independent,
+    is excluded.
     """
     tabs = batch.tables
-    if not tabs.c_is_zero:
-        raise PreconditionViolation("envelope form requires a vanishing drive term")
-
-    Pk_nodes = _general_sensitivity(batch)[0][:, :, i]
+    Pk_nodes, zk_nodes = _general_sensitivity(batch)
     path = rollout(tabs.game, tabs.thetas, batch)
     xs, us = path.x, path.u
-    xP = np.einsum("t...a,t...ab->t...b", xs, batch.P_nodes[:, :, i])
-
-    vals = np.einsum("t...a,t...ab,t...b->t...", xs, tabs.dQ[i][i][0::2], xs)
-    vals += 2.0 * np.einsum("t...a,t...ab,t...b->t...", xP, tabs.dB[i][0::2], us[i])
-    for j in range(tabs.game.num_players):
-        if j == i:
-            continue
-        Bj = tabs.B[j][0::2]
-        pre = np.einsum("t...ba,t...bc,t...c->t...a", Bj, Pk_nodes[:, :, j], xs)
-        du = -np.linalg.solve(tabs.R[j][j][0::2, None], pre[..., None])[..., 0]
-        vals += 2.0 * np.einsum("t...a,tab,t...b->t...", us[j], tabs.R[i][j][0::2], du)
-        vals += 2.0 * np.einsum("t...a,t...ab,t...b->t...", xP, Bj, du)
-
-    return 0.5 * simpson_nodes(vals, tabs.grid)
+    out = []
+    for i, ui in enumerate(us):
+        costate = np.einsum("t...a,t...ab->t...b", xs, batch.P_nodes[:, :, i])
+        if batch.zeta_nodes is not None:
+            costate += batch.zeta_nodes[:, :, i]
+        vals = np.einsum("t...a,t...ab,t...b->t...", xs, tabs.dQ[i][i][0::2], xs)
+        vals += 2.0 * np.einsum("t...a,t...ab,t...b->t...", costate, tabs.dB[i][0::2], ui)
+        for j, uj in enumerate(us):
+            if j == i:
+                continue
+            Bj = tabs.B[j][0::2]
+            pre = np.einsum("t...ba,t...bc,t...c->t...a", Bj, Pk_nodes[:, :, i, j], xs)
+            pre += np.einsum("t...ba,t...b->t...a", Bj, zk_nodes[:, :, i, j])
+            du = -np.linalg.solve(tabs.R[j][j][0::2, None], pre[..., None])[..., 0]
+            vals += 2.0 * np.einsum("t...a,tab,t...b->t...", uj, tabs.R[i][j][0::2], du)
+            vals += 2.0 * np.einsum("t...a,t...ab,t...b->t...", costate, Bj, du)
+        out.append(0.5 * simpson_nodes(vals, tabs.grid))
+    return np.stack(out, axis=-1)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import BestResponseStalled, BlowUpDetected, InfeasibleTheta
 from .model import ConfigGame
 from .riccati import DEFAULT_STEPS, _solve_batch, default_grid, solve_stage_two, stage_one_costs
-from .sensitivity import _value_gradients, value_gradient
+from .sensitivity import value_gradient
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _evaluate(game, theta, grid):
     except BlowUpDetected as exc:
         raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
     costs = stage_one_costs(stage2)[0]
-    G = value_gradient(game, theta, grid=grid, stage2=stage2)
+    G = value_gradient(game, theta, grid=grid, stage2=stage2)[0]
     return costs, np.diag(G).copy()
 
 
@@ -173,7 +173,8 @@ def _evaluate_batch(game, thetas, grid, gradients=None):
         keep = np.flatnonzero(asked[members])
         if len(keep):
             batch = batch if len(keep) == len(members) else batch.select(keep)
-            for r, G in zip(members[keep], _value_gradients(batch)):
+            grads = value_gradient(game, batch.tables.thetas, grid=grid, stage2=batch)
+            for r, G in zip(members[keep], grads):
                 out[r] = (out[r][0], G)
         del batch  # before the next slice is solved
     return [out[r] for r in range(len(thetas))]

@@ -59,7 +59,7 @@ def test_criterion_01_scalar_closed_form_and_convergence_order():
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     order_ok = min(orders) >= 3.5
 
-    G = value_gradient(game, theta, grid=TimeGrid(1.0, 1000))
+    G = value_gradient(game, theta, grid=TimeGrid(1.0, 1000))[0]
     expected = 0.5 * 1.3 ** 2 * (1.0 / np.cosh(1.0) ** 2 - np.tanh(1.0))
     grad_ok = abs(G[0, 0] - expected) <= 1e-6 * abs(expected)
 
@@ -165,20 +165,28 @@ def test_criterion_05_zero_sum_consistency(pe_game):
             f"path err={worst_path:.2e}, value err={worst_val:.2e}")
 
 
-def test_criterion_06_envelope_identity():
+def test_criterion_06_envelope_identity(gs_game):
+    # ten drive-free games, then three with a drive term: general-sum and
+    # two affine random games
     worst = 0.0
     rng = np.random.default_rng(6)
-    for seed in range(10):
-        game = random_aq_game(seed + 40, 2, 2 + seed % 3, 1, affine=False)
+    cases = [(random_aq_game(seed + 40, 2, 2 + seed % 3, 1, affine=False), None)
+             for seed in range(10)]
+    cases += [(gs_game, np.array([0.7, 0.9])),
+              (random_aq_game(50, 2, 3, 1, affine=True), None),
+              (random_aq_game(51, 3, 3, 1, affine=True), None)]
+    for game, theta in cases:
         grid = TimeGrid(game.horizon, 1000)
-        theta = 0.7 + 0.6 * rng.random(2)
+        if theta is None:
+            theta = 0.7 + 0.6 * rng.random(game.num_players)
         stage2 = solve_stage_two(game, theta, grid)
-        G = value_gradient(game, theta, grid=grid, stage2=stage2)
-        for i in range(2):
-            env = envelope_gradient(stage2, i)[0]
-            worst = max(worst, abs(env - G[i, i]) / max(abs(G[i, i]), 1e-10))
+        G = (value_gradient(game, theta, grid=grid, stage2=stage2)[0]
+             - game.regularizer_gradients(theta))
+        own = np.diag(G)
+        env = envelope_gradient(stage2)[0]
+        worst = max(worst, np.max(np.abs(env - own) / np.maximum(np.abs(own), 1e-10)))
     _report(6, "trajectory-integral form of the own gradient",
-            worst <= 1e-3, f"max rel err={worst:.2e}")
+            worst <= 1e-8, f"max rel err={worst:.2e}")
 
 
 def test_criterion_07_saddle_reproduction(pe_game, pe_settings, pe_ibr_runs):

@@ -21,7 +21,6 @@ from confgames import odekit
 from confgames import solver as solver_mod
 from confgames.errors import BlowUpDetected
 from confgames.riccati import _solve_batch
-from confgames.sensitivity import _value_gradients
 from conftest import make_time_varying_game
 
 
@@ -43,13 +42,13 @@ def test_member_equals_its_one_member_solve(seed, players, state_dim, control_di
     grid = TimeGrid(game.horizon, 40)
     batch, failures = _solve_batch(game, thetas, grid)
     assert not failures
-    G = _value_gradients(batch)
+    G = value_gradient(game, thetas, grid=grid, stage2=batch)
     for b, theta in enumerate(thetas):
         single = solve_stage_two(game, theta, grid)
         assert np.array_equal(batch.values[b], single.values[0])
         assert np.array_equal(batch.P_nodes[:, b], single.P_nodes[:, 0])
         assert np.array_equal(batch.zeta_nodes[:, b], single.zeta_nodes[:, 0])
-        assert np.array_equal(G[b], value_gradient(game, theta, grid=grid, stage2=single))
+        assert np.array_equal(G[b], value_gradient(game, theta, grid=grid, stage2=single)[0])
 
 
 def test_zero_sum_member_equals_its_one_member_solve(pe_game):
@@ -59,12 +58,12 @@ def test_zero_sum_member_equals_its_one_member_solve(pe_game):
     thetas = np.array([[0.4, 1.1], corner, [0.9, 0.7]])
     batch, failures = _solve_batch(pe_game, thetas, grid)
     assert not failures and batch.zeta_nodes is None
-    G = _value_gradients(batch)
+    G = value_gradient(pe_game, thetas, grid=grid, stage2=batch)
     for b, theta in enumerate(thetas):
         single = solve_stage_two(pe_game, theta, grid)
         assert np.array_equal(batch.values[b], single.values[0])
         assert np.array_equal(batch.P_nodes[:, b], single.P_nodes[:, 0])
-        assert np.array_equal(G[b], value_gradient(pe_game, theta, grid=grid, stage2=single))
+        assert np.array_equal(G[b], value_gradient(pe_game, theta, grid=grid, stage2=single)[0])
 
 
 def test_diverged_member_leaves_the_others_unchanged(gs_game):
@@ -142,7 +141,7 @@ def test_block_edges_inside_a_step_leave_every_number_unchanged(scenario, gs_gam
     def solve():
         batch, failures = _solve_batch(game, thetas, grid)
         assert not failures
-        return batch, _value_gradients(batch)
+        return batch, value_gradient(game, thetas, grid=grid, stage2=batch)
 
     default, G = solve()
     monkeypatch.setattr(odekit, "BLOCK_ROWS", 3)
@@ -251,7 +250,7 @@ def test_masked_evaluation_equals_single_points(scenario, gs_game, monkeypatch):
         costs, G = result
         assert np.array_equal(costs, stage_one_costs(single)[0])
         if ask:
-            assert np.array_equal(G, value_gradient(game, theta, grid=grid, stage2=single))
+            assert np.array_equal(G, value_gradient(game, theta, grid=grid, stage2=single)[0])
         else:
             assert G is None
     if scenario == "gs":
@@ -288,8 +287,8 @@ def test_gradients_of_selected_members_equal_their_single_points(scenario, pe_ga
     sub = batch.select(keep)
     assert np.array_equal(sub.members, keep)
     assert np.array_equal(sub.values, batch.values[keep])
-    for g, b in zip(_value_gradients(sub), keep):
-        assert np.array_equal(g, value_gradient(game, thetas[b], grid=grid))
+    for g, b in zip(value_gradient(game, thetas[keep], grid=grid, stage2=sub), keep):
+        assert np.array_equal(g, value_gradient(game, thetas[b], grid=grid)[0])
 
 
 def _five_members(game):
@@ -316,17 +315,22 @@ def test_rollout_of_a_batch_equals_its_members_rollouts(scenario, pe_game, gs_ga
             assert np.array_equal(u[:, b], v[:, 0])
         assert np.array_equal(path.rollout_costs[b], single.rollout_costs[0])
     # a batch with no members (every point diverged) has an empty rollout
-    empty = rollout(game, thetas[:0], batch.select([]))
+    # and empty gradients
+    none = batch.select([])
+    empty = rollout(game, thetas[:0], none)
     assert empty.x.shape == (grid.steps + 1, 0, game.state_dim)
     assert empty.rollout_costs.shape == (0, game.num_players)
+    N = game.num_players
+    assert value_gradient(game, thetas[:0], grid=grid, stage2=none).shape == (0, N, N)
+    assert envelope_gradient(none).shape == (0, N)
 
 
-@pytest.mark.parametrize("scenario", ["tv", "rand"])
-def test_envelope_gradient_of_a_batch_equals_its_members(scenario):
-    game = make_time_varying_game() if scenario == "tv" else _random_game(3, 2, 3, 1, False)
+@pytest.mark.parametrize("scenario", ["tv", "rand", "affine", "gs"])
+def test_envelope_gradient_of_a_batch_equals_its_members(scenario, gs_game):
+    game = {"tv": make_time_varying_game(), "rand": _random_game(3, 2, 3, 1, False),
+            "affine": _random_game(1, 3, 4, 1, True), "gs": gs_game}[scenario]
     thetas, grid, batch = _five_members(game)
-    for i in range(game.num_players):
-        env = envelope_gradient(batch, i)
-        assert env.shape == (5,)
-        one = [envelope_gradient(solve_stage_two(game, theta, grid), i)[0] for theta in thetas]
-        np.testing.assert_allclose(env, one, rtol=1e-13, atol=0)
+    env = envelope_gradient(batch)
+    assert env.shape == (5, game.num_players)
+    one = [envelope_gradient(solve_stage_two(game, theta, grid))[0] for theta in thetas]
+    np.testing.assert_allclose(env, one, rtol=1e-13, atol=0)

@@ -38,7 +38,7 @@ def test_values_and_gradient_match_golden(scenario, pe_game, gs_game):
     theta = np.array(theta)
     grid = TimeGrid(game.horizon, 1000)
     sol = solve_stage_two(game, theta, grid)
-    G = value_gradient(game, theta, grid=grid, stage2=sol)
+    G = value_gradient(game, theta, grid=grid, stage2=sol)[0]
     assert sol.values[0] == pytest.approx(np.array(values), rel=1e-12, abs=0.0)
     assert G == pytest.approx(np.array(gradient), rel=1e-12, abs=0.0)
 

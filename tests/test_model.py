@@ -251,8 +251,7 @@ class TestSampler:
         sol = solve_stage_two(game, theta, TimeGrid(game.horizon, 200))
         calls = self._count_calls(monkeypatch)
         rollout(game, theta, sol)
-        for i in range(2):
-            envelope_gradient(sol, i)
+        envelope_gradient(sol)
         assert calls[0] == 0
 
     @pytest.mark.parametrize("make,expected", [
@@ -502,9 +501,8 @@ class TestConfigGameValidation:
         for u, v in zip(got.u, want.u):
             np.testing.assert_allclose(u, v, rtol=1e-12, atol=1e-12 * np.abs(v).max())
         np.testing.assert_allclose(got.rollout_costs, want.rollout_costs, rtol=1e-12, atol=0)
-        envelope = [envelope_gradient(sol, i) for i in range(2)]
-        twin_envelope = [envelope_gradient(twin_sol, i) for i in range(2)]
-        np.testing.assert_allclose(envelope, twin_envelope, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(envelope_gradient(sol), envelope_gradient(twin_sol),
+                                   rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("wrong,match", [
         ("time_constant", r"B\[0\] is declared time-constant"),

@@ -181,7 +181,7 @@ class TestRandomGames:
         game = random_aq_game(seed, 2, 3, 1)
         grid = TimeGrid(game.horizon, 1000)
         theta = np.array([0.8, 1.1])
-        G = value_gradient(game, theta, grid=grid)
+        G = value_gradient(game, theta, grid=grid)[0]
         h = 1e-5
         for k in range(2):
             step = np.zeros(2)

@@ -3,10 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from confgames import (InfeasibleTheta, PreconditionViolation, TimeGrid,
-                       envelope_gradient, random_aq_game, rollout, solve_stage_two,
-                       stage_one_costs, value_gradient)
-from confgames.sensitivity import _general_sensitivity, _zerosum_sensitivity
+from confgames import (InfeasibleTheta, TimeGrid, envelope_gradient, random_aq_game, rollout,
+                       solve_stage_two, stage_one_costs, value_gradient)
+from confgames.sensitivity import _eta_nodes, _general_sensitivity, _zerosum_sensitivity
 from conftest import make_scalar_lqr, make_theta_independent_game, make_time_varying_game
 
 
@@ -25,8 +24,9 @@ def fd_gradient(game, theta, grid, h=1e-5):
 
 def general_stacks(stage2):
     """The P, zeta and eta path-derivative stacks (steps+1, N, ...) of a
-    one-member batch, from the general-sum core run on it."""
-    return [a[:, 0] for a in _general_sensitivity(stage2)]
+    one-member batch, from the general-sum core and the eta running sum."""
+    Pk, zk = _general_sensitivity(stage2)
+    return [a[:, 0] for a in (Pk, zk, _eta_nodes(stage2, zk))]
 
 
 def column_from_paths(game, theta, k, Pk, zk, ek):
@@ -115,7 +115,7 @@ class TestPathDerivatives:
                  (rand, TimeGrid(rand.horizon, 1000), np.array([0.9, 1.1, 1.0])))
         for game, grid, theta in cases:
             stage2 = solve_stage_two(game, theta, grid)
-            G = value_gradient(game, theta, grid=grid, stage2=stage2)
+            G = value_gradient(game, theta, grid=grid, stage2=stage2)[0]
             N = game.num_players
             batched = general_stacks(stage2)
             for k in range(N):
@@ -177,7 +177,7 @@ class TestValueGradient:
                 assert rel.max() <= 1e-4
 
     def test_zero_sum_rows_are_exact_negatives(self, pe_game, pe_grid):
-        G = value_gradient(pe_game, np.array([0.4, 1.2]), grid=pe_grid)
+        G = value_gradient(pe_game, np.array([0.4, 1.2]), grid=pe_grid)[0]
         assert np.array_equal(G[1], -G[0])
 
     def test_infeasible_theta_raises(self, gs_game):
@@ -187,6 +187,16 @@ class TestValueGradient:
             value_gradient(game, np.array([0.6, 1.2]), grid=TimeGrid(6.0, 1000))
         assert info.value.time is not None
 
+    def test_solving_takes_one_theta_vector(self, gs_game):
+        # a (1, N) row is a one-member batch only beside the stage2 solved for it
+        theta = np.array([[0.7, 0.9]])
+        grid = TimeGrid(gs_game.horizon, 100)
+        with pytest.raises(ValueError, match="must be one vector"):
+            value_gradient(gs_game, theta, grid=grid)
+        stage2 = solve_stage_two(gs_game, theta[0], grid)
+        assert np.array_equal(value_gradient(gs_game, theta, grid=grid, stage2=stage2),
+                              value_gradient(gs_game, theta[0], grid=grid))
+
 
 class TestDirectionalDerivative:
     """The derivative along h is the gradient matrix applied to h."""
@@ -194,11 +204,11 @@ class TestDirectionalDerivative:
     def test_basis_direction_reproduces_component(self, gs_game, gs_grid):
         theta = np.array([0.7, 0.9])
         stage2 = solve_stage_two(gs_game, theta, gs_grid)
-        G = value_gradient(gs_game, theta, grid=gs_grid, stage2=stage2)
+        G = value_gradient(gs_game, theta, grid=gs_grid, stage2=stage2)[0]
         for k in range(2):
             e = np.zeros(2)
             e[k] = 1.0
-            d = value_gradient(gs_game, theta, grid=gs_grid, stage2=stage2) @ e
+            d = value_gradient(gs_game, theta, grid=gs_grid, stage2=stage2)[0] @ e
             assert np.array_equal(d, G[:, k])
 
     def test_negating_direction_negates_result(self, gs_game, gs_grid):
@@ -233,19 +243,21 @@ class TestDirectionalDerivative:
 
 
 class TestEnvelopeGradient:
-    def test_zero_for_parameter_independent_game(self):
-        game = make_theta_independent_game(drive=False)
+    @pytest.mark.parametrize("drive", [False, True])
+    def test_zero_for_parameter_independent_game(self, drive):
+        game = make_theta_independent_game(drive=drive)
         grid = TimeGrid(1.0, 400)
-        val = envelope_gradient(solve_stage_two(game, np.array([1.0, 1.0]), grid), 0)[0]
-        assert val == pytest.approx(0.0, abs=1e-12)
+        env = envelope_gradient(solve_stage_two(game, np.array([1.0, 1.0]), grid))
+        assert env.shape == (1, 2)
+        assert np.abs(env).max() <= 1e-12
 
     def test_single_player_matches_value_gradient(self):
         game = make_scalar_lqr()
         grid = TimeGrid(1.0, 1000)
         theta = np.array([1.0])
         stage2 = solve_stage_two(game, theta, grid)
-        env = envelope_gradient(stage2, 0)[0]
-        G = value_gradient(game, theta, grid=grid, stage2=stage2)
+        env = envelope_gradient(stage2)[0, 0]
+        G = value_gradient(game, theta, grid=grid, stage2=stage2)[0]
         assert env == pytest.approx(G[0, 0], rel=1e-5)
         expected = 0.5 * (1.0 / np.cosh(1.0) ** 2 - np.tanh(1.0))
         assert env == pytest.approx(expected, rel=1e-5)
@@ -257,30 +269,30 @@ class TestEnvelopeGradient:
         grid = TimeGrid(game.horizon, 1000)
         theta = np.array([0.9, 1.15])
         stage2 = solve_stage_two(game, theta, grid)
-        G = value_gradient(game, theta, grid=grid, stage2=stage2)
-        for i in range(2):
-            env = envelope_gradient(stage2, i)[0]
-            assert env == pytest.approx(G[i, i], rel=1e-3)
+        G = value_gradient(game, theta, grid=grid, stage2=stage2)[0]
+        np.testing.assert_allclose(envelope_gradient(stage2)[0], np.diag(G), rtol=1e-3)
 
     def test_matches_own_gradient_with_time_varying_coefficients(self):
         game = make_time_varying_game()
         grid = TimeGrid(1.0, 1000)
         theta = np.array([0.8, 1.2])
         stage2 = solve_stage_two(game, theta, grid)
-        G = value_gradient(game, theta, grid=grid, stage2=stage2)
-        for i in range(2):
-            env = envelope_gradient(stage2, i)[0]
-            assert env == pytest.approx(G[i, i], rel=1e-6)
+        G = value_gradient(game, theta, grid=grid, stage2=stage2)[0]
+        np.testing.assert_allclose(envelope_gradient(stage2)[0], np.diag(G), rtol=1e-6)
 
     def test_matches_own_gradient_on_zero_sum_solution(self, pe_game, pe_grid):
-        # a zero-sum solution holds the player stack (P, -P), which the
-        # general-sum strategy shifts and the rollout read
+        # a zero-sum solution holds the player stack (P, -P) and no offsets,
+        # which the general-sum strategy shifts and the rollout read
         theta = np.array([0.4, 1.1])
         stage2 = solve_stage_two(pe_game, theta, pe_grid)
-        G = value_gradient(pe_game, theta, grid=pe_grid, stage2=stage2)
-        for i in range(2):
-            assert envelope_gradient(stage2, i)[0] == pytest.approx(G[i, i], rel=1e-9)
+        G = value_gradient(pe_game, theta, grid=pe_grid, stage2=stage2)[0]
+        np.testing.assert_allclose(envelope_gradient(stage2)[0], np.diag(G), rtol=1e-9)
 
-    def test_requires_drive_free_game(self, gs_game, gs_grid):
-        with pytest.raises(PreconditionViolation):
-            envelope_gradient(solve_stage_two(gs_game, np.array([0.7, 0.9]), gs_grid), 0)
+    def test_matches_own_gradient_with_drive_term(self, gs_game, gs_grid):
+        # the costate and the strategy shifts carry the offsets zeta and
+        # their derivatives; the regularizers are outside the integral
+        theta = np.array([0.7, 0.9])
+        stage2 = solve_stage_two(gs_game, theta, gs_grid)
+        G = (value_gradient(gs_game, theta, grid=gs_grid, stage2=stage2)[0]
+             - gs_game.regularizer_gradients(theta))
+        np.testing.assert_allclose(envelope_gradient(stage2)[0], np.diag(G), rtol=1e-9, atol=0)

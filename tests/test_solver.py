@@ -105,7 +105,7 @@ class TestBestResponse:
         theta0 = np.array([0.0, np.pi / 4])
         out, _ = best_response(pe_game, theta0, 0, pe_settings)
         grid = TimeGrid(pe_game.horizon, pe_settings.grid_steps)
-        G = value_gradient(pe_game, np.array([out, np.pi / 4]), grid=grid)
+        G = value_gradient(pe_game, np.array([out, np.pi / 4]), grid=grid)[0]
         assert abs(G[0, 0]) <= 1e-4
         assert 0.0 < out < np.pi / 2
 
