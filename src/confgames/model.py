@@ -227,6 +227,7 @@ class ConfigGame:
                 _require_finite((f"{name} at t={t:.6g}", sample) for t, sample in zip(ts, samples))
         self._check_control_costs(ts, table)
         self._check_declarations(coefs, ts, table)
+        self._check_derivatives(coefs, ts, table)
         if self.zero_sum:
             self._check_zero_sum_negation(ts, table, corners)
         self._warn_if_state_cost_indefinite(ts, table)
@@ -263,6 +264,33 @@ class ConfigGame:
                     if not np.array_equal(samples[s], coef(ts[s], moved)):
                         raise ValueError(f"{name} changes with theta_{k}, which its "
                                          f"depends_on leaves out (t={ts[s]:.6g})")
+
+    def _check_derivatives(self, coefs, ts, table):
+        """Reject a derivative (``MatrixFn.d_theta`` at ``ts[::8]``, ``Regularizer.grad``)
+        that a central difference of its function at theta_mid, stepping 1e-4 of
+        the interval, contradicts by more than 1e-5 of the larger of the derivative
+        and the function over the interval: every exact gradient rests on them."""
+        mid = self.theta_mid
+
+        def contradicts(exact, fn, k, value):
+            lo, hi = self.theta_box[k]
+            e = np.eye(len(mid))[k] * 1e-4 * (hi - lo)
+            quotient = np.subtract(fn(mid + e), fn(mid - e)) / (2 * e[k])
+            scale = max(np.abs(exact).max(), np.abs(value).max() / (hi - lo))
+            return np.abs(exact - quotient).max() > 1e-5 * scale
+
+        wide = {k for k, (lo, hi) in enumerate(self.theta_box) if hi > lo}
+        for (name, coef), samples in zip(coefs.items(), table.values()):
+            for k, s in itertools.product(sorted(coef.depends_on & wide), range(0, len(ts), 8)):
+                t = ts[s]
+                if contradicts(coef.d_theta(t, mid, k), lambda th: coef(t, th), k, samples[s]):
+                    raise ValueError(f"{name}'s derivative in theta_{k} disagrees with a "
+                                     f"central difference at t={t:.6g}")
+        for (i, reg), k in itertools.product(enumerate(self.regularizers or ()), sorted(wide)):
+            if reg is not None and contradicts(np.ravel(reg.grad(mid))[k], reg.value, k,
+                                               reg.value(mid)):
+                raise ValueError(f"regularizers[{i}]'s gradient entry {k} disagrees with a "
+                                 "central difference")
 
     def _check_zero_sum_negation(self, ts, table, corners):
         """Reject zero-sum games the single-matrix solve would answer wrongly.

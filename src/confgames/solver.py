@@ -10,7 +10,8 @@ interior stationary point, a boundary point whose descent direction exits
 the box, or neither.
 
 Each parameter point is evaluated once: the descent step carries every
-point's evaluation (first-stage costs and own-gradients) forward.
+point's evaluation (first-stage costs and own-gradients) forward.  Each
+evaluation is a row of ``_evaluate_batch``, the one evaluator.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BestResponseStalled, BlowUpDetected, InfeasibleTheta
+from .errors import BestResponseStalled, InfeasibleTheta
 from .model import ConfigGame
-from .riccati import DEFAULT_STEPS, _solve_batch, default_grid, solve_stage_two, stage_one_costs
+from .riccati import DEFAULT_STEPS, _solve_batch, default_grid, stage_one_costs
 from .sensitivity import value_gradient
 
 
@@ -105,17 +106,6 @@ def project(theta_i: float, box) -> float:
     return float(min(max(theta_i, lo), hi))
 
 
-def _evaluate(game, theta, grid):
-    """First-stage costs and own-gradients at theta (single stage-two solve)."""
-    try:
-        stage2 = solve_stage_two(game, theta, grid)
-    except BlowUpDetected as exc:
-        raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
-    costs = stage_one_costs(stage2)[0]
-    G = value_gradient(game, theta, grid=grid, stage2=stage2)[0]
-    return costs, np.diag(G).copy()
-
-
 # elements per grid node that the arrays of a batch of parameter points may
 # hold, about 26 MB at 1000 steps.  The passes form every stage-time array
 # in blocks of at most odekit.BLOCK_ELEMS elements, so a member holds its
@@ -178,6 +168,15 @@ def _evaluate_batch(game, thetas, grid, gradients=None):
                 out[r] = (out[r][0], G)
         del batch  # before the next slice is solved
     return [out[r] for r in range(len(thetas))]
+
+
+def _evaluate(game, theta, grid):
+    """First-stage costs and own-gradients at theta: the one-row call of
+    ``_evaluate_batch``, raising that row's InfeasibleTheta."""
+    (row,) = _evaluate_batch(game, [theta], grid)
+    if isinstance(row, InfeasibleTheta):
+        raise row
+    return row[0], np.diag(row[1]).copy()
 
 
 def _descend(game, theta, i, settings, grid, costs, own, sweep, records):
@@ -289,7 +288,6 @@ def certify_first_order(game: ConfigGame, theta, settings: SolverSettings = None
     ``IbrTrace.certification`` holds these verdicts at the search's end.
     """
     settings = settings if settings is not None else SolverSettings()
-    theta = np.asarray(theta, dtype=float)
     _, own = _evaluate(game, theta, default_grid(game, settings.grid_steps))
     return _verdicts(game, theta, own, settings.stationarity_tol)
 
@@ -317,7 +315,8 @@ def naive_baseline(game: ConfigGame, theta0, settings: SolverSettings = None) ->
     the equilibrium value measures the cost of ignoring the opponent's
     configuration response.  The naive first round is the search's first
     best response (same start, same frozen opponent), read from its trace;
-    a realized profile that is the search's end point is not solved again.
+    a realized profile that is the search's end point is not solved again,
+    and one with no bounded stage-two solution raises its InfeasibleTheta.
     """
     if not game.zero_sum:
         raise ValueError("baseline is defined for two-player zero-sum games")
@@ -339,12 +338,12 @@ def naive_baseline(game: ConfigGame, theta0, settings: SolverSettings = None) ->
 
     theta_star = trace.theta
     realized_profile = np.array([theta1_naive, theta_star[1]])
-    equilibrium = float(trace.values[0])
-    if np.array_equal(realized_profile, theta_star):
-        realized = equilibrium
-    else:
-        stage2 = solve_stage_two(game, realized_profile, grid)
-        realized = float(stage_one_costs(stage2)[0, 0])
+    equilibrium = realized = float(trace.values[0])
+    if not np.array_equal(realized_profile, theta_star):
+        (row,) = _evaluate_batch(game, [realized_profile], grid, gradients=[False])
+        if isinstance(row, InfeasibleTheta):
+            raise row
+        realized = float(row[0][0])
     return BaselineResult(theta1_naive=theta1_naive, theta_star=theta_star,
                           realized_value=realized, equilibrium_value=equilibrium,
                           gap=realized - equilibrium,

@@ -14,8 +14,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from confgames import (ConfigGame, GeneralSumSpec, IndefiniteStateCostWarning,
-                       MatrixFn, PursuitEvasionSpec, Regularizer,
+import confgames.solver as solver_mod
+from confgames import (BlowUpDetected, ConfigGame, GeneralSumSpec,
+                       IndefiniteStateCostWarning, MatrixFn, PursuitEvasionSpec, Regularizer,
                        SolverSettings, TimeGrid, build_general_sum,
                        build_pursuit_evasion, ibr_solve, naive_baseline,
                        recommended_settings)
@@ -129,6 +130,41 @@ def gs_settings():
     return recommended_settings("general_sum")
 
 
+def count_solves(monkeypatch):
+    """Patch ``solver._solve_batch``, the entry of every stage-two solve the
+    solver module makes, to record the theta of each row it is given; returns
+    the list of them, as tuples of floats."""
+    thetas = []
+    real = solver_mod._solve_batch
+
+    def counted(game, rows, grid=None):
+        thetas.extend(tuple(map(float, theta)) for theta in np.atleast_2d(rows))
+        return real(game, rows, grid)
+
+    monkeypatch.setattr(solver_mod, "_solve_batch", counted)
+    return thetas
+
+
+def diverge_at(*points):
+    """Stand-in for solver._solve_batch that numbers the points it is given
+    across calls and reports those numbered ``points`` as blown up at
+    t = 0.5; the points it was given are kept in its ``seen`` list."""
+    real = solver_mod._solve_batch
+    seen = []
+
+    def solve_batch(game, thetas, grid):
+        start = len(seen)
+        seen.extend(thetas)
+        batch, failures = real(game, thetas, grid)
+        assert not failures
+        bad = [b for b in range(len(thetas)) if start + b in points]
+        keep = [b for b in range(len(thetas)) if b not in bad]
+        return batch.select(keep), {b: BlowUpDetected(0.5, 1e9, player=1) for b in bad}
+
+    solve_batch.seen = seen
+    return solve_batch
+
+
 def _timed(fn, *args):
     start = time.perf_counter()
     out = fn(*args)
@@ -156,17 +192,9 @@ def gs_ibr_runs(gs_game, gs_settings):
 def pe_baseline_200(pe_game, pe_settings):
     """Baseline from (0.2, 1.2) on a 200-step grid, with the theta of every
     stage-two solve the solver module made."""
-    import confgames.solver as solver_mod
-    thetas = []
-    real_solve = solver_mod.solve_stage_two
-
-    def counted(game, theta, grid=None):
-        thetas.append(tuple(np.asarray(theta, dtype=float)))
-        return real_solve(game, theta, grid)
-
     settings = SolverSettings(alpha=pe_settings.alpha, grid_steps=200)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver_mod, "solve_stage_two", counted)
+        thetas = count_solves(mp)
         result = naive_baseline(pe_game, np.array([0.2, 1.2]), settings)
     return SimpleNamespace(result=result, thetas=thetas)
 

@@ -9,6 +9,7 @@ from confgames import solver as solver_mod
 from confgames.cli import KNOWN_KEYS, load_config, main
 from confgames.errors import (BlowUpDetected, ConfigError, InfeasibleTheta,
                               NumericalFailure)
+from conftest import count_solves, diverge_at
 
 
 def read_meta_and_rows(path):
@@ -197,13 +198,7 @@ class TestSolveCommand:
 
     def test_every_theta_solved_once_and_none_by_the_command(self, tmp_path,
                                                               monkeypatch):
-        from confgames import solver
-        solver_thetas, cli_calls = [], []
-        real_solve = solver.solve_stage_two
-
-        def counted(game, theta, grid=None):
-            solver_thetas.append(tuple(np.asarray(theta, dtype=float)))
-            return real_solve(game, theta, grid)
+        solver_thetas, cli_calls = count_solves(monkeypatch), []
 
         def record(name, fn):
             def wrapper(*args, **kwargs):
@@ -211,7 +206,6 @@ class TestSolveCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(solver, "solve_stage_two", counted)
         for name in ("solve_stage_two", "_evaluate", "_evaluate_batch", "certify_first_order"):
             if hasattr(cli, name):
                 monkeypatch.setattr(cli, name, record(name, getattr(cli, name)))
@@ -378,26 +372,6 @@ class TestGradCheckCommand:
         assert gradcheck_rel_err(float("nan"), 0.0) == float("inf")
 
 
-def diverge_at(*points):
-    """Stand-in for solver._solve_batch that numbers the points it is given
-    across calls and reports those numbered ``points`` as blown up at
-    t = 0.5; the points it was given are kept in its ``seen`` list."""
-    real = solver_mod._solve_batch
-    seen = []
-
-    def solve_batch(game, thetas, grid):
-        start = len(seen)
-        seen.extend(thetas)
-        batch, failures = real(game, thetas, grid)
-        assert not failures
-        bad = [b for b in range(len(thetas)) if start + b in points]
-        keep = [b for b in range(len(thetas)) if b not in bad]
-        return batch.select(keep), {b: BlowUpDetected(0.5, 1e9, player=1) for b in bad}
-
-    solve_batch.seen = seen
-    return solve_batch
-
-
 class TestGradCheckBatches:
     # pursuit-evasion points come five per sample: theta_s, then its probes
     # theta_s + h e_1, theta_s - h e_1, theta_s + h e_2, theta_s - h e_2
@@ -463,6 +437,20 @@ class TestBaselineCommand:
         assert float(meta["gap"]) > 0.0
         paths = {row[0] for row in rows}
         assert paths == {"naive", "ibr"}
+
+    def test_diverged_realized_profile_exits_three(self, tmp_path, monkeypatch, capsys,
+                                                   pe_game, pe_baseline_200):
+        # the realized profile, the baseline's last solve, is named; the
+        # game is built before, so its corner probes are not counted
+        res = pe_baseline_200.result
+        monkeypatch.setattr(cli.RunConfig, "build_game", lambda cfg: pe_game)
+        last = len(pe_baseline_200.thetas) - 1
+        monkeypatch.setattr(solver_mod, "_solve_batch", diverge_at(last))
+        out = tmp_path / "base"
+        assert main(["baseline", "--out", str(out)] + FAST) == 3
+        expected = InfeasibleTheta((res.theta1_naive, res.theta_star[1]), time=0.5, player=1)
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (out / "baseline.csv").exists()
 
     def test_start_outside_box_is_usage_error(self, tmp_path):
         code = main(["baseline", "--set", "theta0=-1.0,0.3",

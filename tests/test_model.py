@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -255,22 +256,25 @@ class TestSampler:
         assert calls[0] == 0
 
     @pytest.mark.parametrize("make,expected", [
-        (build_pursuit_evasion, 570),
-        (build_general_sum, 510),
-        (lambda: random_aq_game(0, 3, 6, 2), 951),
+        (build_pursuit_evasion, 590),
+        (build_general_sum, 530),
+        (lambda: random_aq_game(0, 3, 6, 2), 1071),
     ])
     def test_construction_samples_each_spot_once(self, monkeypatch, make, expected):
         # every coefficient at the 33 spot times at theta_mid, plus theta_k
         # moved to both ends of its interval at five of them for each k the
-        # coefficient declares it ignores, plus Q^0, Q^1 and c at the four box
-        # corners at five times for a zero-sum game; each check sampling on
-        # its own made 1,499, 1,005 and 2,180 calls
+        # coefficient declares it ignores, plus theta_k moved a step either
+        # side of theta_mid at the same five for each k it declares it reads
+        # (the derivative check), plus Q^0, Q^1 and c at the four box corners
+        # at five times for a zero-sum game; each check sampling on its own
+        # made 1,499, 1,005 and 2,180 calls, and the build without the
+        # derivative check 570, 510 and 951
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IndefiniteStateCostWarning)
             game = make()
             fields = {f.name: getattr(game, f.name) for f in dataclasses.fields(game)}
             N = game.num_players
-            per_slot = [33 + 10 * (N - len(coef.depends_on))
+            per_slot = [33 + 10 * (N - len(coef.depends_on)) + 10 * len(coef.depends_on)
                         for _, coef in _all_coefficients(game)]
             calls = self._count_calls(monkeypatch)
             ConfigGame(**fields)
@@ -634,6 +638,64 @@ class TestConfigGameValidation:
             pe_game.x0[0] = 7.0
         with pytest.raises(ValueError):
             pe_game.Qf[0][0, 0] = 7.0
+
+
+def _one_entry_off(g):
+    out = np.array(g, dtype=float)
+    out.flat[np.abs(out).argmax()] *= 1.001
+    return out
+
+
+WRONG = {"negated": np.negative, "scaled": lambda g: 1.1 * np.asarray(g),
+         "one_entry": _one_entry_off}
+
+
+class TestDerivativeCheck:
+    """A hand-written derivative that its function contradicts is named at build."""
+
+    REG = Regularizer(value=lambda th: 0.3 * th[0] ** 2 + 0.1 * th[0] * th[1],
+                      grad=lambda th: np.array([0.6 * th[0] + 0.1 * th[1], 0.1 * th[0]]))
+
+    @staticmethod
+    def _with_grad(coef, change):
+        return MatrixFn(coef.shape, coef, lambda t, th, k: change(coef.d_theta(t, th, k)),
+                        depends_on=coef.depends_on, time_varying=coef.time_varying)
+
+    def _inputs(self, slot, change):
+        Q = MatrixFn.affine(np.eye(2), {0: np.diag([0.5, 0.2]), 1: np.diag([0.1, 0.4])})
+        inputs = _two_player_inputs(Q=(Q, MatrixFn.constant(np.eye(2))),
+                                    regularizers=(self.REG, None))
+        if slot == "B[1]":
+            inputs["B"] = (inputs["B"][0], self._with_grad(inputs["B"][1], change))
+        elif slot == "Q[0]":
+            inputs["Q"] = (self._with_grad(Q, change), inputs["Q"][1])
+        else:
+            reg = Regularizer(value=self.REG.value, grad=lambda th: change(self.REG.grad(th)))
+            inputs["regularizers"] = (reg, None)
+        return inputs
+
+    @pytest.mark.parametrize("change", sorted(WRONG))
+    @pytest.mark.parametrize("slot,match", [
+        ("B[1]", r"B\[1\]'s derivative in theta_1 disagrees with a central difference at t=0"),
+        ("Q[0]", r"Q\[0\]'s derivative in theta_0 disagrees"),
+        ("regularizers[0]", r"regularizers\[0\]'s gradient entry 0 disagrees"),
+    ])
+    def test_wrong_derivative_is_named(self, slot, match, change):
+        ConfigGame(**self._inputs(slot, lambda g: g))
+        with pytest.raises(ValueError, match=match):
+            ConfigGame(**self._inputs(slot, WRONG[change]))
+
+    def test_negated_pursuit_evasion_actuation_derivative_is_rejected(self, pe_game):
+        # it built, and the search certified a point where descent points
+        # into the box
+        bad = self._with_grad(pe_game.B[0], np.negative)
+        with pytest.raises(ValueError, match=r"B\[0\]'s derivative in theta_0"):
+            dataclasses.replace(pe_game, B=(bad, pe_game.B[1]))
+
+    @pytest.mark.parametrize("players,n,m", itertools.product((1, 2, 3), (1, 6), (1, 2)))
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_every_random_game_shape_builds(self, players, n, m, affine):
+        assert random_aq_game(0, players, n, m, affine=affine).num_players == players
 
 
 class TestRuntimeDependencies:

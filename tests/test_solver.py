@@ -7,7 +7,7 @@ import confgames.solver as solver_mod
 from confgames import (BestResponseStalled, CertVerdict, IbrTrace, InfeasibleTheta,
                        Regularizer, SolverSettings, TimeGrid, certify_first_order,
                        ibr_solve, naive_baseline, project)
-from conftest import make_scalar_lqr
+from conftest import count_solves, diverge_at, make_scalar_lqr
 
 
 def best_response(game, theta, i, settings, records=None):
@@ -222,18 +222,20 @@ class TestIbr:
 
 class TestEvaluateOnce:
     def test_each_theta_is_solved_once(self, monkeypatch):
-        thetas = []
-        real_solve = solver_mod.solve_stage_two
-
-        def counted(game, theta, grid=None):
-            thetas.append(tuple(np.asarray(theta, dtype=float)))
-            return real_solve(game, theta, grid)
-
-        monkeypatch.setattr(solver_mod, "solve_stage_two", counted)
+        thetas = count_solves(monkeypatch)
         ibr_solve(make_scalar_lqr(), [0.6],
                   SolverSettings(alpha=2.0, max_inner=200, grid_steps=200))
         assert len(thetas) == 6
         assert len(set(thetas)) == 6
+
+    def test_general_sum_search_solves_each_theta_once(self, gs_game, monkeypatch):
+        # a candidate that the box clamps back onto the current point is
+        # recorded without a solve: 27 records, 26 solves
+        thetas = count_solves(monkeypatch)
+        trace = ibr_solve(gs_game, np.array([0.6, 1.2]),
+                          SolverSettings(alpha=2.0, grid_steps=200))
+        assert len(trace.records) == 27
+        assert len(thetas) == len(set(thetas)) == 26
 
     @pytest.mark.parametrize("case", ["scalar", "pe"])
     def test_trace_holds_the_evaluations_of_its_points(self, case, pe_game, pe_settings):
@@ -303,18 +305,31 @@ class TestBaseline:
         thetas = pe_baseline_200.thetas
         assert len(thetas) == len(set(thetas))
 
+    def test_search_solves_its_start_and_each_record_once(self, pe_baseline_200):
+        # the search's 147 records take 148 solves, theta0 first; the naive
+        # rounds add one iterate and the realized profile one more
+        trace, thetas = pe_baseline_200.result.ibr_trace, pe_baseline_200.thetas
+        assert len(trace.records) == 147
+        assert thetas[:148] == [trace.theta0] + [r.theta for r in trace.records]
+        assert len(thetas) == 150
+
+    def test_diverged_realized_profile_is_infeasible(self, pe_game, pe_settings,
+                                                     pe_baseline_200, monkeypatch):
+        # the realized profile is the baseline's last solve
+        res = pe_baseline_200.result
+        last = len(pe_baseline_200.thetas) - 1
+        monkeypatch.setattr(solver_mod, "_solve_batch", diverge_at(last))
+        settings = SolverSettings(alpha=pe_settings.alpha, grid_steps=200)
+        with pytest.raises(InfeasibleTheta) as info:
+            naive_baseline(pe_game, np.array([0.2, 1.2]), settings)
+        assert info.value.theta == (res.theta1_naive, res.theta_star[1])
+        assert (info.value.time, info.value.player) == (0.5, 1)
+
     def test_equilibrium_start_solves_each_theta_once(self, pe_game, pe_settings,
                                                       pe_baseline_200, monkeypatch):
         # from the search's end point the realized profile is that point,
         # whose costs the search holds: it used to be solved a second time
-        thetas = []
-        real_solve = solver_mod.solve_stage_two
-
-        def counted(game, theta, grid=None):
-            thetas.append(tuple(np.asarray(theta, dtype=float)))
-            return real_solve(game, theta, grid)
-
-        monkeypatch.setattr(solver_mod, "solve_stage_two", counted)
+        thetas = count_solves(monkeypatch)
         settings = SolverSettings(alpha=pe_settings.alpha, grid_steps=200)
         result = naive_baseline(pe_game, np.array(pe_baseline_200.result.theta_star), settings)
         assert len(thetas) == len(set(thetas)) == 3
