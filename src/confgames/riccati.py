@@ -140,6 +140,11 @@ def _check_solution(batch: StageTwoBatch, game: ConfigGame, thetas, grid: TimeGr
 # the caller before the next pass.
 
 
+def _stage_rows(table):
+    """``table``'s stage rows as a list, read once if broadcast (stride 0)."""
+    return [table[0]] * len(table) if table.strides[0] == 0 else list(table)
+
+
 def solve_coupled_riccati(tabs: StageTables):
     """Solve the N coupled quadratic matrix equations backward from Qf.
 
@@ -153,7 +158,7 @@ def solve_coupled_riccati(tabs: StageTables):
     """
     game = tabs.game
     N = game.num_players
-    A, S, S_diag, Q = tabs.A, tabs.S, tabs.S_diag, tabs.Q
+    A, S, S_diag, Q = (_stage_rows(t) for t in (tabs.A, tabs.S, tabs.S_diag, tabs.Q))
 
     def rhs(s, Y):
         F = A[s] - np.add.reduce(S_diag[s] @ Y, axis=1)
@@ -183,7 +188,7 @@ def solve_zerosum_riccati(tabs: StageTables):
     if not tabs.c_is_zero:
         raise PreconditionViolation("zero-sum solve requires a vanishing drive term")
 
-    A, Q, Stilde = tabs.A, tabs.Q[:, :, 0], _zerosum_coupling(tabs)
+    A, Q, Stilde = (_stage_rows(t) for t in (tabs.A, tabs.Q[:, :, 0], _zerosum_coupling(tabs)))
 
     def rhs(s, P):
         return -(_plus_mT(P @ A[s]) + Q[s] + P @ Stilde[s] @ P)
@@ -275,15 +280,23 @@ def _drop(blown, failures, members, tabs, *arrays):
     return (members[keep], tabs.select(keep), *(a[:, keep] for a in arrays))
 
 
+def _value_pass(tabs: StageTables):
+    """Node samples (steps+1, B, N, n, n) and blow-ups of the value-matrix
+    pass: the coupled system, or the zero-sum P stored as (P, -P)."""
+    if not tabs.game.zero_sum:
+        return solve_coupled_riccati(tabs)
+    P, blowups = solve_zerosum_riccati(tabs)
+    return np.stack([P, -P], axis=2), blowups
+
+
 def _solve_batch(game: ConfigGame, thetas, grid: TimeGrid = None):
     """The stage-two pipeline at every row of ``thetas``, advanced as one batch.
 
-    Dispatches to the single-matrix zero-sum pass when the game is flagged
-    zero-sum, otherwise runs the coupled system followed by the affine
-    passes.  Every theta must lie inside the parameter box.  Returns the
-    StageTwoBatch of the members that stayed bounded and the blow-ups of
-    the others, {row: BlowUpDetected}; a member that blows up in one pass
-    is left out of the later ones.
+    Runs the value-matrix pass, then the affine passes unless the game is
+    flagged zero-sum.  Every theta must lie inside the parameter box.
+    Returns the StageTwoBatch of the members that stayed bounded and the
+    blow-ups of the others, {row: BlowUpDetected}; a member that blows up
+    in one pass is left out of the later ones.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     for theta in thetas:
@@ -295,16 +308,13 @@ def _solve_batch(game: ConfigGame, thetas, grid: TimeGrid = None):
     members, failures = np.arange(len(thetas)), {}
     x0 = game.x0
 
-    if game.zero_sum:
-        P, blown = solve_zerosum_riccati(tabs)
-        members, tabs, P = _drop(blown, failures, members, tabs, P)
-        J = [0.5 * float(x0 @ P[0, b] @ x0) for b in range(len(members))]
-        values = np.array([[j, -j] for j in J]).reshape(-1, 2)
-        return StageTwoBatch(tables=tabs, members=members, values=values,
-                             P_nodes=np.stack([P, -P], axis=2)), failures
-
-    P, blown = solve_coupled_riccati(tabs)
+    P, blown = _value_pass(tabs)
     members, tabs, P = _drop(blown, failures, members, tabs, P)
+    if game.zero_sum:
+        J = [0.5 * float(x0 @ P[0, b, 0] @ x0) for b in range(len(members))]
+        values = np.array([[j, -j] for j in J]).reshape(-1, 2)
+        return StageTwoBatch(tables=tabs, members=members, values=values, P_nodes=P), failures
+
     zeta, blown = solve_zeta(tabs, P)
     eta, late = solve_eta(tabs, zeta)
     late.update(blown)

@@ -1,9 +1,9 @@
 """Built-in games: pursuit-evasion, the general-sum lane game, and a
 seeded random-game generator for property tests.
 
-Both built-in constructions verify their own feasibility at build time so
-a bad parameter choice fails loudly with the divergence time instead of
-surfacing later inside a solver loop.
+Both built-in constructions and the random generator check feasibility at
+build time: a bad parameter choice fails loudly with the divergence time
+instead of surfacing later inside a solver loop, and a bad draw is redrawn.
 """
 
 from __future__ import annotations
@@ -12,19 +12,21 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._stage import StageTables
 from .errors import GenerationFailed, InfeasibleTheta
 from .model import ConfigGame, MatrixFn, Regularizer, _require_finite
 from .odekit import TimeGrid
-from .riccati import default_grid
-from .solver import SolverSettings, _evaluate_batch
+from .riccati import _value_pass, default_grid
+from .solver import SolverSettings
 
 
 def _first_blowup(game: ConfigGame, thetas, grid: TimeGrid):
-    """The InfeasibleTheta of the first of ``thetas`` whose stage-two solve
-    on ``grid`` blows up, or None when every one stays bounded; the probes
-    are solved in batches, with no gradients."""
-    results = _evaluate_batch(game, thetas, grid, gradients=[False] * len(thetas))
-    return next((r for r in results if isinstance(r, InfeasibleTheta)), None)
+    """The InfeasibleTheta of the first of ``thetas`` whose value-matrix pass
+    on ``grid`` blows up, or None: the offsets and constants, linear passes
+    driven by the value matrices, stay bounded with them and are not solved."""
+    tabs = StageTables(game, thetas, grid)
+    return next((InfeasibleTheta(tabs.thetas[b], time=exc.time, player=exc.player)
+                 for b, exc in sorted(_value_pass(tabs)[1].items())), None)
 
 
 def _check_box_corners(game: ConfigGame, what: str):
@@ -65,12 +67,6 @@ class PursuitEvasionSpec:
             raise ValueError("kappa gains must be positive")
 
 
-def _pe_single_block():
-    Ab = np.zeros((4, 4))
-    Ab[0, 2] = Ab[1, 3] = 1.0
-    return Ab
-
-
 def _pe_actuation(theta_i: float) -> np.ndarray:
     return np.diag([1.0 + np.cos(theta_i), 1.0 + np.sin(theta_i)])
 
@@ -89,10 +85,8 @@ def build_pursuit_evasion(spec: PursuitEvasionSpec = None) -> ConfigGame:
     """
     spec = spec if spec is not None else PursuitEvasionSpec()
     n = 8
-    Ab = _pe_single_block()
     A = np.zeros((n, n))
-    A[:4, :4] = Ab
-    A[4:, 4:] = Ab
+    A[0, 2] = A[1, 3] = A[4, 6] = A[5, 7] = 1.0  # each velocity drives its position
 
     def b_matrix(kappa, rows, owner):
         def fn(t, theta):
@@ -188,7 +182,7 @@ def build_general_sum(spec: GeneralSumSpec = None) -> ConfigGame:
     tracking cost into a pure quadratic and introduces the constant drive
     term c = A f.  Both players share the state cost; the game is
     general-sum because each pays only its own control effort and the
-    actuation authorities differ.  The builder solves the stage-two game
+    actuation authorities differ.  The builder solves the coupled system
     at the four parameter-box corners (500 steps) and raises with the
     divergence time if any is unbounded on the chosen horizon.
     """
@@ -257,8 +251,8 @@ def random_aq_game(seed: int, num_players: int = 2, state_dim: int = 3,
 
     Drift is scaled to spectral radius at most one; actuation is affine in
     the owner's parameter; state costs are factored-PSD with
-    parameter-scaled PSD bumps so they stay PSD over the box.  Candidate
-    draws whose coupled system diverges on the default grid are rejected
+    parameter-scaled PSD bumps so they stay PSD over the box.  A draw whose
+    coupled system diverges at a probe point on the default grid is redrawn
     (fresh substream per attempt); generation fails after 100 rejections.
     """
     if num_players not in (1, 2, 3):

@@ -378,8 +378,8 @@ class TestGradCheckBatches:
 
     @pytest.fixture
     def prebuilt(self, monkeypatch, pe_game):
-        # the game is built before a stand-in numbers the points, so the
-        # builder's corner probes are not among them
+        # the command reuses the session's game instead of building it
+        # again (the builder's probes never reach solver._solve_batch)
         monkeypatch.setattr(cli.RunConfig, "build_game", lambda cfg: pe_game)
 
     @pytest.mark.usefixtures("prebuilt")
@@ -441,7 +441,7 @@ class TestBaselineCommand:
     def test_diverged_realized_profile_exits_three(self, tmp_path, monkeypatch, capsys,
                                                    pe_game, pe_baseline_200):
         # the realized profile, the baseline's last solve, is named; the
-        # game is built before, so its corner probes are not counted
+        # command reuses the session's game instead of building it again
         res = pe_baseline_200.result
         monkeypatch.setattr(cli.RunConfig, "build_game", lambda cfg: pe_game)
         last = len(pe_baseline_200.thetas) - 1

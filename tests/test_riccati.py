@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from confgames import (BlowUpDetected, ConfigGame, MatrixFn, StageTables, TimeGrid,
-                       rollout, solve_coupled_riccati, solve_eta,
+from confgames import (BlowUpDetected, ConfigGame, GeneralSumSpec, MatrixFn, StageTables,
+                       TimeGrid, rollout, solve_coupled_riccati, solve_eta,
                        solve_stage_two, solve_zerosum_riccati, solve_zeta,
                        stage_one_costs, value_gradient)
 from confgames import riccati
-from conftest import make_scalar_lqr, make_time_varying_game
+from confgames.odekit import integrate_backward
+from conftest import build_gs_quiet, make_scalar_lqr, make_time_varying_game
 
 
 class TestCoupledRiccati:
@@ -124,6 +125,47 @@ class TestStageSamples:
         assert not calls
         rollout(game, theta, sol)
         assert calls == expected
+
+
+class TestTimeConstantTables:
+    # a right-hand side reads a table broadcast along its stage axis once,
+    # and each pass keeps the bits of indexing every table at every call
+
+    def test_broadcast_table_is_read_once(self):
+        rows = riccati._stage_rows(np.broadcast_to(np.eye(2), (5, 2, 2)))
+        assert len(rows) == 5 and all(r is rows[0] for r in rows)
+        varying = np.arange(20.0).reshape(5, 2, 2)
+        assert [r.tolist() for r in riccati._stage_rows(varying)] == varying.tolist()
+
+    def test_zerosum_pass_bits(self, pe_game, pe_grid):
+        tabs = StageTables(pe_game, np.array([[0.4, 1.1], [1.3, 0.2]]), pe_grid)
+        assert tabs.A.strides[0] == tabs.Q.strides[0] == tabs.S.strides[0] == 0
+        A, Q, Stilde = tabs.A, tabs.Q[:, :, 0], riccati._zerosum_coupling(tabs)
+
+        def rhs(s, P):
+            return -(riccati._plus_mT(P @ A[s]) + Q[s] + P @ Stilde[s] @ P)
+
+        P = integrate_backward(rhs, np.broadcast_to(pe_game.Qf[0], (2, 8, 8)), pe_grid,
+                               project_state=riccati._sym_stack, blowups={})
+        assert np.array_equal(solve_zerosum_riccati(tabs)[0], P)
+
+    def test_coupled_pass_bits(self):
+        # state costs that switch inside the horizon beside time-constant
+        # drift and couplings
+        game = build_gs_quiet(GeneralSumSpec(switch_time=0.225))
+        grid = TimeGrid(game.horizon, 1000)
+        tabs = StageTables(game, np.array([[0.6, 1.2], [0.9, 0.3]]), grid)
+        assert tabs.Q.strides[0] != 0 and tabs.A.strides[0] == tabs.S.strides[0] == 0
+        A, S, S_diag, Q = tabs.A, tabs.S, tabs.S_diag, tabs.Q
+
+        def rhs(s, Y):
+            F = A[s] - np.add.reduce(S_diag[s] @ Y, axis=1)
+            cross = np.add.reduce(Y[:, None] @ S[s] @ Y[:, None], axis=2)
+            return -(riccati._plus_mT(Y @ F[:, None]) + Q[s] + cross)
+
+        P = integrate_backward(rhs, np.broadcast_to(np.stack(game.Qf), (2, 2, 4, 4)), grid,
+                               project_state=riccati._sym_stack, blowups={})
+        assert np.array_equal(solve_coupled_riccati(tabs)[0], P)
 
 
 class TestOneMemberBatch:

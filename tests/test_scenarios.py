@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from confgames import (GeneralSumSpec, PursuitEvasionSpec, TimeGrid,
-                       build_pursuit_evasion, random_aq_game, rollout,
+from confgames import (GeneralSumSpec, InfeasibleTheta, PursuitEvasionSpec, TimeGrid,
+                       build_pursuit_evasion, random_aq_game, riccati, rollout, scenarios,
                        solve_stage_two, stage_one_costs, value_gradient)
-from conftest import build_gs_quiet
+from confgames.solver import _evaluate_batch
+from conftest import build_gs_quiet, count_solves
 
 
 def _float_fields(spec):
@@ -199,3 +200,58 @@ class TestRandomGames:
             random_aq_game(0, state_dim=9)
         with pytest.raises(ValueError):
             random_aq_game(0, control_dim=3)
+
+
+class TestFeasibilityProbes:
+    # a build probes only the value-matrix pass: the offsets and constants
+    # are linear passes driven by the value matrices
+
+    def test_builds_take_only_the_value_pass(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("a feasibility probe solved an affine pass")
+
+        monkeypatch.setattr(riccati, "solve_zeta", unused)
+        monkeypatch.setattr(riccati, "solve_eta", unused)
+        thetas = count_solves(monkeypatch)
+        build_pursuit_evasion()
+        build_gs_quiet()
+        random_aq_game(0, 3, 6, 2)
+        assert thetas == []
+
+    @pytest.mark.parametrize("build,spec", [
+        (build_pursuit_evasion, PursuitEvasionSpec(horizon=60.0)),
+        (build_gs_quiet, GeneralSumSpec(horizon=6.0)),
+    ])
+    def test_corner_message_matches_the_full_solve(self, build, spec, monkeypatch):
+        # the message names the first corner, divergence time included, at
+        # which the whole stage-two solve would have failed
+        checked = []
+        real = scenarios._check_box_corners
+        monkeypatch.setattr(scenarios, "_check_box_corners",
+                            lambda game, what: checked.append((game, what)) or real(game, what))
+        with pytest.raises(ValueError) as info:
+            build(spec)
+        (game, what), = checked
+        corners = [(t1, t2) for t1 in game.theta_box[0] for t2 in game.theta_box[1]]
+        grid = TimeGrid(game.horizon, 500)
+        rows = _evaluate_batch(game, corners, grid, gradients=[False] * 4)
+        first = next(r for r in rows if isinstance(r, InfeasibleTheta))
+        probed = scenarios._first_blowup(game, corners, grid)
+        assert (probed.theta, probed.time, probed.player) == (first.theta, first.time, first.player)
+        t1, t2 = first.theta
+        assert str(info.value) == (f"{what} diverges near t={first.time:.4g} at "
+                                   f"theta=({t1:.4g}, {t2:.4g})")
+
+    @pytest.mark.parametrize("seed,players,n,m,affine", [
+        (0, 3, 6, 2, True), (1, 3, 6, 2, True), (2, 3, 6, 2, True), (3, 3, 6, 2, True),
+        (1, 2, 3, 1, True), (2, 3, 4, 2, True), (12, 2, 3, 1, False), (51, 3, 3, 1, True),
+        (0, 1, 6, 2, False), (0, 2, 6, 1, False), (0, 3, 1, 2, True), (0, 3, 6, 1, False),
+    ])
+    def test_accepted_draw_is_bounded_under_the_full_solve(self, seed, players, n, m, affine):
+        # every draw the value-matrix probes reject, the full solve rejects
+        # too; so an accepted draw bounded under the full solve at its
+        # probes is the draw the full solve would have accepted
+        game = random_aq_game(seed, players, n, m, affine=affine)
+        probes = [np.full(players, x) for x in (1.0, 0.5, 1.5)]
+        rows = _evaluate_batch(game, probes, TimeGrid(game.horizon, 1000), gradients=[False] * 3)
+        assert not any(isinstance(r, InfeasibleTheta) for r in rows)
