@@ -269,13 +269,15 @@ class ConfigGame:
         """Reject a derivative (``MatrixFn.d_theta`` at ``ts[::8]``, ``Regularizer.grad``)
         that a central difference of its function at theta_mid, stepping 1e-4 of
         the interval, contradicts by more than 1e-5 of the larger of the derivative
-        and the function over the interval: every exact gradient rests on them."""
+        and the function over the interval: every exact gradient rests on them.
+        Regularizers are also checked off the diagonal, where a symmetric bump's gradient
+        need not vanish: theta_k (k+1)/(N+2) into its interval, sized at both points."""
         mid = self.theta_mid
 
-        def contradicts(exact, fn, k, value):
+        def contradicts(exact, fn, k, value, at=mid):
             lo, hi = self.theta_box[k]
-            e = np.eye(len(mid))[k] * 1e-4 * (hi - lo)
-            quotient = np.subtract(fn(mid + e), fn(mid - e)) / (2 * e[k])
+            e = np.eye(len(at))[k] * 1e-4 * (hi - lo)
+            quotient = np.subtract(fn(at + e), fn(at - e)) / (2 * e[k])
             scale = max(np.abs(exact).max(), np.abs(value).max() / (hi - lo))
             return np.abs(exact - quotient).max() > 1e-5 * scale
 
@@ -286,11 +288,14 @@ class ConfigGame:
                 if contradicts(coef.d_theta(t, mid, k), lambda th: coef(t, th), k, samples[s]):
                     raise ValueError(f"{name}'s derivative in theta_{k} disagrees with a "
                                      f"central difference at t={t:.6g}")
-        for (i, reg), k in itertools.product(enumerate(self.regularizers or ()), sorted(wide)):
-            if reg is not None and contradicts(np.ravel(reg.grad(mid))[k], reg.value, k,
-                                               reg.value(mid)):
+        lo, hi = np.transpose(self.theta_box)
+        skew = lo + (hi - lo) * np.arange(1, len(mid) + 1) / (len(mid) + 2)
+        for (i, reg), at, k in itertools.product(enumerate(self.regularizers or ()),
+                                                 (mid, skew), sorted(wide)):
+            if reg is not None and contradicts(np.ravel(reg.grad(at))[k], reg.value, k,
+                                               [reg.value(mid), reg.value(skew)], at):
                 raise ValueError(f"regularizers[{i}]'s gradient entry {k} disagrees with a "
-                                 "central difference")
+                                 f"central difference at theta={at.tolist()}")
 
     def _check_zero_sum_negation(self, ts, table, corners):
         """Reject zero-sum games the single-matrix solve would answer wrongly.

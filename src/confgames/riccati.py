@@ -15,7 +15,8 @@ stack (P, -P), and the stage-time samples are formed from the node arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,21 +55,31 @@ class StageTwoBatch:
     """Stage-two solutions of the bounded members of a batch, stacked on a
     member axis (the second axis of every array).
 
-    ``members`` holds their rows in the requested batch and ``values``
-    (B, N) their pure stage-two costs; ``tables`` are theirs.  The node
-    arrays are ``P_nodes`` (steps+1, B, N, n, n), ``zeta_nodes``
-    (steps+1, B, N, n) and ``eta_nodes`` (steps+1, B, N).  A zero-sum batch
-    solves a single value matrix P per member and stores it as the player
-    stack (P, -P), with no offset arrays (None).  No stage-time sample is
-    stored: value_rows and offset_rows form them at any stage rows.
+    ``members`` holds their rows in the requested batch and ``tables`` are
+    theirs.  The node arrays are ``P_nodes`` (steps+1, B, N, n, n),
+    ``zeta_nodes`` (steps+1, B, N, n) and ``eta_nodes`` (steps+1, B, N).  A
+    zero-sum batch solves a single value matrix P per member and stores it
+    as the player stack (P, -P), with no offset arrays (None).  Nothing
+    else is stored: ``values`` is read off the t=0 nodes, and value_rows
+    and offset_rows form the stage-time samples at any stage rows.
     """
 
     tables: StageTables = field(repr=False)
     members: np.ndarray
-    values: np.ndarray
     P_nodes: np.ndarray = field(repr=False)
     zeta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
     eta_nodes: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Pure stage-two costs (B, N) at t=0: 1/2 x0' P^i x0, plus zeta^i' x0 +
+        eta^i when the batch holds offsets; the zero-sum stack (P, -P) gives (J, -J)."""
+        x0, P0 = self.tables.game.x0, self.P_nodes[0]
+        values = 0.5 * np.reshape([[x0 @ P @ x0 for P in member] for member in P0], P0.shape[:2])
+        if self.zeta_nodes is None:
+            return values
+        return (values + np.reshape([[z @ x0 for z in member] for member in self.zeta_nodes[0]],
+                                    P0.shape[:2]) + self.eta_nodes[0])
 
     def value_rows(self, rows: slice):
         """P (rows, B, N, n, n) and the closed-loop drift F (rows, B, n, n)
@@ -88,8 +99,13 @@ class StageTwoBatch:
         keep = list(keep)
         zeta, eta = (None if a is None else a[:, keep] for a in (self.zeta_nodes, self.eta_nodes))
         return StageTwoBatch(tables=self.tables.select(keep), members=self.members[keep],
-                             values=self.values[keep], P_nodes=self.P_nodes[:, keep],
-                             zeta_nodes=zeta, eta_nodes=eta)
+                             P_nodes=self.P_nodes[:, keep], zeta_nodes=zeta, eta_nodes=eta)
+
+    def _without(self, blown, failures) -> "StageTwoBatch":
+        """The batch without the members ``blown`` (member -> BlowUpDetected)
+        of a pass, which go to ``failures`` under their rows."""
+        failures.update((int(self.members[b]), exc) for b, exc in blown.items())
+        return self.select(b for b in range(len(self.members)) if b not in blown) if blown else self
 
 
 def _closed_loop(tabs: StageTables, P_st, rows: slice = slice(None)):
@@ -228,7 +244,7 @@ def solve_zeta(tabs: StageTables, P_nodes: np.ndarray):
         return list(zip(P, _closed_loop(tabs, P, r), PS))
 
     stage = StageBlocks(block, len(tabs.grid.stage_times), tabs.coupling_elems)
-    c, S_diag = tabs.c, tabs.S_diag
+    c, S_diag = (_stage_rows(t) for t in (tabs.c, tabs.S_diag))
 
     def rhs(s, Z):
         P, F, PS = stage[s]
@@ -269,17 +285,6 @@ def solve_eta(tabs: StageTables, zeta_nodes: np.ndarray):
 # -- assembly ----------------------------------------------------------------
 
 
-def _drop(blown, failures, members, tabs, *arrays):
-    """Move the members ``blown`` (member -> BlowUpDetected) of a pass to
-    ``failures`` under their rows and drop them from ``members``, ``tabs``
-    and the member axis of ``arrays``."""
-    if not blown:
-        return (members, tabs, *arrays)
-    failures.update((int(members[b]), exc) for b, exc in blown.items())
-    keep = [b for b in range(len(members)) if b not in blown]
-    return (members[keep], tabs.select(keep), *(a[:, keep] for a in arrays))
-
-
 def _value_pass(tabs: StageTables):
     """Node samples (steps+1, B, N, n, n) and blow-ups of the value-matrix
     pass: the coupled system, or the zero-sum P stored as (P, -P)."""
@@ -293,10 +298,10 @@ def _solve_batch(game: ConfigGame, thetas, grid: TimeGrid = None):
     """The stage-two pipeline at every row of ``thetas``, advanced as one batch.
 
     Runs the value-matrix pass, then the affine passes unless the game is
-    flagged zero-sum.  Every theta must lie inside the parameter box.
-    Returns the StageTwoBatch of the members that stayed bounded and the
-    blow-ups of the others, {row: BlowUpDetected}; a member that blows up
-    in one pass is left out of the later ones.
+    flagged zero-sum or no member is left.  Every theta must lie inside the
+    parameter box.  Returns the StageTwoBatch of the members that stayed
+    bounded and the blow-ups of the others, {row: BlowUpDetected}; a member
+    that blows up in one pass is selected out of the batch before the next.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     for theta in thetas:
@@ -304,26 +309,14 @@ def _solve_batch(game: ConfigGame, thetas, grid: TimeGrid = None):
             raise ValueError(f"theta {theta.tolist()} outside the parameter box {game.theta_box}")
     if grid is None:
         grid = default_grid(game)
-    tabs = StageTables(game, thetas, grid)
-    members, failures = np.arange(len(thetas)), {}
-    x0 = game.x0
-
+    tabs, failures = StageTables(game, thetas, grid), {}
     P, blown = _value_pass(tabs)
-    members, tabs, P = _drop(blown, failures, members, tabs, P)
-    if game.zero_sum:
-        J = [0.5 * float(x0 @ P[0, b, 0] @ x0) for b in range(len(members))]
-        values = np.array([[j, -j] for j in J]).reshape(-1, 2)
-        return StageTwoBatch(tables=tabs, members=members, values=values, P_nodes=P), failures
-
-    zeta, blown = solve_zeta(tabs, P)
-    eta, late = solve_eta(tabs, zeta)
-    late.update(blown)
-    members, tabs, P, zeta, eta = _drop(late, failures, members, tabs, P, zeta, eta)
-    values = np.array([[0.5 * float(x0 @ P[0, b, i] @ x0) + float(zeta[0, b, i] @ x0)
-                        + float(eta[0, b, i]) for i in range(game.num_players)]
-                       for b in range(len(members))]).reshape(-1, game.num_players)
-    return StageTwoBatch(tables=tabs, members=members, values=values, P_nodes=P,
-                         zeta_nodes=zeta, eta_nodes=eta), failures
+    batch = StageTwoBatch(tabs, np.arange(len(thetas)), P)._without(blown, failures)
+    if not game.zero_sum and len(batch.members):
+        zeta, blown = solve_zeta(batch.tables, batch.P_nodes)
+        eta, late = solve_eta(batch.tables, zeta)
+        batch = replace(batch, zeta_nodes=zeta, eta_nodes=eta)._without({**late, **blown}, failures)
+    return batch, failures
 
 
 def solve_stage_two(game: ConfigGame, theta, grid: TimeGrid = None) -> StageTwoBatch:

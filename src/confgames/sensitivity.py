@@ -151,7 +151,7 @@ def _eta_integrand(batch, zk_nodes):
     """Scalar integrand stack (stage, member, k, i) for the eta-path
     derivatives, formed a block of stage rows at a time."""
     tabs = batch.tables
-    M, (B, N, n) = len(tabs.grid.stage_times), batch.zeta_nodes.shape[1:]
+    M, (B, N, n) = len(tabs.grid.stage_times), batch.P_nodes.shape[1:4]
     out = np.empty((M, B, N, N))
     for rows in stage_blocks(M, tabs.coupling_elems):
         z_st, beta_st = batch.offset_rows(rows)
@@ -244,12 +244,15 @@ def value_gradient(game: ConfigGame, theta, grid: TimeGrid = None,
     Zero-sum games differentiate the single value-matrix equation (the
     two-player encoding with sign-flipped cross costs falls outside the
     nonnegative-cost hypothesis of the coupled system, and the
-    single-matrix route is exact there); general games run the stacked
-    linear passes for every member and component at once.  Regularizer
-    gradients are added row-wise.  A given ``stage2`` must have been solved
-    for this game and grid at the rows of ``theta`` (one vector is a
-    one-member batch); without it ``theta`` is solved, and InfeasibleTheta
-    raised when that solve blows up; ``theta`` must then be one vector.
+    single-matrix route is exact there) and read its derivative as the
+    player stack (P_k, -P_k), the encoding of P; general games run the
+    stacked linear passes for every member and component at once.  Every
+    G is 1/2 x0' P^i_k x0 at t=0, plus zeta^i_k' x0 + eta^i_k when the
+    batch holds offsets, plus the regularizer gradients row-wise.  A given
+    ``stage2`` must have been solved for this game and grid at the rows of
+    ``theta`` (one vector is a one-member batch); without it ``theta`` is
+    solved, and InfeasibleTheta raised when that solve blows up; ``theta``
+    must then be one vector.
     """
     theta = np.asarray(theta, dtype=float)
     if stage2 is not None:
@@ -261,21 +264,19 @@ def value_gradient(game: ConfigGame, theta, grid: TimeGrid = None,
             stage2 = solve_stage_two(game, theta, grid)
         except BlowUpDetected as exc:
             raise InfeasibleTheta(theta, time=exc.time, player=exc.player) from None
-    thetas, x0 = stage2.tables.thetas, game.x0
-    G = []
     if game.zero_sum:
-        Pk0 = _zerosum_sensitivity(stage2)[0]
-        for b, theta in enumerate(thetas):
-            g = 0.5 * np.einsum("a,kab,b->k", x0, Pk0[b], x0)
-            G.append(np.vstack([g, -g]) + game.regularizer_gradients(theta))
+        Pk = _zerosum_sensitivity(stage2)[0]
+        Pk0 = np.stack([Pk, -Pk], axis=2)
     else:
         Pk_nodes, zk_nodes = _general_sensitivity(stage2)
         Pk0, zk0, ek0 = Pk_nodes[0], zk_nodes[0], _eta_nodes(stage2, zk_nodes)[0]
-        for b, theta in enumerate(thetas):
-            G.append(0.5 * np.einsum("a,kiab,b->ik", x0, Pk0[b], x0)
-                     + np.einsum("kia,a->ik", zk0[b], x0) + ek0[b].T
-                     + game.regularizer_gradients(theta))
-    return np.array(G).reshape(len(thetas), game.num_players, game.num_players)
+    G, x0 = [], game.x0
+    for b, theta in enumerate(stage2.tables.thetas):
+        g = 0.5 * np.einsum("a,kiab,b->ik", x0, Pk0[b], x0)
+        if stage2.zeta_nodes is not None:
+            g = g + np.einsum("kia,a->ik", zk0[b], x0) + ek0[b].T
+        G.append(g + game.regularizer_gradients(theta))
+    return np.array(G).reshape(len(G), game.num_players, game.num_players)
 
 
 def envelope_gradient(batch: StageTwoBatch) -> np.ndarray:

@@ -7,6 +7,7 @@ report must equal those of its own one-member solve bit for bit.
 
 import dataclasses
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confgames import (InfeasibleTheta, TimeGrid, cli, envelope_gradient, random_aq_game,
-                       rollout, solve_stage_two, stage_one_costs, value_gradient)
+from confgames import (InfeasibleTheta, StageTables, TimeGrid, cli, envelope_gradient,
+                       random_aq_game, rollout, solve_stage_two, solve_zerosum_riccati,
+                       stage_one_costs, value_gradient)
 from confgames import model as model_mod
-from confgames import odekit
+from confgames import odekit, riccati
 from confgames import solver as solver_mod
 from confgames.errors import BlowUpDetected
 from confgames.riccati import _solve_batch
@@ -87,6 +89,27 @@ def test_diverged_member_leaves_the_others_unchanged(gs_game):
     # a batch whose every member diverges
     assert all(isinstance(r, InfeasibleTheta) for r in
                solver_mod._evaluate_batch(game, thetas[[1, 1]], grid))
+
+
+def test_batch_left_empty_by_its_value_pass_runs_no_offset_pass(gs_game, monkeypatch):
+    # on this horizon (0.6, 1.2) blows up in the coupled value-matrix pass
+    game = dataclasses.replace(gs_game, horizon=6.0)
+    grid, thetas = TimeGrid(game.horizon, 1000), np.array([[0.6, 1.2]])
+
+    def refused(*args):
+        raise AssertionError("an offset pass ran on an empty batch")
+
+    monkeypatch.setattr(riccati, "solve_zeta", refused)
+    monkeypatch.setattr(riccati, "solve_eta", refused)
+    batch, failures = _solve_batch(game, thetas, grid)
+    assert list(failures) == [0] and len(batch.members) == 0
+    (row,) = solver_mod._evaluate_batch(game, thetas, grid)
+    assert isinstance(row, InfeasibleTheta) and row.theta == (0.6, 1.2)
+    assert (row.time, row.player) == (failures[0].time, failures[0].player)
+    N = game.num_players
+    assert value_gradient(game, thetas[:0], grid=grid, stage2=batch).shape == (0, N, N)
+    assert envelope_gradient(batch).shape == (0, N)
+    assert rollout(game, thetas[:0], batch).x.shape == (grid.steps + 1, 0, game.state_dim)
 
 
 @pytest.mark.parametrize("members", [1, 3])
@@ -286,7 +309,19 @@ def test_gradients_of_selected_members_equal_their_single_points(scenario, pe_ga
     keep = [0, 3, 4]
     sub = batch.select(keep)
     assert np.array_equal(sub.members, keep)
-    assert np.array_equal(sub.values, batch.values[keep])
+    assert sub.values.tobytes() == batch.values[keep].tobytes()
+    # the values are read off the t=0 nodes, and a zero-sum batch's are (J, -J)
+    x0, expected = game.x0, np.empty(batch.values.shape)
+    for b, i in itertools.product(range(len(thetas)), range(game.num_players)):
+        expected[b, i] = 0.5 * float(x0 @ batch.P_nodes[0, b, i] @ x0)
+        if batch.zeta_nodes is not None:
+            expected[b, i] = (expected[b, i] + float(batch.zeta_nodes[0, b, i] @ x0)
+                              + float(batch.eta_nodes[0, b, i]))
+    assert batch.values.tobytes() == expected.tobytes()
+    if game.zero_sum:
+        P = solve_zerosum_riccati(StageTables(game, thetas, grid))[0][0]
+        J = np.array([0.5 * float(x0 @ P[b] @ x0) for b in range(len(thetas))])
+        assert batch.values.tobytes() == np.column_stack([J, -J]).tobytes()
     for g, b in zip(value_gradient(game, thetas[keep], grid=grid, stage2=sub), keep):
         assert np.array_equal(g, value_gradient(game, thetas[b], grid=grid)[0])
 

@@ -685,6 +685,17 @@ class TestDerivativeCheck:
         with pytest.raises(ValueError, match=match):
             ConfigGame(**self._inputs(slot, WRONG[change]))
 
+    @pytest.mark.parametrize("change", ["negated", "scaled"])
+    def test_wrong_general_sum_bump_gradient_is_rejected(self, change, gs_game):
+        # the bump's gradient vanishes on the diagonal theta_0 = theta_1,
+        # at theta_mid too, and is +-0.0535 at (0.45, 0.7), a quarter and a
+        # half into the intervals
+        reg = gs_game.regularizers[1]
+        bad = Regularizer(value=reg.value, grad=lambda th: WRONG[change](reg.grad(th)))
+        with pytest.raises(ValueError, match=r"regularizers\[1\]'s gradient entry 0 disagrees "
+                                             r"with a central difference at theta=\[0\.45"):
+            dataclasses.replace(gs_game, regularizers=(reg, bad))
+
     def test_negated_pursuit_evasion_actuation_derivative_is_rejected(self, pe_game):
         # it built, and the search certified a point where descent points
         # into the box

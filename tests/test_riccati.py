@@ -10,7 +10,8 @@ from confgames import (BlowUpDetected, ConfigGame, GeneralSumSpec, MatrixFn, Sta
                        solve_stage_two, solve_zerosum_riccati, solve_zeta,
                        stage_one_costs, value_gradient)
 from confgames import riccati
-from confgames.odekit import integrate_backward
+from confgames._stage import _compact, _rows
+from confgames.odekit import StageBlocks, integrate_backward, stage_samples
 from conftest import build_gs_quiet, make_scalar_lqr, make_time_varying_game
 
 
@@ -166,6 +167,30 @@ class TestTimeConstantTables:
         P = integrate_backward(rhs, np.broadcast_to(np.stack(game.Qf), (2, 2, 4, 4)), grid,
                                project_state=riccati._sym_stack, blowups={})
         assert np.array_equal(solve_coupled_riccati(tabs)[0], P)
+
+    def test_zeta_pass_bits(self, gs_game, gs_grid):
+        # the drive and the own couplings are time-constant; the stage
+        # products are formed in blocks as in the pass itself
+        tabs = StageTables(gs_game, np.array([[0.6, 1.2], [0.9, 0.3]]), gs_grid)
+        assert tabs.c.strides[0] == tabs.S_diag.strides[0] == 0 and tabs.c.any()
+        P, S = solve_coupled_riccati(tabs)[0], _compact(tabs.S)
+
+        def block(r):
+            P_st = stage_samples(P, r)
+            PS = np.einsum("m...jab,m...ijbc->m...ijac", P_st, _rows(S, r), optimize=True)
+            return list(zip(P_st, riccati._closed_loop(tabs, P_st, r), PS))
+
+        stage = StageBlocks(block, len(gs_grid.stage_times), tabs.coupling_elems)
+
+        def rhs(s, Z):
+            P_s, F, PS = stage[s]
+            zc = Z[..., None]
+            beta = tabs.c[s] - np.add.reduce((tabs.S_diag[s] @ zc)[..., 0], axis=1)
+            coupling = np.add.reduce((PS @ zc[:, None])[..., 0], axis=2)
+            return -(Z @ F + coupling + (P_s @ beta[:, None, :, None])[..., 0])
+
+        zeta = integrate_backward(rhs, np.zeros((2, 2, 4)), gs_grid, blowups={})
+        assert np.array_equal(solve_zeta(tabs, P)[0], zeta)
 
 
 class TestOneMemberBatch:
